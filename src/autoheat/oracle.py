@@ -35,6 +35,8 @@ from .hyperbolic import HPoint, hyperbolic_distance
 
 SHELL_TOLERANCE = 1e-4
 T_MIN, T_MAX = 0.2, 10.0
+_PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
+_COUNT_CHUNK = 2 ** 18  # norms per count block in periodized_oracle_basepoint
 
 
 def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
@@ -45,22 +47,25 @@ def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
 
     The endpoint square-root singularity is removed by s = rho + u^2, and the
     difference of coshes is evaluated as 2 sinh(rho + u^2/2) sinh(u^2/2) to
-    dodge cancellation.
+    dodge cancellation.  The distances go through the quadrature in fixed
+    blocks, which bounds memory; each value is its own row sum either way.
     """
     if not t > 0.0:
         raise ValueError("t > 0 required")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho < 0.0):
         raise ValueError("distances are nonnegative")
-    s_max = np.maximum(rho, 1.0) + math.sqrt(4.0 * t * 46.0)
-    u_max = np.sqrt(s_max - rho)
     xg, wg = leggauss(n_nodes)
-    u = 0.5 * u_max[:, None] * (xg[None, :] + 1.0)
-    w = 0.5 * u_max[:, None] * wg[None, :]
-    s = rho[:, None] + u * u
-    denom = 2.0 * np.sinh(rho[:, None] + 0.5 * u * u) * np.sinh(0.5 * u * u)
-    integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
-    val = np.sum(integrand * w, axis=1)
+    val = np.empty(len(rho))
+    for lo in range(0, len(rho), _PLANE_BLOCK):
+        r = rho[lo:lo + _PLANE_BLOCK, None]
+        u_max = np.sqrt(np.maximum(r, 1.0) + math.sqrt(4.0 * t * 46.0) - r)
+        u = 0.5 * u_max * (xg[None, :] + 1.0)
+        w = 0.5 * u_max * wg[None, :]
+        s = r + u * u
+        denom = 2.0 * np.sinh(r + 0.5 * u * u) * np.sinh(0.5 * u * u)
+        integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
+        val[lo:lo + _PLANE_BLOCK] = np.sum(integrand * w, axis=1)
     return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
 
 
@@ -184,18 +189,22 @@ def matrix_counts_by_norm(n_max: int) -> np.ndarray:
       otherwise:    0 (parity obstruction).
     Verified against direct enumeration in the tests.
     """
-    r2 = _two_squares_counts(n_max + 2)
     counts = np.zeros(n_max + 1, dtype=np.float64)
-    n = np.arange(2, n_max + 1)
-    m2 = n[n % 4 == 2]
-    counts[m2] = r2[(m2 + 2) // 4].astype(np.float64) * r2[(m2 - 2) // 4]
-    m3 = n[n % 4 == 3]
-    counts[m3] = r2[m3 + 2].astype(np.float64) * r2[m3 - 2] / 2.0
+    counts[2:] = _counts_at(np.arange(2, n_max + 1), _two_squares_counts(n_max + 2))
     return counts
 
 
-def periodized_oracle_basepoint(t: float, norm_bound: float,
-                                chunk: int = 2 ** 22) -> float:
+def _counts_at(n: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """matrix_counts_by_norm's formula at the norms n >= 2 (r2 up to max(n) + 2)."""
+    counts = np.zeros(len(n))
+    m2 = n % 4 == 2
+    counts[m2] = r2[(n[m2] + 2) // 4].astype(np.float64) * r2[(n[m2] - 2) // 4]
+    m3 = n % 4 == 3
+    counts[m3] = r2[n[m3] + 2].astype(np.float64) * r2[n[m3] - 2] / 2.0
+    return counts
+
+
+def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     """Periodized sum at z = i via arithmetic norm counts.
 
     At the basepoint cosh d(i, gamma i) = ||gamma||_F^2 / 2 is half an
@@ -215,14 +224,9 @@ def periodized_oracle_basepoint(t: float, norm_bound: float,
     cheb = Chebyshev.fit(rk, heat_kernel_plane(t, rk), deg, domain=[0.0, rho_max])
     r2 = _two_squares_counts(n_max + 2)
     total = 0.0
-    for lo in range(2, n_max + 1, chunk):
-        hi = min(lo + chunk, n_max + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        cnt = np.zeros(len(n))
-        m2 = n % 4 == 2
-        cnt[m2] = r2[(n[m2] + 2) // 4].astype(np.float64) * r2[(n[m2] - 2) // 4]
-        m3 = n % 4 == 3
-        cnt[m3] = r2[n[m3] + 2].astype(np.float64) * r2[n[m3] - 2] / 2.0
+    for lo in range(2, n_max + 1, _COUNT_CHUNK):
+        n = np.arange(lo, min(lo + _COUNT_CHUNK, n_max + 1), dtype=np.int64)
+        cnt = _counts_at(n, r2)
         live = cnt > 0.0
         if not np.any(live):
             continue

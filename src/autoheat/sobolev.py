@@ -89,21 +89,35 @@ def delta_coefficients(grid: SpectralGrid) -> CoeffFn:
     return CoeffFn(grid, grid.basepoint_values.astype(complex))
 
 
+def _basis_rows(grid: SpectralGrid, x: np.ndarray, y: np.ndarray,
+                live: np.ndarray) -> np.ndarray:
+    """basis_values with only the rows where `live` holds evaluated; the rest stay zero."""
+    out = np.zeros((grid.size, len(x)))
+    n = grid.n_cusp
+    for i in np.flatnonzero(live):
+        if i < n:
+            out[i] = maass_values(grid.cusp_forms[i], x, y)
+        elif i == n:
+            out[i] = np.sqrt(3.0 / np.pi)
+        else:
+            out[i] = grid.eisenstein_evaluators[i - n - 1].unitary_values(x, y)
+    return out
+
+
 def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix of basis evaluations: shape (grid.size, npoints), unitary frame.
 
     Rows follow coefficient order (cusp forms, constant, Eisenstein nodes);
     the points are assumed reduced.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.empty((grid.size, len(x)))
-    for i, form in enumerate(grid.cusp_forms):
-        out[i] = maass_values(form, x, y)
-    out[grid.residual_index] = np.sqrt(3.0 / np.pi)
-    for j, ev in enumerate(grid.eisenstein_evaluators):
-        out[grid.n_cusp + 1 + j] = ev.unitary_values(x, y)
-    return out
+    return _basis_rows(grid, x, y, np.ones(grid.size, dtype=bool))
+
+
+def synthesis_basis(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """basis_values(f.grid, x, y) with the rows of zero weight in f left at
+    zero, unevaluated: for heat data, the odd cusp forms (they vanish at the
+    basepoint) and the entries whose damping underflowed."""
+    return _basis_rows(f.grid, x, y, f.grid.weights * f.values != 0.0)
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None,
@@ -138,5 +152,4 @@ def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None,
 
 def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise synthesis sum/integral of coefficients against the basis."""
-    basis = basis_values(f.grid, x, y)
-    return (f.grid.weights * f.values) @ basis
+    return (f.grid.weights * f.values) @ synthesis_basis(f, x, y)

@@ -54,11 +54,6 @@ class SpectralPoint:
                 raise ValueError("the residual point is the constant form: r = 0, eigenvalue 0")
 
 
-def eigenvalue(p: SpectralPoint) -> float:
-    """Laplace eigenvalue of the basis element: 0 for the constant, -(1/4 + r^2) else."""
-    return p.eigenvalue
-
-
 def sobolev_weight(p: SpectralPoint, s: SobolevIndex) -> float:
     """Squared-norm weight (1 - lambda)^s > 0."""
     return float((1.0 - p.eigenvalue) ** s)

@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .forms import maass_values
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import sobolev_norm
-from .spectral_model import RESIDUAL_BASEPOINT, SobolevIndex, SpectralGrid
+from .sobolev import sobolev_norm, synthesis_basis, synthesize_values
+from .spectral_model import SobolevIndex, SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
 
@@ -46,38 +45,22 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     """Heat kernel at (t, z) by synthesis over the grid.
 
     Refuses t = 0: the initial datum is a distribution, reachable only as
-    coefficients.  The report carries the three spectral parts and an
+    coefficients.  The three spectral parts are the sums of the synthesis
+    terms over the cusp, residual and Eisenstein rows; the report adds an
     engineering bound on the dropped r > r_max continuum.
     """
     if not t > 0.0:
         raise ValueError("pointwise heat-kernel values exist for t > 0 only")
     p = reduce_to_fundamental_domain(z)
-    x = np.array([p.x])
-    y = np.array([p.y])
+    coeffs = heat_coefficients(t, grid).coeffs
+    column = synthesis_basis(coeffs, np.array([p.x]), np.array([p.y]))[:, 0]
+    terms = grid.weights * coeffs.values * column
+    n = grid.n_cusp
+    cusp, residual, eis = terms[:n].sum(), terms[n], terms[n + 1:].sum()
 
-    cusp = 0.0
-    for point, form in zip(grid.cusp_points, grid.cusp_forms):
-        base = point.basepoint_value.real
-        if base == 0.0:
-            continue  # odd forms carry no weight at the basepoint
-        expo = point.eigenvalue * t
-        if expo < -700.0:
-            continue
-        cusp += base * math.exp(expo) * float(maass_values(form, x, y)[0])
-
-    residual = RESIDUAL_BASEPOINT * RESIDUAL_BASEPOINT
-
-    eis = 0.0
-    node_vals = np.empty(grid.n_eisenstein)
-    for j, ev in enumerate(grid.eisenstein_evaluators):
-        node_vals[j] = ev.unitary_values(x, y)[0]
-    lam = grid.lambdas[grid.n_cusp + 1:]
-    base = grid.basepoint_values[grid.n_cusp + 1:]
-    damping = np.where(lam * t > -700.0, np.exp(lam * t), 0.0)
-    eis = float(np.sum(grid.eisenstein_w * base * damping * node_vals))
-
-    # |E| at the cutoff from the last node, with margin for growth
-    edge = max(abs(node_vals[-1]), 1.0) * max(abs(base[-1]), 1.0) * 2.0
+    # |E| at the cutoff from the last node, with margin for growth (a node
+    # whose damping underflowed is not evaluated and counts as 1)
+    edge = max(abs(column[-1]), 1.0) * max(abs(grid.basepoint_values[-1]), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
 
     value = cusp + residual + eis
@@ -147,12 +130,12 @@ def partial_synthesis_sup_difference(t: float, grid_full: SpectralGrid,
     of the Sobolev scale into continuous functions (one derivative needs
     index > 1 + dim/2 = 2).
     """
-    worst = 0.0
-    for p in patch:
-        a = evaluate_heat_kernel(t, p, grid_full).value.real
-        b = evaluate_heat_kernel(t, p, grid_half).value.real
-        worst = max(worst, abs(a - b))
-    return worst
+    reduced = [reduce_to_fundamental_domain(p) for p in patch]
+    x = np.array([p.x for p in reduced])
+    y = np.array([p.y for p in reduced])
+    a, b = (synthesize_values(heat_coefficients(t, g).coeffs, x, y).real
+            for g in (grid_full, grid_half))
+    return float(np.max(np.abs(a - b)))
 
 
 def eisenstein_tail_norm(t: float, grid: SpectralGrid, r_from: float,

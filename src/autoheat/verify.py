@@ -62,6 +62,10 @@ def _le(name: str, measured: float, bound: float) -> CheckResult:
     return CheckResult(name, float(measured), float(bound), bool(measured <= bound))
 
 
+def _lt(name: str, measured: float, bound: float) -> CheckResult:
+    return CheckResult(name, float(measured), float(bound), bool(measured < bound))
+
+
 def _in_range(name: str, measured: float, lo: float, hi: float) -> CheckResult:
     return CheckResult(name, float(measured), float(hi), bool(lo <= measured <= hi))
 
@@ -109,7 +113,8 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
 
     worst = 0.0
     neg = -np.inf
-    for _ in range(20):
+    worst_bound = worst_rel = worst_round = 0.0
+    for _ in range(50):  # 150 resolvent draws: every f at each C
         f = _random_coeffs(grid, rng)
         g = _random_coeffs(grid, rng)
         s = int(rng.integers(-3, 4))
@@ -118,24 +123,20 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
         neg = max(neg, pairing_s(apply_generator(f), f, s).real)
-    out.append(_le("generator symmetry <Mf,g>_s = <f,Mg>_s", worst, 1e-13))
-    out.append(_le("generator negativity <Mf,f>_s <= 0", neg, 1e-13))
-
-    worst_bound = 0.0
-    worst_round = 0.0
-    for c in (0.5, 1.0, 3.0):
-        for _ in range(10):
-            f = _random_coeffs(grid, rng)
-            s = int(rng.integers(-3, 4))
+        for c in (0.5, 1.0, 3.0):
             rf = apply_resolvent(c, f)
-            worst_bound = max(
-                worst_bound, sobolev_norm(rf, s) - sobolev_norm(f, s) / c)
+            # neither form of the excess implies the other: check both
+            worst_bound = max(worst_bound, sobolev_norm(rf, s) - sobolev_norm(f, s) / c)
+            worst_rel = max(worst_rel, sobolev_norm(rf, s) * c / sobolev_norm(f, s) - 1.0)
             back = apply_generator(rf).values - c * rf.values
             worst_round = max(
                 worst_round,
                 float(np.max(np.abs(back - f.values)) / np.max(np.abs(f.values))),
             )
+    out.append(_le("generator symmetry <Mf,g>_s = <f,Mg>_s", worst, 1e-13))
+    out.append(_le("generator negativity <Mf,f>_s <= 0", neg, 1e-13))
     out.append(_le("resolvent bound ||(M-C)^-1 f|| <= ||f||/C", worst_bound, 1e-13))
+    out.append(_le("resolvent bound C ||(M-C)^-1 f|| / ||f|| <= 1", worst_rel, 1e-13))
     out.append(_le("resolvent roundtrip (M-C)(M-C)^-1 = id", worst_round, 1e-13))
 
     worst = 0.0
@@ -165,28 +166,27 @@ def semigroup_suite(grid: SpectralGrid) -> list[CheckResult]:
     out.append(_le("identity at t=0", float(np.max(np.abs(g0.values - f.values))), 0.0))
 
     worst = 0.0
-    for _ in range(20):
+    contraction = -np.inf
+    for _ in range(20):  # each h also at every (t, s) of the contraction
         h = _random_coeffs(grid, rng)
         a = semigroup_apply(0.3, semigroup_apply(0.7, h))
         b = semigroup_apply(1.0, h)
         worst = max(worst, float(np.max(np.abs(a.values - b.values))
                                  / np.max(np.abs(b.values) + 1e-300)))
+        for t in (0.1, 1.0, 10.0):
+            for s in range(-4, 5):
+                contraction = max(contraction, sobolev_norm(semigroup_apply(t, h), s)
+                                  - sobolev_norm(h, s))
     out.append(_le("semigroup law G(.3)G(.7) = G(1)", worst, 1e-13))
-
-    worst = -np.inf
-    for t in (0.1, 1.0, 10.0):
-        for s in range(-4, 5):
-            h = _random_coeffs(grid, rng)
-            worst = max(worst, sobolev_norm(semigroup_apply(t, h), s) - sobolev_norm(h, s))
-    out.append(_le("contraction ||G(t)f||_s <= ||f||_s", worst, 1e-13))
+    out.append(_le("contraction ||G(t)f||_s <= ||f||_s", contraction, 1e-13))
 
     gaps = []
     for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         gt = semigroup_apply(t, f)
         gaps.append(sobolev_norm(gt.with_values(gt.values - f.values), -2))
     mono = max(b - a for a, b in zip(gaps, gaps[1:]))
-    out.append(_le("strong continuity: gap decreasing as t->0", mono, 0.0))
-    out.append(_le("strong continuity: gap(1e-5)/gap(1e-1)", gaps[-1] / gaps[0], 1e-3))
+    out.append(_lt("strong continuity: gap strictly decreasing", mono, 0.0))
+    out.append(_lt("strong continuity: gap(1e-5)/gap(1e-1)", gaps[-1] / gaps[0], 1e-3))
 
     out.append(_le("laplace transform of G matches resolvent (C=1)",
                    resolvent_laplace_defect(1.0, f, s=0), 0.02))
@@ -211,7 +211,7 @@ def heat_suite(grid: SpectralGrid) -> list[CheckResult]:
 
     ts = (1.0, 0.5, 0.1, 0.01, 1e-3, 1e-4)
     gaps = [initial_condition_gap(t, grid) for t in ts]
-    out.append(_le("initial-condition gap strictly decreasing",
+    out.append(_lt("initial-condition gap strictly decreasing",
                    max(b - a for a, b in zip(gaps, gaps[1:])), 0.0))
     mdelta = sobolev_norm(apply_generator(delta), -2)
     out.append(_le("gap(t) <= t ||M delta||",
@@ -221,7 +221,7 @@ def heat_suite(grid: SpectralGrid) -> list[CheckResult]:
     rng = np.random.default_rng(20240313)
     worst = -np.inf
     for t in (0.1, 1.0, 10.0):
-        for _ in range(20):
+        for _ in range(100):
             f = _random_coeffs(grid, rng)
             g = _random_coeffs(grid, rng)
             init = sobolev_norm(f.with_values(f.values - g.values), -2)

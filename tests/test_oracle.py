@@ -7,6 +7,7 @@ import pytest
 
 from autoheat.hyperbolic import HPoint, cosh_distance
 from autoheat.oracle import (
+    _PLANE_BLOCK,
     enumerate_group,
     heat_kernel_plane,
     matrix_counts_by_norm,
@@ -35,6 +36,16 @@ class TestPlaneHeatKernel:
     def test_short_time_euclidean_limit(self):
         t = 0.01
         assert abs(heat_kernel_plane(t, [1e-12])[0] * 4.0 * math.pi * t - 1.0) < 5e-3
+
+    def test_blocked_values_equal_single_values(self):
+        # an array spanning three quadrature blocks gives, bit for bit, the
+        # values of the same distances evaluated one at a time
+        rho = np.random.default_rng(7).uniform(0.0, 9.0, 2 * _PLANE_BLOCK + 5)
+        vals = heat_kernel_plane(0.7, rho)
+        edges = (0, 1, _PLANE_BLOCK - 1, _PLANE_BLOCK, _PLANE_BLOCK + 1,
+                 2 * _PLANE_BLOCK - 1, 2 * _PLANE_BLOCK, len(rho) - 1)
+        for k in edges + tuple(range(17, len(rho), 613)):
+            assert vals[k] == heat_kernel_plane(0.7, rho[k])[0]
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -116,12 +127,6 @@ class TestPeriodizedOracle:
         assert abs(val - 3.0 / math.pi) < 2e-2
 
 
-def _kernel_sum(t, rho, weights, chunk=8192):
-    """sum_k weights[k] p_t(rho[k]), in chunks to bound the quadrature array."""
-    return sum(float(weights[k:k + chunk] @ heat_kernel_plane(t, rho[k:k + chunk]))
-               for k in range(0, len(rho), chunk))
-
-
 class TestOrbitTail:
     """The tail term against the enumerated orbit it stands for; no spectral
     data enters.  What is left over is the lattice-count fluctuation."""
@@ -135,8 +140,8 @@ class TestOrbitTail:
         for z in ORACLE_POINTS:
             coshd = 1.0 + np.abs(z.z - orbit) ** 2 / (2.0 * z.y * orbit.imag)
             rho = np.arccosh(np.maximum(coshd, 1.0))
-            shell = _kernel_sum(t, rho[in_shell], np.ones(int(in_shell.sum())))
-            ball = _kernel_sum(t, rho[~in_shell], np.ones(int((~in_shell).sum())))
+            shell = float(np.sum(heat_kernel_plane(t, rho[in_shell])))
+            ball = float(np.sum(heat_kernel_plane(t, rho[~in_shell])))
             total = ball + shell + orbit_tail(t, z, outer)
             predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
             assert abs(shell - predicted) < 1e-3 * total
@@ -146,7 +151,7 @@ class TestOrbitTail:
         counts = matrix_counts_by_norm(outer * outer)
         n = np.arange(len(counts))
         live = (n > inner * inner) & (counts > 0.0)
-        shell = 0.5 * _kernel_sum(t, np.arccosh(n[live] / 2.0), counts[live])
+        shell = 0.5 * float(counts[live] @ heat_kernel_plane(t, np.arccosh(n[live] / 2.0)))
         z = HPoint(0.0, 1.0)
         predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
         total = periodized_oracle_basepoint(t, outer)

@@ -5,7 +5,6 @@ from autoheat.spectral_model import (
     SpectralKind,
     SpectralPoint,
     build_grid,
-    eigenvalue,
     eisenstein_nodes,
     sobolev_weight,
 )
@@ -18,18 +17,18 @@ def _point(kind, r, lam, base=0.0):
 class TestEigenvalue:
     def test_residual_is_harmonic(self):
         p = _point(SpectralKind.RESIDUAL, 0.0, 0.0, np.sqrt(3 / np.pi))
-        assert eigenvalue(p) == 0.0
+        assert p.eigenvalue == 0.0
 
     def test_eisenstein_bottom_of_spectrum(self):
         p = _point(SpectralKind.EISENSTEIN, 0.0, -0.25)
-        assert eigenvalue(p) == -0.25
+        assert p.eigenvalue == -0.25
 
     def test_cuspidal_from_ingested_parameter(self, grid):
         # lowest form: r = 9.53369526135...; lambda = -(1/4 + r^2)
         p = grid.cusp_points[0]
         assert abs(p.r - 9.53369526135) < 1e-9
-        assert abs(eigenvalue(p) + (0.25 + p.r ** 2)) == 0.0
-        assert abs(eigenvalue(p) + 91.1413) < 2e-4
+        assert abs(p.eigenvalue + (0.25 + p.r ** 2)) == 0.0
+        assert abs(p.eigenvalue + 91.1413) < 2e-4
 
     def test_positive_eigenvalue_rejected(self):
         with pytest.raises(ValueError):

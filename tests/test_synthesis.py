@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from autoheat.heat import heat_coefficients
-from autoheat.hyperbolic import HPoint, QuadSpec
-from autoheat.sobolev import apply_generator, synthesize_values
+from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
+from autoheat.sobolev import (
+    apply_generator,
+    basis_values,
+    synthesis_basis,
+    synthesize_values,
+)
 from autoheat.spectral_model import RESIDUAL_BASEPOINT, build_grid
 from autoheat.synthesis import (
     eisenstein_tail_norm,
@@ -53,6 +58,25 @@ class TestEvaluateHeatKernel:
         for z in POINTS:
             rep = evaluate_heat_kernel(8.0, z, grid)
             assert abs(rep.value.real - 3.0 / math.pi) < 2e-2
+
+    def test_value_is_the_synthesis_at_the_reduced_point(self, grid):
+        # an arc point given outside the fundamental domain and a cusp point;
+        # the default grid holds odd forms, whose heat coefficients are zero
+        t = 0.7
+        coeffs = heat_coefficients(t, grid).coeffs
+        odd = coeffs.values[:grid.n_cusp] == 0.0
+        assert np.any(odd)
+        for z in (HPoint(2.45, 0.9 / (0.45 ** 2 + 0.9 ** 2)), HPoint(0.37, 6.0)):
+            p = reduce_to_fundamental_domain(z)
+            x, y = np.array([p.x]), np.array([p.y])
+            value = evaluate_heat_kernel(t, z, grid).value
+            skipping = synthesize_values(coeffs, x, y)[0]
+            full = ((grid.weights * coeffs.values) @ basis_values(grid, x, y))[0]
+            assert abs(value - skipping) <= 1e-13 * abs(skipping)
+            assert abs(skipping - full) <= 1e-13 * abs(full)
+            # the skipped rows are left unevaluated
+            column = synthesis_basis(coeffs, x, y)[:grid.n_cusp, 0]
+            assert np.all(column[odd] == 0.0) and np.all(column[~odd] != 0.0)
 
     def test_tail_warning_on_inadequate_cutoff(self, dataset):
         small = build_grid([], r_max=1.5, panels=1, nodes_per_panel=16)
