@@ -13,15 +13,16 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
-from .special import KBesselScaled, xi_line
+from .special import KBesselBank, kbessel_bank, scattering_phase, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
-_KBESSEL_X_MIN = 2.0  # smallest Bessel argument the evaluators cache
+_KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
+_POINT_BLOCK = 128  # points per pass of a Fourier sum: bounds its flat entries
 
 
 class Parity(enum.Enum):
@@ -57,93 +58,98 @@ def _divisor_cos(n: int, r: float) -> float:
     return total
 
 
-class EisensteinEvaluator:
-    """Fixed-r evaluator for E_{1/2+ir} with cached zeta/Bessel state.
+def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
+                  odd: np.ndarray, x, y) -> np.ndarray:
+    """sum_n coeffs[i, n-1] Ktilde_{r_i}(2 pi n y) tr_i(2 pi n x), r_i = bank.r[rows[i]],
+    tr_i = sin on odd rows else cos, n <= n_max[i] and 2 pi n y <= r_i + _BESSEL_DECAY.
 
-    `unitary` values carry the phase phi(1/2+ir)^{-1/2} making them real;
-    `standard` values follow the y^s + phi(s) y^{1-s} constant-term
-    normalization.  The two differ by a unimodular factor, so conjugated
-    products against the basepoint value are identical in either frame.
-    """
+    Each block of points is one flat set of (row, n, point) entries for one
+    bank evaluation; every (row, point) sums its terms in increasing n."""
+    rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
+    out = np.zeros((len(rows), len(x)))
+    cut = bank.r[rows] + _BESSEL_DECAY
+    for s in range(0, len(x) if len(rows) else 0, _POINT_BLOCK):
+        xb, yb = x[s:s + _POINT_BLOCK], y[s:s + _POINT_BLOCK]
+        ns = np.arange(1, min(coeffs.shape[1], int(cut.max() / (2.0 * math.pi * yb.min())) + 1) + 1)
+        arg = (2.0 * math.pi * ns)[:, None] * yb
+        i, k, p = np.nonzero((arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None]))
+        ang = (2.0 * math.pi * ns)[k] * xb[p]
+        tr = np.cos(ang)
+        tr[odd[i]] = np.sin(ang[odd[i]])
+        terms = coeffs[i, k] * bank(rows[i], arg[k, p]) * tr
+        out[:, s:s + _POINT_BLOCK] = np.bincount(i * len(xb) + p, terms, len(rows) * len(xb)) \
+            .reshape(len(rows), len(xb))
+    return out
+
+
+class EisensteinSeries:
+    """E_{1/2+ir} for a vector of r > 0 on one K-Bessel bank, row j at r[j].
+
+    Unitary values carry the phase phi(1/2+ir)^{-1/2} making them real; the
+    zeta, multiplier and Bessel state is built once and shared read-only."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
+
+    def __init__(self, rs, x_min: float = _KBESSEL_X_MIN):
+        self.r = np.asarray(rs, dtype=float).reshape(-1)
+        xi = [xi_line(float(r)) for r in self.r]
+        self._arg_xi = np.array([float(np.angle(v)) for v in xi])
+        # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
+        self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
+                               for v, r in zip(xi, self.r)])
+        self._bn = np.array([[_divisor_cos(n, float(r)) for n in range(1, self._N_MULTIPLIERS + 1)]
+                             for r in self.r]).reshape(len(self.r), self._N_MULTIPLIERS)
+        self.bank = KBesselBank(self.r, x_min)
+        self.basepoint_values = self.unitary_rows(range(len(self.r)), [0.0], [1.0])[:, 0]
+
+    def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray,
+                     n_terms: int | None = None) -> np.ndarray:
+        """Real unitary-frame values of the rows on arrays of reduced coordinates
+        (or y large enough for the truncation: the auto rule uses min(y))."""
+        rows, y = np.asarray(rows, dtype=np.intp), np.asarray(y, dtype=float)
+        r = self.r[rows]
+        sy = np.sqrt(y)
+        val = 2.0 * sy * np.cos(r[:, None] * np.log(y) + self._arg_xi[rows][:, None])
+        y_min = float(np.min(y))
+        n_auto = np.maximum(1, np.ceil((r + _BESSEL_DECAY) / (2.0 * math.pi * y_min)).astype(int))
+        n_use = n_auto if n_terms is None else np.full(len(rows), int(n_terms))
+        # first omitted term: pref * d(n) * sqrt(y) * Ktilde(2 pi n y), with
+        # Ktilde <= ~ e^{pi r/2 - x} sqrt(pi/2x) once x > r and <= ~2 before
+        tail = np.where(n_use < n_auto, self._pref[rows] * (n_use + 1) * math.sqrt(y_min) * 2.0
+                        * np.exp(np.minimum(0.0, np.maximum(r, 1.0)
+                                            - 2.0 * math.pi * (n_use + 1) * y_min)), 0.0)
+        if np.any(tail > 1e-12):
+            j = int(np.argmax(tail))
+            warnings.warn(f"eisenstein truncation at {n_use[j]} terms leaves ~{tail[j]:.2e} "
+                          f"at y={y_min:.3f} (r={r[j]:.3f})", stacklevel=2)
+        if np.any(n_use > self._N_MULTIPLIERS):
+            raise ValueError(f"{np.max(n_use)} Fourier terms requested; heights this low are "
+                             f"outside the evaluator's domain (max {self._N_MULTIPLIERS})")
+        acc = _fourier_rows(self.bank, rows, self._bn, n_use, np.zeros(len(rows), dtype=bool), x, y)
+        return val + self._pref[rows][:, None] * sy * acc
+
+
+class EisensteinEvaluator:
+    """E_{1/2+ir} at one r: the one-row EisensteinSeries, zero at r = 0.
+
+    `standard` values follow the y^s + phi(s) y^{1-s} constant-term
+    normalization.  They differ from the real `unitary` ones by a unimodular
+    factor, so conjugated products against the basepoint value agree."""
 
     def __init__(self, r: float, x_min: float = _KBESSEL_X_MIN):
         if r < 0.0:
             raise ValueError("spectral parameter r must be nonnegative")
         self.r = float(r)
-        if self.r > 0.0:
-            xi = xi_line(self.r)
-            self._abs_xi = abs(xi)
-            self._arg_xi = float(np.angle(xi))
-            self._phi = np.conj(xi) / xi
-            # 4/(xi(1+2ir) e^{pi r/2}) split into modulus (real prefactor of the
-            # unitary frame) and the standard frame's complex version
-            self._pref_unitary = 4.0 / (self._abs_xi * math.exp(math.pi * self.r / 2.0))
-            self._kbessel = KBesselScaled(self.r, x_min=x_min)
-            self._bn = np.array([_divisor_cos(n, self.r)
-                                 for n in range(1, self._N_MULTIPLIERS + 1)])
-            self._basepoint = self.unitary_value(HPoint(0.0, 1.0), reduce=False)
-        else:
-            self._basepoint = 0.0
-        # immutable from here on: safe to share across threads
-
-    @property
-    def phi(self) -> complex:
-        """Scattering term phi(1/2 + ir); -1 in the r -> 0 limit."""
-        return complex(-1.0) if self.r == 0.0 else complex(self._phi)
-
-    def _multipliers(self, n_max: int) -> np.ndarray:
-        if n_max > len(self._bn):
-            raise ValueError(
-                f"{n_max} Fourier terms requested; heights this low are outside "
-                f"the evaluator's domain (max {len(self._bn)})")
-        return self._bn[:n_max]
-
-    def auto_terms(self, y_min: float) -> int:
-        return max(1, int(math.ceil((self.r + _BESSEL_DECAY) / (2.0 * math.pi * y_min))))
-
-    def _tail_bound(self, n_next: int, y: float) -> float:
-        # first omitted term: pref * d(n) * sqrt(y) * Ktilde(2 pi n y), with
-        # Ktilde <= ~ e^{pi r/2 - x} sqrt(pi/2x) once x > r and <= ~2 before
-        x = 2.0 * math.pi * n_next * y
-        env = math.exp(min(0.0, -(x - max(self.r, 1.0)))) * 2.0
-        return self._pref_unitary * n_next * math.sqrt(y) * env
+        self._series = EisensteinSeries((self.r,), x_min) if self.r > 0.0 else None
+        # unitary-frame value at i (real); conjugation is a no-op
+        self.basepoint_value = float(self._series.basepoint_values[0]) if self._series else 0.0
 
     def unitary_values(self, x: np.ndarray, y: np.ndarray,
                        n_terms: int | None = None) -> np.ndarray:
-        """Real unitary-frame values on arrays of half-plane coordinates.
-
-        Points are assumed reduced (or at least y large enough that the
-        truncated expansion converges; the auto rule uses min(y)).
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.r == 0.0:
-            return np.zeros_like(y)
-        sy = np.sqrt(y)
-        val = 2.0 * sy * np.cos(self.r * np.log(y) + self._arg_xi)
-        y_min = float(np.min(y))
-        n_auto = self.auto_terms(y_min)
-        n_use = n_auto if n_terms is None else int(n_terms)
-        if n_terms is not None and n_use < n_auto:
-            tail = self._tail_bound(n_use + 1, y_min)
-            if tail > 1e-12:
-                warnings.warn(
-                    f"eisenstein truncation at {n_use} terms leaves ~{tail:.2e} "
-                    f"at y={y_min:.3f} (r={self.r:.3f})",
-                    stacklevel=2,
-                )
-        bn = self._multipliers(n_use)
-        acc = np.zeros_like(y)
-        for n in range(1, n_use + 1):
-            arg = 2.0 * math.pi * n * y
-            mask = arg <= self.r + _BESSEL_DECAY
-            if not np.any(mask):
-                continue
-            kt = self._kbessel(arg[mask])
-            acc[mask] += bn[n - 1] * kt * np.cos(2.0 * math.pi * n * x[mask])
-        return val + self._pref_unitary * sy * acc
+        """Real unitary-frame values on arrays of half-plane coordinates."""
+        if self._series is None:
+            return np.zeros_like(np.asarray(y, dtype=float))
+        return self._series.unitary_rows([0], x, y, n_terms)[0]
 
     def unitary_value(self, p: HPoint, n_terms: int | None = None, reduce: bool = True) -> float:
         if reduce:
@@ -154,16 +160,9 @@ class EisensteinEvaluator:
         """Value in the y^s + phi(s) y^{1-s} normalization (complex)."""
         if self.r == 0.0:
             return complex(0.0)
-        if reduce:
-            p = reduce_to_fundamental_domain(p)
         # standard = phi^{1/2} * unitary with the principal branch
-        phase = np.exp(0.5j * np.angle(self._phi))
-        return complex(phase * self.unitary_value(p, n_terms, reduce=False))
-
-    @property
-    def basepoint_value(self) -> float:
-        """Unitary-frame value at i (real); conjugation is a no-op."""
-        return self._basepoint
+        phase = np.exp(0.5j * np.angle(scattering_phase(self.r)))
+        return complex(phase * self.unitary_value(p, n_terms, reduce))
 
 
 def eval_eisenstein(r: float, z: HPoint, n_terms: int | None = None) -> complex:
@@ -194,7 +193,6 @@ class MaassFormData:
     coeffs: np.ndarray
     source: str = ""
     norm_constant: float | None = None
-    _kbessel: KBesselScaled | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -209,43 +207,41 @@ class MaassFormData:
     def n_coeffs(self) -> int:
         return len(self.coeffs)
 
-    def kbessel(self) -> KBesselScaled:
-        if self._kbessel is None:
-            self._kbessel = KBesselScaled(self.r, x_min=_KBESSEL_X_MIN)
-        return self._kbessel
+
+def cusp_bank(forms) -> KBesselBank:
+    """The cached K-Bessel bank whose row i holds forms[i].r."""
+    return kbessel_bank(tuple(float(f.r) for f in forms), _KBESSEL_X_MIN)
 
 
-def _maass_values_raw(form: MaassFormData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unnormalized values sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tr = np.cos if form.parity is Parity.EVEN else np.sin
-    kb = form.kbessel()
-    acc = np.zeros_like(y)
-    for n in range(1, form.n_coeffs + 1):
-        arg = 2.0 * math.pi * n * y
-        mask = arg <= form.r + _BESSEL_DECAY
-        if not np.any(mask):
-            break
-        kt = kb(arg[mask])
-        acc[mask] += form.coeffs[n - 1] * kt * tr(2.0 * math.pi * n * x[mask])
-    return np.sqrt(y) * acc
+def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
+    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
+    i in rows; row i of `bank` holds forms[i].r."""
+    sel = [forms[i] for i in rows]
+    coeffs = np.zeros((len(sel), max((f.n_coeffs for f in sel), default=0)))
+    for j, f in enumerate(sel):
+        coeffs[j, :f.n_coeffs] = f.coeffs
+    odd = np.array([f.parity is Parity.ODD for f in sel], dtype=bool)
+    return np.sqrt(y) * _fourier_rows(bank, rows, coeffs, np.array([f.n_coeffs for f in sel]),
+                                      odd, x, y)
 
 
-def _check_truncation(form: MaassFormData, y: float) -> None:
-    if 2.0 * math.pi * form.n_coeffs * y <= form.r + 20.0:
-        raise ValueError(
-            f"{form.n_coeffs} coefficients are too few at height y={y:.4f} for "
-            f"r={form.r:.4f}: need 2 pi N y > r + 20"
-        )
+def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Normalized forms[i], i in rows, on arrays of already-reduced coordinates."""
+    sel = [forms[i] for i in rows]
+    for f in sel:
+        if f.norm_constant is None:
+            raise ValueError("form is not normalized; run load_maass_data / normalize_maass_form")
+        if 2.0 * math.pi * f.n_coeffs * float(np.min(y)) <= f.r + 20.0:
+            raise ValueError(
+                f"{f.n_coeffs} coefficients are too few at height y={float(np.min(y)):.4f} "
+                f"for r={f.r:.4f}: need 2 pi N y > r + 20")
+    norm = np.array([f.norm_constant for f in sel], dtype=float)
+    return norm[:, None] * _maass_raw(forms, bank, rows, x, y)
 
 
 def maass_values(form: MaassFormData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Normalized form on arrays of already-reduced coordinates."""
-    if form.norm_constant is None:
-        raise ValueError("form is not normalized; run load_maass_data / normalize_maass_form")
-    _check_truncation(form, float(np.min(y)))
-    return form.norm_constant * _maass_values_raw(form, x, y)
+    return maass_rows([form], cusp_bank([form]), [0], x, y)[0]
 
 
 def eval_maass(form: MaassFormData, z: HPoint) -> float:
@@ -261,21 +257,37 @@ def basepoint_value_maass(form: MaassFormData) -> float:
     return eval_maass(form, HPoint(0.0, 1.0))
 
 
+def _normalize(forms, bank: KBesselBank, quad: QuadSpec | None) -> None:
+    if quad is None:
+        quad = QuadSpec(nx=96, y_panels=8, ny_per_panel=16, y_max=10.0)
+    x, y, w = quad.nodes()
+    for form, vals in zip(forms, _maass_raw(forms, bank, range(len(forms)), x, y)):
+        norm_sq = float(np.sum(w * vals * vals))
+        if not norm_sq > 0.0:
+            raise ValueError(f"degenerate L2 norm for form r={form.r}")
+        form.norm_constant = 1.0 / math.sqrt(norm_sq)
+
+
 def normalize_maass_form(form: MaassFormData, quad: QuadSpec | None = None) -> float:
     """Compute and store the L2(F) normalization constant.
 
     Quadrature of |f|^2 dx dy / y^2 over the fundamental domain; the form
     decays like e^{-2 pi y} so the default height cutoff loses nothing.
     """
-    if quad is None:
-        quad = QuadSpec(nx=96, y_panels=8, ny_per_panel=16, y_max=10.0)
-    x, y, w = quad.nodes()
-    vals = _maass_values_raw(form, x, y)
-    norm_sq = float(np.sum(w * vals * vals))
-    if not norm_sq > 0.0:
-        raise ValueError(f"degenerate L2 norm for form r={form.r}")
-    form.norm_constant = 1.0 / math.sqrt(norm_sq)
+    _normalize([form], cusp_bank([form]), quad)
     return form.norm_constant
+
+
+def _laplacian_residual(forms, bank: KBesselBank, row: int, z: HPoint, h: float) -> float:
+    form = forms[row]
+    lam = 0.25 + form.r * form.r
+    pts = [reduce_to_fundamental_domain(p) for p in (
+        z, HPoint(z.x + h, z.y), HPoint(z.x - h, z.y), HPoint(z.x, z.y + h), HPoint(z.x, z.y - h))]
+    f0, fxp, fxm, fyp, fym = maass_rows(forms, bank, [row], np.array([p.x for p in pts]),
+                                        np.array([p.y for p in pts]))[0]
+    lap = z.y * z.y * (fxp + fxm + fyp + fym - 4.0 * f0) / (h * h)
+    scale = lam * max(abs(f0), abs(fxp), abs(fyp), 1e-12)
+    return abs(lap + lam * f0) / scale
 
 
 def maass_laplacian_residual(form: MaassFormData, z: HPoint, h: float = 1e-3) -> float:
@@ -284,15 +296,7 @@ def maass_laplacian_residual(form: MaassFormData, z: HPoint, h: float = 1e-3) ->
     Validates the ingested spectral parameter against the evaluated expansion.
     Returns |residual| / max over the stencil of |f| scaled by the eigenvalue.
     """
-    lam = 0.25 + form.r * form.r
-    f0 = eval_maass(form, z)
-    fxp = eval_maass(form, HPoint(z.x + h, z.y))
-    fxm = eval_maass(form, HPoint(z.x - h, z.y))
-    fyp = eval_maass(form, HPoint(z.x, z.y + h))
-    fym = eval_maass(form, HPoint(z.x, z.y - h))
-    lap = z.y * z.y * (fxp + fxm + fyp + fym - 4.0 * f0) / (h * h)
-    scale = lam * max(abs(f0), abs(fxp), abs(fyp), 1e-12)
-    return abs(lap + lam * f0) / scale
+    return _laplacian_residual([form], cusp_bank([form]), 0, z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +369,14 @@ def load_maass_data(path, quad: QuadSpec | None = None,
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data = parse_maass_data(text, source=str(path))
-    for form in data:
-        normalize_maass_form(form, quad=quad)
+    bank = cusp_bank(data)
+    _normalize(data, bank, quad)
     if residual_check and data:
-        first = min(data, key=lambda f: f.r)
+        first = min(range(len(data)), key=lambda i: data[i].r)
         probe = HPoint(0.21, 1.17)  # generic: odd forms vanish on x = 0
-        res = maass_laplacian_residual(first, probe)
+        res = _laplacian_residual(data, bank, first, probe, 1e-3)
         if res > 1e-4:
             raise MaassDataError(
-                f"Laplacian residual check failed for r={first.r}: {res:.2e} > 1e-4"
+                f"Laplacian residual check failed for r={data[first].r}: {res:.2e} > 1e-4"
             )
     return data

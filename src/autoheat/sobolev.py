@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import maass_values
+from .forms import maass_rows
 from .hyperbolic import QuadSpec
 from .spectral_model import SobolevIndex, SpectralGrid
 
@@ -94,13 +94,12 @@ def _basis_rows(grid: SpectralGrid, x: np.ndarray, y: np.ndarray,
     """basis_values with only the rows where `live` holds evaluated; the rest stay zero."""
     out = np.zeros((grid.size, len(x)))
     n = grid.n_cusp
-    for i in np.flatnonzero(live):
-        if i < n:
-            out[i] = maass_values(grid.cusp_forms[i], x, y)
-        elif i == n:
-            out[i] = np.sqrt(3.0 / np.pi)
-        else:
-            out[i] = grid.eisenstein_evaluators[i - n - 1].unitary_values(x, y)
+    cusp = np.flatnonzero(live[:n])
+    out[cusp] = maass_rows(grid.cusp_forms, grid.cusp_bank, cusp, x, y)
+    if live[n]:
+        out[n] = np.sqrt(3.0 / np.pi)
+    eis = np.flatnonzero(live[n + 1:])
+    out[n + 1 + eis] = grid.eisenstein.unitary_rows(eis, x, y)
     return out
 
 

@@ -97,6 +97,8 @@ def scattering_phase(r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 _QUAD_DECAY = 45.0  # integrate until x*(cosh u - 1) exceeds this
+_DENSE_BLOCK = 2048  # arguments per pass over the stacked ODE's dense output
+_CLENSHAW_BLOCK = 32768  # (row, argument) entries per batched Clenshaw pass
 
 
 def _kbessel_quad_scaled(r: float, x: np.ndarray, want_derivative: bool = False):
@@ -148,157 +150,161 @@ def _kbessel_quad_scaled(r: float, x: np.ndarray, want_derivative: bool = False)
     return val, dval
 
 
-class KBesselScaled:
-    """Evaluator for e^{pi R/2} K_{iR}(x) on x >= x_min at fixed R.
+class KBesselBank:
+    """e^{pi r/2} K_{ir}(x) on x >= x_min for every r of a spectral family.
 
-    For x above the turning-point region the quadrature seed is used directly.
-    Below it, w(x) = e^x K_{iR}(x) solves
-
-        x^2 w'' + x(1 - 2x) w' + (R^2 - x) w = 0,
-
-    which is integrated inward once from x_seed = R + 50; the rescaled value
-    e^{pi R/2 - x} w(x) is then compiled onto a Chebyshev polynomial so that
-    bulk evaluations are one vectorized Clenshaw pass.  The rescaling keeps
-    everything O(1) in the oscillatory regime, so relative accuracy (~1e-10)
-    survives where the raw K value is e^{-pi R/2}-small.
+    Row j holds r_j.  Past the turning-point region the quadrature answers
+    directly.  Below it, w(x) = e^x K_{ir}(x) solves
+    x^2 w'' + x(1 - 2x) w' + (r^2 - x) w = 0, and all rows are integrated
+    inward as one stacked 2n-dimensional system from the shared quadrature
+    seed x_seed = max r + 50.  Each row's rescaled value e^{pi r/2 - x} w(x)
+    is compiled onto its own Chebyshev polynomial in log x on
+    [x_min, fit_hi(r)]; evaluation is one batched Clenshaw pass over flat
+    (row, argument) entries, O(1) values with relative accuracy ~1e-10.
     """
 
-    def __init__(self, r: float, x_min: float = 1e-3):
-        if r < 0:
-            r = -r  # K_{iR} is even in R
-        self.r = float(r)
+    def __init__(self, rs, x_min: float = 1e-3):
+        self.r = np.abs(np.asarray(rs, dtype=float).reshape(-1))  # K_{ir} is even in r
         self.x_min = float(x_min)
-        self.x_seed = self.r + 50.0
-        # beyond this the rescaled value is below e^{-45}: treated as zero
-        self.fit_hi = min(self.x_seed, np.pi * self.r / 2.0 + 45.0)
-        # the interpolant's absolute floor (~1e-12) only preserves relative
-        # accuracy while the value is not yet decayed; `accurate` switches to
-        # the dense ODE solution there, `__call__` stays on the fast path
-        self.split_accurate = np.pi * self.r / 2.0 + 5.0
-        self._cheb = None
-        self._ode = None
-        if self.x_min < self.fit_hi:
-            self._solve_inward()
+        self.x_seed = float(np.max(self.r, initial=0.0)) + 50.0
+        # past fit_hi the value has decayed to where the quadrature answers directly
+        self.fit_hi = np.minimum(self.r + 50.0, np.pi * self.r / 2.0 + 45.0)
+        if np.any(self.x_min >= self.fit_hi):
+            raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
+        # the interpolant's absolute floor (~1e-12) keeps relative accuracy only
+        # until the value decays; `accurate` takes the dense ODE output there
+        self._split = np.minimum(np.pi * self.r / 2.0 + 5.0, self.fit_hi)
+        # interpolate in u = log x: near zero the rescaled Bessel is a clean
+        # cosine of u, and the e^{-x} roll-off stays resolvable
+        u_lo = math.log(self.x_min)
+        u_hi = np.array([math.log(h) for h in self.fit_hi])
+        self._u_sum, self._u_span = u_lo + u_hi, u_hi - u_lo
+        self.deg = (160 + 10.0 * (self.r * (u_hi - u_lo) / (2.0 * np.pi))
+                    + 2.5 * self.fit_hi).astype(int)
+        self._coef_t = np.zeros((int(np.max(self.deg, initial=0)) + 1, len(self.r)))
+        if len(self.r):
+            self._fit(u_lo, u_hi)
 
-    def _solve_inward(self) -> None:
-        j, dj = _kbessel_quad_scaled(self.r, np.array([self.x_seed]), want_derivative=True)
-        w0 = float(j[0])
-        dw0 = float(dj[0])  # w' = J' since w = e^x * e^{-x} J
-
+    def _fit(self, u_lo: float, u_hi: np.ndarray) -> None:
+        n = len(self.r)
+        seeds = [_kbessel_quad_scaled(r, np.array([self.x_seed]), want_derivative=True)
+                 for r in self.r]
+        y0 = np.array([float(s[i][0]) for i in (0, 1) for s in seeds])  # w' = J'
         r2 = self.r * self.r
 
         def rhs(x, y):
-            w, wp = y
-            return [wp, -((1.0 - 2.0 * x) * wp / x + (r2 - x) * w / (x * x))]
+            w, wp = y[:n], y[n:]
+            return np.concatenate((wp, -((1.0 - 2.0 * x) * wp / x + (r2 - x) * w / (x * x))))
 
-        sol = solve_ivp(
-            rhs,
-            (self.x_seed, self.x_min),
-            [w0, dw0],
-            method="DOP853",
-            dense_output=True,
-            rtol=1e-12,
-            atol=1e-280,
-        )
+        sol = solve_ivp(rhs, (self.x_seed, self.x_min), y0, method="DOP853",
+                        dense_output=True, rtol=1e-12, atol=1e-280)
         if not sol.success:
-            raise RuntimeError(f"K-Bessel ODE continuation failed for R={self.r}: {sol.message}")
-        def scaled(x):
-            return np.exp(np.pi * self.r / 2.0 - x) * sol.sol(x)[0]
+            raise RuntimeError(f"K-Bessel ODE continuation failed: {sol.message}")
+        self._sol = sol.sol
+        # one pass of the dense output over every row's first-kind Chebyshev
+        # nodes and its 257 probes for the interpolation check
+        ks = [np.arange(d + 1) for d in self.deg]
+        thetas = [np.pi * (k + 0.5) / len(k) for k in ks]
+        nodes = [np.exp(0.5 * (hi - u_lo) * (np.cos(th) + 1.0) + u_lo)
+                 for hi, th in zip(u_hi, thetas)]
+        probes = np.exp(np.linspace(u_lo, u_hi, 257, axis=1)).ravel()
+        rows = np.concatenate((np.repeat(np.arange(n), self.deg + 1), np.repeat(np.arange(n), 257)))
+        vals = self._dense(rows, np.concatenate(nodes + [probes]))
+        for j, k, theta, fk in zip(range(n), ks, thetas, np.split(vals, np.cumsum(self.deg + 1))):
+            self._coef_t[:len(k), j] = (2.0 / len(k)) * np.cos(np.outer(k, theta)) @ fk
+        self._coef_t[0] *= 0.5
+        err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
+        err = err.reshape(n, 257).max(axis=1)
+        if np.max(err) > 1e-9:
+            raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
+                               f"max error {np.max(err):.2e}")
 
-        # interpolate in u = log x: near zero the rescaled Bessel is a clean
-        # cosine of u, and the e^{-x} roll-off stays resolvable
-        u_lo, u_hi = math.log(self.x_min), math.log(self.fit_hi)
-        oscillations = self.r * (u_hi - u_lo) / (2.0 * np.pi)
-        deg = int(160 + 10.0 * oscillations + 2.5 * self.fit_hi)
-        k = np.arange(deg + 1)
-        uk = 0.5 * (u_hi - u_lo) * (np.cos(np.pi * (k + 0.5) / (deg + 1)) + 1.0) + u_lo
-        fk = scaled(np.exp(uk))
-        # Chebyshev interpolation through the first-kind nodes
-        theta = np.pi * (k + 0.5) / (deg + 1)
-        basis = np.cos(np.outer(k, theta))
-        coef = (2.0 / (deg + 1)) * basis @ fk
-        coef[0] *= 0.5
-        self._u_lo, self._u_hi = u_lo, u_hi
-        self._coef = coef
-        probe = np.exp(np.linspace(u_lo, u_hi, 257))
-        err = float(np.max(np.abs(self._eval_cheb(probe) - scaled(probe))))
-        if err > 1e-9:
-            raise RuntimeError(
-                f"K-Bessel interpolation failed for R={self.r}: max error {err:.2e}")
-        self._cheb = True
-        self._ode = sol.sol
-
-    def _eval_cheb(self, x: np.ndarray) -> np.ndarray:
-        u = (2.0 * np.log(x) - (self._u_lo + self._u_hi)) / (self._u_hi - self._u_lo)
-        return np.polynomial.chebyshev.chebval(u, self._coef)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x <= 0.0):
-            raise ValueError("argument of K_{iR} must be positive")
-        if np.any(x < self.x_min - 1e-12):
-            raise ValueError(f"argument below cached domain x_min={self.x_min}")
-        out = np.zeros_like(x)
-        lo = x < self.fit_hi
-        if np.any(lo):
-            out[lo] = self._eval_cheb(x[lo])
-        if np.any(~lo):
-            out[~lo] = self._quad_tail(x[~lo])
+    def _dense(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """e^{pi r/2 - x} w(x) from the stacked dense output, sorted in x, in blocks."""
+        out = np.empty(len(x))
+        order = np.argsort(x, kind="stable")
+        for s in range(0, len(x), _DENSE_BLOCK):
+            idx = order[s:s + _DENSE_BLOCK]
+            w = self._sol(x[idx])[rows[idx], np.arange(len(idx))]
+            out[idx] = np.exp(np.pi * self.r[rows[idx]] / 2.0 - x[idx]) * w
         return out
 
-    def _quad_tail(self, xh: np.ndarray) -> np.ndarray:
-        expo = np.pi * self.r / 2.0 - xh
-        # underflow to 0 is fine: these arguments contribute nothing
-        safe = expo > -700.0
-        vals = np.zeros_like(xh)
-        if np.any(safe):
-            j = _kbessel_quad_scaled(self.r, xh[safe])
-            vals[safe] = np.exp(expo[safe]) * j
-        return vals
+    def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Each entry's row series at log x, in blocks.  Entries run longest
+        series first and row by row, so coefficient k spreads over a prefix of
+        row runs; the rest hold the zeros a padded series would."""
+        out = np.empty(len(x))
+        order = np.lexsort((rows, -self.deg[rows]))
+        for s in range(0, len(x), _CLENSHAW_BLOCK):
+            idx = order[s:s + _CLENSHAW_BLOCK]
+            rb = rows[idx]
+            u = (2.0 * np.log(x[idx]) - self._u_sum[rb]) / self._u_span[rb]
+            two_u = 2.0 * u
+            starts = np.flatnonzero(np.diff(rb, prepend=-1))
+            ends, lens = np.append(starts[1:], len(rb)), np.diff(starts, append=len(rb))
+            runs = np.searchsorted(-self.deg[rb[starts]], -np.arange(self.deg[rb[0]] + 1), "right")
+            b0, b1, t = np.zeros((3, len(idx)))
+            for k in range(len(runs) - 1, -1, -1):
+                q, m = runs[k], ends[runs[k] - 1]
+                np.subtract(np.repeat(self._coef_t[k][rb[starts[:q]]], lens[:q]), b1[:m], out=t[:m])
+                b1[:m] *= two_u[:m]
+                b1[:m] += b0[:m]
+                b0, t = t, b0
+            out[idx] = b0 + b1 * u
+        return out
 
-    def accurate(self, x) -> np.ndarray:
+    def __call__(self, rows, x) -> np.ndarray:
+        """Rescaled values at (row, argument) entries; `rows` broadcasts against x."""
+        return self._evaluate(rows, x, accurate=False)
+
+    def accurate(self, rows, x) -> np.ndarray:
         """Relative-accuracy variant: dense ODE output covers the window where
         the interpolant's absolute floor would dominate the decayed values."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._evaluate(rows, x, accurate=True)
+
+    def _evaluate(self, rows, x, accurate: bool) -> np.ndarray:
+        rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
+                                      np.atleast_1d(np.asarray(x, dtype=float)))
         if np.any(x <= 0.0):
             raise ValueError("argument of K_{iR} must be positive")
         if np.any(x < self.x_min - 1e-12):
             raise ValueError(f"argument below cached domain x_min={self.x_min}")
-        out = np.zeros_like(x)
-        lo = x < min(self.split_accurate, self.fit_hi)
-        mid = ~lo & (x < self.x_seed) if self._ode is not None else np.zeros_like(lo)
-        hi = ~lo & ~mid
+        out = np.zeros(x.shape)
+        lo = x < (self._split if accurate else self.fit_hi)[rows]
+        mid = ~lo & (x < self.x_seed) & accurate
+        hi = ~(lo | mid)
         if np.any(lo):
-            out[lo] = self._eval_cheb(x[lo])
+            out[lo] = self._clenshaw(rows[lo], x[lo])
         if np.any(mid):
-            out[mid] = np.exp(np.pi * self.r / 2.0 - x[mid]) * self._ode(x[mid])[0]
-        if np.any(hi):
-            out[hi] = self._quad_tail(x[hi])
+            out[mid] = self._dense(rows[mid], x[mid])
+        for j in np.unique(rows[hi]):
+            sel = hi & (rows == j)
+            # underflow to 0 is fine: these arguments contribute nothing
+            safe = sel & (np.pi * self.r[j] / 2.0 - x > -700.0)
+            if np.any(safe):
+                out[safe] = np.exp(np.pi * self.r[j] / 2.0 - x[safe]) \
+                    * _kbessel_quad_scaled(self.r[j], x[safe])
         return out
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_evaluator(r_key: float, x_min: float) -> KBesselScaled:
-    return KBesselScaled(r_key, x_min)
+def kbessel_bank(rs: tuple[float, ...], x_min: float) -> KBesselBank:
+    """The bank for a tuple of r at x_min, built once per key."""
+    return KBesselBank(rs, x_min)
 
 
 def bessel_k_imag_scaled(r: float, x, x_min: float = 1e-3) -> np.ndarray:
-    """e^{pi R/2} K_{iR}(x), vectorized over x, cached per R."""
-    ev = _cached_evaluator(round(abs(float(r)), 14), x_min)
-    return ev(x)
+    """e^{pi R/2} K_{iR}(x), vectorized over x, through a cached one-row bank."""
+    return kbessel_bank((round(abs(float(r)), 14),), x_min)(0, x)
 
 
 def bessel_k_imag(r: float, x):
     """K_{iR}(x) = integral_0^inf e^{-x cosh u} cos(Ru) du.
 
     Symmetric in R; absolute accuracy well below 1e-10 for x >= 1e-3 and
-    R <= 30.  Scalar x in, scalar out.
+    R <= 30.  Scalar x gives a float; an array of x gives an array.
     """
     scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa <= 0.0):
-        raise ValueError("argument of K_{iR} must be positive")
     r = abs(float(r))
-    ev = _cached_evaluator(round(r, 14), 1e-3)
-    val = ev.accurate(xa) * math.exp(-np.pi * r / 2.0)
+    val = kbessel_bank((round(r, 14),), 1e-3).accurate(0, x) * math.exp(-np.pi * r / 2.0)
     return float(val[0]) if scalar else val

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import forms
-from .forms import EisensteinEvaluator, MaassFormData
+from .forms import EisensteinSeries, MaassFormData, cusp_bank, maass_rows
+from .special import KBesselBank
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
 # lives at Sobolev index -DELTA_INDEX and below.
@@ -67,8 +67,8 @@ def _eigenvalue_from_r(r: float) -> float:
 class SpectralGrid:
     """Discretized spectral parameter space.
 
-    Immutable after construction; evaluator handles for the continuous nodes
-    and the ingested cusp forms are built once here and shared read-only.
+    Immutable after construction; the K-Bessel banks of the cusp forms and of
+    the continuous nodes are built once here and shared read-only.
     Coefficient vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...].
     """
@@ -79,7 +79,8 @@ class SpectralGrid:
     eisenstein_r: np.ndarray
     eisenstein_w: np.ndarray  # Plancherel-folded quadrature weights dr/(2 pi)
     r_max: float
-    eisenstein_evaluators: tuple[EisensteinEvaluator, ...] = field(repr=False)
+    cusp_bank: KBesselBank = field(repr=False)  # row i holds cusp_forms[i].r
+    eisenstein: EisensteinSeries = field(repr=False)  # row j holds eisenstein_r[j]
 
     @property
     def n_cusp(self) -> int:
@@ -133,15 +134,9 @@ class SpectralGrid:
         object.__setattr__(self, "_basepoint", base)
 
     def eisenstein_points(self) -> list[SpectralPoint]:
-        return [
-            SpectralPoint(
-                SpectralKind.EISENSTEIN,
-                float(r),
-                _eigenvalue_from_r(float(r)),
-                complex(ev.basepoint_value),
-            )
-            for r, ev in zip(self.eisenstein_r, self.eisenstein_evaluators)
-        ]
+        return [SpectralPoint(SpectralKind.EISENSTEIN, float(r), _eigenvalue_from_r(float(r)),
+                              complex(b))
+                for r, b in zip(self.eisenstein_r, self.eisenstein.basepoint_values)]
 
     def points(self) -> list[SpectralPoint]:
         return list(self.cusp_points) + [self.residual_point] + self.eisenstein_points()
@@ -181,18 +176,15 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
     for r1, r2 in zip(rs, rs[1:]):
         if abs(r1 - r2) < 1e-9:
             raise ValueError(f"duplicate cusp spectral parameter r = {r1}")
+    bank = cusp_bank(data)
+    # conjugated values at the basepoint i, where the odd forms vanish
+    base = maass_rows(data, bank, range(len(data)), np.array([0.0]), np.array([1.0]))[:, 0]
     cusp_points = tuple(
-        SpectralPoint(
-            SpectralKind.CUSPIDAL,
-            f.r,
-            _eigenvalue_from_r(f.r),
-            complex(forms.basepoint_value_maass(f)),
-        )
-        for f in data
+        SpectralPoint(SpectralKind.CUSPIDAL, f.r, _eigenvalue_from_r(f.r), complex(b))
+        for f, b in zip(data, base)
     )
     residual = SpectralPoint(SpectralKind.RESIDUAL, 0.0, 0.0, complex(RESIDUAL_BASEPOINT))
     nodes, weights = eisenstein_nodes(r_max, panels, nodes_per_panel)
-    evaluators = tuple(EisensteinEvaluator(float(r)) for r in nodes)
     return SpectralGrid(
         cusp_points=cusp_points,
         cusp_forms=tuple(data),
@@ -200,5 +192,6 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
         eisenstein_r=nodes,
         eisenstein_w=weights,
         r_max=float(r_max),
-        eisenstein_evaluators=evaluators,
+        cusp_bank=bank,
+        eisenstein=EisensteinSeries(nodes),
     )

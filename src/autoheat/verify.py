@@ -111,9 +111,8 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
     worst = float(np.max(np.abs(g.values - f.values)) / np.max(np.abs(f.values)))
     out.append(_le("smoothing-shift inverse roundtrip", worst, 1e-13))
 
-    worst = 0.0
-    neg = -np.inf
-    worst_bound = worst_rel = worst_round = 0.0
+    worst = worst_round = 0.0
+    neg = worst_bound = worst_rel = -np.inf
     for _ in range(50):  # 150 resolvent draws: every f at each C
         f = _random_coeffs(grid, rng)
         g = _random_coeffs(grid, rng)
@@ -139,14 +138,14 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
     out.append(_le("resolvent bound C ||(M-C)^-1 f|| / ||f|| <= 1", worst_rel, 1e-13))
     out.append(_le("resolvent roundtrip (M-C)(M-C)^-1 = id", worst_round, 1e-13))
 
-    worst = 0.0
+    worst = -np.inf
     for _ in range(20):
         f = _random_coeffs(grid, rng)
         s = int(rng.integers(-4, 5))
         worst = max(worst, sobolev_norm(f, s - 1) - sobolev_norm(f, s))
     out.append(_le("scale nesting ||f||_{s-1} <= ||f||_s", worst, 1e-13))
 
-    worst = 0.0
+    worst = -np.inf
     for _ in range(50):
         f = _random_coeffs(grid, rng)
         g = _random_coeffs(grid, rng)

@@ -15,6 +15,7 @@ from autoheat.sobolev import (
     pairing_s,
     sobolev_norm,
 )
+from autoheat.verify import sobolev_suite
 
 RNG = np.random.default_rng(101)
 
@@ -202,3 +203,15 @@ class TestAnalyze:
         quad = QuadSpec(nx=16, y_panels=4, ny_per_panel=8, y_max=8.0)
         with pytest.warns(UserWarning, match="height cutoff"):
             analyze(lambda x, y: np.ones_like(y), tiny_grid, quad=quad)
+
+
+class TestSobolevSuite:
+    def test_worst_excess_is_measured(self, grid):
+        # every draw sits strictly inside these four bounds, so the reported
+        # worst excess over the draws is negative, not a floor at zero
+        measured = {c.name: c.measured for c in sobolev_suite(grid)}
+        for name in ("resolvent bound ||(M-C)^-1 f|| <= ||f||/C",
+                     "resolvent bound C ||(M-C)^-1 f|| / ||f|| <= 1",
+                     "scale nesting ||f||_{s-1} <= ||f||_s",
+                     "pairing Cauchy-Schwarz across dual indices"):
+            assert measured[name] < 0.0, name

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from autoheat.special import (
+    KBesselBank,
     bessel_k_imag,
     bessel_k_imag_scaled,
+    kbessel_bank,
     scattering_phase,
     xi_line,
     zeta_euler_maclaurin,
@@ -48,16 +50,24 @@ class TestBesselKImag:
 
     # reference values computed with mpmath.besselk at 40 digits (rescaled by
     # e^{pi R/2}); they pin both the oscillatory and the monotone regimes
-    @pytest.mark.parametrize("r,x,expected", [
+    REFERENCE = [
         (5.0, 2.0, -8.921561628119e-01),
         (9.5337, 5.44, -6.748472461184e-01),
         (13.7798, 12.0, 9.076848052517e-01),
         (19.4847, 1.0, 3.788323813522e-01),
         (24.0, 30.0, 2.239378189844e-02),
         (5.0, 40.0, 1.587161495505e-15),
-    ])
+    ]
+
+    @pytest.mark.parametrize("r,x,expected", REFERENCE)
     def test_rescaled_reference_values(self, r, x, expected):
         got = float(bessel_k_imag_scaled(r, np.array([x]))[0])
+        assert abs(got - expected) < 5e-11 * max(1.0, abs(expected))
+        # the same pair through one bank holding all six r: a shared seed
+        # point and rows of mixed Chebyshev degree
+        rs, xs, _ = zip(*self.REFERENCE)
+        row = self.REFERENCE.index((r, x, expected))
+        got = kbessel_bank(rs, 1e-3)(np.arange(len(rs)), np.array(xs))[row]
         assert abs(got - expected) < 5e-11 * max(1.0, abs(expected))
 
     def test_monotone_decreasing_past_the_turn(self):
@@ -68,14 +78,12 @@ class TestBesselKImag:
             assert np.all(np.diff(vals) < 0.0)
 
     def test_quadrature_and_ode_branches_agree_in_overlap(self):
-        # the evaluator switches representation at the seed point; both sides
+        # the bank switches representation at the seed point; both sides
         # of the switch must produce the same function
-        from autoheat.special import KBesselScaled
-
-        ev = KBesselScaled(9.0, x_min=2.0)
-        xs = np.linspace(ev.x_seed - 8.0, ev.x_seed + 8.0, 41)
-        fast = ev(xs)
-        accurate = ev.accurate(xs)
+        bank = KBesselBank((9.0,), x_min=2.0)
+        xs = np.linspace(bank.x_seed - 8.0, bank.x_seed + 8.0, 41)
+        fast = bank(0, xs)
+        accurate = bank.accurate(0, xs)
         assert np.max(np.abs(fast - accurate)) < 1e-11
 
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from autoheat import special
+from autoheat.config import RunConfig
+from autoheat.forms import _POINT_BLOCK, EisensteinEvaluator, load_maass_data, maass_values
+from autoheat.sobolev import basis_values
 from autoheat.spectral_model import (
     SpectralKind,
     SpectralPoint,
@@ -100,3 +104,51 @@ class TestBuildGrid:
         assert np.all(grid.weights[:grid.residual_index + 1] == 1.0)
         assert np.all(grid.weights[grid.residual_index + 1:] > 0.0)
         assert np.all(np.diff(grid.eisenstein_r) > 0.0)
+
+
+class TestKBesselBanks:
+    def test_fresh_default_grid_makes_two_ode_solves(self, monkeypatch):
+        # one stacked solve for the cusp forms, one for the Eisenstein nodes;
+        # the data load and the grid build share the cusp forms' bank
+        calls = []
+        solve_ivp = special.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(special, "solve_ivp", counting)
+        special.kbessel_bank.cache_clear()
+        cfg = RunConfig()
+        build_grid(load_maass_data(cfg.resolve_data_path()), cfg.r_max, cfg.panels,
+                   cfg.nodes_per_panel)
+        assert len(calls) == 2
+
+    def test_blocked_basis_equals_per_block_values(self, grid):
+        # an array spanning three point blocks, from the arc (the most
+        # Fourier terms) into the cusp, gives bit for bit the values of its
+        # blocks evaluated apart and of single points at the block edges
+        rng = np.random.default_rng(17)
+        n = 2 * _POINT_BLOCK + 5
+        x = rng.uniform(-0.5, 0.5, n)
+        y = np.sqrt(1.0 - x * x) + rng.uniform(0.0, 3.0, n) ** 2
+        whole = basis_values(grid, x, y)
+        parts = [basis_values(grid, x[s:s + _POINT_BLOCK], y[s:s + _POINT_BLOCK])
+                 for s in range(0, n, _POINT_BLOCK)]
+        assert np.array_equal(whole, np.concatenate(parts, axis=1))
+        for k in (0, _POINT_BLOCK - 1, _POINT_BLOCK, 2 * _POINT_BLOCK, n - 1):
+            assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
+
+    def test_grid_rows_match_one_row_evaluators(self, grid):
+        # the family banks against one bank per r: seeds, ODE steps and
+        # Chebyshev blocks all differ, the functions must not
+        x = np.array([0.0, 0.25, -0.41, 0.5, 0.07])
+        y = np.array([1.0, 1.3, 0.92, 2.4, 6.0])
+        rows = basis_values(grid, x, y)
+        for i, form in enumerate(grid.cusp_forms):
+            single = maass_values(form, x, y)
+            assert np.max(np.abs(rows[i] - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))
+        for j, r in enumerate(grid.eisenstein_r):
+            single = EisensteinEvaluator(float(r)).unitary_values(x, y)
+            row = rows[grid.n_cusp + 1 + j]
+            assert np.max(np.abs(row - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))

@@ -25,7 +25,7 @@ sys.path.insert(0, "src")
 
 from autoheat.forms import MaassFormData, Parity, maass_laplacian_residual, maass_values, normalize_maass_form  # noqa: E402
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
-from autoheat.special import KBesselScaled  # noqa: E402
+from autoheat.special import KBesselBank  # noqa: E402
 
 # Published spectral parameters (6-7 digits suffice as seeds; parity is
 # re-derived by trying both and keeping the one whose system has a root).
@@ -54,16 +54,16 @@ def system_matrix(r: float, parity: Parity):
     pull = [reduce_to_fundamental_domain(HPoint(float(x), Y0)) for x in xj]
     xs = np.array([p.x for p in pull])
     ys = np.array([p.y for p in pull])
-    kb = KBesselScaled(r, x_min=2.0 * np.pi * Y0 * 0.9)
+    kb = KBesselBank((r,), x_min=2.0 * np.pi * Y0 * 0.9)
     tr = np.cos if parity is Parity.EVEN else np.sin
     ns = np.arange(1, M + 1)
     # kappa_m at the pullback heights and on the horocycle
     args_pull = 2.0 * np.pi * np.outer(ns, ys)          # (M, Q)
     kmat = np.zeros_like(args_pull)
     live = args_pull <= r + 60.0
-    kmat[live] = kb(args_pull[live])
+    kmat[live] = kb(0, args_pull[live])
     kmat *= np.sqrt(ys)[None, :]
-    kappa0 = np.sqrt(Y0) * kb(2.0 * np.pi * ns * Y0)
+    kappa0 = np.sqrt(Y0) * kb(0, 2.0 * np.pi * ns * Y0)
     phase_pull = tr(2.0 * np.pi * np.outer(ns, xs))     # (M, Q)
     phase_smp = tr(2.0 * np.pi * np.outer(ns, xj))      # (M, Q)
     V = (2.0 / Q) * (kmat * phase_pull) @ phase_smp.T   # (M, M): sum over j
