@@ -16,13 +16,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
+from .hyperbolic import HPoint, reduce_to_fundamental_domain
 from .special import KBesselBank, kbessel_bank, scattering_phase, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
 _POINT_BLOCK = 128  # points per pass of a Fourier sum: bounds its flat entries
+_NORM_Y_MAX = 10.0  # height cutoff of the L2 normalization
+_NORM_PANELS = 12  # panels in log y of its Parseval rule
 
 
 class Parity(enum.Enum):
@@ -58,27 +61,46 @@ def _divisor_cos(n: int, r: float) -> float:
     return total
 
 
+def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heights):
+    """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
+    and 2 pi n y <= r_i + _BESSEL_DECAY, one bank entry each.  Returns the
+    (row, n, height) mask and the table of values, zero where not live."""
+    cut = bank.r[rows] + _BESSEL_DECAY
+    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
+    ns = np.arange(1, min(n_cols, n_top) + 1)
+    arg = (2.0 * math.pi * ns)[:, None] * heights
+    live = (arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None])
+    i, k, h = np.nonzero(live)
+    table = np.zeros(live.shape)
+    table[live] = bank(rows[i], arg[k, h])
+    return live, table
+
+
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[i, n-1] Ktilde_{r_i}(2 pi n y) tr_i(2 pi n x), r_i = bank.r[rows[i]],
     tr_i = sin on odd rows else cos, n <= n_max[i] and 2 pi n y <= r_i + _BESSEL_DECAY.
 
-    Each block of points is one flat set of (row, n, point) entries for one
-    bank evaluation; every (row, point) sums its terms in increasing n."""
+    Points run in height order, in blocks.  A block evaluates the bank once
+    per distinct (row, n, height) and the trigonometric factor once per
+    (n, point), then gathers them onto its (row, n, point) terms; every
+    (row, point) sums its terms in increasing n, so no value depends on the
+    other points of its batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
-    cut = bank.r[rows] + _BESSEL_DECAY
+    order = np.argsort(y, kind="stable")
     for s in range(0, len(x) if len(rows) else 0, _POINT_BLOCK):
-        xb, yb = x[s:s + _POINT_BLOCK], y[s:s + _POINT_BLOCK]
-        ns = np.arange(1, min(coeffs.shape[1], int(cut.max() / (2.0 * math.pi * yb.min())) + 1) + 1)
-        arg = (2.0 * math.pi * ns)[:, None] * yb
-        i, k, p = np.nonzero((arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None]))
-        ang = (2.0 * math.pi * ns)[k] * xb[p]
-        tr = np.cos(ang)
-        tr[odd[i]] = np.sin(ang[odd[i]])
-        terms = coeffs[i, k] * bank(rows[i], arg[k, p]) * tr
-        out[:, s:s + _POINT_BLOCK] = np.bincount(i * len(xb) + p, terms, len(rows) * len(xb)) \
-            .reshape(len(rows), len(xb))
+        idx = order[s:s + _POINT_BLOCK]
+        heights, at_height = np.unique(y[idx], return_inverse=True)
+        live, table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
+        ang = (2.0 * math.pi * np.arange(1, live.shape[1] + 1))[:, None] * x[idx]
+        i, k, p = np.nonzero(live[:, :, at_height])
+        tr = np.cos(ang)[k, p]
+        if np.any(odd):
+            tr[odd[i]] = np.sin(ang)[k[odd[i]], p[odd[i]]]
+        terms = coeffs[i, k] * table[i, k, at_height[p]] * tr
+        out[:, idx] = np.bincount(i * len(idx) + p, terms, len(rows) * len(idx)) \
+            .reshape(len(rows), len(idx))
     return out
 
 
@@ -213,16 +235,20 @@ def cusp_bank(forms) -> KBesselBank:
     return kbessel_bank(tuple(float(f.r) for f in forms), _KBESSEL_X_MIN)
 
 
-def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
-    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
-    i in rows; row i of `bank` holds forms[i].r."""
+def _coeff_table(forms, rows):
+    """Zero-padded coefficients, counts and odd flags of forms[i], i in rows."""
     sel = [forms[i] for i in rows]
     coeffs = np.zeros((len(sel), max((f.n_coeffs for f in sel), default=0)))
     for j, f in enumerate(sel):
         coeffs[j, :f.n_coeffs] = f.coeffs
-    odd = np.array([f.parity is Parity.ODD for f in sel], dtype=bool)
-    return np.sqrt(y) * _fourier_rows(bank, rows, coeffs, np.array([f.n_coeffs for f in sel]),
-                                      odd, x, y)
+    return (coeffs, np.array([f.n_coeffs for f in sel], dtype=int),
+            np.array([f.parity is Parity.ODD for f in sel], dtype=bool))
+
+
+def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
+    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
+    i in rows; row i of `bank` holds forms[i].r."""
+    return np.sqrt(y) * _fourier_rows(bank, rows, *_coeff_table(forms, rows), x, y)
 
 
 def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -257,24 +283,47 @@ def basepoint_value_maass(form: MaassFormData) -> float:
     return eval_maass(form, HPoint(0.0, 1.0))
 
 
-def _normalize(forms, bank: KBesselBank, quad: QuadSpec | None) -> None:
-    if quad is None:
-        quad = QuadSpec(nx=96, y_panels=8, ny_per_panel=16, y_max=10.0)
-    x, y, w = quad.nodes()
-    for form, vals in zip(forms, _maass_raw(forms, bank, range(len(forms)), x, y)):
-        norm_sq = float(np.sum(w * vals * vals))
+def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
+                  nx: int = 32) -> np.ndarray:
+    """int |u|^2 dx dy / y^2 of each unnormalized form over the fundamental
+    domain below y = _NORM_Y_MAX; the forms decay like e^{-2 pi y}, so the
+    cutoff loses nothing.
+
+    On the rectangle 1 <= y <= _NORM_Y_MAX, Parseval in x leaves
+    (1/2) sum a_n^2 int Ktilde(2 pi n y)^2 dy/y: Gauss-Legendre in log y on
+    _NORM_PANELS panels of ny nodes.  On the cap between the arc and y = 1,
+    y = cos(phi) for phi in [0, pi/6] (nphi nodes) and x in [sin(phi), 1/2]
+    (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
+    height for all its x nodes."""
+    rows = np.arange(len(forms))
+    coeffs, n_max, _ = _coeff_table(forms, rows)
+    g, w = leggauss(ny)
+    span = math.log(_NORM_Y_MAX) / _NORM_PANELS
+    log_y = (span * (np.arange(_NORM_PANELS)[:, None] + 0.5 * (g + 1.0))).ravel()
+    _, table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y))
+    w_log = np.tile(0.5 * span * w, _NORM_PANELS)
+    rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log), axis=1)
+    g, w = leggauss(nphi)
+    phi, w_phi = (math.pi / 12.0) * (g + 1.0), (math.pi / 12.0) * w
+    g, w = leggauss(nx)
+    length = 0.5 - np.sin(phi)
+    x = (np.sin(phi)[:, None] + length[:, None] * 0.5 * (g + 1.0)).ravel()
+    # dy = sin(phi) dphi, dx = length/2 per unit of w; the doubling cancels the 1/2
+    wts = (w_phi * np.sin(phi) * length / np.cos(phi) ** 2)[:, None] * w
+    vals = _maass_raw(forms, bank, rows, x, np.repeat(np.cos(phi), nx))
+    return rect + (vals * vals) @ wts.ravel()
+
+
+def _normalize(forms, bank: KBesselBank) -> None:
+    for form, norm_sq in zip(forms, _norm_squares(forms, bank)):
         if not norm_sq > 0.0:
             raise ValueError(f"degenerate L2 norm for form r={form.r}")
         form.norm_constant = 1.0 / math.sqrt(norm_sq)
 
 
-def normalize_maass_form(form: MaassFormData, quad: QuadSpec | None = None) -> float:
-    """Compute and store the L2(F) normalization constant.
-
-    Quadrature of |f|^2 dx dy / y^2 over the fundamental domain; the form
-    decays like e^{-2 pi y} so the default height cutoff loses nothing.
-    """
-    _normalize([form], cusp_bank([form]), quad)
+def normalize_maass_form(form: MaassFormData) -> float:
+    """Compute and store the L2(F) normalization constant (see _norm_squares)."""
+    _normalize([form], cusp_bank([form]))
     return form.norm_constant
 
 
@@ -359,8 +408,7 @@ def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]
     return forms_out
 
 
-def load_maass_data(path, quad: QuadSpec | None = None,
-                    residual_check: bool = True) -> list[MaassFormData]:
+def load_maass_data(path, residual_check: bool = True) -> list[MaassFormData]:
     """Load, validate, and L2-normalize a Maass data file.
 
     The first form gets a Laplacian-residual spot check (consistency of the
@@ -370,7 +418,7 @@ def load_maass_data(path, quad: QuadSpec | None = None,
         text = fh.read()
     data = parse_maass_data(text, source=str(path))
     bank = cusp_bank(data)
-    _normalize(data, bank, quad)
+    _normalize(data, bank)
     if residual_check and data:
         first = min(range(len(data)), key=lambda i: data[i].r)
         probe = HPoint(0.21, 1.17)  # generic: odd forms vanish on x = 0

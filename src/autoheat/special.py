@@ -97,7 +97,6 @@ def scattering_phase(r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 _QUAD_DECAY = 45.0  # integrate until x*(cosh u - 1) exceeds this
-_DENSE_BLOCK = 2048  # arguments per pass over the stacked ODE's dense output
 _CLENSHAW_BLOCK = 32768  # (row, argument) entries per batched Clenshaw pass
 
 
@@ -200,7 +199,16 @@ class KBesselBank:
                         dense_output=True, rtol=1e-12, atol=1e-280)
         if not sol.success:
             raise RuntimeError(f"K-Bessel ODE continuation failed: {sol.message}")
-        self._sol = sol.sol
+        # keep each row's own w component of the DOP853 interpolants and the
+        # segment search of scipy's OdeSolution; the 2n-wide solution goes
+        dense = sol.sol
+        ips = dense.interpolants
+        self._F = np.stack([ip.F[:, :n] for ip in ips], axis=1)  # (power, segment, row)
+        self._y_old = np.stack([ip.y_old[:n] for ip in ips])
+        self._t_old = np.array([ip.t_old for ip in ips])
+        self._h = np.array([ip.h for ip in ips])
+        self._ts, self._side, self._ascending = dense.ts_sorted.copy(), dense.side, dense.ascending
+        del sol, dense, ips
         # one pass of the dense output over every row's first-kind Chebyshev
         # nodes and its 257 probes for the interpolation check
         ks = [np.arange(d + 1) for d in self.deg]
@@ -210,8 +218,15 @@ class KBesselBank:
         probes = np.exp(np.linspace(u_lo, u_hi, 257, axis=1)).ravel()
         rows = np.concatenate((np.repeat(np.arange(n), self.deg + 1), np.repeat(np.arange(n), 257)))
         vals = self._dense(rows, np.concatenate(nodes + [probes]))
-        for j, k, theta, fk in zip(range(n), ks, thetas, np.split(vals, np.cumsum(self.deg + 1))):
-            self._coef_t[:len(k), j] = (2.0 / len(k)) * np.cos(np.outer(k, theta)) @ fk
+        # the cosine transform depends on the degree only: one matrix per
+        # distinct degree, held while its rows are fitted
+        fks = np.split(vals, np.cumsum(self.deg + 1))
+        for d in np.unique(self.deg):
+            rows_d = np.flatnonzero(self.deg == d)
+            k, theta = ks[rows_d[0]], thetas[rows_d[0]]
+            cos_kt = (2.0 / len(k)) * np.cos(np.outer(k, theta))
+            for j in rows_d:
+                self._coef_t[:len(k), j] = cos_kt @ fks[j]
         self._coef_t[0] *= 0.5
         err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
@@ -220,14 +235,20 @@ class KBesselBank:
                                f"max error {np.max(err):.2e}")
 
     def _dense(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """e^{pi r/2 - x} w(x) from the stacked dense output, sorted in x, in blocks."""
-        out = np.empty(len(x))
-        order = np.argsort(x, kind="stable")
-        for s in range(0, len(x), _DENSE_BLOCK):
-            idx = order[s:s + _DENSE_BLOCK]
-            w = self._sol(x[idx])[rows[idx], np.arange(len(idx))]
-            out[idx] = np.exp(np.pi * self.r[rows[idx]] / 2.0 - x[idx]) * w
-        return out
+        """e^{pi r/2 - x} w(x) from the DOP853 dense output, one component per
+        entry: scipy's segment choice and interpolant recurrence, replayed in
+        its order of operations, so each value is the one sol.sol(x)[row] gives."""
+        seg = np.searchsorted(self._ts, x, side=self._side) - 1
+        np.clip(seg, 0, len(self._h) - 1, out=seg)
+        if not self._ascending:
+            seg = len(self._h) - 1 - seg
+        s = (x - self._t_old[seg]) / self._h[seg]
+        w = np.zeros(len(x))
+        for i, f in enumerate(self._F[::-1]):
+            w += f[seg, rows]
+            w *= s if i % 2 == 0 else 1 - s
+        w += self._y_old[seg, rows]
+        return np.exp(np.pi * self.r[rows] / 2.0 - x) * w
 
     def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Each entry's row series at log x, in blocks.  Entries run longest

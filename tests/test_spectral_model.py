@@ -139,6 +139,45 @@ class TestKBesselBanks:
         for k in (0, _POINT_BLOCK - 1, _POINT_BLOCK, 2 * _POINT_BLOCK, n - 1):
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
+    def test_dense_replay_equals_ode_solution(self, grid, monkeypatch):
+        # the bank keeps only each row's own component of scipy's DOP853
+        # interpolants and replays them; sampled entries of both default
+        # banks, at step endpoints, x_min and near the seed, must equal what
+        # the full solution object gives, bit for bit
+        sols = []
+        solve_ivp = special.solve_ivp
+
+        def capturing(*args, **kwargs):
+            sols.append(solve_ivp(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(special, "solve_ivp", capturing)
+        rng = np.random.default_rng(23)
+        for bank in (grid.cusp_bank, grid.eisenstein.bank):
+            fresh = special.KBesselBank(bank.r, bank.x_min)
+            assert np.array_equal(fresh._coef_t, bank._coef_t)
+            sol = sols[-1]
+            seed, x_min = fresh.x_seed, fresh.x_min
+            x = np.concatenate((sol.t, [x_min, x_min * (1.0 + 1e-12), seed, seed - 1e-9,
+                                        seed - 0.5], rng.uniform(x_min, seed, 400)))
+            rows = rng.integers(0, len(fresh.r), len(x))
+            want = np.exp(np.pi * fresh.r[rows] / 2.0 - x) * sol.sol(x)[rows, np.arange(len(x))]
+            assert np.array_equal(fresh._dense(rows, x), want)
+
+    def test_height_sorted_sums_equal_single_points(self, grid):
+        # shuffled points with repeated heights and +-x pairs: each basis
+        # column is bit for bit the column of its point evaluated alone
+        rng = np.random.default_rng(29)
+        heights = np.array([0.95, 1.0, 1.3, 2.4, 6.0])
+        x = np.concatenate([np.concatenate((xs, -xs)) for xs in
+                            (rng.uniform(np.sqrt(max(0.0, 1.0 - h * h)), 0.5, 3) for h in heights)])
+        y = np.repeat(heights, 6)
+        perm = rng.permutation(len(x))
+        x, y = x[perm], y[perm]
+        whole = basis_values(grid, x, y)
+        for k in range(len(x)):
+            assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
+
     def test_grid_rows_match_one_row_evaluators(self, grid):
         # the family banks against one bank per r: seeds, ODE steps and
         # Chebyshev blocks all differ, the functions must not
