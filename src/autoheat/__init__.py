@@ -34,7 +34,7 @@ from .sobolev import (
     synthesize_values,
 )
 from .special import bessel_k_imag, zeta_line
-from .spectral_model import SpectralGrid, SpectralKind, SpectralPoint, build_grid
+from .spectral_model import SpectralGrid, build_grid
 from .synthesis import SynthesisReport, evaluate_heat_kernel, smoothness_profile
 
 __version__ = "0.1.0"
@@ -50,8 +50,6 @@ __all__ = [
     "QuadSpec",
     "RunConfig",
     "SpectralGrid",
-    "SpectralKind",
-    "SpectralPoint",
     "SynthesisReport",
     "analyze",
     "apply_generator",

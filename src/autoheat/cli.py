@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import build_config
@@ -84,14 +85,16 @@ def make_parser() -> _Parser:
 
 def cmd_eval(args) -> int:
     cfg = _config_from(args)
-    if not args.t > 0.0:
-        print("error: pointwise evaluation requires t > 0", file=sys.stderr)
+    if not 0.0 < args.t < math.inf:
+        print("error: pointwise evaluation requires a finite t > 0", file=sys.stderr)
         return 1
-    if not args.y > 0.0:
-        print("error: upper half-plane requires y > 0", file=sys.stderr)
+    try:
+        z = HPoint(args.x, args.y)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     grid = grid_for_config(cfg)
-    rep = evaluate_heat_kernel(args.t, HPoint(args.x, args.y), grid)
+    rep = evaluate_heat_kernel(args.t, z, grid)
     fields = [
         ("t", args.t), ("x", args.x), ("y", args.y),
         ("value", rep.value.real),

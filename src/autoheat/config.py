@@ -8,12 +8,7 @@ from importlib import resources
 
 DATA_ENV_VAR = "AUTOHEAT_DATA"
 
-DEFAULT_TOLERANCES = {
-    "oracle_rel": 1e-3,
-    "tail": 1e-8,
-    "shell": 1e-4,
-    "quad_rel": 1e-3,
-}
+DEFAULT_TOLERANCES = {"oracle_rel": 1e-3}
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,8 @@ _STR_KEYS = {"maass_data_path", "output_format"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a key = value file; `tol.<name>` keys populate the tolerance map."""
+    """Read a key = value file; `tol.<name>` keys, for the names in
+    DEFAULT_TOLERANCES, populate the tolerance map."""
     updates: dict = {}
     tolerances: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,7 +57,7 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got '{line}'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key.startswith("tol."):
+            if key.startswith("tol.") and key[4:] in DEFAULT_TOLERANCES:
                 tolerances[key[4:]] = float(val)
             elif key in _FLOAT_KEYS:
                 updates[key] = float(val)

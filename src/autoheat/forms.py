@@ -122,7 +122,6 @@ class EisensteinSeries:
         self._bn = np.array([[_divisor_cos(n, float(r)) for n in range(1, self._N_MULTIPLIERS + 1)]
                              for r in self.r]).reshape(len(self.r), self._N_MULTIPLIERS)
         self.bank = KBesselBank(self.r, x_min)
-        self.basepoint_values = self.unitary_rows(range(len(self.r)), [0.0], [1.0])[:, 0]
 
     def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray,
                      n_terms: int | None = None) -> np.ndarray:
@@ -156,15 +155,13 @@ class EisensteinEvaluator:
 
     `standard` values follow the y^s + phi(s) y^{1-s} constant-term
     normalization.  They differ from the real `unitary` ones by a unimodular
-    factor, so conjugated products against the basepoint value agree."""
+    factor, so conjugated products of two values agree."""
 
     def __init__(self, r: float, x_min: float = _KBESSEL_X_MIN):
         if r < 0.0:
             raise ValueError("spectral parameter r must be nonnegative")
         self.r = float(r)
         self._series = EisensteinSeries((self.r,), x_min) if self.r > 0.0 else None
-        # unitary-frame value at i (real); conjugation is a no-op
-        self.basepoint_value = float(self._series.basepoint_values[0]) if self._series else 0.0
 
     def unitary_values(self, x: np.ndarray, y: np.ndarray,
                        n_terms: int | None = None) -> np.ndarray:
@@ -274,13 +271,6 @@ def eval_maass(form: MaassFormData, z: HPoint) -> float:
     """Value of the unit-norm cusp form at z (reduced internally)."""
     p = reduce_to_fundamental_domain(z)
     return float(maass_values(form, np.array([p.x]), np.array([p.y]))[0])
-
-
-def basepoint_value_maass(form: MaassFormData) -> float:
-    """Conjugated value at the basepoint i; odd forms vanish there."""
-    if form.parity is Parity.ODD:
-        return 0.0
-    return eval_maass(form, HPoint(0.0, 1.0))
 
 
 def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,

@@ -9,6 +9,7 @@ exponential as the unique solution of the evolution problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class HeatState:
 
 
 def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
+    if not math.isfinite(t):
+        raise ValueError(f"heat flow needs a finite time, got t = {t}")
     expo = grid.lambdas * t
     out = np.zeros_like(expo)
     live = expo > _UNDERFLOW_EXPONENT
@@ -50,7 +53,7 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
 
 
 def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
-    """Spectral heat-kernel data at time t: basepoint values times e^{lambda t}."""
+    """Spectral heat-kernel data at time t: the delta data times e^{lambda t}."""
     if t < 0.0:
         raise ValueError("heat flow is one-sided: t >= 0")
     delta = delta_coefficients(grid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ class HPoint:
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"coordinates must be finite, got x = {self.x}, y = {self.y}")
         if not self.y > 0.0:
             raise ValueError(f"upper half-plane requires y > 0, got y = {self.y}")
 

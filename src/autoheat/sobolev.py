@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import maass_rows
 from .hyperbolic import QuadSpec
 from .spectral_model import SobolevIndex, SpectralGrid
 
@@ -85,22 +84,9 @@ def apply_resolvent(c: float, f: CoeffFn) -> CoeffFn:
 
 
 def delta_coefficients(grid: SpectralGrid) -> CoeffFn:
-    """Spectral data of the Dirac delta at the basepoint: conj basis values at i."""
-    return CoeffFn(grid, grid.basepoint_values.astype(complex))
-
-
-def _basis_rows(grid: SpectralGrid, x: np.ndarray, y: np.ndarray,
-                live: np.ndarray) -> np.ndarray:
-    """basis_values with only the rows where `live` holds evaluated; the rest stay zero."""
-    out = np.zeros((grid.size, len(x)))
-    n = grid.n_cusp
-    cusp = np.flatnonzero(live[:n])
-    out[cusp] = maass_rows(grid.cusp_forms, grid.cusp_bank, cusp, x, y)
-    if live[n]:
-        out[n] = np.sqrt(3.0 / np.pi)
-    eis = np.flatnonzero(live[n + 1:])
-    out[n + 1 + eis] = grid.eisenstein.unitary_rows(eis, x, y)
-    return out
+    """Spectral data of the Dirac delta at i: the grid's basis column there
+    (real in the unitary frame, so conjugation is a no-op)."""
+    return CoeffFn(grid, grid.basis_at_i)
 
 
 def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -109,14 +95,14 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
     Rows follow coefficient order (cusp forms, constant, Eisenstein nodes);
     the points are assumed reduced.
     """
-    return _basis_rows(grid, x, y, np.ones(grid.size, dtype=bool))
+    return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
 def synthesis_basis(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """basis_values(f.grid, x, y) with the rows of zero weight in f left at
-    zero, unevaluated: for heat data, the odd cusp forms (they vanish at the
-    basepoint) and the entries whose damping underflowed."""
-    return _basis_rows(f.grid, x, y, f.grid.weights * f.values != 0.0)
+    zero, unevaluated: for heat data, the odd cusp forms (they vanish at i)
+    and the entries whose damping underflowed."""
+    return f.grid.basis_rows(x, y, f.grid.weights * f.values != 0.0)
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None,

@@ -8,7 +8,6 @@ weights dr / (2 pi) on [0, r_max]).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,42 +23,8 @@ DELTA_INDEX = 2
 #: Sobolev scale indices are plain integers throughout.
 SobolevIndex = int
 
-RESIDUAL_BASEPOINT = float(np.sqrt(3.0 / np.pi))  # unit-norm constant on volume pi/3
 
-
-class SpectralKind(enum.Enum):
-    CUSPIDAL = "cuspidal"
-    RESIDUAL = "residual"
-    EISENSTEIN = "eisenstein"
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One element of the spectral basis.
-
-    eigenvalue is the Laplace eigenvalue (always <= 0); basepoint_value is the
-    conjugated basis function at the basepoint i.
-    """
-
-    kind: SpectralKind
-    r: float
-    eigenvalue: float
-    basepoint_value: complex
-
-    def __post_init__(self):
-        if self.eigenvalue > 0.0:
-            raise ValueError("Laplace eigenvalues on the surface are nonpositive")
-        if self.kind is SpectralKind.RESIDUAL:
-            if self.eigenvalue != 0.0 or self.r != 0.0:
-                raise ValueError("the residual point is the constant form: r = 0, eigenvalue 0")
-
-
-def sobolev_weight(p: SpectralPoint, s: SobolevIndex) -> float:
-    """Squared-norm weight (1 - lambda)^s > 0."""
-    return float((1.0 - p.eigenvalue) ** s)
-
-
-def _eigenvalue_from_r(r: float) -> float:
+def _eigenvalue_from_r(r):
     return -(0.25 + r * r)
 
 
@@ -70,21 +35,26 @@ class SpectralGrid:
     Immutable after construction; the K-Bessel banks of the cusp forms and of
     the continuous nodes are built once here and shared read-only.
     Coefficient vectors over the grid are laid out as
-    [cusp entries..., residual entry, eisenstein node entries...].
+    [cusp entries..., residual entry, eisenstein node entries...], and so
+    are the per-entry arrays set at construction: the eigenvalues `lambdas`
+    (always <= 0), the integration `weights` (1 on the discrete part, w_j on
+    the nodes) and `basis_at_i`, the basis column at i (the odd cusp forms
+    vanish there).
     """
 
-    cusp_points: tuple[SpectralPoint, ...]
     cusp_forms: tuple[MaassFormData, ...]
-    residual_point: SpectralPoint
     eisenstein_r: np.ndarray
     eisenstein_w: np.ndarray  # Plancherel-folded quadrature weights dr/(2 pi)
     r_max: float
     cusp_bank: KBesselBank = field(repr=False)  # row i holds cusp_forms[i].r
     eisenstein: EisensteinSeries = field(repr=False)  # row j holds eisenstein_r[j]
+    lambdas: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    basis_at_i: np.ndarray = field(init=False, repr=False)
 
     @property
     def n_cusp(self) -> int:
-        return len(self.cusp_points)
+        return len(self.cusp_forms)
 
     @property
     def n_eisenstein(self) -> int:
@@ -98,48 +68,31 @@ class SpectralGrid:
     def residual_index(self) -> int:
         return self.n_cusp
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Eigenvalues per grid entry, in coefficient-vector order."""
-        return self._lambdas
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Integration weight per entry: 1 on the discrete part, w_j on nodes."""
-        return self._weights
-
-    @property
-    def basepoint_values(self) -> np.ndarray:
-        """Conjugated basis values at i per entry (real for our normalization)."""
-        return self._basepoint
-
     def __post_init__(self):
         lam = np.concatenate([
-            np.array([p.eigenvalue for p in self.cusp_points], dtype=float),
+            _eigenvalue_from_r(np.array([f.r for f in self.cusp_forms], dtype=float)),
             [0.0],
             _eigenvalue_from_r(self.eisenstein_r),
         ])
-        w = np.concatenate([
-            np.ones(self.n_cusp),
-            [1.0],
-            self.eisenstein_w,
-        ])
-        base = np.concatenate([
-            np.array([np.real(p.basepoint_value) for p in self.cusp_points], dtype=float),
-            [RESIDUAL_BASEPOINT],
-            np.array([np.real(p.basepoint_value) for p in self.eisenstein_points()], dtype=float),
-        ])
-        object.__setattr__(self, "_lambdas", lam)
-        object.__setattr__(self, "_weights", w)
-        object.__setattr__(self, "_basepoint", base)
+        w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "basis_at_i", self.basis_rows(
+            np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])
 
-    def eisenstein_points(self) -> list[SpectralPoint]:
-        return [SpectralPoint(SpectralKind.EISENSTEIN, float(r), _eigenvalue_from_r(float(r)),
-                              complex(b))
-                for r, b in zip(self.eisenstein_r, self.eisenstein.basepoint_values)]
-
-    def points(self) -> list[SpectralPoint]:
-        return list(self.cusp_points) + [self.residual_point] + self.eisenstein_points()
+    def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Real unitary-frame basis values at reduced points, shape (size,
+        npoints) in coefficient order; only the rows where `live` holds are
+        evaluated, the rest stay zero."""
+        out = np.zeros((self.size, len(x)))
+        n = self.n_cusp
+        cusp = np.flatnonzero(live[:n])
+        out[cusp] = maass_rows(self.cusp_forms, self.cusp_bank, cusp, x, y)
+        if live[n]:
+            out[n] = np.sqrt(3.0 / np.pi)  # unit-norm constant on volume pi/3
+        eis = np.flatnonzero(live[n + 1:])
+        out[n + 1 + eis] = self.eisenstein.unitary_rows(eis, x, y)
+        return out
 
 
 def eisenstein_nodes(r_max: float, panels: int, nodes_per_panel: int = 32,
@@ -176,22 +129,12 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
     for r1, r2 in zip(rs, rs[1:]):
         if abs(r1 - r2) < 1e-9:
             raise ValueError(f"duplicate cusp spectral parameter r = {r1}")
-    bank = cusp_bank(data)
-    # conjugated values at the basepoint i, where the odd forms vanish
-    base = maass_rows(data, bank, range(len(data)), np.array([0.0]), np.array([1.0]))[:, 0]
-    cusp_points = tuple(
-        SpectralPoint(SpectralKind.CUSPIDAL, f.r, _eigenvalue_from_r(f.r), complex(b))
-        for f, b in zip(data, base)
-    )
-    residual = SpectralPoint(SpectralKind.RESIDUAL, 0.0, 0.0, complex(RESIDUAL_BASEPOINT))
     nodes, weights = eisenstein_nodes(r_max, panels, nodes_per_panel)
     return SpectralGrid(
-        cusp_points=cusp_points,
         cusp_forms=tuple(data),
-        residual_point=residual,
         eisenstein_r=nodes,
         eisenstein_w=weights,
         r_max=float(r_max),
-        cusp_bank=bank,
+        cusp_bank=cusp_bank(data),
         eisenstein=EisensteinSeries(nodes),
     )

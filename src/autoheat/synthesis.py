@@ -60,7 +60,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
-    edge = max(abs(column[-1]), 1.0) * max(abs(grid.basepoint_values[-1]), 1.0) * 2.0
+    edge = max(abs(column[-1]), 1.0) * max(abs(grid.basis_at_i[-1]), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
 
     value = cusp + residual + eis

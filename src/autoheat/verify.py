@@ -89,12 +89,8 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(20240311)
     out = []
 
-    worst = 0.0
-    for p in grid.points():
-        from .spectral_model import sobolev_weight
-
-        for s in (-4, -1, 2, 5):
-            worst = max(worst, abs(sobolev_weight(p, s) * sobolev_weight(p, -s) - 1.0))
+    shift = 1.0 - grid.lambdas
+    worst = max(float(np.max(np.abs(shift ** s * shift ** -s - 1.0))) for s in (-4, -1, 2, 5))
     out.append(_le("weight duality (1-lam)^s (1-lam)^-s = 1", worst, 1e-14))
 
     worst = 0.0

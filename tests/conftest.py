@@ -3,7 +3,7 @@ import pytest
 
 from autoheat.config import RunConfig
 from autoheat.forms import EisensteinSeries, cusp_bank, load_maass_data
-from autoheat.spectral_model import SpectralGrid, SpectralKind, SpectralPoint, build_grid
+from autoheat.spectral_model import SpectralGrid, build_grid
 from autoheat.verify import grid_for_config
 
 DATA_PATH = RunConfig().resolve_data_path()
@@ -43,12 +43,8 @@ def tiny_grid():
 
 @pytest.fixture(scope="session")
 def residual_only_grid():
-    point = SpectralPoint(SpectralKind.RESIDUAL, 0.0, 0.0,
-                          complex(np.sqrt(3.0 / np.pi)))
     return SpectralGrid(
-        cusp_points=(),
         cusp_forms=(),
-        residual_point=point,
         eisenstein_r=np.array([]),
         eisenstein_w=np.array([]),
         r_max=1.0,

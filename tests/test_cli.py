@@ -5,6 +5,45 @@ import pytest
 from autoheat import cli
 from autoheat.config import DEFAULT_TOLERANCES, RunConfig, build_config, parse_config_file
 
+EVAL_HEADER = "t,x,y,value,cusp_part,residual_part,eisenstein_part,tail_estimate\n"
+
+# Exact stdout and exit code of each command, pinned from cold runs.  Every
+# printed digit is part of the output contract: a deliberate change of one
+# must update its pin here and cite in CHANGES.md the finer reference that
+# the new digit is closer to.
+GOLDEN = {
+    "eval --t 1 --x 0.25 --y 1.3": (0, EVAL_HEADER + (
+        "1.000000000000e+00,2.500000000000e-01,1.300000000000e+00,1.132857050437e+00,"
+        "-5.086330730036e-83,9.549296585514e-01,1.779273918860e-01,2.304921365533e-64\n")),
+    "eval --t 1 --x 0 --y 1": (0, EVAL_HEADER + (
+        "1.000000000000e+00,0.000000000000e+00,1.000000000000e+00,1.141831834228e+00,"
+        "3.775745018363e-82,9.549296585514e-01,1.869021756770e-01,5.069404923282e-64\n")),
+    "eval --t 1 --x 0 --y 1 --format json": (0, (
+        '{"t": 1.0, "x": 0.0, "y": 1.0, "value": 1.141831834228, '
+        '"cusp_part": 3.775745018363e-82, "residual_part": 0.9549296585514, '
+        '"eisenstein_part": 0.186902175677, "tail_estimate": 5.069404923282e-64}\n')),
+    "eval --t 8 --x 0 --y 1": (0, EVAL_HEADER + (
+        "8.000000000000e+00,0.000000000000e+00,1.000000000000e+00,9.589554237282e-01,"
+        "0.000000000000e+00,9.549296585514e-01,4.025765176867e-03,0.000000000000e+00\n")),
+    "eval --t 0.4 --x 0 --y 1 --r-max 1.5 --panels 1 --nodes-per-panel 8": (2, EVAL_HEADER + (
+        "4.000000000000e-01,0.000000000000e+00,1.000000000000e+00,1.276889513046e+00,"
+        "1.320844706826e-32,9.549296585514e-01,3.219598544942e-01,2.375537962734e-01\n")),
+    "profile --t-list 1,0.5,0.1": (0, (
+        "t,gap,s0,s4,s8\n"
+        "1.000000000000e+00,2.751575077242e-01,1.016597274802e+00,1.429789475705e+00,"
+        "9.585117729127e+00\n"
+        "5.000000000000e-01,2.132971960639e-01,1.068565315846e+00,3.277917556270e+00,"
+        "1.021597002136e+02\n"
+        "1.000000000000e-01,1.060362863801e-01,1.298657138756e+00,7.453069884478e+01,"
+        "1.423954188461e+05\n")),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(command, grid, capsys):
+    code = cli.main(command.split())
+    assert (code, capsys.readouterr().out) == GOLDEN[command]
+
 
 class TestEval:
     def test_long_time_record(self, grid, capsys):
@@ -21,6 +60,16 @@ class TestEval:
 
     def test_lower_half_plane_is_a_usage_error(self, capsys):
         assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "-1"]) == 64
+
+    def test_non_finite_inputs_refused_before_the_grid(self, monkeypatch, capsys):
+        # t as t <= 0 (runtime error), x and y as y <= 0 (usage error)
+        monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        assert cli.main(["eval", "--t", "inf", "--x", "0", "--y", "1"]) == 1
+        assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "inf"]) == 64
+        assert cli.main(["eval", "--t", "1", "--x", "nan", "--y", "1"]) == 64
+        assert cli.main(["eval", "--t", "1", "--x", "inf", "--y", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 4
 
     def test_missing_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -121,6 +170,14 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("rmax = 10.0\n")
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            parse_config_file(str(path))
+
+    @pytest.mark.parametrize("key", ["tol.tail", "tol.shell", "tol.quad_rel", "tol.no_such_thing"])
+    def test_unread_tolerance_rejected(self, tmp_path, key):
+        # only tol.oracle_rel is read by anything
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1.0\n")
         with pytest.raises(ValueError, match="unknown configuration key"):
             parse_config_file(str(path))
 

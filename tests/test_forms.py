@@ -10,7 +10,6 @@ from autoheat.forms import (
     MaassDataError,
     MaassFormData,
     Parity,
-    basepoint_value_maass,
     eval_eisenstein,
     eval_eisenstein_unitary,
     eval_maass,
@@ -46,13 +45,13 @@ class TestEisenstein:
         z = HPoint(0.23, 1.4)
         std_z = ev.standard_value(z)
         std_i = ev.standard_value(HPoint(0.0, 1.0))
-        uni = np.conj(complex(ev.basepoint_value)) * ev.unitary_value(z)
+        uni = np.conj(complex(ev.unitary_value(HPoint(0.0, 1.0)))) * ev.unitary_value(z)
         assert abs(np.conj(std_i) * std_z - uni) < 1e-12
         assert abs(abs(std_z) - abs(ev.unitary_value(z))) < 1e-12
 
     def test_basepoint_real_and_finite(self):
         for r in (1.0, 2.5, 7.0):
-            val = EisensteinEvaluator(r).basepoint_value
+            val = EisensteinEvaluator(r).unitary_value(HPoint(0.0, 1.0))
             assert np.isfinite(val)
             # unitary frame is real by construction; the standard frame value
             # carries the half scattering phase
@@ -80,7 +79,8 @@ class TestEisenstein:
             rs = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b)
                                  for a, b in zip(edges[:-1], edges[1:])])
             ws = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
-            density = np.exp(-rs * rs / 8.0) * EisensteinSeries(np.abs(rs)).basepoint_values ** 2
+            at_i = EisensteinSeries(np.abs(rs)).unitary_rows(np.arange(len(rs)), [0.0], [1.0])[:, 0]
+            density = np.exp(-rs * rs / 8.0) * at_i ** 2
             return float(np.sum(ws * density)) / scale
 
         folded = integral([0.0, 2.0, 4.0, r_cut], 2.0 * np.pi)
@@ -92,7 +92,7 @@ class TestMaass:
     def test_odd_forms_vanish_on_the_imaginary_axis(self, dataset):
         odd = next(f for f in dataset if f.parity is Parity.ODD)
         assert eval_maass(odd, HPoint(0.0, 1.37)) == 0.0
-        assert basepoint_value_maass(odd) == 0.0
+        assert eval_maass(odd, HPoint(0.0, 1.0)) == 0.0
 
     def test_periodicity(self, dataset):
         form = next(f for f in dataset if f.parity is Parity.EVEN)
@@ -151,7 +151,7 @@ class TestBasepoint:
 
     def test_even_forms_real_at_basepoint(self, dataset):
         even = next(f for f in dataset if f.parity is Parity.EVEN)
-        val = basepoint_value_maass(even)
+        val = eval_maass(even, HPoint(0.0, 1.0))
         assert np.isfinite(val) and val != 0.0
 
 

@@ -44,6 +44,14 @@ class TestHeatCoefficients:
         with pytest.raises(ValueError):
             heat_coefficients(-0.5, grid)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, tiny_grid, t):
+        # the damping is shared: the heat data and the semigroup both refuse
+        with pytest.raises(ValueError, match="finite time"):
+            heat_coefficients(t, tiny_grid)
+        with pytest.raises(ValueError, match="finite time"):
+            semigroup_apply(t, rand_fn(tiny_grid))
+
 
 class TestSemigroup:
     def test_identity_at_zero(self, tiny_grid):

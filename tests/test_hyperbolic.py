@@ -37,6 +37,11 @@ class TestReduction:
         with pytest.raises(ValueError):
             HPoint(0.0, -1.0)
 
+    @pytest.mark.parametrize("x, y", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0)])
+    def test_rejects_non_finite_coordinates(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            HPoint(x, y)
+
 
 class TestDistance:
     def test_translation_distance(self):

@@ -9,6 +9,7 @@ from autoheat.sobolev import (
     apply_generator,
     apply_one_minus_laplacian,
     apply_resolvent,
+    basis_values,
     delta_coefficients,
     invert_one_minus_laplacian,
     pairing,
@@ -164,6 +165,16 @@ class TestDeltaCoefficients:
         for i, form in enumerate(grid.cusp_forms):
             if form.parity is Parity.ODD:
                 assert d.values[i] == 0.0
+
+    def test_is_the_basis_column_at_i(self, grid):
+        # the delta data are the grid's one basis evaluation at i, bit for
+        # bit: exactly 0 on every odd cusp form, exactly sqrt(3/pi) on the
+        # constant form
+        vals = delta_coefficients(grid).values
+        assert np.array_equal(vals, basis_values(grid, np.array([0.0]), np.array([1.0]))[:, 0])
+        odd = np.array([f.parity is Parity.ODD for f in grid.cusp_forms])
+        assert odd.any() and np.all(vals[:grid.n_cusp][odd] == 0.0)
+        assert vals[grid.residual_index] == np.sqrt(3.0 / np.pi)
 
 
 class TestAnalyze:

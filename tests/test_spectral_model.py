@@ -5,63 +5,52 @@ from autoheat import special
 from autoheat.config import RunConfig
 from autoheat.forms import _POINT_BLOCK, EisensteinEvaluator, load_maass_data, maass_values
 from autoheat.sobolev import basis_values
-from autoheat.spectral_model import (
-    SpectralKind,
-    SpectralPoint,
-    build_grid,
-    eisenstein_nodes,
-    sobolev_weight,
-)
-
-
-def _point(kind, r, lam, base=0.0):
-    return SpectralPoint(kind, r, lam, complex(base))
+from autoheat.spectral_model import build_grid, eisenstein_nodes
 
 
 class TestEigenvalue:
-    def test_residual_is_harmonic(self):
-        p = _point(SpectralKind.RESIDUAL, 0.0, 0.0, np.sqrt(3 / np.pi))
-        assert p.eigenvalue == 0.0
+    def test_residual_is_harmonic(self, grid):
+        assert grid.lambdas[grid.residual_index] == 0.0
 
-    def test_eisenstein_bottom_of_spectrum(self):
-        p = _point(SpectralKind.EISENSTEIN, 0.0, -0.25)
-        assert p.eigenvalue == -0.25
+    def test_eisenstein_bottom_of_spectrum(self, grid):
+        # lambda = -(1/4 + r^2) on the nodes: the continuum lies below -1/4
+        r = grid.eisenstein_r
+        lam = grid.lambdas[grid.residual_index + 1:]
+        assert np.array_equal(lam, -(0.25 + r * r))
+        assert np.all(lam < -0.25)
 
     def test_cuspidal_from_ingested_parameter(self, grid):
         # lowest form: r = 9.53369526135...; lambda = -(1/4 + r^2)
-        p = grid.cusp_points[0]
-        assert abs(p.r - 9.53369526135) < 1e-9
-        assert abs(p.eigenvalue + (0.25 + p.r ** 2)) == 0.0
-        assert abs(p.eigenvalue + 91.1413) < 2e-4
-
-    def test_positive_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            _point(SpectralKind.CUSPIDAL, 1.0, 0.5)
+        r, lam = grid.cusp_forms[0].r, grid.lambdas[0]
+        assert abs(r - 9.53369526135) < 1e-9
+        assert abs(lam + (0.25 + r ** 2)) == 0.0
+        assert abs(lam + 91.1413) < 2e-4
 
 
 class TestSobolevWeight:
-    def test_residual_weight_is_one(self):
-        p = _point(SpectralKind.RESIDUAL, 0.0, 0.0, np.sqrt(3 / np.pi))
-        for s in (-6, -1, 0, 3, 12):
-            assert sobolev_weight(p, s) == 1.0
+    # the weight (1 - lambda)^s of index s, as sobolev_norm applies it
 
-    def test_eisenstein_inverse_square(self):
-        p = _point(SpectralKind.EISENSTEIN, 0.0, -0.25)
-        assert abs(sobolev_weight(p, -2) - 0.64) < 1e-15
+    def test_residual_weight_is_one(self, grid):
+        for s in (-6, -1, 0, 3, 12):
+            assert (1.0 - grid.lambdas[grid.residual_index]) ** s == 1.0
+
+    def test_eisenstein_inverse_square(self, grid):
+        r = grid.eisenstein_r
+        weight = (1.0 - grid.lambdas[grid.residual_index + 1:]) ** -2
+        assert np.max(np.abs(weight * (1.25 + r * r) ** 2 - 1.0)) < 1e-15
 
     def test_cuspidal_squared_shift(self, grid):
-        p = grid.cusp_points[0]
-        expected = (1.0 + 0.25 + p.r ** 2) ** 2
-        assert abs(sobolev_weight(p, 2) - expected) < 1e-9 * expected
-        assert abs(sobolev_weight(p, 2) - 8490.0) < 1.0
+        r, weight = grid.cusp_forms[0].r, (1.0 - grid.lambdas[0]) ** 2
+        expected = (1.0 + 0.25 + r ** 2) ** 2
+        assert abs(weight - expected) < 1e-9 * expected
+        assert abs(weight - 8490.0) < 1.0
 
     def test_duality_and_recurrence(self, grid):
-        for p in grid.points():
-            for s in (-4, -1, 0, 2, 5):
-                assert abs(sobolev_weight(p, s) * sobolev_weight(p, -s) - 1.0) < 1e-14
-                lhs = sobolev_weight(p, s + 2)
-                rhs = sobolev_weight(p, s) * (1.0 - p.eigenvalue) ** 2
-                assert abs(lhs - rhs) <= 1e-12 * rhs
+        shift = 1.0 - grid.lambdas
+        for s in (-4, -1, 0, 2, 5):
+            assert np.max(np.abs(shift ** s * shift ** -s - 1.0)) < 1e-14
+            rhs = shift ** s * shift ** 2
+            assert np.all(np.abs(shift ** (s + 2) - rhs) <= 1e-12 * rhs)
 
 
 class TestBuildGrid:
