@@ -23,7 +23,7 @@ from .special import KBesselBank, kbessel_bank, scattering_phase, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
-_POINT_BLOCK = 128  # points per pass of a Fourier sum: bounds its flat entries
+_ENTRY_BLOCK = 2 ** 16  # Bessel entries per pass of a Fourier sum: bounds its flat arrays
 _NORM_Y_MAX = 10.0  # height cutoff of the L2 normalization
 _NORM_PANELS = 12  # panels in log y of its Parseval rule
 
@@ -81,16 +81,22 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     """sum_n coeffs[i, n-1] Ktilde_{r_i}(2 pi n y) tr_i(2 pi n x), r_i = bank.r[rows[i]],
     tr_i = sin on odd rows else cos, n <= n_max[i] and 2 pi n y <= r_i + _BESSEL_DECAY.
 
-    Points run in height order, in blocks.  A block evaluates the bank once
-    per distinct (row, n, height) and the trigonometric factor once per
-    (n, point), then gathers them onto its (row, n, point) terms; every
-    (row, point) sums its terms in increasing n, so no value depends on the
-    other points of its batch."""
+    Points run in height order, in blocks of at most _ENTRY_BLOCK entries
+    (a point at height y has at most sum_i (r_i + _BESSEL_DECAY) / (2 pi y)).
+    A block evaluates the bank once per distinct (row, n, height) and the
+    trigonometric factor once per (n, point), then gathers them onto its
+    (row, n, point) terms; every (row, point) sums its terms in increasing n,
+    so no value depends on the other points of its batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
     order = np.argsort(y, kind="stable")
-    for s in range(0, len(x) if len(rows) else 0, _POINT_BLOCK):
-        idx = order[s:s + _POINT_BLOCK]
+    per_height = float(np.sum(bank.r[rows] + _BESSEL_DECAY)) / (2.0 * math.pi)
+    load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
+    s = 0
+    while s < (len(x) if len(rows) else 0):
+        e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
+        idx = order[s:e]
+        s = e
         heights, at_height = np.unique(y[idx], return_inverse=True)
         live, table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
         ang = (2.0 * math.pi * np.arange(1, live.shape[1] + 1))[:, None] * x[idx]

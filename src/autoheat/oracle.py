@@ -20,10 +20,24 @@ cannot see; the boundary-shell warning still flags a ball that is small for
 the requested t.  For the basepoint itself the matrix count by norm factors
 through sums-of-two-squares counts, which makes bounds in the thousands
 (long times) affordable.
+
+Every sum over distances (the enumerated orbit, the tail quadrature, the
+arithmetic basepoint sum) evaluates the plane kernel through one Chebyshev
+interpolant per call, sampled from the quadrature heat_kernel_plane at a
+few dozen nodes.  It interpolates the smooth ratio of p_t to its envelope
+e^{-rho^2/4t} sqrt(rho/sinh rho), whose only singularities are branch
+points at rho = +-i pi, and takes its degree from the Bernstein ellipse
+through i pi.  On the distances that decide the sums it is within ~1.5e-14
+of mpmath, where heat_kernel_plane is within ~1e-14, and the bound-25 sums
+at the verify points are within 3e-15 of sums with every orbit point taken
+from mpmath.  The group is enumerated arithmetically: for
+each a the b prime to a fix c = -b^{-1} mod a, so c runs through a
+progression of step a and d = (1 + bc)/a, O(B^2 log B) work at bound B.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -36,7 +50,8 @@ from .hyperbolic import HPoint, hyperbolic_distance
 SHELL_TOLERANCE = 1e-4
 T_MIN, T_MAX = 0.2, 10.0
 _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
-_COUNT_CHUNK = 2 ** 18  # norms per count block in periodized_oracle_basepoint
+_NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
+_COUNT_CHUNK = 2 ** 16  # residues m per count block in periodized_oracle_basepoint
 
 
 def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
@@ -47,8 +62,11 @@ def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
 
     The endpoint square-root singularity is removed by s = rho + u^2, and the
     difference of coshes is evaluated as 2 sinh(rho + u^2/2) sinh(u^2/2) to
-    dodge cancellation.  The distances go through the quadrature in fixed
-    blocks, which bounds memory; each value is its own row sum either way.
+    dodge cancellation.  Just off the diagonal the integrand in u bends at
+    u ~ sqrt(rho), which Gauss-Legendre in u misses by up to ~5e-9, so on
+    _NEAR_DIAGONAL the rule runs in v with u = sqrt(rho) sinh v; below it the
+    bend is lost in rounding.  The distances go through the quadrature in
+    fixed blocks, which bounds memory; each value is its own row sum either way.
     """
     if not t > 0.0:
         raise ValueError("t > 0 required")
@@ -62,6 +80,13 @@ def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
         u_max = np.sqrt(np.maximum(r, 1.0) + math.sqrt(4.0 * t * 46.0) - r)
         u = 0.5 * u_max * (xg[None, :] + 1.0)
         w = 0.5 * u_max * wg[None, :]
+        near = (r[:, 0] > _NEAR_DIAGONAL[0]) & (r[:, 0] < _NEAR_DIAGONAL[1])
+        if np.any(near):
+            sq = np.sqrt(r[near])
+            v_max = np.arcsinh(u_max[near] / sq)
+            v = 0.5 * v_max * (xg[None, :] + 1.0)
+            u[near] = sq * np.sinh(v)
+            w[near] = 0.5 * v_max * wg[None, :] * sq * np.cosh(v)
         s = r + u * u
         denom = 2.0 * np.sinh(r + 0.5 * u * u) * np.sinh(0.5 * u * u)
         integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
@@ -69,26 +94,76 @@ def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
     return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
 
 
+def _envelope(t: float, rho: np.ndarray) -> np.ndarray:
+    """e^{-rho^2/4t} sqrt(rho / sinh rho), with rho/sinh rho written as
+    2 rho / (1 - e^{-2 rho}) times e^{-rho}: no overflow, 1 at rho = 0."""
+    r = np.maximum(rho, 1e-300)
+    return np.exp(-r * (r / (4.0 * t) + 0.5)) * np.sqrt(-2.0 * r / np.expm1(-2.0 * r))
+
+
+def _plane_kernel_fit(t: float, rho_max: float):
+    """heat_kernel_plane(t, .) on [0, rho_max] as one Chebyshev interpolant.
+
+    It interpolates q = p_t / envelope, which is smooth: its only
+    singularities are the branch points rho = +-i pi of sqrt(rho/sinh rho),
+    so its Chebyshev coefficients on [0, L] fall like R^-n, with R the radius
+    of the Bernstein ellipse through i pi, and the degree is the n at which
+    R^-n reaches e^-38.  Past the distance where the envelope drops below
+    e^-700 the kernel is returned as 0.
+    """
+    cut = math.sqrt(t * t + 2800.0 * t) - t  # rho^2/4t + rho/2 = 700
+    length = min(max(rho_max, 1.0), cut)
+    w = -1.0 + 2j * math.pi / length  # i pi in the interpolation variable
+    radius = abs(w - cmath.sqrt(w * w - 1.0))  # the root outside the unit circle
+    n = math.ceil(38.0 / math.log(radius)) + 1
+    theta = (np.arange(n) + 0.5) * math.pi / n  # node rho = L sin^2(theta/2), x = -cos theta
+    nodes = length * np.sin(0.5 * theta) ** 2
+    q = heat_kernel_plane(t, nodes) / _envelope(t, nodes)
+    # T_k(-cos theta) = (-1)^k cos(k theta) directly: the three-term recurrence
+    # behind chebinterpolate loses ~4e-14 at the nodes next to x = -1
+    k = np.arange(n)
+    coef = (2.0 / n) * (-1.0) ** k * (np.cos(np.outer(k, theta)) @ q)
+    coef[0] *= 0.5
+    fit = Chebyshev(coef, domain=[0.0, length])
+
+    def kernel(rho: np.ndarray) -> np.ndarray:
+        out = np.zeros(rho.shape)
+        live = rho <= length
+        out[live] = fit(rho[live]) * _envelope(t, rho[live])
+        return out
+
+    return kernel
+
+
 def enumerate_group(bound: float) -> np.ndarray:
     """Integer matrices (a, b, c, d), ad - bc = 1, Frobenius norm <= bound,
-    deduplicated by sign (first nonzero entry positive)."""
+    deduplicated by sign (first nonzero entry positive).
+
+    Rows come a by a (a > 0 first, then a = 0), and within one a by b, then
+    by c.  For a > 0, a | 1 + bc holds exactly when b is prime to a and
+    c = -b^{-1} mod a, so the c of one b form a progression of step a."""
     if bound < math.sqrt(2.0):
         raise ValueError("bound below the identity's norm sqrt(2)")
     top = int(math.floor(bound))
     b2 = bound * bound
     rng = np.arange(-top, top + 1)
-    bb, cc = np.meshgrid(rng, rng, indexing="ij")
-    bc = bb * cc
     quads = []
     for a in range(1, top + 1):  # a > 0 half; sign dedupe keeps a >= 0
-        num = 1 + bc
-        mask = num % a == 0
-        d = np.where(mask, num // a, 0)
-        mask &= a * a + bb * bb + cc * cc + d * d <= b2
+        minus_inv = np.zeros(a, dtype=rng.dtype)  # -b^{-1} mod a by residue of b
+        for res in range(a):
+            if math.gcd(res, a) == 1:
+                minus_inv[res] = -pow(res, -1, a) % a
+        b = rng[np.gcd(rng, a) == 1]
+        first = minus_inv[b % a]
+        first -= a * ((first + top) // a)  # smallest c >= -top in the class
+        c = first[:, None] + a * np.arange(2 * top // a + 1)
+        bb = np.broadcast_to(b[:, None], c.shape)
+        d = (1 + bb * c) // a
+        mask = (c <= top) & (a * a + bb * bb + c * c + d * d <= b2)
         if np.any(mask):
             n = int(mask.sum())
             quads.append(np.stack(
-                [np.full(n, a), bb[mask], cc[mask], d[mask]], axis=1))
+                [np.full(n, a), bb[mask], c[mask], d[mask]], axis=1))
     # a = 0 forces bc = -1; keep the sign-canonical b = 1, c = -1 family
     dmax = int(math.floor(math.sqrt(max(b2 - 2.0, 0.0))))
     d = np.arange(-dmax, dmax + 1)
@@ -127,7 +202,8 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
         wt = np.full(m, 2.0 * math.pi / m)
     coshd = (np.cosh(r - a)[:, None] + 2.0 * math.sinh(a)
              * np.sinh(r)[:, None] * np.sin(0.5 * theta)[None, :] ** 2)
-    p = heat_kernel_plane(t, np.arccosh(coshd).ravel()).reshape(coshd.shape)
+    rho = np.arccosh(coshd).ravel()
+    p = _plane_kernel_fit(t, float(rho.max()))(rho).reshape(coshd.shape)
     return 3.0 / math.pi * float(wr @ p @ wt)
 
 
@@ -148,7 +224,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     zc = z.z
     coshd = 1.0 + np.abs(zc - orbit) ** 2 / (2.0 * z.y * orbit.imag)
     rho = np.arccosh(np.maximum(coshd, 1.0))
-    vals = heat_kernel_plane(t, rho)
+    vals = _plane_kernel_fit(t, float(rho.max()))(rho)
     total = float(np.sum(vals))
     if shell_warning:
         norms2 = a * a + b * b + c * c + d * d
@@ -184,53 +260,50 @@ def matrix_counts_by_norm(n_max: int) -> np.ndarray:
     conditions into a pair of circles alpha^2 + delta^2 = n + 2 and
     beta^2 + gamma^2 = n - 2 with parity couplings, so the count factors
     through sums-of-two-squares counts:
-      n = 2 mod 4:  r2((n+2)/4) r2((n-2)/4)
-      n = 3 mod 4:  r2(n+2) r2(n-2) / 2
-      otherwise:    0 (parity obstruction).
+      n = 4m + 2:  r2(m + 1) r2(m)
+      n = 4m + 3:  r2(4m + 5) r2(4m + 1) / 2
+      otherwise:   0 (parity obstruction).
     Verified against direct enumeration in the tests.
     """
     counts = np.zeros(n_max + 1, dtype=np.float64)
-    counts[2:] = _counts_at(np.arange(2, n_max + 1), _two_squares_counts(n_max + 2))
+    r2 = _two_squares_counts(n_max + 2)
+    for cls in (2, 3):
+        counts[cls::4] = _class_counts(cls, 0, len(counts[cls::4]), r2)
     return counts
 
 
-def _counts_at(n: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """matrix_counts_by_norm's formula at the norms n >= 2 (r2 up to max(n) + 2)."""
-    counts = np.zeros(len(n))
-    m2 = n % 4 == 2
-    counts[m2] = r2[(n[m2] + 2) // 4].astype(np.float64) * r2[(n[m2] - 2) // 4]
-    m3 = n % 4 == 3
-    counts[m3] = r2[n[m3] + 2].astype(np.float64) * r2[n[m3] - 2] / 2.0
-    return counts
+def _class_counts(cls: int, lo: int, hi: int, r2: np.ndarray) -> np.ndarray:
+    """matrix_counts_by_norm's formula at n = 4m + cls, lo <= m < hi
+    (r2 up to the largest n + 2)."""
+    if cls == 2:
+        return r2[lo + 1:hi + 1].astype(np.float64) * r2[lo:hi]
+    return r2[4 * lo + 5:4 * hi + 5:4].astype(np.float64) * r2[4 * lo + 1:4 * hi + 1:4] / 2.0
 
 
 def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     """Periodized sum at z = i via arithmetic norm counts.
 
     At the basepoint cosh d(i, gamma i) = ||gamma||_F^2 / 2 is half an
-    integer, so the enumerated sum is sum_n count(n) p_t(acosh(n/2)) / 2; the
-    plane kernel is Chebyshev-interpolated in the distance.  The same
-    orbit_tail completes it, so this is the same answer as
+    integer, so the enumerated sum is sum_n count(n) p_t(acosh(n/2)) / 2,
+    taken over the residue classes n = 4m + 2 and 4m + 3 in blocks of m.
+    The same plane-kernel interpolant and orbit_tail as periodized_oracle
+    complete it, so this is the same answer as
     periodized_oracle(t, i, norm_bound), but bounds in the thousands run in
     seconds.
     """
     if not (T_MIN <= t <= T_MAX):
         raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
     n_max = int(math.floor(norm_bound * norm_bound))
-    rho_max = float(np.arccosh(n_max / 2.0))
-    deg = 240
-    xk = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-    rk = np.maximum(0.5 * rho_max * (xk + 1.0), 1e-9)
-    cheb = Chebyshev.fit(rk, heat_kernel_plane(t, rk), deg, domain=[0.0, rho_max])
+    kernel = _plane_kernel_fit(t, float(np.arccosh(n_max / 2.0)))
     r2 = _two_squares_counts(n_max + 2)
     total = 0.0
-    for lo in range(2, n_max + 1, _COUNT_CHUNK):
-        n = np.arange(lo, min(lo + _COUNT_CHUNK, n_max + 1), dtype=np.int64)
-        cnt = _counts_at(n, r2)
-        live = cnt > 0.0
-        if not np.any(live):
-            continue
-        rho = np.arccosh(n[live] / 2.0)
-        total += float(np.sum(cnt[live] * cheb(rho)))
+    for cls in (2, 3):
+        m_top = (n_max - cls) // 4 + 1
+        for lo in range(0, m_top, _COUNT_CHUNK):
+            hi = min(lo + _COUNT_CHUNK, m_top)
+            cnt = _class_counts(cls, lo, hi, r2)
+            live = np.flatnonzero(cnt)
+            rho = np.arccosh((4.0 * (lo + live) + cls) / 2.0)
+            total += float(cnt[live] @ kernel(rho))
     # 0.5: sign dedupe
     return 0.5 * total + orbit_tail(t, HPoint(0.0, 1.0), norm_bound)

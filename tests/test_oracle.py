@@ -2,12 +2,14 @@ import math
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from autoheat.hyperbolic import HPoint, cosh_distance
 from autoheat.oracle import (
     _PLANE_BLOCK,
+    _plane_kernel_fit,
     enumerate_group,
     heat_kernel_plane,
     matrix_counts_by_norm,
@@ -16,6 +18,44 @@ from autoheat.oracle import (
     periodized_oracle_basepoint,
 )
 from autoheat.verify import ORACLE_POINTS
+
+
+def _plane_kernel_mpmath(t: float, rho: float) -> float:
+    """p_t(rho) at 30 digits: the same integral in u (s = rho + u^2), split
+    where the integrand bends (u ~ sqrt(rho)) and decays."""
+    with mpmath.workdps(30):
+        t, rho = mpmath.mpf(t), mpmath.mpf(rho)
+
+        def integrand(u):
+            s = rho + u * u
+            denom = 2 * mpmath.sinh(rho + u * u / 2) * mpmath.sinh(u * u / 2)
+            return 2 * u * s * mpmath.exp(-s * s / (4 * t)) / mpmath.sqrt(denom)
+
+        bends = [mpmath.sqrt(rho), 10 * mpmath.sqrt(rho)] if 0 < rho < 0.01 else []
+        val = mpmath.quad(integrand, [0, *bends, 1, 3, 8, mpmath.inf])
+        return float(mpmath.sqrt(2) * mpmath.exp(-t / 4) / (4 * mpmath.pi * t) ** 1.5 * val)
+
+
+def _enumerate_group_grid(bound: float) -> np.ndarray:
+    """enumerate_group's former algorithm: every (b, c) of the box, each a."""
+    top = int(math.floor(bound))
+    b2 = bound * bound
+    rng = np.arange(-top, top + 1)
+    bb, cc = np.meshgrid(rng, rng, indexing="ij")
+    bc = bb * cc
+    quads = []
+    for a in range(1, top + 1):
+        num = 1 + bc
+        mask = num % a == 0
+        d = np.where(mask, num // a, 0)
+        mask &= a * a + bb * bb + cc * cc + d * d <= b2
+        if np.any(mask):
+            n = int(mask.sum())
+            quads.append(np.stack([np.full(n, a), bb[mask], cc[mask], d[mask]], axis=1))
+    dmax = int(math.floor(math.sqrt(max(b2 - 2.0, 0.0))))
+    d = np.arange(-dmax, dmax + 1)
+    quads.append(np.stack([np.zeros_like(d), np.ones_like(d), -np.ones_like(d), d], axis=1))
+    return np.concatenate(quads, axis=0)
 
 
 class TestPlaneHeatKernel:
@@ -47,9 +87,51 @@ class TestPlaneHeatKernel:
         for k in edges + tuple(range(17, len(rho), 613)):
             assert vals[k] == heat_kernel_plane(0.7, rho[k])[0]
 
+    @pytest.mark.parametrize("t", [0.2, 0.5, 2.0, 8.0])
+    def test_matches_mpmath_on_and_off_the_diagonal(self, t):
+        # 1e-8 .. 1e-4: the integrand bends at u ~ sqrt(rho), which a plain
+        # Gauss rule in u misses by up to ~5e-9
+        rho = [0.0, 1e-8, 1e-6, 1e-4, 0.3, 1.0, 2.5, 5.0]
+        vals = heat_kernel_plane(t, rho)
+        for r, v in zip(rho, vals):
+            ref = _plane_kernel_mpmath(t, r)
+            assert abs(v - ref) < 1e-13 * ref, (t, r)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             heat_kernel_plane(0.0, [1.0])
+
+
+class TestPlaneKernelFit:
+    @pytest.mark.parametrize("t", [0.2, 2.0, 10.0])
+    @pytest.mark.parametrize("rho_max", [12.0, 63.0])
+    def test_matches_the_quadrature(self, t, rho_max):
+        # 63 is as far as orbit_tail reaches at t = 10, where the degree that
+        # serves [0, 17] would be 1e-8 off
+        rho = np.linspace(0.0, rho_max, 2001)
+        ref = heat_kernel_plane(t, rho)
+        fit = _plane_kernel_fit(t, rho_max)(rho)
+        live = ref > 1e-290
+        assert np.all(np.abs(fit[live] - ref[live]) <= 1e-12 * ref[live])
+        assert np.all(np.isfinite(fit)) and np.all(fit[~live] < 1e-280)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("rho_max", [10.15, 17.0])
+    def test_matches_mpmath_where_the_orbit_sums_are_decided(self, t, rho_max):
+        # rho = 0 is an end of the interpolation interval, where coefficients
+        # built by numpy's chebinterpolate (a three-term recurrence) are 5e-14 off
+        rho = np.array([0.0, 1e-3, 0.05, 0.3, 1.0])
+        fit = _plane_kernel_fit(t, rho_max)(rho)
+        for r, v in zip(rho, fit):
+            ref = _plane_kernel_mpmath(t, r)
+            assert abs(v - ref) < 2e-14 * ref, (t, rho_max, r)
+
+    def test_zero_past_the_envelope_underflow(self):
+        t = 0.2
+        rho = np.array([0.0, 20.0, 30.0, 1e3])
+        vals = _plane_kernel_fit(t, float(rho.max()))(rho)
+        assert vals[0] > 0.0 and vals[1] > 0.0
+        assert vals[2] == 0.0 and vals[3] == 0.0  # envelope below e^-700 past ~23.5
 
 
 class TestEnumeration:
@@ -73,6 +155,15 @@ class TestEnumeration:
         # exactly the identity and the elliptic inversion survive sign dedupe
         assert sorted(map(tuple, mats)) == [(0, 1, -1, 0), (1, 0, 0, 1)]
 
+    @pytest.mark.parametrize("bound", [math.sqrt(2.0) + 1e-9, 9.0, 25.0, 60.0])
+    def test_same_array_as_the_grid_algorithm(self, bound):
+        fast, ref = enumerate_group(bound), _enumerate_group_grid(bound)
+        assert fast.dtype == ref.dtype
+        assert np.array_equal(fast, ref)
+
+    def test_size_matches_arithmetic_counts(self):
+        assert 2 * len(enumerate_group(160.0)) == int(matrix_counts_by_norm(160 * 160)[2:].sum())
+
     def test_counts_identity_against_enumeration(self):
         bound = 12
         mats = enumerate_group(float(bound))
@@ -94,6 +185,23 @@ class TestPeriodizedOracle:
             direct = periodized_oracle(t, HPoint(0.0, 1.0), 25.0, shell_warning=False)
             fast = periodized_oracle_basepoint(t, 25.0)
             assert abs(direct - fast) < 1e-11 * abs(direct)
+
+    @pytest.mark.parametrize("t", [0.5, 4.0])
+    def test_basepoint_path_equals_quadrature_over_the_same_counts(self, t):
+        bound = 1000
+        counts = matrix_counts_by_norm(bound * bound)
+        n = np.flatnonzero(counts)
+        direct = 0.5 * float(counts[n] @ heat_kernel_plane(t, np.arccosh(n / 2.0)))
+        direct += orbit_tail(t, HPoint(0.0, 1.0), bound)
+        assert abs(periodized_oracle_basepoint(t, bound) - direct) < 1e-13 * direct
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 2.0, 8.0])
+    def test_continuous_at_the_basepoint(self, t):
+        # the identity's distance 1e-7 sits where a plain Gauss rule in u is
+        # ~1e-10 off; the true difference is ~1e-15
+        near = periodized_oracle(t, HPoint(1e-7, 1.0), 25.0, shell_warning=False)
+        at = periodized_oracle(t, HPoint(0.0, 1.0), 25.0, shell_warning=False)
+        assert abs(near - at) < 1e-13 * at
 
     def test_shell_warning_fires_when_truncation_is_inadequate(self):
         with pytest.warns(UserWarning, match="boundary shell"):

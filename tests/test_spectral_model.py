@@ -3,7 +3,7 @@ import pytest
 
 from autoheat import special
 from autoheat.config import RunConfig
-from autoheat.forms import _POINT_BLOCK, EisensteinEvaluator, load_maass_data, maass_values
+from autoheat.forms import _ENTRY_BLOCK, EisensteinEvaluator, load_maass_data, maass_values
 from autoheat.sobolev import basis_values
 from autoheat.spectral_model import build_grid, eisenstein_nodes
 
@@ -114,18 +114,20 @@ class TestKBesselBanks:
         assert len(calls) == 2
 
     def test_blocked_basis_equals_per_block_values(self, grid):
-        # an array spanning three point blocks, from the arc (the most
+        # an array spanning several entry blocks, from the arc (the most
         # Fourier terms) into the cusp, gives bit for bit the values of its
-        # blocks evaluated apart and of single points at the block edges
+        # parts evaluated apart and of single points
         rng = np.random.default_rng(17)
-        n = 2 * _POINT_BLOCK + 5
+        n = 400
         x = rng.uniform(-0.5, 0.5, n)
         y = np.sqrt(1.0 - x * x) + rng.uniform(0.0, 3.0, n) ** 2
+        per_point = np.sum(grid.eisenstein_r + 45.0) / (2.0 * np.pi * y)
+        assert per_point.sum() > 3 * _ENTRY_BLOCK
         whole = basis_values(grid, x, y)
-        parts = [basis_values(grid, x[s:s + _POINT_BLOCK], y[s:s + _POINT_BLOCK])
-                 for s in range(0, n, _POINT_BLOCK)]
+        cuts = (0, 150, 151, 330, n)
+        parts = [basis_values(grid, x[a:b], y[a:b]) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
-        for k in (0, _POINT_BLOCK - 1, _POINT_BLOCK, 2 * _POINT_BLOCK, n - 1):
+        for k in (0, 149, 150, 151, 330, n - 1):
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
     def test_dense_replay_equals_ode_solution(self, grid, monkeypatch):
