@@ -15,7 +15,7 @@ DEFAULT_TOLERANCES = {"oracle_rel": 1e-3}
 class RunConfig:
     maass_data_path: str | None = None  # None: $AUTOHEAT_DATA, then packaged data
     r_max: float = 12.0
-    panels: int = 6
+    panels: int = 5
     nodes_per_panel: int = 32
     oracle_norm_bound: float = 25.0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))

@@ -124,21 +124,20 @@ def euler_error(t: float, steps: int, grid: SpectralGrid,
     return sobolev_norm(exact.with_values(vals - exact.values), s)
 
 
-def resolvent_laplace_defect(c: float, f: CoeffFn, s: SobolevIndex = 0,
-                             t_max: float = 60.0, n_nodes: int = 24,
-                             n_panels: int = 12) -> float:
+def resolvent_laplace_defect(c: float, f: CoeffFn, s: SobolevIndex = 0) -> float:
     """Relative defect of (generator - c)^{-1} f against -int_0^inf e^{-ct} G(t) f dt.
 
-    The Laplace integral is done by geometric Gauss-Legendre panels on [0, t_max];
-    the identity links the resolvent to the semigroup it generates.
+    The Laplace integral is done by 12 geometric panels (ratio 1.35) of 24
+    Gauss-Legendre nodes on [0, 60]; the identity links the resolvent to the
+    semigroup it generates.
     """
     from numpy.polynomial.legendre import leggauss
 
     direct = apply_resolvent(c, f)
-    widths = 1.35 ** np.arange(n_panels)
-    widths *= t_max / widths.sum()
+    widths = 1.35 ** np.arange(12)
+    widths *= 60.0 / widths.sum()
     edges = np.concatenate(([0.0], np.cumsum(widths)))
-    xg, wg = leggauss(n_nodes)
+    xg, wg = leggauss(24)
     acc = np.zeros_like(f.values)
     for a, b in zip(edges[:-1], edges[1:]):
         ts = 0.5 * (b - a) * xg + 0.5 * (a + b)

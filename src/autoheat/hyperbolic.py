@@ -71,7 +71,6 @@ class QuadSpec:
     y_panels: int = 8
     ny_per_panel: int = 16
     y_max: float = 10.0
-    panel_growth: float = 1.9
 
     def __post_init__(self):
         if self.y_max <= 1.0:
@@ -89,7 +88,7 @@ class QuadSpec:
         for xi, wxi in zip(x, wx):
             y_lo = np.sqrt(max(1.0 - xi * xi, 0.0))
             # geometric panel edges from the arc up to y_max
-            widths = self.panel_growth ** np.arange(self.y_panels)
+            widths = 1.9 ** np.arange(self.y_panels)
             widths *= (self.y_max - y_lo) / widths.sum()
             edges = y_lo + np.concatenate(([0.0], np.cumsum(widths)))
             for a, b in zip(edges[:-1], edges[1:]):

@@ -38,6 +38,7 @@ progression of step a and d = (1 + bc)/a, O(B^2 log B) work at bound B.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -54,7 +55,12 @@ _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in
 _COUNT_CHUNK = 2 ** 16  # residues m per count block in periodized_oracle_basepoint
 
 
-def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
+# one eigenvalue solve per rule size and process (~3 ms at 160 nodes); the
+# arrays are shared, so no caller writes to them
+_gauss_legendre = functools.cache(leggauss)
+
+
+def heat_kernel_plane(t: float, rho) -> np.ndarray:
     """Heat kernel of the hyperbolic plane at distance rho, vectorized.
 
     p_t(rho) = sqrt(2) e^{-t/4} (4 pi t)^{-3/2} *
@@ -73,7 +79,7 @@ def heat_kernel_plane(t: float, rho, n_nodes: int = 160) -> np.ndarray:
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho < 0.0):
         raise ValueError("distances are nonnegative")
-    xg, wg = leggauss(n_nodes)
+    xg, wg = _gauss_legendre(160)
     val = np.empty(len(rho))
     for lo in range(0, len(rho), _PLANE_BLOCK):
         r = rho[lo:lo + _PLANE_BLOCK, None]
@@ -191,7 +197,7 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     a = hyperbolic_distance(z.z, 1j)
     # sinh r p_t(r - a) peaks at r - a ~ t with width ~ sqrt(2t)
     r_hi = max(rho_b, a + t) + math.sqrt(4.0 * t * 46.0)
-    xg, wg = leggauss(200)
+    xg, wg = _gauss_legendre(200)
     r = rho_b + 0.5 * (r_hi - rho_b) * (xg + 1.0)
     wr = 0.5 * (r_hi - rho_b) * wg * np.sinh(r)
     if a == 0.0:

@@ -95,22 +95,20 @@ class SpectralGrid:
         return out
 
 
-def eisenstein_nodes(r_max: float, panels: int, nodes_per_panel: int = 32,
-                     growth: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on [0, r_max] with geometric panel widths.
+def eisenstein_nodes(r_max: float, panels: int,
+                     nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes on [0, r_max] with equal-width panels.
 
-    Panels are narrowest near r = 0 where the heat factor concentrates.
+    Equal widths keep the panels narrow at high r, where the integrand
+    oscillates fastest and 1/|xi(1 + 2ir)|^2 has poles near the real axis
+    (at r = gamma/2 +- i/4 for the ordinates gamma of the zeta zeros).
     Weights already carry the folded Plancherel factor 1/(2 pi).
     """
-    widths = growth ** np.arange(panels)
-    widths *= r_max / widths.sum()
-    edges = np.concatenate(([0.0], np.cumsum(widths)))
     xg, wg = leggauss(nodes_per_panel)
-    rs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wg / (2.0 * np.pi))
-    return np.concatenate(rs), np.concatenate(ws)
+    half = 0.5 * r_max / panels
+    centres = half * (2.0 * np.arange(panels) + 1.0)
+    nodes = (centres[:, None] + half * xg[None, :]).ravel()
+    return nodes, np.tile(half * wg / (2.0 * np.pi), panels)
 
 
 def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,

@@ -14,6 +14,7 @@ from .sobolev import sobolev_norm, synthesis_basis, synthesize_values
 from .spectral_model import SobolevIndex, SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
+STABILITY_TOLERANCE = 1e-6  # largest relative norm change a stable profile shows
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,16 @@ class SmoothnessProfile:
 
 
 def smoothness_profile(t: float, s_list: list[SobolevIndex], grid: SpectralGrid,
-                       doubled_grid: SpectralGrid | None = None,
-                       stability_tol: float = 1e-6) -> SmoothnessProfile:
-    """Index-s norms of the heat data plus an r_max-doubling stability flag.
+                       doubled_grid: SpectralGrid) -> SmoothnessProfile:
+    """Index-s norms of the heat data plus a cutoff-doubling stability flag.
 
-    For t > 0 every norm must be finite and insensitive to doubling the
-    continuous-spectrum cutoff; at t = 0 (allowed here for contrast only) the
-    low norms grow with the cutoff, reflecting that the delta datum is not
-    square-integrable.
+    doubled_grid carries the continuous spectrum to twice grid's r_max.  For
+    t > 0 every norm must be finite and insensitive to that doubling; at
+    t = 0 (allowed here for contrast only) the low norms grow with the
+    cutoff, reflecting that the delta datum is not square-integrable.
     """
     if t < 0.0:
         raise ValueError("t >= 0")
-    if doubled_grid is None:
-        from .spectral_model import build_grid
-
-        panels = max(1, grid.n_eisenstein // 32)
-        doubled_grid = build_grid(list(grid.cusp_forms), 2.0 * grid.r_max,
-                                  panels + 1, 32)
     coeffs = heat_coefficients(t, grid).coeffs
     coeffs2 = heat_coefficients(t, doubled_grid).coeffs
     norms = tuple((s, sobolev_norm(coeffs, s)) for s in s_list)
@@ -117,7 +111,7 @@ def smoothness_profile(t: float, s_list: list[SobolevIndex], grid: SpectralGrid,
         norms=norms,
         doubled_norms=norms2,
         max_rel_change=rel,
-        tail_stable=rel <= stability_tol,
+        tail_stable=rel <= STABILITY_TOLERANCE,
     )
 
 

@@ -14,28 +14,28 @@ EVAL_HEADER = "t,x,y,value,cusp_part,residual_part,eisenstein_part,tail_estimate
 GOLDEN = {
     "eval --t 1 --x 0.25 --y 1.3": (0, EVAL_HEADER + (
         "1.000000000000e+00,2.500000000000e-01,1.300000000000e+00,1.132857050437e+00,"
-        "-5.086330730036e-83,9.549296585514e-01,1.779273918860e-01,2.304921365533e-64\n")),
+        "-5.086330730036e-83,9.549296585514e-01,1.779273918860e-01,2.299483751037e-64\n")),
     "eval --t 1 --x 0 --y 1": (0, EVAL_HEADER + (
         "1.000000000000e+00,0.000000000000e+00,1.000000000000e+00,1.141831834228e+00,"
-        "3.775745018363e-82,9.549296585514e-01,1.869021756770e-01,5.069404923282e-64\n")),
+        "3.775745018363e-82,9.549296585514e-01,1.869021756770e-01,5.083479741967e-64\n")),
     "eval --t 1 --x 0 --y 1 --format json": (0, (
         '{"t": 1.0, "x": 0.0, "y": 1.0, "value": 1.141831834228, '
         '"cusp_part": 3.775745018363e-82, "residual_part": 0.9549296585514, '
-        '"eisenstein_part": 0.186902175677, "tail_estimate": 5.069404923282e-64}\n')),
+        '"eisenstein_part": 0.186902175677, "tail_estimate": 5.083479741967e-64}\n')),
     "eval --t 8 --x 0 --y 1": (0, EVAL_HEADER + (
         "8.000000000000e+00,0.000000000000e+00,1.000000000000e+00,9.589554237282e-01,"
-        "0.000000000000e+00,9.549296585514e-01,4.025765176867e-03,0.000000000000e+00\n")),
+        "0.000000000000e+00,9.549296585514e-01,4.025765176866e-03,0.000000000000e+00\n")),
     "eval --t 0.4 --x 0 --y 1 --r-max 1.5 --panels 1 --nodes-per-panel 8": (2, EVAL_HEADER + (
         "4.000000000000e-01,0.000000000000e+00,1.000000000000e+00,1.276889513046e+00,"
         "1.320844706826e-32,9.549296585514e-01,3.219598544942e-01,2.375537962734e-01\n")),
     "profile --t-list 1,0.5,0.1": (0, (
         "t,gap,s0,s4,s8\n"
-        "1.000000000000e+00,2.751575077242e-01,1.016597274802e+00,1.429789475705e+00,"
+        "1.000000000000e+00,2.751641897158e-01,1.016597274802e+00,1.429789475705e+00,"
         "9.585117729127e+00\n"
-        "5.000000000000e-01,2.132971960639e-01,1.068565315846e+00,3.277917556270e+00,"
+        "5.000000000000e-01,2.133058158928e-01,1.068565315846e+00,3.277917556270e+00,"
         "1.021597002136e+02\n"
-        "1.000000000000e-01,1.060362863801e-01,1.298657138756e+00,7.453069884478e+01,"
-        "1.423954188461e+05\n")),
+        "1.000000000000e-01,1.060531902354e-01,1.298657521013e+00,7.456537362014e+01,"
+        "1.424703023814e+05\n")),
 }
 
 
@@ -133,6 +133,16 @@ class TestProfile:
         gaps = [float(line.split(",")[1]) for line in out[1:]]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_short_time_row_matches_a_fine_grid(self, grid, capsys):
+        # gap, s0, s4, s8 at t = 0.1 from 24 uniform panels of 32 nodes on
+        # [0, 12]; 15 x 40 and 40 x 24 node grids agree with them to ~1e-15
+        reference = (1.0605319037491999e-01, 1.2986575210127806e+00,
+                     7.456537362011372e+01, 1.4247030232776678e+05)
+        assert cli.main(["profile", "--t-list", "0.1"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        for got, want in zip(map(float, row.split(",")[1:]), reference):
+            assert abs(got - want) <= 1e-7 * want
+
     def test_empty_time_list_is_usage_error(self, capsys):
         assert cli.main(["profile", "--t-list", ""]) == 64
 
@@ -155,7 +165,7 @@ class TestIngestCheck:
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.r_max == 12.0 and cfg.panels == 6
+        assert cfg.r_max == 12.0 and cfg.panels == 5
         assert cfg.tolerances == DEFAULT_TOLERANCES
 
     def test_file_then_flag_precedence(self, tmp_path):

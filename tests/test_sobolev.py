@@ -44,10 +44,11 @@ class TestNorms:
             assert abs(sobolev_norm(e, s) - 1.0) < 1e-15
 
     def test_delta_norm_regression(self, grid):
-        # frozen from the default grid: the discretized size of the delta
-        # datum two indices below square-integrability
+        # the size of the delta datum two indices below square-integrability,
+        # frozen from 24 uniform panels of 32 nodes on [0, 12] (15 x 40 and
+        # 40 x 24 node grids give the same 16 digits)
         val = sobolev_norm(delta_coefficients(grid), -2)
-        assert abs(val - 1.0562780053777945) < 1e-9
+        assert abs(val - 1.0562797460518960) < 1e-9
 
     def test_delta_unbounded_at_index_zero(self, grid, doubled_grid):
         a = sobolev_norm(delta_coefficients(grid), 0)

@@ -5,6 +5,7 @@ import pytest
 
 from autoheat.heat import heat_coefficients
 from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
+from autoheat.oracle import periodized_oracle
 from autoheat.sobolev import (
     apply_generator,
     basis_values,
@@ -53,6 +54,15 @@ class TestEvaluateHeatKernel:
             evaluate_heat_kernel(1.0, HPoint(w.real, w.imag), grid).value.real,
         ]
         assert max(vals) - min(vals) <= 1e-8 * abs(vals[0])
+
+    def test_short_time_matches_periodization(self, grid):
+        # at t = 0.2 the bound-25 periodization has converged; the default
+        # Eisenstein rule must resolve the r-integrand's zeta-zero poles near
+        # r = 7.07 and 10.51 (measured defects 2.3e-14..2.2e-13)
+        for z in (HPoint(0.0, 1.0), HPoint(0.0, 2.0), HPoint(0.25, 1.3)):
+            value = evaluate_heat_kernel(0.2, z, grid).value.real
+            oracle = periodized_oracle(0.2, z, 25.0)
+            assert abs(value - oracle) <= 1e-9 * oracle
 
     def test_long_time_limit(self, grid):
         for z in POINTS:
