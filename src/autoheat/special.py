@@ -97,7 +97,8 @@ def scattering_phase(r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 _QUAD_DECAY = 45.0  # integrate until x*(cosh u - 1) exceeds this
-_CLENSHAW_BLOCK = 32768  # (row, argument) entries per batched Clenshaw pass
+_PANELS = 48  # equal panels of each row's normalized log-x range
+_PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
 
 
 def _kbessel_quad_scaled(r: float, x: np.ndarray, want_derivative: bool = False):
@@ -157,9 +158,9 @@ class KBesselBank:
     x^2 w'' + x(1 - 2x) w' + (r^2 - x) w = 0, and all rows are integrated
     inward as one stacked 2n-dimensional system from the shared quadrature
     seed x_seed = max r + 50.  Each row's rescaled value e^{pi r/2 - x} w(x)
-    is compiled onto its own Chebyshev polynomial in log x on
-    [x_min, fit_hi(r)]; evaluation is one batched Clenshaw pass over flat
-    (row, argument) entries, O(1) values with relative accuracy ~1e-10.
+    is fitted by its own Chebyshev series in log x on [x_min, fit_hi(r)] and
+    re-expanded onto fixed panels; evaluation is one degree-16 Clenshaw pass
+    over flat (row, argument) entries, O(1) values with absolute accuracy ~1e-11.
     """
 
     def __init__(self, rs, x_min: float = 1e-3):
@@ -180,7 +181,7 @@ class KBesselBank:
         self._u_sum, self._u_span = u_lo + u_hi, u_hi - u_lo
         self.deg = (160 + 10.0 * (self.r * (u_hi - u_lo) / (2.0 * np.pi))
                     + 2.5 * self.fit_hi).astype(int)
-        self._coef_t = np.zeros((int(np.max(self.deg, initial=0)) + 1, len(self.r)))
+        self._panels = np.zeros((_PANEL_DEGREE + 1, _PANELS * len(self.r)))
         if len(self.r):
             self._fit(u_lo, u_hi)
 
@@ -221,13 +222,24 @@ class KBesselBank:
         # the cosine transform depends on the degree only: one matrix per
         # distinct degree, held while its rows are fitted
         fks = np.split(vals, np.cumsum(self.deg + 1))
+        coef = np.zeros((int(np.max(self.deg)) + 1, n))
         for d in np.unique(self.deg):
             rows_d = np.flatnonzero(self.deg == d)
             k, theta = ks[rows_d[0]], thetas[rows_d[0]]
             cos_kt = (2.0 / len(k)) * np.cos(np.outer(k, theta))
             for j in rows_d:
-                self._coef_t[:len(k), j] = cos_kt @ fks[j]
-        self._coef_t[0] *= 0.5
+                coef[:len(k), j] = cos_kt @ fks[j]
+        coef[0] *= 0.5
+        # the global series smooths the piecewise ODE output; re-expand it on
+        # the panels, whose first-kind nodes every row shares: one product
+        # with T_k at the nodes, then one cosine transform per panel
+        k = np.arange(_PANEL_DEGREE + 1)
+        theta = np.pi * (k + 0.5) / len(k)
+        u = (np.arange(_PANELS)[:, None] + 0.5 * (np.cos(theta) + 1.0)) * (2.0 / _PANELS) - 1.0
+        at_nodes = np.cos(np.outer(np.arccos(u.ravel()), np.arange(len(coef)))) @ coef
+        at_nodes = at_nodes.reshape(_PANELS, len(k), n).transpose(1, 2, 0).reshape(len(k), -1)
+        self._panels = (2.0 / len(k)) * np.cos(np.outer(k, theta)) @ at_nodes
+        self._panels[0] *= 0.5
         err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
         if np.max(err) > 1e-9:
@@ -251,28 +263,16 @@ class KBesselBank:
         return np.exp(np.pi * self.r[rows] / 2.0 - x) * w
 
     def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Each entry's row series at log x, in blocks.  Entries run longest
-        series first and row by row, so coefficient k spreads over a prefix of
-        row runs; the rest hold the zeros a padded series would."""
-        out = np.empty(len(x))
-        order = np.lexsort((rows, -self.deg[rows]))
-        for s in range(0, len(x), _CLENSHAW_BLOCK):
-            idx = order[s:s + _CLENSHAW_BLOCK]
-            rb = rows[idx]
-            u = (2.0 * np.log(x[idx]) - self._u_sum[rb]) / self._u_span[rb]
-            two_u = 2.0 * u
-            starts = np.flatnonzero(np.diff(rb, prepend=-1))
-            ends, lens = np.append(starts[1:], len(rb)), np.diff(starts, append=len(rb))
-            runs = np.searchsorted(-self.deg[rb[starts]], -np.arange(self.deg[rb[0]] + 1), "right")
-            b0, b1, t = np.zeros((3, len(idx)))
-            for k in range(len(runs) - 1, -1, -1):
-                q, m = runs[k], ends[runs[k] - 1]
-                np.subtract(np.repeat(self._coef_t[k][rb[starts[:q]]], lens[:q]), b1[:m], out=t[:m])
-                b1[:m] *= two_u[:m]
-                b1[:m] += b0[:m]
-                b0, t = t, b0
-            out[idx] = b0 + b1 * u
-        return out
+        """Each entry's panel series at log x: the panel of its row's normalized
+        variable, then a fixed-degree recurrence on coefficients gathered at
+        the flat index row * _PANELS + panel."""
+        s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
+        p = np.clip(s.astype(np.intp), 0, _PANELS - 1)
+        v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p
+        two_v, b0, b1 = 2.0 * v, np.zeros(len(x)), np.zeros(len(x))
+        for c in self._panels[:0:-1]:
+            b0, b1 = c.take(idx) + two_v * b0 - b1, b0
+        return self._panels[0].take(idx) + v * b0 - b1
 
     def __call__(self, rows, x) -> np.ndarray:
         """Rescaled values at (row, argument) entries; `rows` broadcasts against x."""

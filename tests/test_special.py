@@ -70,6 +70,21 @@ class TestBesselKImag:
         got = kbessel_bank(rs, 1e-3)(np.arange(len(rs)), np.array(xs))[row]
         assert abs(got - expected) < 5e-11 * max(1.0, abs(expected))
 
+    def test_one_row_bank_at_small_x_min_matches_mpmath(self):
+        # the most phase per panel: r = 26.45 on [1e-3, fit_hi]; references
+        # from mpmath.besselk at 40 digits, rescaled by e^{pi r/2}
+        x, want = np.array([
+            (11.569461, -6.371548963650688e-2),
+            (8.856458, -1.791918768235312e-1),
+            (0.001671, -1.162349582918852e-1),
+            (22.198338, 3.988971534273624e-1),
+            (0.001464, 2.740821336752795e-1),
+            (1.100609, 4.782025004486869e-1),
+            (0.493029, -2.810459317505485e-1),
+            (0.002962, 3.522250144413568e-1),
+        ]).T
+        assert np.max(np.abs(kbessel_bank((26.45,), 1e-3)(0, x) - want)) < 1e-11
+
     def test_monotone_decreasing_past_the_turn(self):
         # oscillation lives in x < R; for R <= 1 the sampled window is clean
         for r in (0.0, 0.5, 1.0):

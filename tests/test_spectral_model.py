@@ -146,7 +146,7 @@ class TestKBesselBanks:
         rng = np.random.default_rng(23)
         for bank in (grid.cusp_bank, grid.eisenstein.bank):
             fresh = special.KBesselBank(bank.r, bank.x_min)
-            assert np.array_equal(fresh._coef_t, bank._coef_t)
+            assert np.array_equal(fresh._panels, bank._panels)
             sol = sols[-1]
             seed, x_min = fresh.x_seed, fresh.x_min
             x = np.concatenate((sol.t, [x_min, x_min * (1.0 + 1e-12), seed, seed - 1e-9,
@@ -154,6 +154,63 @@ class TestKBesselBanks:
             rows = rng.integers(0, len(fresh.r), len(x))
             want = np.exp(np.pi * fresh.r[rows] / 2.0 - x) * sol.sol(x)[rows, np.arange(len(x))]
             assert np.array_equal(fresh._dense(rows, x), want)
+
+    # e^{pi r/2} K_{ir}(x) from mpmath.besselk at 40 digits, at seeded rows and
+    # log-uniform x in [2, fit_hi] of the default banks: (row, r, x, value)
+    BANK_REFERENCE = {
+        "cusp": [
+            (1, 12.1730083246798, 24.792255, 4.347674396315854e-5),
+            (2, 13.7797513518907, 39.428279, 3.408909414347494e-10),
+            (3, 14.35850951826, 6.46139, 5.228390762950733e-1),
+            (5, 16.6442592018997, 9.009958, 5.104952520159541e-1),
+            (7, 18.1809178345236, 16.281403, 8.214589561709005e-1),
+            (7, 18.1809178345236, 62.572866, 1.908916081511406e-17),
+            (7, 18.1809178345236, 52.858249, 2.107710661366186e-13),
+            (11, 21.3157959402045, 2.464926, 2.821879561814837e-1),
+            (11, 21.3157959402045, 30.79378, 1.702267424143597e-3),
+            (13, 22.1946739775726, 3.518865, -2.229670372073369e-1),
+            (13, 22.1946739775726, 5.41122, 2.566745850055104e-1),
+            (14, 22.7859084941902, 16.296811, -6.190340579695704e-1),
+            (15, 23.2013961812267, 33.083294, 1.44575609090542e-3),
+            (16, 23.2637115379391, 3.734329, -5.102617418023752e-1),
+            (18, 24.419715442326, 57.086771, 6.334749049602025e-12),
+            (18, 24.419715442326, 7.051328, -4.353442545768885e-1),
+            (18, 24.419715442326, 41.342993, 6.350015675882359e-6),
+            (18, 24.419715442326, 51.277774, 1.207385539441874e-9),
+            (20, 26.152085449222, 4.584323, 3.53647221797945e-1),
+            (21, 26.4469964180473, 3.630893, 4.749233072697795e-1),
+        ],
+        "eisenstein": [
+            (13, 0.9128551652974355, 5.608153, 7.447018979629961e-3),
+            (23, 1.9956531203162582, 4.433859, 1.047862919628611e-1),
+            (25, 2.153380555161531, 30.099491, 5.260708762189056e-13),
+            (47, 3.5420308011747137, 23.659169, 2.735807405516863e-9),
+            (50, 3.887144834702564, 32.642723, 5.195235593317652e-13),
+            (51, 3.9982423227385526, 12.190864, 5.102745535184478e-4),
+            (56, 4.478618542488348, 36.16777, 3.517744143598873e-14),
+            (87, 6.795653120316258, 3.081232, -9.70861799272788e-1),
+            (90, 7.019241136479084, 37.852228, 2.383720928803444e-13),
+            (92, 7.1218872911252875, 6.891315, 8.158250108598633e-1),
+            (102, 7.446619444838469, 7.995631, 5.338211695238551e-1),
+            (113, 8.573366353899356, 33.188202, 1.971307079430434e-10),
+            (113, 8.573366353899356, 23.28221, 2.958061641502247e-6),
+            (125, 9.557714706705008, 2.391595, -8.005249826960521e-1),
+            (126, 9.582733813854322, 4.715918, -7.568837019520133e-1),
+            (134, 9.846619444838469, 45.9268, 3.820653550826481e-15),
+            (140, 10.401757677261445, 2.860925, -7.744693307877075e-1),
+            (140, 10.401757677261445, 23.465803, 2.086031720347129e-5),
+            (144, 10.857969198825286, 5.386477, -4.215648658881119e-1),
+            (159, 11.996716634219377, 7.718559, -4.280863210224688e-1),
+        ],
+    }
+
+    @pytest.mark.parametrize("family", ["cusp", "eisenstein"])
+    def test_bank_values_match_frozen_mpmath_references(self, grid, family):
+        # the panel evaluation callers get, against the Bessel function itself
+        bank = grid.cusp_bank if family == "cusp" else grid.eisenstein.bank
+        rows, r, x, want = (np.array(c) for c in zip(*self.BANK_REFERENCE[family]))
+        assert np.max(np.abs(bank.r[rows] - r)) < 1e-12
+        assert np.max(np.abs(bank(rows, x) - want)) < 1e-11
 
     def test_height_sorted_sums_equal_single_points(self, grid):
         # shuffled points with repeated heights and +-x pairs: each basis
