@@ -19,15 +19,16 @@ fluctuation of the orbit around that mean near rho_B, which the tail term
 cannot see; the boundary-shell warning still flags a ball that is small for
 the requested t.  For the basepoint itself the matrix count by norm factors
 through sums-of-two-squares counts, which makes bounds in the thousands
-(long times) affordable.
+(long times) affordable, and the sum over those counts is a linear
+functional of the kernel: one dot product of a Chebyshev fit with moments
+of the counts that are built once per bound (periodized_oracle_basepoint).
 
-Every sum over distances (the enumerated orbit, the tail quadrature, the
-arithmetic basepoint sum) evaluates the plane kernel through one Chebyshev
-interpolant per call, sampled from the quadrature heat_kernel_plane at a
-few dozen nodes.  It interpolates the smooth ratio of p_t to its envelope
-e^{-rho^2/4t} sqrt(rho/sinh rho), whose only singularities are branch
-points at rho = +-i pi, and takes its degree from the Bernstein ellipse
-through i pi.  On the distances that decide the sums it is within ~1.5e-14
+The other sums over distances (the enumerated orbit, the tail quadrature)
+evaluate the plane kernel through one Chebyshev interpolant per call,
+sampled from the quadrature heat_kernel_plane at a few dozen nodes.  It
+interpolates the smooth ratio of p_t to its envelope e^{-rho^2/4t}
+sqrt(rho/sinh rho), whose only singularities are branch points at
+rho = +-i pi, and takes its degree from the Bernstein ellipse through i pi.  On the distances that decide the sums it is within ~1.5e-14
 of mpmath, where heat_kernel_plane is within ~1e-14, and the bound-25 sums
 at the verify points are within 3e-15 of sums with every orbit point taken
 from mpmath.  The group is enumerated arithmetically: for
@@ -52,7 +53,7 @@ SHELL_TOLERANCE = 1e-4
 T_MIN, T_MAX = 0.2, 10.0
 _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
 _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
-_COUNT_CHUNK = 2 ** 16  # residues m per count block in periodized_oracle_basepoint
+_COUNT_CHUNK = 2 ** 16  # residues m per count block in _count_moments
 
 
 # one eigenvalue solve per rule size and process (~3 ms at 160 nodes); the
@@ -107,6 +108,34 @@ def _envelope(t: float, rho: np.ndarray) -> np.ndarray:
     return np.exp(-r * (r / (4.0 * t) + 0.5)) * np.sqrt(-2.0 * r / np.expm1(-2.0 * r))
 
 
+def _count_weight(rho: np.ndarray) -> np.ndarray:
+    """w = e^{-rho} sqrt(2 rho / (1 - e^{-2 rho})), the t-independent factor
+    of p_t that the basepoint moments carry; 1 at rho = 0."""
+    r = np.maximum(rho, 1e-300)
+    return np.exp(-r) * np.sqrt(-2.0 * r / np.expm1(-2.0 * r))
+
+
+def _bernstein_degree(length: float) -> int:
+    """Nodes at which a Chebyshev series on [0, length] of a function whose
+    nearest singularity is i pi has fallen to e^-38: R^-n with R the radius
+    of the Bernstein ellipse through i pi."""
+    w = -1.0 + 2j * math.pi / length  # i pi in the interpolation variable
+    radius = abs(w - cmath.sqrt(w * w - 1.0))  # the root outside the unit circle
+    return math.ceil(38.0 / math.log(radius)) + 1
+
+
+def _chebyshev_coef(f, length: float, n: int) -> np.ndarray:
+    """Coefficients on [0, length] of the interpolant of f at n Chebyshev points."""
+    theta = (np.arange(n) + 0.5) * math.pi / n  # node rho = L sin^2(theta/2), x = -cos theta
+    nodes = length * np.sin(0.5 * theta) ** 2
+    # T_k(-cos theta) = (-1)^k cos(k theta) directly: the three-term recurrence
+    # behind chebinterpolate loses ~4e-14 at the nodes next to x = -1
+    k = np.arange(n)
+    coef = (2.0 / n) * (-1.0) ** k * (np.cos(np.outer(k, theta)) @ f(nodes))
+    coef[0] *= 0.5
+    return coef
+
+
 def _plane_kernel_fit(t: float, rho_max: float):
     """heat_kernel_plane(t, .) on [0, rho_max] as one Chebyshev interpolant.
 
@@ -119,17 +148,8 @@ def _plane_kernel_fit(t: float, rho_max: float):
     """
     cut = math.sqrt(t * t + 2800.0 * t) - t  # rho^2/4t + rho/2 = 700
     length = min(max(rho_max, 1.0), cut)
-    w = -1.0 + 2j * math.pi / length  # i pi in the interpolation variable
-    radius = abs(w - cmath.sqrt(w * w - 1.0))  # the root outside the unit circle
-    n = math.ceil(38.0 / math.log(radius)) + 1
-    theta = (np.arange(n) + 0.5) * math.pi / n  # node rho = L sin^2(theta/2), x = -cos theta
-    nodes = length * np.sin(0.5 * theta) ** 2
-    q = heat_kernel_plane(t, nodes) / _envelope(t, nodes)
-    # T_k(-cos theta) = (-1)^k cos(k theta) directly: the three-term recurrence
-    # behind chebinterpolate loses ~4e-14 at the nodes next to x = -1
-    k = np.arange(n)
-    coef = (2.0 / n) * (-1.0) ** k * (np.cos(np.outer(k, theta)) @ q)
-    coef[0] *= 0.5
+    coef = _chebyshev_coef(lambda r: heat_kernel_plane(t, r) / _envelope(t, r),
+                           length, _bernstein_degree(length))
     fit = Chebyshev(coef, domain=[0.0, length])
 
     def kernel(rho: np.ndarray) -> np.ndarray:
@@ -141,6 +161,14 @@ def _plane_kernel_fit(t: float, rho_max: float):
     return kernel
 
 
+def _check_bound(bound: float) -> None:
+    """Refuse norm bounds that enumerate nothing or cannot be enumerated."""
+    if not math.isfinite(bound):
+        raise ValueError(f"finite norm bound required, got {bound}")
+    if bound < math.sqrt(2.0):
+        raise ValueError("bound below the identity's norm sqrt(2)")
+
+
 def enumerate_group(bound: float) -> np.ndarray:
     """Integer matrices (a, b, c, d), ad - bc = 1, Frobenius norm <= bound,
     deduplicated by sign (first nonzero entry positive).
@@ -148,8 +176,7 @@ def enumerate_group(bound: float) -> np.ndarray:
     Rows come a by a (a > 0 first, then a = 0), and within one a by b, then
     by c.  For a > 0, a | 1 + bc holds exactly when b is prime to a and
     c = -b^{-1} mod a, so the c of one b form a progression of step a."""
-    if bound < math.sqrt(2.0):
-        raise ValueError("bound below the identity's norm sqrt(2)")
+    _check_bound(bound)
     top = int(math.floor(bound))
     b2 = bound * bound
     rng = np.arange(-top, top + 1)
@@ -213,6 +240,17 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     return 3.0 / math.pi * float(wr @ p @ wt)
 
 
+def _warn_shell(t: float, norm_bound: float, shell_part: float, total: float) -> None:
+    """Warn, at the oracle's caller, when the shell [norm_bound - 1, norm_bound]
+    carries more than SHELL_TOLERANCE of the enumerated sum."""
+    if shell_part > SHELL_TOLERANCE * max(abs(total), 1e-300):
+        warnings.warn(
+            f"boundary shell contributes {shell_part / total:.2e} of the "
+            f"periodized sum at t={t}: norm_bound={norm_bound} is too small",
+            stacklevel=3,
+        )
+
+
 def periodized_oracle(t: float, z: HPoint, norm_bound: float,
                       shell_warning: bool = True) -> float:
     """Sum of plane heat-kernel values over the orbit of i: the elements of
@@ -235,28 +273,28 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     if shell_warning:
         norms2 = a * a + b * b + c * c + d * d
         shell = norms2 >= (norm_bound - 1.0) ** 2
-        shell_part = float(np.sum(vals[shell]))
-        if shell_part > SHELL_TOLERANCE * max(abs(total), 1e-300):
-            warnings.warn(
-                f"boundary shell contributes {shell_part / total:.2e} of the "
-                f"periodized sum at t={t}: norm_bound={norm_bound} is too small",
-                stacklevel=2,
-            )
+        _warn_shell(t, norm_bound, float(np.sum(vals[shell])), total)
     return total + orbit_tail(t, z, norm_bound)
 
 
-def _two_squares_counts(n_max: int) -> np.ndarray:
-    """r2[m] = number of (alpha, beta) in Z^2 with alpha^2 + beta^2 = m."""
-    r2 = np.zeros(n_max + 1, dtype=np.int32)
-    amax = int(math.isqrt(n_max))
-    for alpha in range(amax + 1):
-        rem = n_max - alpha * alpha
-        dmax = int(math.isqrt(rem))
-        d = np.arange(dmax + 1)
-        vals = alpha * alpha + d * d
-        mult = (np.where(d > 0, 2, 1) * (2 if alpha > 0 else 1)).astype(np.int32)
-        np.add.at(r2, vals, mult)
-    return r2
+def _two_squares_counts(n_max: int) -> list[np.ndarray]:
+    """The values of r2(m) = #{(alpha, beta) in Z^2: alpha^2 + beta^2 = m}
+    that the norm counts up to n_max read (_class_counts): r2(m) at index m
+    for m <= (n_max - 2) // 4 + 1, and r2(4j + 1) at index j for
+    4j + 1 <= n_max + 2.  The two int16 tables (r2(m) <= 4 d(m)) take a
+    quarter of the memory of one int32 table up to n_max + 2, and their
+    scatter writes 3/4 as many values into arrays a quarter as long."""
+    tables = []
+    for top, step in (((n_max - 2) // 4 + 1, 1), (n_max + 2, 4)):
+        r2 = np.zeros(top // step + 1, dtype=np.int16)
+        for alpha in range(math.isqrt(top) + 1):
+            # step 4 keeps alpha^2 + d^2 = 1 mod 4: one of alpha, d odd
+            d = np.arange(1 - alpha % 2 if step == 4 else 0,
+                          math.isqrt(top - alpha * alpha) + 1, 2 if step == 4 else 1)
+            # alpha^2 + d^2 is distinct for each d, so a plain scatter adds each count once
+            r2[(alpha * alpha + d * d) // step] += np.where(d > 0, 2, 1) * (2 if alpha > 0 else 1)
+        tables.append(r2)
+    return tables
 
 
 def matrix_counts_by_norm(n_max: int) -> np.ndarray:
@@ -272,44 +310,113 @@ def matrix_counts_by_norm(n_max: int) -> np.ndarray:
     Verified against direct enumeration in the tests.
     """
     counts = np.zeros(n_max + 1, dtype=np.float64)
-    r2 = _two_squares_counts(n_max + 2)
+    r2 = _two_squares_counts(n_max)
     for cls in (2, 3):
         counts[cls::4] = _class_counts(cls, 0, len(counts[cls::4]), r2)
     return counts
 
 
-def _class_counts(cls: int, lo: int, hi: int, r2: np.ndarray) -> np.ndarray:
-    """matrix_counts_by_norm's formula at n = 4m + cls, lo <= m < hi
-    (r2 up to the largest n + 2)."""
-    if cls == 2:
-        return r2[lo + 1:hi + 1].astype(np.float64) * r2[lo:hi]
-    return r2[4 * lo + 5:4 * hi + 5:4].astype(np.float64) * r2[4 * lo + 1:4 * hi + 1:4] / 2.0
+def _class_counts(cls: int, lo: int, hi: int, r2: list[np.ndarray]) -> np.ndarray:
+    """matrix_counts_by_norm's formula at n = 4m + cls, lo <= m < hi, from the
+    tables of _two_squares_counts: r2(m + 1) r2(m) for cls 2, from the first
+    table, and r2(4(m + 1) + 1) r2(4m + 1) / 2 for cls 3, from the second."""
+    table = r2[cls - 2]
+    cnt = table[lo + 1:hi + 1].astype(np.float64) * table[lo:hi]
+    return cnt if cls == 2 else 0.5 * cnt
 
 
-def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
-    """Periodized sum at z = i via arithmetic norm counts.
+def _count_length(n_max: int) -> float:
+    """The interval [0, L] of the basepoint moments: L = acosh(n_max / 2), at least 1."""
+    return max(math.acosh(n_max / 2.0), 1.0)
 
-    At the basepoint cosh d(i, gamma i) = ||gamma||_F^2 / 2 is half an
-    integer, so the enumerated sum is sum_n count(n) p_t(acosh(n/2)) / 2,
-    taken over the residue classes n = 4m + 2 and 4m + 3 in blocks of m.
-    The same plane-kernel interpolant and orbit_tail as periodized_oracle
-    complete it, so this is the same answer as
-    periodized_oracle(t, i, norm_bound), but bounds in the thousands run in
-    seconds.
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows z^0, ..., z^(count - 1), by repeated products."""
+    out = np.empty((count, len(z)), dtype=z.dtype)
+    out[0] = 1.0
+    for j in range(1, count):
+        np.multiply(out[j - 1], z, out=out[j])
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _count_moments(n_max: int, shell_lo: int, size: int) -> np.ndarray:
+    """Chebyshev moments of the norm counts on [0, _count_length(n_max)].
+
+    Row 0 holds mu_k = sum_n count(n) w(rho_n) T_k(x_n) / 2 over n <= n_max,
+    row 1 the same over shell_lo <= n <= n_max, for k < size, with
+    cosh rho_n = n/2, x_n = 2 rho_n / L - 1 = cos theta_n and w = _count_weight.
+    One pass over the residue classes n = 4m + 2 and 4m + 3 in blocks of m.
+    T_k(x) = Re e^{ik theta} with k = aB + b (B ~ sqrt(size)) is the product
+    of e^{iaB theta} and e^{ib theta}, each at most B repeated products, so
+    every block is one matrix product and T_k stays within ~B ulps.  (The
+    three-term recurrence in k put the bound-1000 sums up to 1e-14 off at
+    t <= 0.5.)  The sums-of-two-squares tables live only in this call.
     """
-    if not (T_MIN <= t <= T_MAX):
-        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
-    n_max = int(math.floor(norm_bound * norm_bound))
-    kernel = _plane_kernel_fit(t, float(np.arccosh(n_max / 2.0)))
-    r2 = _two_squares_counts(n_max + 2)
-    total = 0.0
+    length = _count_length(n_max)
+    r2 = _two_squares_counts(n_max)
+    block = 1 << (size.bit_length() // 2)
+    mu = np.zeros((2, size))
     for cls in (2, 3):
         m_top = (n_max - cls) // 4 + 1
         for lo in range(0, m_top, _COUNT_CHUNK):
             hi = min(lo + _COUNT_CHUNK, m_top)
             cnt = _class_counts(cls, lo, hi, r2)
             live = np.flatnonzero(cnt)
-            rho = np.arccosh((4.0 * (lo + live) + cls) / 2.0)
-            total += float(cnt[live] @ kernel(rho))
-    # 0.5: sign dedupe
-    return 0.5 * total + orbit_tail(t, HPoint(0.0, 1.0), norm_bound)
+            n = 4.0 * (lo + live) + cls
+            rho = np.arccosh(n / 2.0)
+            cw = 0.5 * cnt[live] * _count_weight(rho)  # 0.5: sign dedupe
+            # e^{i theta}: cos theta = x, sin theta = 2 sqrt(rho (L - rho)) / L
+            step = (2.0 * rho - length
+                    + 2j * np.sqrt(rho * np.maximum(length - rho, 0.0))) / length
+            inner = _powers(step, block)
+            terms = _powers(inner[-1] * step, size // block) * cw
+            shell = np.searchsorted(n, shell_lo)  # n ascends: the shell is a suffix
+            mu[0] += (terms @ inner.T).real.ravel()
+            mu[1] += (terms[:, shell:] @ inner[:, shell:].T).real.ravel()
+    mu.setflags(write=False)
+    return mu
+
+
+def periodized_oracle_basepoint(t: float, norm_bound: float,
+                                shell_warning: bool = True) -> float:
+    """Periodized sum at z = i via arithmetic norm counts.
+
+    At the basepoint cosh d(i, gamma i) = ||gamma||_F^2 / 2 is half an
+    integer, so the enumerated sum is sum_n count(n) p_t(rho_n) / 2,
+    cosh rho_n = n/2.  Write p_t = w h_t with the t-independent weight
+    w = _count_weight; h_t = p_t / w is smooth on [0, L], L = acosh(n_max/2).
+    With h_t = sum_k c_k T_k as a Chebyshev interpolant the sum is c @ mu,
+    where the moments mu (_count_moments) depend on the bound alone and are
+    cached per bound and moment count (64 or the next power of two above the
+    degree).  So a repeated call costs one fit of h_t (at most 165
+    heat_kernel_plane nodes at bound 3000), one dot product and orbit_tail.
+
+    The degree is the larger of the Bernstein-ellipse degree of the ratio
+    that _plane_kernel_fit interpolates (branch points at +-i pi) and the
+    degree at which the Chebyshev series of e^{-rho^2/4t} on [0, L] has
+    fallen to e^-38: 60 for t >= 2 and 165 at T_MIN, at bound 3000.  The
+    weight e^{-rho} balances two growths.  h_t = q e^{rho/2 - rho^2/4t}
+    stays within e^{t/4} of the ratio q, and the moments, sums of
+    count(n) w(rho_n), grow only like log n_max (mu_0 = 183 at bound 3000),
+    where e^{-rho/2} would let them grow like the bound.  At bounds 25, 60
+    and 1000 and t in [T_MIN, T_MAX] the result is within 7e-15 of
+    heat_kernel_plane summed over the same counts.  orbit_tail completes
+    the sum, so this is the same answer as periodized_oracle(t, i,
+    norm_bound), with the same boundary-shell warning.
+    """
+    if not (T_MIN <= t <= T_MAX):
+        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
+    _check_bound(norm_bound)
+    n_max = int(math.floor(norm_bound * norm_bound))
+    length = _count_length(n_max)
+    # e^{-rho^2/4t} = e^{-a (1 + x)^2} on [-1, 1], a = L^2/16t
+    gauss = math.ceil(2.0 * math.sqrt(2.0 * 38.0 * length * length / (16.0 * t))) + 8
+    n = max(_bernstein_degree(length), gauss)
+    mu = _count_moments(n_max, math.ceil((norm_bound - 1.0) ** 2),
+                        max(64, 1 << (n - 1).bit_length()))
+    coef = _chebyshev_coef(lambda r: heat_kernel_plane(t, r) / _count_weight(r), length, n)
+    total, shell_part = (float(v) for v in mu[:, :n] @ coef)
+    if shell_warning:
+        _warn_shell(t, norm_bound, shell_part, total)
+    return total + orbit_tail(t, HPoint(0.0, 1.0), norm_bound)

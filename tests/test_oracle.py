@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from autoheat import oracle
 from autoheat.hyperbolic import HPoint, cosh_distance
 from autoheat.oracle import (
     _PLANE_BLOCK,
@@ -34,6 +35,14 @@ def _plane_kernel_mpmath(t: float, rho: float) -> float:
         bends = [mpmath.sqrt(rho), 10 * mpmath.sqrt(rho)] if 0 < rho < 0.01 else []
         val = mpmath.quad(integrand, [0, *bends, 1, 3, 8, mpmath.inf])
         return float(mpmath.sqrt(2) * mpmath.exp(-t / 4) / (4 * mpmath.pi * t) ** 1.5 * val)
+
+
+def _count_quadrature(t: float, bound: int) -> float:
+    """The basepoint sum with heat_kernel_plane at every distance of the counts."""
+    counts = matrix_counts_by_norm(bound * bound)
+    n = np.flatnonzero(counts)
+    direct = 0.5 * float(counts[n] @ heat_kernel_plane(t, np.arccosh(n / 2.0)))
+    return direct + orbit_tail(t, HPoint(0.0, 1.0), bound)
 
 
 def _enumerate_group_grid(bound: float) -> np.ndarray:
@@ -183,17 +192,53 @@ class TestPeriodizedOracle:
     def test_fast_basepoint_path_matches_enumeration(self):
         for t in (0.5, 2.0, 8.0):
             direct = periodized_oracle(t, HPoint(0.0, 1.0), 25.0, shell_warning=False)
-            fast = periodized_oracle_basepoint(t, 25.0)
+            fast = periodized_oracle_basepoint(t, 25.0, shell_warning=False)
             assert abs(direct - fast) < 1e-11 * abs(direct)
 
-    @pytest.mark.parametrize("t", [0.5, 4.0])
+    @pytest.mark.parametrize("t", [0.2, 0.5, 4.0, 10.0])
     def test_basepoint_path_equals_quadrature_over_the_same_counts(self, t):
-        bound = 1000
-        counts = matrix_counts_by_norm(bound * bound)
-        n = np.flatnonzero(counts)
-        direct = 0.5 * float(counts[n] @ heat_kernel_plane(t, np.arccosh(n / 2.0)))
-        direct += orbit_tail(t, HPoint(0.0, 1.0), bound)
-        assert abs(periodized_oracle_basepoint(t, bound) - direct) < 1e-13 * direct
+        direct = _count_quadrature(t, 1000)
+        fast = periodized_oracle_basepoint(t, 1000, shell_warning=False)  # warns at t = 10
+        assert abs(fast - direct) < 1e-13 * direct
+
+    def test_basepoint_moments_cached_per_degree(self, monkeypatch):
+        builds = []
+        table = oracle._two_squares_counts
+        monkeypatch.setattr(oracle, "_two_squares_counts",
+                            lambda n: builds.append(n) or table(n))
+        oracle._count_moments.cache_clear()
+        bound = 1500
+        first = periodized_oracle_basepoint(4.0, bound)
+        periodized_oracle_basepoint(8.0, bound)
+        again = periodized_oracle_basepoint(4.0, bound)
+        assert len(builds) == 1  # t = 4 and t = 8 share the 64 moments
+        assert again == first
+        short = periodized_oracle_basepoint(0.2, bound)  # needs 256 moments
+        assert len(builds) == 2
+        direct = _count_quadrature(0.2, bound)
+        assert abs(short - direct) < 1e-13 * direct
+
+    @pytest.mark.parametrize("bound", [1.0, math.sqrt(2.0) - 1e-9])
+    def test_basepoint_refuses_bounds_below_the_identity(self, bound):
+        with pytest.raises(ValueError, match=r"identity's norm sqrt\(2\)"):
+            periodized_oracle_basepoint(0.5, bound)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_basepoint_refuses_non_finite_bounds(self, bound):
+        with pytest.raises(ValueError, match="finite norm bound"):
+            periodized_oracle_basepoint(0.5, bound)
+        with pytest.raises(ValueError, match="finite norm bound"):
+            enumerate_group(bound)
+
+    def test_basepoint_shell_warning_matches_enumeration(self):
+        with pytest.warns(UserWarning, match="boundary shell") as fast:
+            periodized_oracle_basepoint(2.0, 25.0)
+        with pytest.warns(UserWarning, match="boundary shell") as enumerated:
+            periodized_oracle(2.0, HPoint(0.0, 1.0), 25.0)
+        assert str(fast[0].message) == str(enumerated[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            periodized_oracle_basepoint(2.0, 25.0, shell_warning=False)
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 2.0, 8.0])
     def test_continuous_at_the_basepoint(self, t):
@@ -262,6 +307,6 @@ class TestOrbitTail:
         shell = 0.5 * float(counts[live] @ heat_kernel_plane(t, np.arccosh(n[live] / 2.0)))
         z = HPoint(0.0, 1.0)
         predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
-        total = periodized_oracle_basepoint(t, outer)
+        total = periodized_oracle_basepoint(t, outer, shell_warning=False)
         # far from the ball the count fluctuation is ~1e-6 of the total
         assert abs(shell - predicted) < 1e-5 * total
