@@ -400,10 +400,11 @@ def periodized_oracle_basepoint(t: float, norm_bound: float,
     stays within e^{t/4} of the ratio q, and the moments, sums of
     count(n) w(rho_n), grow only like log n_max (mu_0 = 183 at bound 3000),
     where e^{-rho/2} would let them grow like the bound.  At bounds 25, 60
-    and 1000 and t in [T_MIN, T_MAX] the result is within 7e-15 of
-    heat_kernel_plane summed over the same counts.  orbit_tail completes
-    the sum, so this is the same answer as periodized_oracle(t, i,
-    norm_bound), with the same boundary-shell warning.
+    and 1000 and t in {0.2, 0.5, 1, 2, 4, 8, 10} the result is within 6e-15
+    of heat_kernel_plane summed over the same counts, at bound 3000 and t in
+    {0.2, 0.5, 4, 8} within 3e-15.  orbit_tail completes the sum, so this
+    is the same answer as periodized_oracle(t, i, norm_bound), with the same
+    boundary-shell warning.
     """
     if not (T_MIN <= t <= T_MAX):
         raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
