@@ -28,12 +28,13 @@ evaluate the plane kernel through one Chebyshev interpolant per call,
 sampled from the quadrature heat_kernel_plane at a few dozen nodes.  It
 interpolates the smooth ratio of p_t to its envelope e^{-rho^2/4t}
 sqrt(rho/sinh rho), whose only singularities are branch points at
-rho = +-i pi, and takes its degree from the Bernstein ellipse through i pi.  On the distances that decide the sums it is within ~1.5e-14
-of mpmath, where heat_kernel_plane is within ~1e-14, and the bound-25 sums
-at the verify points are within 3e-15 of sums with every orbit point taken
-from mpmath.  The group is enumerated arithmetically: for
-each a the b prime to a fix c = -b^{-1} mod a, so c runs through a
-progression of step a and d = (1 + bc)/a, O(B^2 log B) work at bound B.
+rho = +-i pi, and takes its degree from the Bernstein ellipse through i pi.
+On the distances that decide the sums it is within ~1.5e-14 of mpmath,
+where heat_kernel_plane is within ~1e-14, and the bound-25 sums at the
+verify points are within 3e-15 of sums with every orbit point taken from
+mpmath.  The group is enumerated arithmetically: for each a the b prime to
+a fix c = -b^{-1} mod a, so c runs through a progression of step a and
+d = (1 + bc)/a, O(B^2 log B) work at bound B.
 """
 
 from __future__ import annotations
@@ -282,17 +283,25 @@ def _two_squares_counts(n_max: int) -> list[np.ndarray]:
     that the norm counts up to n_max read (_class_counts): r2(m) at index m
     for m <= (n_max - 2) // 4 + 1, and r2(4j + 1) at index j for
     4j + 1 <= n_max + 2.  The two int16 tables (r2(m) <= 4 d(m)) take a
-    quarter of the memory of one int32 table up to n_max + 2, and their
-    scatter writes 3/4 as many values into arrays a quarter as long."""
+    quarter of the memory of one int32 table up to n_max + 2.  The scatter
+    visits the lattice points 0 <= alpha <= d of one octant of the disc and
+    adds each with its images under sign changes and the swap alpha <-> d:
+    one point at the origin, four on the axes and the diagonal, eight
+    elsewhere."""
     tables = []
     for top, step in (((n_max - 2) // 4 + 1, 1), (n_max + 2, 4)):
         r2 = np.zeros(top // step + 1, dtype=np.int16)
-        for alpha in range(math.isqrt(top) + 1):
-            # step 4 keeps alpha^2 + d^2 = 1 mod 4: one of alpha, d odd
-            d = np.arange(1 - alpha % 2 if step == 4 else 0,
-                          math.isqrt(top - alpha * alpha) + 1, 2 if step == 4 else 1)
+        sq = np.arange(math.isqrt(top) + 1) ** 2
+        if step == 1:
+            r2[0] = 1
+            r2[2 * sq[1:math.isqrt(top // 2) + 1]] += 4  # 0 < alpha = d
+        # step 4 keeps alpha^2 + d^2 = 1 mod 4: alpha and d of opposite parity
+        stride = 2 if step == 4 else 1
+        r2[sq[1::stride] // step] += 4  # 0 = alpha < d
+        for alpha in range(1, math.isqrt(top // 2) + 1):  # 0 < alpha < d
+            d_sq = sq[alpha + 1:math.isqrt(top - alpha * alpha) + 1:stride]
             # alpha^2 + d^2 is distinct for each d, so a plain scatter adds each count once
-            r2[(alpha * alpha + d * d) // step] += np.where(d > 0, 2, 1) * (2 if alpha > 0 else 1)
+            r2[(alpha * alpha + d_sq) // step] += 8
         tables.append(r2)
     return tables
 
@@ -378,8 +387,7 @@ def _count_moments(n_max: int, shell_lo: int, size: int) -> np.ndarray:
     return mu
 
 
-def periodized_oracle_basepoint(t: float, norm_bound: float,
-                                shell_warning: bool = True) -> float:
+def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     """Periodized sum at z = i via arithmetic norm counts.
 
     At the basepoint cosh d(i, gamma i) = ||gamma||_F^2 / 2 is half an
@@ -418,6 +426,5 @@ def periodized_oracle_basepoint(t: float, norm_bound: float,
                         max(64, 1 << (n - 1).bit_length()))
     coef = _chebyshev_coef(lambda r: heat_kernel_plane(t, r) / _count_weight(r), length, n)
     total, shell_part = (float(v) for v in mu[:, :n] @ coef)
-    if shell_warning:
-        _warn_shell(t, norm_bound, shell_part, total)
+    _warn_shell(t, norm_bound, shell_part, total)
     return total + orbit_tail(t, HPoint(0.0, 1.0), norm_bound)

@@ -189,16 +189,18 @@ class TestPeriodizedOracle:
         with pytest.raises(ValueError):
             periodized_oracle(11.0, HPoint(0.0, 1.0), 10.0)
 
+    @pytest.mark.filterwarnings("ignore:boundary shell")
     def test_fast_basepoint_path_matches_enumeration(self):
         for t in (0.5, 2.0, 8.0):
             direct = periodized_oracle(t, HPoint(0.0, 1.0), 25.0, shell_warning=False)
-            fast = periodized_oracle_basepoint(t, 25.0, shell_warning=False)
+            fast = periodized_oracle_basepoint(t, 25.0)
             assert abs(direct - fast) < 1e-11 * abs(direct)
 
+    @pytest.mark.filterwarnings("ignore:boundary shell")  # t = 10 warns
     @pytest.mark.parametrize("t", [0.2, 0.5, 4.0, 10.0])
     def test_basepoint_path_equals_quadrature_over_the_same_counts(self, t):
         direct = _count_quadrature(t, 1000)
-        fast = periodized_oracle_basepoint(t, 1000, shell_warning=False)  # warns at t = 10
+        fast = periodized_oracle_basepoint(t, 1000)
         assert abs(fast - direct) < 1e-13 * direct
 
     def test_basepoint_moments_cached_per_degree(self, monkeypatch):
@@ -233,9 +235,6 @@ class TestPeriodizedOracle:
         with pytest.warns(UserWarning, match="boundary shell") as enumerated:
             periodized_oracle(2.0, HPoint(0.0, 1.0), 25.0)
         assert str(fast[0].message) == str(enumerated[0].message)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            periodized_oracle_basepoint(2.0, 25.0, shell_warning=False)
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 2.0, 8.0])
     def test_continuous_at_the_basepoint(self, t):
@@ -296,6 +295,7 @@ class TestOrbitTail:
             predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
             assert abs(shell - predicted) < 1e-3 * total
 
+    @pytest.mark.filterwarnings("ignore:boundary shell")
     def test_tail_difference_matches_arithmetic_counts_long_time(self):
         t, inner, outer = 8.0, 160, 1000
         counts = matrix_counts_by_norm(outer * outer)
@@ -304,6 +304,6 @@ class TestOrbitTail:
         shell = 0.5 * float(counts[live] @ heat_kernel_plane(t, np.arccosh(n[live] / 2.0)))
         z = HPoint(0.0, 1.0)
         predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
-        total = periodized_oracle_basepoint(t, outer, shell_warning=False)
+        total = periodized_oracle_basepoint(t, outer)
         # far from the ball the count fluctuation is ~1e-6 of the total
         assert abs(shell - predicted) < 1e-5 * total
