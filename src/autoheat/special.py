@@ -6,21 +6,25 @@ parameter R and argument x < R the function oscillates with an overall
 exponentially small envelope e^{-pi R/2}, so the exponentially rescaled
 value e^{pi R/2} K_{iR}(x) is what every caller actually wants.  A direct
 quadrature of the cosh integral loses all relative accuracy in that regime
-(the integrand is O(1) while the answer is O(e^{-pi R/2})), so below the
-monotone region we continue the solution of the modified Bessel ODE inward
-from a quadrature-seeded starting point.
+(the integrand is O(1) while the answer is O(e^{-pi R/2})), so the integral
+is taken on the steepest-descent path of e^{-x cosh t + iRt} instead, where
+after the rescaling nothing cancels beyond an O(1) oscillation (Gil, Segura
+& Temme, J. Comput. Phys. 175, 2002; Booker, Stroembergsson & Then, LMS J.
+Comput. Math. 16, 2013).  A bank fits that quadrature once per spectral
+family and serves it by piecewise Chebyshev series.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gamma as complex_gamma
+from numpy.polynomial.legendre import leggauss
 
-# B_2 .. B_16, the even Bernoulli numbers used by the Euler-Maclaurin tail.
+# B_2 .. B_16, the even Bernoulli numbers used by the Euler-Maclaurin tail
+# and the Stirling series.
 _BERNOULLI_EVEN = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -33,6 +37,7 @@ _BERNOULLI_EVEN = (
 )
 
 ZETA_LINE_T_MAX = 100.0
+_STIRLING_RE_MIN = 16.0  # the Stirling series is summed at Re z >= this
 
 
 def zeta_euler_maclaurin(s: complex, n_terms: int = 100, tail_terms: int = 8) -> complex:
@@ -73,10 +78,24 @@ def zeta_line(t: float) -> complex:
     return zeta_euler_maclaurin(complex(1.0, t))
 
 
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z) for Re z > 0 (not the principal branch): the
+    recurrence up to Re z >= 16, then Stirling's series with 8 Bernoulli terms,
+    whose first omitted term is below 1e-21 there."""
+    shift = max(0, math.ceil(_STIRLING_RE_MIN - z.real))
+    w = z + shift
+    prod = complex(1.0)
+    for k in range(shift):
+        prod *= z + k
+    series = sum(b / ((2 * k + 2) * (2 * k + 1) * w ** (2 * k + 1))
+                 for k, b in enumerate(_BERNOULLI_EVEN))
+    return (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series - cmath.log(prod)
+
+
 def xi_line(r: float) -> complex:
     """Completed zeta xi(1 + 2ir) = pi^{-s/2} Gamma(s/2) zeta(s) at s = 1 + 2ir."""
     s = complex(1.0, 2.0 * r)
-    return np.pi ** (-s / 2) * complex_gamma(s / 2) * zeta_euler_maclaurin(s)
+    return cmath.exp(_log_gamma(s / 2) - s / 2 * math.log(math.pi)) * zeta_euler_maclaurin(s)
 
 
 def scattering_phase(r: float) -> complex:
@@ -96,84 +115,155 @@ def scattering_phase(r: float) -> complex:
 # K_{iR}(x)
 # ---------------------------------------------------------------------------
 
-_QUAD_DECAY = 45.0  # integrate until x*(cosh u - 1) exceeds this
+_PATH_NODES = 48  # Gauss-Legendre nodes on the steepest-descent leg
+_PATH_DECAY = 40.0  # that leg ends where its integrand has fallen by e^-40
+_QUAD_ELEMENTS = 2 ** 14  # (entry, node) pairs per quadrature pass: bounds its arrays
+_X_MIN = 1e-3  # smallest argument bessel_k_imag answers for
 _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
 
 
-def _kbessel_quad_scaled(r: float, x: np.ndarray, want_derivative: bool = False):
-    """e^x K_{iR}(x) (and optionally its x-derivative's companion) by quadrature.
+@functools.lru_cache(maxsize=None)
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    t, w = leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
 
-    Computes J(x) = integral_0^inf exp(-x(cosh u - 1)) cos(R u) du, so that
-    K_{iR}(x) = e^{-x} J(x).  The rescaling keeps the integrand O(1).  Only
-    reliable in a relative sense for x >= R + O(10); used as the ODE seed and
-    for the monotone region.  Trapezoid steps are halved until two successive
-    levels agree.
+
+def _gauss_sum(n: int, entries: np.ndarray, integrand) -> np.ndarray:
+    """Per entry, the n-point Gauss-Legendre sum on [0, 1] of integrand(entries, t),
+    in passes of at most _QUAD_ELEMENTS (entry, node) pairs."""
+    t, w = _gauss(n)
+    step = max(1, _QUAD_ELEMENTS // n)
+    return np.concatenate([integrand(entries[a:a + step], t) @ w
+                           for a in range(0, len(entries), step)])
+
+
+def _sinh_ratio_root(log_rho: np.ndarray) -> np.ndarray:
+    """The sigma > 0 with sinh(sigma)/sigma = rho, given log rho > 0.
+
+    Newton on log(sinh sigma / sigma), which is convex and at most sigma^2/6,
+    from sqrt(6 log rho): the first step overshoots, the rest descend."""
+    s = np.sqrt(6.0 * log_rho)
+    for _ in range(10):
+        slope = np.where(s < 1e-3, s / 3.0, 1.0 / np.tanh(s) - 1.0 / s)
+        s = s - (np.log(np.sinh(s) / s) - log_rho) / slope
+    return s
+
+
+def _path_exponent(r, s1, v, p, q, ch):
+    """f = Re(-x cosh t + irt) + pi r/2 on the steepest-descent path at
+    sigma = s1 + v, t = sigma + i tau, where x sinh(sigma) sin(tau) = r sigma
+    keeps Im(-x cosh t + irt) at 0.  The caller passes p = x sinh s1,
+    q = x cosh s1 - r and ch = x cosh s1, so that d = x sinh(sigma) - r sigma
+    is a sum of nonnegative terms.  With c = x sinh(sigma) cos(tau) / sigma,
+    f = r (pi/2 - tau) - c sigma coth(sigma).  Returns f, sigma and c."""
+    sigma = s1 + v
+    d = p * (np.cosh(v) - 1.0) + q * v + ch * (np.sinh(v) - v)
+    d /= sigma
+    c = np.sqrt(d * (d + 2.0 * r))
+    return r * np.arctan2(c, r) - c * sigma / np.tanh(sigma), sigma, c
+
+
+def kbessel_quad(r, x) -> np.ndarray:
+    """e^{pi r/2} K_{ir}(x) by quadrature on the steepest-descent path of
+    e^{-x cosh t + irt}, elementwise over broadcast r and x > 0.
+
+    K_{ir}(x) is the real part of that integral over t in [0, inf).  For x < r
+    the contour rises to i pi/2, runs along Im t = pi/2 to s1 + i pi/2 with
+    sinh(s1)/s1 = r/x, where the phase is back at 0, and leaves along the
+    steepest-descent path; for x >= r it rises to the saddle i arcsin(r/x)
+    and leaves along the same path.  The rising legs add only imaginary
+    parts.  After the rescaling the segment integrand is
+    cos(r sigma - x sinh sigma), O(1), and the path integrand is real,
+    positive and decreasing, so nothing cancels beyond the O(1) oscillation.
+    Against 40-digit mpmath.besselk the absolute error is ~2e-14 for x >= 0.5
+    and ~1e-13 down to x = 1e-3 (r <= 40), where the phase r sigma reaches
+    ~350.  Values below ~1e-308 underflow to 0.
     """
-    x = np.asarray(x, dtype=float)
-    xmin = float(np.min(x))
-    if xmin <= 0.0:
+    r, x = np.broadcast_arrays(np.abs(np.asarray(r, dtype=float)), np.asarray(x, dtype=float))
+    if np.any(x <= 0.0):
         raise ValueError("argument of K_{iR} must be positive")
-    u_max = math.acosh(1.0 + _QUAD_DECAY / xmin)
-    # Initial step: resolve both the cos(R u) oscillation and the envelope.
-    n = 256
-    while n * 0.35 < u_max * (8.0 + r):
-        n *= 2
-    xcol = x[:, None]
+    shape, r, x = x.shape, r.ravel(), x.ravel()
+    osc = x < r
+    s1 = np.zeros(len(x))
+    s1[osc] = _sinh_ratio_root(np.log(r[osc] / x[osc]))
+    p, ch = x * np.sinh(s1), x * np.cosh(s1)
+    q = ch - r
+    # where x >= r the path starts at the saddle t = i arcsin(r/x), below 0
+    c0 = np.sqrt(np.maximum(x - r, 0.0) * (x + r))
+    f0 = np.where(osc, 0.0, r * np.arctan2(c0, r) - c0)
+    # the leg is sigma = s1 + u^2 for u in [0, u_end], f(u_end) = f0 - decay.
+    # Once sin(tau) <= 1/2 and x cosh(sigma) >= 2 (pi r/2 - f0 + decay) the
+    # drop G = f0 - f exceeds the decay; Newton on log G in log u descends from
+    # there, with dG/du = 2u (a^2 + b^2)/a, a = sigma c, b = r (sigma coth sigma - 1)
+    hi = np.arccosh(np.maximum(1.0, 2.0 * (0.5 * math.pi * r - f0 + _PATH_DECAY) / x))
+    half = 2.0 * r > x
+    hi[half] = np.maximum(hi[half], _sinh_ratio_root(np.log(2.0 * r[half] / x[half])))
+    u = np.sqrt(hi - s1)
+    for _ in range(3):
+        f, sigma, c = _path_exponent(r, s1, u * u, p, q, ch)
+        a, b = sigma * c, r * (sigma / np.tanh(sigma) - 1.0)
+        drop = np.maximum(f0 - f, 1.0)
+        u = u * np.exp(-np.log(drop / _PATH_DECAY) * drop * a / (2.0 * u * u * (a * a + b * b)))
 
-    def level(npts: int) -> np.ndarray:
-        u = np.linspace(0.0, u_max, npts + 1)
-        ch = np.cosh(u) - 1.0
-        f = np.exp(-xcol * ch[None, :]) * np.cos(r * u)[None, :]
-        w = np.full(npts + 1, u_max / npts)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return f @ w
+    def path(j, t):
+        uu = u[j, None] * t
+        f = _path_exponent(r[j, None], s1[j, None], uu * uu, p[j, None], q[j, None], ch[j, None])[0]
+        return np.exp(f) * uu
 
-    val = level(n)
-    for _ in range(6):
-        n *= 2
-        new = level(n)
-        if np.max(np.abs(new - val)) <= 1e-13 * max(1.0, float(np.max(np.abs(new)))):
-            val = new
-            break
-        val = new
-    if not want_derivative:
-        return val
-    # J'(x) = -integral (cosh u - 1) e^{-x(cosh u - 1)} cos(Ru) du
-    u = np.linspace(0.0, u_max, n + 1)
-    ch = np.cosh(u) - 1.0
-    w = np.full(n + 1, u_max / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    dval = -(np.exp(-xcol * ch[None, :]) * (ch * np.cos(r * u))[None, :]) @ w
-    return val, dval
+    out = 2.0 * u * _gauss_sum(_PATH_NODES, np.arange(len(x)), path)
+    if not np.any(osc):
+        return out.reshape(shape)
+    # the segment sigma in [0, s1] of Im t = pi/2, integrand cos(r sigma -
+    # x sinh sigma), split at the stationary point s* = arccosh(r/x): below it
+    # in sigma (|phase'| <= r), above it in w = x sinh sigma, where the
+    # integrand is cos(r asinh(w/x) - w)/sqrt(x^2 + w^2) and |phase'| <= 1
+    e = np.where(osc, r - x, 0.0) / x
+    s_star = np.log1p(e + np.sqrt(e * (e + 2.0)))
+    w_star, w_end = np.sqrt(np.maximum(r - x, 0.0) * (r + x)), r * s1
+
+    def below(j, t):
+        s = s_star[j, None] * t
+        return s_star[j, None] * np.cos(r[j, None] * s - x[j, None] * np.sinh(s))
+
+    def above(j, t):
+        xj, span = x[j, None], (w_end - w_star)[j, None]
+        w = w_star[j, None] + span * t
+        h = np.sqrt(xj * xj + w * w)
+        return span * np.cos(r[j, None] * np.log((w + h) / xj) - w) / h
+
+    # nodes: half the phase each leg would sweep at its fastest, plus 24, in steps of 8
+    i = np.flatnonzero(osc)
+    for sweep, integrand in (((r - x)[i] * s_star[i], below),
+                             ((w_end - w_star)[i] * (1.0 - np.tanh(s1[i]) / s1[i]), above)):
+        n_nodes = 8 * np.ceil((sweep / 2.0 + 24.0) / 8.0)
+        for n in np.unique(n_nodes):
+            j = i[n_nodes == n]
+            out[j] += _gauss_sum(int(n), j, integrand)
+    return out.reshape(shape)
 
 
 class KBesselBank:
     """e^{pi r/2} K_{ir}(x) on x >= x_min for every r of a spectral family.
 
-    Row j holds r_j.  Past the turning-point region the quadrature answers
-    directly.  Below it, w(x) = e^x K_{ir}(x) solves
-    x^2 w'' + x(1 - 2x) w' + (r^2 - x) w = 0, and all rows are integrated
-    inward as one stacked 2n-dimensional system from the shared quadrature
-    seed x_seed = max r + 50.  Each row's rescaled value e^{pi r/2 - x} w(x)
-    is fitted by its own Chebyshev series in log x on [x_min, fit_hi(r)] and
-    re-expanded onto fixed panels; evaluation is one degree-16 Clenshaw pass
-    over flat (row, argument) entries, O(1) values with absolute accuracy ~1e-11.
+    Row j holds r_j.  Each row is fitted from kbessel_quad at its own
+    first-kind Chebyshev nodes in log x on [x_min, fit_hi(r)]: one global
+    series per row, whose coefficients come from a cosine transform, checked
+    against the quadrature at 257 probes and re-expanded onto fixed panels.
+    Evaluation is one degree-16 Clenshaw pass over flat (row, argument)
+    entries, O(1) values with absolute accuracy ~1e-13; past fit_hi, where
+    the value has decayed, the quadrature answers directly.  Rows do not
+    depend on each other.
     """
 
     def __init__(self, rs, x_min: float = 1e-3):
         self.r = np.abs(np.asarray(rs, dtype=float).reshape(-1))  # K_{ir} is even in r
         self.x_min = float(x_min)
-        self.x_seed = float(np.max(self.r, initial=0.0)) + 50.0
         # past fit_hi the value has decayed to where the quadrature answers directly
         self.fit_hi = np.minimum(self.r + 50.0, np.pi * self.r / 2.0 + 45.0)
         if np.any(self.x_min >= self.fit_hi):
             raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
-        # the interpolant's absolute floor (~1e-12) keeps relative accuracy only
-        # until the value decays; `accurate` takes the dense ODE output there
-        self._split = np.minimum(np.pi * self.r / 2.0 + 5.0, self.fit_hi)
         # interpolate in u = log x: near zero the rescaled Bessel is a clean
         # cosine of u, and the e^{-x} roll-off stays resolvable
         u_lo = math.log(self.x_min)
@@ -187,80 +277,38 @@ class KBesselBank:
 
     def _fit(self, u_lo: float, u_hi: np.ndarray) -> None:
         n = len(self.r)
-        seeds = [_kbessel_quad_scaled(r, np.array([self.x_seed]), want_derivative=True)
-                 for r in self.r]
-        y0 = np.array([float(s[i][0]) for i in (0, 1) for s in seeds])  # w' = J'
-        r2 = self.r * self.r
-
-        def rhs(x, y):
-            w, wp = y[:n], y[n:]
-            return np.concatenate((wp, -((1.0 - 2.0 * x) * wp / x + (r2 - x) * w / (x * x))))
-
-        sol = solve_ivp(rhs, (self.x_seed, self.x_min), y0, method="DOP853",
-                        dense_output=True, rtol=1e-12, atol=1e-280)
-        if not sol.success:
-            raise RuntimeError(f"K-Bessel ODE continuation failed: {sol.message}")
-        # keep each row's own w component of the DOP853 interpolants and the
-        # segment search of scipy's OdeSolution; the 2n-wide solution goes
-        dense = sol.sol
-        ips = dense.interpolants
-        self._F = np.stack([ip.F[:, :n] for ip in ips], axis=1)  # (power, segment, row)
-        self._y_old = np.stack([ip.y_old[:n] for ip in ips])
-        self._t_old = np.array([ip.t_old for ip in ips])
-        self._h = np.array([ip.h for ip in ips])
-        self._ts, self._side, self._ascending = dense.ts_sorted.copy(), dense.side, dense.ascending
-        del sol, dense, ips
-        # one pass of the dense output over every row's first-kind Chebyshev
-        # nodes and its 257 probes for the interpolation check
-        ks = [np.arange(d + 1) for d in self.deg]
-        thetas = [np.pi * (k + 0.5) / len(k) for k in ks]
-        nodes = [np.exp(0.5 * (hi - u_lo) * (np.cos(th) + 1.0) + u_lo)
-                 for hi, th in zip(u_hi, thetas)]
+        # one quadrature pass over every row's first-kind Chebyshev nodes and
+        # its 257 probes for the interpolation check
+        sizes = self.deg + 1
+        nodes = [np.exp(0.5 * (hi - u_lo) * (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) + u_lo)
+                 for hi, m in zip(u_hi, sizes)]
         probes = np.exp(np.linspace(u_lo, u_hi, 257, axis=1)).ravel()
-        rows = np.concatenate((np.repeat(np.arange(n), self.deg + 1), np.repeat(np.arange(n), 257)))
-        vals = self._dense(rows, np.concatenate(nodes + [probes]))
-        # the cosine transform depends on the degree only: one matrix per
-        # distinct degree, held while its rows are fitted
-        fks = np.split(vals, np.cumsum(self.deg + 1))
-        coef = np.zeros((int(np.max(self.deg)) + 1, n))
-        for d in np.unique(self.deg):
-            rows_d = np.flatnonzero(self.deg == d)
-            k, theta = ks[rows_d[0]], thetas[rows_d[0]]
-            cos_kt = (2.0 / len(k)) * np.cos(np.outer(k, theta))
-            for j in rows_d:
-                coef[:len(k), j] = cos_kt @ fks[j]
-        coef[0] *= 0.5
-        # the global series smooths the piecewise ODE output; re-expand it on
-        # the panels, whose first-kind nodes every row shares: one product
-        # with T_k at the nodes, then one cosine transform per panel
+        rows = np.concatenate((np.repeat(np.arange(n), sizes), np.repeat(np.arange(n), 257)))
+        vals = kbessel_quad(self.r[rows], np.concatenate(nodes + [probes]))
+        # row by row, so that no row's table depends on the others: the
+        # Chebyshev coefficients are the cosine transform of the node values,
+        # an FFT of them mirrored to length 2m; the series is re-expanded on
+        # the panels, whose first-kind nodes every row shares, by a product
+        # with T_k at the nodes and one cosine transform per panel
         k = np.arange(_PANEL_DEGREE + 1)
         theta = np.pi * (k + 0.5) / len(k)
         u = (np.arange(_PANELS)[:, None] + 0.5 * (np.cos(theta) + 1.0)) * (2.0 / _PANELS) - 1.0
-        at_nodes = np.cos(np.outer(np.arccos(u.ravel()), np.arange(len(coef)))) @ coef
-        at_nodes = at_nodes.reshape(_PANELS, len(k), n).transpose(1, 2, 0).reshape(len(k), -1)
-        self._panels = (2.0 / len(k)) * np.cos(np.outer(k, theta)) @ at_nodes
-        self._panels[0] *= 0.5
+        t_k = np.cos(np.outer(np.arccos(u.ravel()), np.arange(np.max(sizes))))
+        to_panels = (2.0 / len(k)) * np.cos(np.outer(k, theta))
+        to_panels[0] *= 0.5
+        blocks = []
+        for f in np.split(vals[:-len(probes)], np.cumsum(sizes)[:-1]):
+            m = len(f)
+            spec = np.fft.rfft(np.concatenate((f, f[::-1])))[:m]
+            coef = (np.exp(-0.5j * np.pi * np.arange(m) / m) * spec).real / m
+            coef[0] *= 0.5
+            blocks.append(to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
+        self._panels = np.concatenate(blocks, axis=1)
         err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
         if np.max(err) > 1e-9:
             raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
                                f"max error {np.max(err):.2e}")
-
-    def _dense(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """e^{pi r/2 - x} w(x) from the DOP853 dense output, one component per
-        entry: scipy's segment choice and interpolant recurrence, replayed in
-        its order of operations, so each value is the one sol.sol(x)[row] gives."""
-        seg = np.searchsorted(self._ts, x, side=self._side) - 1
-        np.clip(seg, 0, len(self._h) - 1, out=seg)
-        if not self._ascending:
-            seg = len(self._h) - 1 - seg
-        s = (x - self._t_old[seg]) / self._h[seg]
-        w = np.zeros(len(x))
-        for i, f in enumerate(self._F[::-1]):
-            w += f[seg, rows]
-            w *= s if i % 2 == 0 else 1 - s
-        w += self._y_old[seg, rows]
-        return np.exp(np.pi * self.r[rows] / 2.0 - x) * w
 
     def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Each entry's panel series at log x: the panel of its row's normalized
@@ -276,14 +324,6 @@ class KBesselBank:
 
     def __call__(self, rows, x) -> np.ndarray:
         """Rescaled values at (row, argument) entries; `rows` broadcasts against x."""
-        return self._evaluate(rows, x, accurate=False)
-
-    def accurate(self, rows, x) -> np.ndarray:
-        """Relative-accuracy variant: dense ODE output covers the window where
-        the interpolant's absolute floor would dominate the decayed values."""
-        return self._evaluate(rows, x, accurate=True)
-
-    def _evaluate(self, rows, x, accurate: bool) -> np.ndarray:
         rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
                                       np.atleast_1d(np.asarray(x, dtype=float)))
         if np.any(x <= 0.0):
@@ -291,20 +331,12 @@ class KBesselBank:
         if np.any(x < self.x_min - 1e-12):
             raise ValueError(f"argument below cached domain x_min={self.x_min}")
         out = np.zeros(x.shape)
-        lo = x < (self._split if accurate else self.fit_hi)[rows]
-        mid = ~lo & (x < self.x_seed) & accurate
-        hi = ~(lo | mid)
-        if np.any(lo):
-            out[lo] = self._clenshaw(rows[lo], x[lo])
-        if np.any(mid):
-            out[mid] = self._dense(rows[mid], x[mid])
-        for j in np.unique(rows[hi]):
-            sel = hi & (rows == j)
+        fit = x < self.fit_hi[rows]
+        if np.any(fit):
+            out[fit] = self._clenshaw(rows[fit], x[fit])
+        if not np.all(fit):
             # underflow to 0 is fine: these arguments contribute nothing
-            safe = sel & (np.pi * self.r[j] / 2.0 - x > -700.0)
-            if np.any(safe):
-                out[safe] = np.exp(np.pi * self.r[j] / 2.0 - x[safe]) \
-                    * _kbessel_quad_scaled(self.r[j], x[safe])
+            out[~fit] = kbessel_quad(self.r[rows[~fit]], x[~fit])
         return out
 
 
@@ -320,12 +352,19 @@ def bessel_k_imag_scaled(r: float, x, x_min: float = 1e-3) -> np.ndarray:
 
 
 def bessel_k_imag(r: float, x):
-    """K_{iR}(x) = integral_0^inf e^{-x cosh u} cos(Ru) du.
+    """K_{iR}(x) = integral_0^inf e^{-x cosh u} cos(Ru) du, straight from
+    kbessel_quad.
 
-    Symmetric in R; absolute accuracy well below 1e-10 for x >= 1e-3 and
-    R <= 30.  Scalar x gives a float; an array of x gives an array.
+    Symmetric in R; absolute accuracy ~1e-13 e^{-pi R/2} for x >= 1e-3 and
+    R <= 40, where the relative accuracy holds until e^{pi R/2} K_{iR}(x)
+    underflows.  Scalar x gives a float; an array of x gives an array.
     """
     scalar = np.isscalar(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x <= 0.0):
+        raise ValueError("argument of K_{iR} must be positive")
+    if np.any(x < _X_MIN):
+        raise ValueError(f"argument below the validated domain x >= {_X_MIN}")
     r = abs(float(r))
-    val = kbessel_bank((round(r, 14),), 1e-3).accurate(0, x) * math.exp(-np.pi * r / 2.0)
+    val = kbessel_quad(r, x) * math.exp(-np.pi * r / 2.0)
     return float(val[0]) if scalar else val

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
@@ -36,10 +35,11 @@ class SynthesisReport:
 
 
 def _gaussian_tail(r_max: float, t: float) -> float:
-    """integral_{r_max}^inf e^{-(1/4 + r^2) t} dr, stable for large arguments."""
-    # = e^{-t/4} * sqrt(pi/t)/2 * erfc(r_max sqrt(t)); use erfcx to keep scale
-    return 0.5 * math.sqrt(math.pi / t) * math.exp(-t / 4.0 - t * r_max * r_max) \
-        * float(erfcx(r_max * math.sqrt(t)))
+    """integral_{r_max}^inf e^{-(1/4 + r^2) t} dr = e^{-t/4} sqrt(pi/t)/2 erfc(r_max sqrt(t)).
+
+    math.erfc keeps full relative accuracy until it underflows, past
+    r_max sqrt(t) ~ 27, where e^{-t r_max^2} underflows as well."""
+    return 0.5 * math.sqrt(math.pi / t) * math.exp(-t / 4.0) * math.erfc(r_max * math.sqrt(t))
 
 
 def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisReport:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import autoheat
 from autoheat import cli
 from autoheat.config import DEFAULT_TOLERANCES, RunConfig, build_config, parse_config_file
 
@@ -43,6 +47,22 @@ GOLDEN = {
 def test_golden_output(command, grid, capsys):
     code = cli.main(command.split())
     assert (code, capsys.readouterr().out) == GOLDEN[command]
+
+
+def test_cold_eval_loads_no_scipy():
+    # the cold path needs numpy and the standard library only
+    script = ("import sys\n"
+              "from autoheat import cli\n"
+              "code = cli.main(['eval', '--t', '1', '--x', '0.25', '--y', '1.3'])\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(autoheat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("AUTOHEAT_DATA", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestEval:

@@ -8,16 +8,18 @@ from autoheat.special import (
     bessel_k_imag,
     bessel_k_imag_scaled,
     kbessel_bank,
+    kbessel_quad,
     scattering_phase,
     xi_line,
     zeta_euler_maclaurin,
     zeta_line,
 )
+from autoheat.synthesis import _gaussian_tail
 
 
 def k0_series_oracle(x: float, n_terms: int = 30) -> float:
     """Classical ascending series for K_0, written independently of the
-    quadrature/ODE evaluator: K_0 = -(log(x/2) + gamma) I_0 + correction sum."""
+    steepest-descent quadrature: K_0 = -(log(x/2) + gamma) I_0 + correction sum."""
     euler_gamma = 0.57721566490153286
     i0 = sum((x / 2.0) ** (2 * k) / math.factorial(k) ** 2 for k in range(n_terms))
     harmonic = 0.0
@@ -92,14 +94,52 @@ class TestBesselKImag:
             vals = np.array([bessel_k_imag(r, float(x)) for x in xs])
             assert np.all(np.diff(vals) < 0.0)
 
-    def test_quadrature_and_ode_branches_agree_in_overlap(self):
-        # the bank switches representation at the seed point; both sides
-        # of the switch must produce the same function
+    def test_panel_and_quadrature_branches_agree_at_fit_hi(self):
+        # the bank answers from its panels below fit_hi and from the
+        # quadrature above; both sides of the seam must be the same function
         bank = KBesselBank((9.0,), x_min=2.0)
-        xs = np.linspace(bank.x_seed - 8.0, bank.x_seed + 8.0, 41)
-        fast = bank(0, xs)
-        accurate = bank.accurate(0, xs)
-        assert np.max(np.abs(fast - accurate)) < 1e-11
+        xs = np.linspace(bank.fit_hi[0] - 8.0, bank.fit_hi[0] + 8.0, 41)
+        below = xs < bank.fit_hi[0]
+        assert 0 < np.count_nonzero(below) < len(xs)
+        assert np.max(np.abs(bank(0, xs) - kbessel_quad(9.0, xs))) < 1e-11
+
+
+class TestKBesselQuad:
+    # e^{pi r/2} K_{ir}(x) from mpmath.besselk at 40 digits: the turning point
+    # x = r(1 +- 1e-3) and r +- 0.3, the longest segment (r = 26.45 at small
+    # x) and the smallest order
+    REFERENCE = [
+        (9.53369526135, 9.52416156608865, 0.66520073909497791),
+        (9.53369526135, 9.543228956611348, 0.65946235119445429),
+        (9.53369526135, 9.233695261349999, 0.75337769827033746),
+        (9.53369526135, 9.83369526135, 0.57400049124122491),
+        (26.45, 26.42355, 0.4755099513173999),
+        (26.45, 26.476449999999996, 0.46763019027842174),
+        (26.45, 26.15, 0.51634141966818082),
+        (26.45, 26.75, 0.42728284624473295),
+        (26.45, 0.001, -0.46320584076791844),
+        (26.45, 0.003, 0.22094606051961356),
+        (26.45, 1.1, 0.47954466771827169),
+        (0.05, 0.35, 1.3308298438389022),
+    ]
+
+    def test_against_frozen_mpmath_values(self):
+        r, x, want = (np.array(c) for c in zip(*self.REFERENCE))
+        assert np.max(np.abs(kbessel_quad(r, x) - want)) < 1e-13
+
+    def test_entries_do_not_depend_on_their_batch(self):
+        r, x, _ = (np.array(c) for c in zip(*self.REFERENCE))
+        whole = kbessel_quad(r, x)
+        for k in range(len(r)):
+            assert abs(kbessel_quad(r[k], x[k]) - whole[k]) <= 1e-15
+
+    def test_broadcasting_and_domain(self):
+        x = np.array([[0.5, 3.0], [9.0, 40.0]])
+        got = kbessel_quad(5.0, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, kbessel_quad(np.full(x.shape, -5.0), x))
+        with pytest.raises(ValueError):
+            kbessel_quad(1.0, np.array([1.0, 0.0]))
 
 
 class TestZetaLine:
@@ -147,3 +187,26 @@ class TestScatteringPhase:
 
     def test_limit_at_zero(self):
         assert scattering_phase(0.0) == complex(-1.0)
+
+
+class TestAgainstMpmath:
+    def test_xi_line(self):
+        # the Stirling series for Gamma(1/2 + ir) through xi(1 + 2ir)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for r in (0.01, 0.5, 6.0, 12.0, 25.0, 50.0):
+            s = mpmath.mpc(1, 2 * r)
+            want = complex(mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2) * mpmath.zeta(s))
+            assert abs(xi_line(r) - want) <= 1e-13 * abs(want)
+
+    def test_gaussian_tail(self):
+        # e^{-t/4} sqrt(pi/t)/2 erfc(r_max sqrt(t)); the last pair underflows
+        # to 0 in double precision on both sides
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for r_max, t in ((12.0, 0.05), (12.0, 1.0), (1.5, 0.4), (12.0, 8.0)):
+            t_mp = mpmath.mpf(t)
+            want = float(mpmath.sqrt(mpmath.pi / t_mp) / 2 * mpmath.exp(-t_mp / 4)
+                         * mpmath.erfc(r_max * mpmath.sqrt(t_mp)))
+            assert abs(_gaussian_tail(r_max, t) - want) <= 1e-14 * want
+        assert _gaussian_tail(12.0, 8.0) == 0.0

@@ -3,7 +3,13 @@ import pytest
 
 from autoheat import special
 from autoheat.config import RunConfig
-from autoheat.forms import _ENTRY_BLOCK, EisensteinEvaluator, load_maass_data, maass_values
+from autoheat.forms import (
+    _ENTRY_BLOCK,
+    EisensteinEvaluator,
+    cusp_bank,
+    load_maass_data,
+    maass_values,
+)
 from autoheat.sobolev import basis_values
 from autoheat.spectral_model import build_grid, eisenstein_nodes
 
@@ -96,22 +102,34 @@ class TestBuildGrid:
 
 
 class TestKBesselBanks:
-    def test_fresh_default_grid_makes_two_ode_solves(self, monkeypatch):
-        # one stacked solve for the cusp forms, one for the Eisenstein nodes;
-        # the data load and the grid build share the cusp forms' bank
+    def test_fresh_default_grid_runs_one_quadrature_fill_per_bank(self, monkeypatch):
+        # one quadrature pass fills the cusp forms' bank, one the Eisenstein
+        # nodes'; the data load and the grid build share the cusp forms' bank
         calls = []
-        solve_ivp = special.solve_ivp
+        kbessel_quad = special.kbessel_quad
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return solve_ivp(*args, **kwargs)
+        def counting(r, x):
+            calls.append(np.size(x))
+            return kbessel_quad(r, x)
 
-        monkeypatch.setattr(special, "solve_ivp", counting)
+        monkeypatch.setattr(special, "kbessel_quad", counting)
         special.kbessel_bank.cache_clear()
         cfg = RunConfig()
-        build_grid(load_maass_data(cfg.resolve_data_path()), cfg.r_max, cfg.panels,
-                   cfg.nodes_per_panel)
+        data = load_maass_data(cfg.resolve_data_path())
+        assert len(calls) == 1
+        grid = build_grid(data, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
         assert len(calls) == 2
+        assert grid.cusp_bank is cusp_bank(data)
+        for bank, n in zip((grid.cusp_bank, grid.eisenstein.bank), calls):
+            assert n == int(np.sum(bank.deg + 1)) + 257 * len(bank.r)
+
+    def test_rows_are_independent(self, grid):
+        # a one-row bank fits its row exactly as the family bank does
+        for bank in (grid.cusp_bank, grid.eisenstein.bank):
+            for j in (0, len(bank.r) // 2, len(bank.r) - 1):
+                one = special.KBesselBank(bank.r[j:j + 1], bank.x_min)
+                row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
+                assert np.max(np.abs(one._panels - row)) <= 1e-15
 
     def test_blocked_basis_equals_per_block_values(self, grid):
         # an array spanning several entry blocks, from the arc (the most
@@ -129,31 +147,6 @@ class TestKBesselBanks:
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
         for k in (0, 149, 150, 151, 330, n - 1):
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
-
-    def test_dense_replay_equals_ode_solution(self, grid, monkeypatch):
-        # the bank keeps only each row's own component of scipy's DOP853
-        # interpolants and replays them; sampled entries of both default
-        # banks, at step endpoints, x_min and near the seed, must equal what
-        # the full solution object gives, bit for bit
-        sols = []
-        solve_ivp = special.solve_ivp
-
-        def capturing(*args, **kwargs):
-            sols.append(solve_ivp(*args, **kwargs))
-            return sols[-1]
-
-        monkeypatch.setattr(special, "solve_ivp", capturing)
-        rng = np.random.default_rng(23)
-        for bank in (grid.cusp_bank, grid.eisenstein.bank):
-            fresh = special.KBesselBank(bank.r, bank.x_min)
-            assert np.array_equal(fresh._panels, bank._panels)
-            sol = sols[-1]
-            seed, x_min = fresh.x_seed, fresh.x_min
-            x = np.concatenate((sol.t, [x_min, x_min * (1.0 + 1e-12), seed, seed - 1e-9,
-                                        seed - 0.5], rng.uniform(x_min, seed, 400)))
-            rows = rng.integers(0, len(fresh.r), len(x))
-            want = np.exp(np.pi * fresh.r[rows] / 2.0 - x) * sol.sol(x)[rows, np.arange(len(x))]
-            assert np.array_equal(fresh._dense(rows, x), want)
 
     # e^{pi r/2} K_{ir}(x) from mpmath.besselk at 40 digits, at seeded rows and
     # log-uniform x in [2, fit_hi] of the default banks: (row, r, x, value)
@@ -227,8 +220,8 @@ class TestKBesselBanks:
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
     def test_grid_rows_match_one_row_evaluators(self, grid):
-        # the family banks against one bank per r: seeds, ODE steps and
-        # Chebyshev blocks all differ, the functions must not
+        # the family banks against one bank per r: the same functions,
+        # through separately built banks and Fourier sums
         x = np.array([0.0, 0.25, -0.41, 0.5, 0.07])
         y = np.array([1.0, 1.3, 0.92, 2.4, 6.0])
         rows = basis_values(grid, x, y)
