@@ -178,7 +178,7 @@ def kbessel_quad(r, x) -> np.ndarray:
     cos(r sigma - x sinh sigma), O(1), and the path integrand is real,
     positive and decreasing, so nothing cancels beyond the O(1) oscillation.
     Against 40-digit mpmath.besselk the absolute error is ~2e-14 for x >= 0.5
-    and ~1e-13 down to x = 1e-3 (r <= 40), where the phase r sigma reaches
+    and ~2e-13 down to x = 1e-3 (r <= 40), where the phase r sigma reaches
     ~350.  Values below ~1e-308 underflow to 0.
     """
     r, x = np.broadcast_arrays(np.abs(np.asarray(r, dtype=float)), np.asarray(x, dtype=float))
@@ -252,9 +252,9 @@ class KBesselBank:
     series per row, whose coefficients come from a cosine transform, checked
     against the quadrature at 257 probes and re-expanded onto fixed panels.
     Evaluation is one degree-16 Clenshaw pass over flat (row, argument)
-    entries, O(1) values with absolute accuracy ~1e-13; past fit_hi, where
-    the value has decayed, the quadrature answers directly.  Rows do not
-    depend on each other.
+    entries, O(1) values with absolute accuracy ~2e-14 from x_min = 2 and
+    ~4e-12 from x_min = 1e-3; past fit_hi, where the value has decayed, the
+    quadrature answers directly.  Rows do not depend on each other.
     """
 
     def __init__(self, rs, x_min: float = 1e-3):
@@ -346,25 +346,18 @@ def kbessel_bank(rs: tuple[float, ...], x_min: float) -> KBesselBank:
     return KBesselBank(rs, x_min)
 
 
-def bessel_k_imag_scaled(r: float, x, x_min: float = 1e-3) -> np.ndarray:
-    """e^{pi R/2} K_{iR}(x), vectorized over x, through a cached one-row bank."""
-    return kbessel_bank((round(abs(float(r)), 14),), x_min)(0, x)
-
-
 def bessel_k_imag(r: float, x):
     """K_{iR}(x) = integral_0^inf e^{-x cosh u} cos(Ru) du, straight from
     kbessel_quad.
 
-    Symmetric in R; absolute accuracy ~1e-13 e^{-pi R/2} for x >= 1e-3 and
-    R <= 40, where the relative accuracy holds until e^{pi R/2} K_{iR}(x)
-    underflows.  Scalar x gives a float; an array of x gives an array.
+    Symmetric in R; absolute accuracy ~2e-13 e^{-pi R/2} for x >= 1e-3 and
+    R <= 40, ~2e-14 e^{-pi R/2} for x >= 0.5.  Scalar x gives a float; an
+    array of x gives an array.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0.0):
-        raise ValueError("argument of K_{iR} must be positive")
     if np.any(x < _X_MIN):
-        raise ValueError(f"argument below the validated domain x >= {_X_MIN}")
+        raise ValueError(f"K_iR(x) is answered for x >= {_X_MIN}, got x = {np.min(x)}")
     r = abs(float(r))
     val = kbessel_quad(r, x) * math.exp(-np.pi * r / 2.0)
     return float(val[0]) if scalar else val
