@@ -2,7 +2,6 @@
 
 from .config import RunConfig
 from .forms import (
-    EisensteinEvaluator,
     MaassDataError,
     MaassFormData,
     Parity,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffFn",
-    "EisensteinEvaluator",
     "HPoint",
     "HeatState",
     "MaassDataError",

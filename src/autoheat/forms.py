@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +62,8 @@ def _divisor_cos(n: int, r: float) -> float:
 
 def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heights):
     """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
-    and 2 pi n y <= r_i + _BESSEL_DECAY, one bank entry each.  Returns the
-    (row, n, height) mask and the table of values, zero where not live."""
+    and 2 pi n y <= r_i + _BESSEL_DECAY, one bank entry each; the table is
+    zero where not live."""
     cut = bank.r[rows] + _BESSEL_DECAY
     n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
     ns = np.arange(1, min(n_cols, n_top) + 1)
@@ -73,7 +72,7 @@ def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heigh
     i, k, h = np.nonzero(live)
     table = np.zeros(live.shape)
     table[live] = bank(rows[i], arg[k, h])
-    return live, table
+    return table
 
 
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
@@ -83,10 +82,10 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
 
     Points run in height order, in blocks of at most _ENTRY_BLOCK entries
     (a point at height y has at most sum_i (r_i + _BESSEL_DECAY) / (2 pi y)).
-    A block evaluates the bank once per distinct (row, n, height) and the
-    trigonometric factor once per (n, point), then gathers them onto its
-    (row, n, point) terms; every (row, point) sums its terms in increasing n,
-    so no value depends on the other points of its batch."""
+    A block evaluates the bank once per live (row, n, height), then adds the
+    terms of n = 1, 2, ... into one (row, point) array (the table is zero off
+    the live entries): every (row, point) sums its terms in increasing n from
+    0.0, so no value depends on the other points of its batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
     order = np.argsort(y, kind="stable")
@@ -98,15 +97,13 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
         idx = order[s:e]
         s = e
         heights, at_height = np.unique(y[idx], return_inverse=True)
-        live, table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
-        ang = (2.0 * math.pi * np.arange(1, live.shape[1] + 1))[:, None] * x[idx]
-        i, k, p = np.nonzero(live[:, :, at_height])
-        tr = np.cos(ang)[k, p]
-        if np.any(odd):
-            tr[odd[i]] = np.sin(ang)[k[odd[i]], p[odd[i]]]
-        terms = coeffs[i, k] * table[i, k, at_height[p]] * tr
-        out[:, idx] = np.bincount(i * len(idx) + p, terms, len(rows) * len(idx)) \
-            .reshape(len(rows), len(idx))
+        table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
+        acc = np.zeros((len(rows), len(idx)))
+        for k in range(table.shape[1]):
+            ang = (2.0 * math.pi * (k + 1)) * x[idx]
+            tr = np.where(odd[:, None], np.sin(ang), np.cos(ang))
+            acc += coeffs[:, k, None] * table[:, k, at_height] * tr
+        out[:, idx] = acc
     return out
 
 
@@ -118,7 +115,7 @@ class EisensteinSeries:
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
-    def __init__(self, rs, x_min: float = _KBESSEL_X_MIN):
+    def __init__(self, rs):
         self.r = np.asarray(rs, dtype=float).reshape(-1)
         xi = [xi_line(float(r)) for r in self.r]
         self._arg_xi = np.array([float(np.angle(v)) for v in xi])
@@ -127,77 +124,47 @@ class EisensteinSeries:
                                for v, r in zip(xi, self.r)])
         self._bn = np.array([[_divisor_cos(n, float(r)) for n in range(1, self._N_MULTIPLIERS + 1)]
                              for r in self.r]).reshape(len(self.r), self._N_MULTIPLIERS)
-        self.bank = KBesselBank(self.r, x_min)
+        self.bank = KBesselBank(self.r, _KBESSEL_X_MIN)
 
-    def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray,
-                     n_terms: int | None = None) -> np.ndarray:
-        """Real unitary-frame values of the rows on arrays of reduced coordinates
-        (or y large enough for the truncation: the auto rule uses min(y))."""
+    def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Real unitary-frame values of the rows, shape (len(rows), npoints),
+        from the expansion at the points as given (not reduced).  Its terms
+        need n <= (r + _BESSEL_DECAY) / (2 pi min(y)); ValueError where that
+        exceeds the _N_MULTIPLIERS stored multipliers."""
         rows, y = np.asarray(rows, dtype=np.intp), np.asarray(y, dtype=float)
         r = self.r[rows]
         sy = np.sqrt(y)
         val = 2.0 * sy * np.cos(r[:, None] * np.log(y) + self._arg_xi[rows][:, None])
-        y_min = float(np.min(y))
-        n_auto = np.maximum(1, np.ceil((r + _BESSEL_DECAY) / (2.0 * math.pi * y_min)).astype(int))
-        n_use = n_auto if n_terms is None else np.full(len(rows), int(n_terms))
-        # first omitted term: pref * d(n) * sqrt(y) * Ktilde(2 pi n y), with
-        # Ktilde <= ~ e^{pi r/2 - x} sqrt(pi/2x) once x > r and <= ~2 before
-        tail = np.where(n_use < n_auto, self._pref[rows] * (n_use + 1) * math.sqrt(y_min) * 2.0
-                        * np.exp(np.minimum(0.0, np.maximum(r, 1.0)
-                                            - 2.0 * math.pi * (n_use + 1) * y_min)), 0.0)
-        if np.any(tail > 1e-12):
-            j = int(np.argmax(tail))
-            warnings.warn(f"eisenstein truncation at {n_use[j]} terms leaves ~{tail[j]:.2e} "
-                          f"at y={y_min:.3f} (r={r[j]:.3f})", stacklevel=2)
-        if np.any(n_use > self._N_MULTIPLIERS):
-            raise ValueError(f"{np.max(n_use)} Fourier terms requested; heights this low are "
-                             f"outside the evaluator's domain (max {self._N_MULTIPLIERS})")
-        acc = _fourier_rows(self.bank, rows, self._bn, n_use, np.zeros(len(rows), dtype=bool), x, y)
+        n_need = np.ceil((r + _BESSEL_DECAY) / (2.0 * math.pi * float(np.min(y))))
+        if np.any(n_need > self._N_MULTIPLIERS):
+            raise ValueError(f"{int(np.max(n_need))} Fourier terms requested; heights this low "
+                             f"are outside the evaluator's domain (max {self._N_MULTIPLIERS})")
+        n_max = np.full(len(rows), self._N_MULTIPLIERS)
+        acc = _fourier_rows(self.bank, rows, self._bn[rows], n_max,
+                            np.zeros(len(rows), dtype=bool), x, y)
         return val + self._pref[rows][:, None] * sy * acc
 
 
-class EisensteinEvaluator:
-    """E_{1/2+ir} at one r: the one-row EisensteinSeries, zero at r = 0.
-
-    `standard` values follow the y^s + phi(s) y^{1-s} constant-term
-    normalization.  They differ from the real `unitary` ones by a unimodular
-    factor, so conjugated products of two values agree."""
-
-    def __init__(self, r: float, x_min: float = _KBESSEL_X_MIN):
-        if r < 0.0:
-            raise ValueError("spectral parameter r must be nonnegative")
-        self.r = float(r)
-        self._series = EisensteinSeries((self.r,), x_min) if self.r > 0.0 else None
-
-    def unitary_values(self, x: np.ndarray, y: np.ndarray,
-                       n_terms: int | None = None) -> np.ndarray:
-        """Real unitary-frame values on arrays of half-plane coordinates."""
-        if self._series is None:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return self._series.unitary_rows([0], x, y, n_terms)[0]
-
-    def unitary_value(self, p: HPoint, n_terms: int | None = None, reduce: bool = True) -> float:
-        if reduce:
-            p = reduce_to_fundamental_domain(p)
-        return float(self.unitary_values(np.array([p.x]), np.array([p.y]), n_terms)[0])
-
-    def standard_value(self, p: HPoint, n_terms: int | None = None, reduce: bool = True) -> complex:
-        """Value in the y^s + phi(s) y^{1-s} normalization (complex)."""
-        if self.r == 0.0:
-            return complex(0.0)
-        # standard = phi^{1/2} * unitary with the principal branch
-        phase = np.exp(0.5j * np.angle(scattering_phase(self.r)))
-        return complex(phase * self.unitary_value(p, n_terms, reduce))
+def eval_eisenstein_unitary(r: float, z: HPoint) -> float:
+    """Real unitary-frame value of E_{1/2+ir} at z (reduced internally), the
+    frame the spectral grid uses; zero at r = 0."""
+    if r < 0.0:
+        raise ValueError("spectral parameter r must be nonnegative")
+    if r == 0.0:
+        return 0.0
+    p = reduce_to_fundamental_domain(z)
+    return float(EisensteinSeries((r,)).unitary_rows([0], np.array([p.x]), np.array([p.y]))[0, 0])
 
 
-def eval_eisenstein(r: float, z: HPoint, n_terms: int | None = None) -> complex:
-    """E_{1/2+ir}(z) in the standard constant-term normalization."""
-    return EisensteinEvaluator(r).standard_value(z, n_terms=n_terms)
+def eval_eisenstein(r: float, z: HPoint) -> complex:
+    """E_{1/2+ir}(z) in the y^s + phi(s) y^{1-s} constant-term normalization.
 
-
-def eval_eisenstein_unitary(r: float, z: HPoint, n_terms: int | None = None) -> float:
-    """Real unitary-frame Eisenstein value (the frame the spectral grid uses)."""
-    return EisensteinEvaluator(r).unitary_value(z, n_terms=n_terms)
+    It is phi^{1/2} (principal branch) times the real unitary value, a
+    unimodular factor, so conjugated products of two values agree."""
+    val = eval_eisenstein_unitary(r, z)
+    if r == 0.0:
+        return complex(0.0)
+    return complex(np.exp(0.5j * np.angle(scattering_phase(float(r)))) * val)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +263,7 @@ def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
     g, w = leggauss(ny)
     span = math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y = (span * (np.arange(_NORM_PANELS)[:, None] + 0.5 * (g + 1.0))).ravel()
-    _, table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y))
+    table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y))
     w_log = np.tile(0.5 * span * w, _NORM_PANELS)
     rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log), axis=1)
     g, w = leggauss(nphi)
@@ -404,7 +371,7 @@ def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]
     return forms_out
 
 
-def load_maass_data(path, residual_check: bool = True) -> list[MaassFormData]:
+def load_maass_data(path) -> list[MaassFormData]:
     """Load, validate, and L2-normalize a Maass data file.
 
     The first form gets a Laplacian-residual spot check (consistency of the
@@ -415,7 +382,7 @@ def load_maass_data(path, residual_check: bool = True) -> list[MaassFormData]:
     data = parse_maass_data(text, source=str(path))
     bank = cusp_bank(data)
     _normalize(data, bank)
-    if residual_check and data:
+    if data:
         first = min(range(len(data)), key=lambda i: data[i].r)
         probe = HPoint(0.21, 1.17)  # generic: odd forms vanish on x = 0
         res = _laplacian_residual(data, bank, first, probe, 1e-3)

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from autoheat.forms import EisensteinEvaluator, maass_laplacian_residual
+from autoheat.forms import EisensteinSeries, maass_laplacian_residual
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.oracle import periodized_oracle_basepoint
 from autoheat.sobolev import analyze, sobolev_norm
@@ -183,12 +183,11 @@ def test_criterion_11_special_functions(dataset):
     k0 = abs(bessel_k_imag(0.0, 1.0) - 0.4210244382) <= 1e-10
     inv_worst = 0.0
     for r in (1.0, 5.0):
-        ev = EisensteinEvaluator(r)
+        series = EisensteinSeries((r,))
         for zc in (0.3 + 1.1j, 0.15 + 0.95j):
             w = -1.0 / zc
             # no reduction: inversion must hold through the raw expansion
-            a = ev.unitary_value(HPoint(zc.real, zc.imag), reduce=False)
-            b = ev.unitary_value(HPoint(w.real, w.imag), reduce=False)
+            a, b = series.unitary_rows([0], [zc.real, w.real], [zc.imag, w.imag])[0]
             inv_worst = max(inv_worst, abs(a - b))
     first = dataset[0]
     res = maass_laplacian_residual(first, HPoint(0.21, 1.17))

@@ -1,11 +1,13 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from autoheat.forms import (
-    EisensteinEvaluator,
     EisensteinSeries,
     MaassDataError,
     MaassFormData,
@@ -22,36 +24,39 @@ from autoheat.forms import _maass_raw, _norm_squares, cusp_bank
 from autoheat.hyperbolic import HPoint, QuadSpec, fundamental_domain_volume
 
 
+def _raw_unitary(r, z):
+    """The unreduced one-row expansion at z."""
+    return EisensteinSeries((r,)).unitary_rows([0], [z.x], [z.y])[0, 0]
+
+
 class TestEisenstein:
     def test_periodicity_unreduced(self):
-        ev = EisensteinEvaluator(3.0)
-        a = ev.unitary_value(HPoint(0.17, 1.2), reduce=False)
-        b = ev.unitary_value(HPoint(1.17, 1.2), reduce=False)
+        a = _raw_unitary(3.0, HPoint(0.17, 1.2))
+        b = _raw_unitary(3.0, HPoint(1.17, 1.2))
         assert abs(a - b) < 1e-12
 
     @pytest.mark.parametrize("r", [1.0, 5.0])
     def test_inversion_invariance_unreduced(self, r):
         # -1/z is not term-by-term invariant: this checks the whole expansion,
         # constant term, scattering phase, and Bessel coefficients together
-        ev = EisensteinEvaluator(r)
         for zc in (0.3 + 1.1j, 0.15 + 0.95j, -0.41 + 0.9j):
             w = -1.0 / zc
-            a = ev.unitary_value(HPoint(zc.real, zc.imag), reduce=False)
-            b = ev.unitary_value(HPoint(w.real, w.imag), reduce=False)
+            a = _raw_unitary(r, HPoint(zc.real, zc.imag))
+            b = _raw_unitary(r, HPoint(w.real, w.imag))
             assert abs(a - b) < 1e-9
 
     def test_standard_and_unitary_frames_consistent(self):
-        ev = EisensteinEvaluator(3.7)
         z = HPoint(0.23, 1.4)
-        std_z = ev.standard_value(z)
-        std_i = ev.standard_value(HPoint(0.0, 1.0))
-        uni = np.conj(complex(ev.unitary_value(HPoint(0.0, 1.0)))) * ev.unitary_value(z)
+        std_z = eval_eisenstein(3.7, z)
+        std_i = eval_eisenstein(3.7, HPoint(0.0, 1.0))
+        uni_z = eval_eisenstein_unitary(3.7, z)
+        uni = np.conj(complex(eval_eisenstein_unitary(3.7, HPoint(0.0, 1.0)))) * uni_z
         assert abs(np.conj(std_i) * std_z - uni) < 1e-12
-        assert abs(abs(std_z) - abs(ev.unitary_value(z))) < 1e-12
+        assert abs(abs(std_z) - abs(uni_z)) < 1e-12
 
     def test_basepoint_real_and_finite(self):
         for r in (1.0, 2.5, 7.0):
-            val = EisensteinEvaluator(r).unitary_value(HPoint(0.0, 1.0))
+            val = eval_eisenstein_unitary(r, HPoint(0.0, 1.0))
             assert np.isfinite(val)
             # unitary frame is real by construction; the standard frame value
             # carries the half scattering phase
@@ -62,10 +67,15 @@ class TestEisenstein:
         assert eval_eisenstein(0.0, HPoint(0.1, 1.2)) == 0.0
         assert eval_eisenstein_unitary(0.0, HPoint(0.1, 1.2)) == 0.0
 
-    def test_truncation_warning(self):
-        ev = EisensteinEvaluator(9.0)
-        with pytest.warns(UserWarning, match="truncation"):
-            ev.unitary_value(HPoint(0.1, 0.9), n_terms=1, reduce=False)
+    def test_negative_parameter_rejected(self):
+        for fn in (eval_eisenstein, eval_eisenstein_unitary):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(-1.0, HPoint(0.1, 1.2))
+
+    def test_heights_beyond_the_multipliers_rejected(self):
+        # r = 9 at y = 0.1 needs ceil(54 / (0.2 pi)) = 86 > 72 multipliers
+        with pytest.raises(ValueError, match="outside the evaluator's domain"):
+            EisensteinSeries((9.0,)).unitary_rows([0], [0.1], [0.1])
 
     def test_fold_equals_unfold(self):
         # folded (1/2pi) int_0^R g |E(i)|^2 dr against the symmetric
@@ -211,3 +221,15 @@ class TestIngestion:
         rs = [f.r for f in dataset]
         assert rs == sorted(rs)
         assert all(f.norm_constant is not None for f in dataset)
+
+
+def test_data_generator_imports(monkeypatch):
+    # the generator of the packaged data file loads, without running main, so
+    # a package name it imports cannot be removed unnoticed
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends "src"
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_maass_data.py"
+    spec = importlib.util.spec_from_file_location("make_maass_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main) and callable(module.system_matrix)

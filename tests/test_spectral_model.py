@@ -5,7 +5,7 @@ from autoheat import special
 from autoheat.config import RunConfig
 from autoheat.forms import (
     _ENTRY_BLOCK,
-    EisensteinEvaluator,
+    EisensteinSeries,
     cusp_bank,
     load_maass_data,
     maass_values,
@@ -131,6 +131,20 @@ class TestKBesselBanks:
                 row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
                 assert np.max(np.abs(one._panels - row)) <= 1e-15
 
+    def test_row_subsets_equal_rows_of_the_whole(self, grid):
+        # a live set with gaps inside both families (the cusp forms and the
+        # Eisenstein nodes) gives, bit for bit, those rows of the all-rows call
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-0.5, 0.5, 40)
+        y = np.sqrt(1.0 - x * x) + rng.uniform(0.0, 2.0, 40) ** 2
+        live = rng.random(grid.size) < 0.5
+        for family in (live[:grid.n_cusp], live[grid.n_cusp + 1:]):
+            assert not family[:family.sum()].all()  # not a prefix of the family
+        whole = grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
+        part = grid.basis_rows(x, y, live)
+        assert np.array_equal(part[live], whole[live])
+        assert not part[~live].any()
+
     def test_blocked_basis_equals_per_block_values(self, grid):
         # an array spanning several entry blocks, from the arc (the most
         # Fourier terms) into the cusp, gives bit for bit the values of its
@@ -229,6 +243,6 @@ class TestKBesselBanks:
             single = maass_values(form, x, y)
             assert np.max(np.abs(rows[i] - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))
         for j, r in enumerate(grid.eisenstein_r):
-            single = EisensteinEvaluator(float(r)).unitary_values(x, y)
+            single = EisensteinSeries((r,)).unitary_rows([0], x, y)[0]
             row = rows[grid.n_cusp + 1 + j]
             assert np.max(np.abs(row - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))
