@@ -82,10 +82,12 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
 
     Points run in height order, in blocks of at most _ENTRY_BLOCK entries
     (a point at height y has at most sum_i (r_i + _BESSEL_DECAY) / (2 pi y)).
-    A block evaluates the bank once per live (row, n, height), then adds the
-    terms of n = 1, 2, ... into one (row, point) array (the table is zero off
-    the live entries): every (row, point) sums its terms in increasing n from
-    0.0, so no value depends on the other points of its batch."""
+    A block evaluates the bank once per live (row, n, height), scales the
+    table by the coefficients and the trigonometric factors of its points,
+    then adds the terms of n = 1, 2, ... into one (row, point) array (the
+    table is zero off the live entries): every (row, point) sums its terms in
+    increasing n from 0.0, so no value depends on the other points of its
+    batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
     order = np.argsort(y, kind="stable")
@@ -98,11 +100,12 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
         s = e
         heights, at_height = np.unique(y[idx], return_inverse=True)
         table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
+        table *= coeffs[:, :table.shape[1], None]
+        ang = (2.0 * math.pi * np.arange(1, table.shape[1] + 1))[:, None] * x[idx]
+        trig = np.where(odd[:, None, None], np.sin(ang), np.cos(ang))
         acc = np.zeros((len(rows), len(idx)))
         for k in range(table.shape[1]):
-            ang = (2.0 * math.pi * (k + 1)) * x[idx]
-            tr = np.where(odd[:, None], np.sin(ang), np.cos(ang))
-            acc += coeffs[:, k, None] * table[:, k, at_height] * tr
+            acc += table[:, k, at_height] * trig[:, k]
         out[:, idx] = acc
     return out
 
