@@ -35,15 +35,20 @@ def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _config_flags(p: argparse.ArgumentParser, grid: bool = False, fmt: bool = False,
+                  norm_bound: bool = False) -> None:
+    """--config and --data, plus the RunConfig flags the subcommand reads."""
     p.add_argument("--config", default=None, help="key=value configuration file")
-    p.add_argument("--r-max", type=float, default=None, dest="r_max")
-    p.add_argument("--panels", type=int, default=None)
-    p.add_argument("--nodes-per-panel", type=int, default=None, dest="nodes_per_panel")
-    p.add_argument("--norm-bound", type=float, default=None, dest="oracle_norm_bound")
     p.add_argument("--data", default=None, dest="maass_data_path",
                    help="Maass data file (default: $AUTOHEAT_DATA or packaged)")
-    p.add_argument("--format", default=None, dest="output_format", choices=("csv", "json"))
+    if grid:
+        p.add_argument("--r-max", type=float, default=None, dest="r_max")
+        p.add_argument("--panels", type=int, default=None)
+        p.add_argument("--nodes-per-panel", type=int, default=None, dest="nodes_per_panel")
+    if fmt:
+        p.add_argument("--format", default=None, dest="output_format", choices=("csv", "json"))
+    if norm_bound:
+        p.add_argument("--norm-bound", type=float, default=None, dest="oracle_norm_bound")
 
 
 def _config_from(args) -> "RunConfig":
@@ -62,13 +67,12 @@ def make_parser() -> _Parser:
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--y", type=float, required=True)
-    _common_flags(p_eval)
+    _config_flags(p_eval, grid=True, fmt=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite_pos", nargs="?", default=None, metavar="suite",
+    p_verify.add_argument("suite", nargs="?", default="all",
                           help=f"one of: {', '.join(SUITES)}")
-    p_verify.add_argument("--suite", default=None, dest="suite_flag")
-    _common_flags(p_verify)
+    _config_flags(p_verify, grid=True, norm_bound=True)
 
     p_profile = sub.add_parser("profile",
                                help="initial-condition gap and norms along a time list")
@@ -76,10 +80,10 @@ def make_parser() -> _Parser:
                            help="comma-separated strictly monotone times, e.g. 1,0.5,0.1")
     p_profile.add_argument("--s-list", default=None, dest="s_list",
                            help="comma-separated Sobolev indices (default 0,4,8)")
-    _common_flags(p_profile)
+    _config_flags(p_profile, grid=True, fmt=True)
 
     p_ingest = sub.add_parser("ingest-check", help="parse and validate a Maass data file")
-    _common_flags(p_ingest)
+    _config_flags(p_ingest)
     return parser
 
 
@@ -112,16 +116,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite_pos and args.suite_flag and args.suite_pos != args.suite_flag:
-        print("error: conflicting suite names given", file=sys.stderr)
-        return USAGE_EXIT
-    suite = args.suite_flag or args.suite_pos or "all"
-    if suite not in SUITES:
-        print(f"error: unknown suite '{suite}' (choose from {', '.join(SUITES)})",
+    if args.suite not in SUITES:
+        print(f"error: unknown suite '{args.suite}' (choose from {', '.join(SUITES)})",
               file=sys.stderr)
         return USAGE_EXIT
-    cfg = _config_from(args)
-    checks = run_suite(suite, cfg)
+    checks = run_suite(args.suite, _config_from(args))
     print(f"{'check':44s} {'measured':>14s} {'bound':>12s} status")
     for c in checks:
         print(c.row())
@@ -140,8 +139,8 @@ def cmd_profile(args) -> int:
     if not ts:
         print("error: empty --t-list", file=sys.stderr)
         return USAGE_EXIT
-    if any(t <= 0.0 for t in ts):
-        print("error: profile times must be positive", file=sys.stderr)
+    if not all(0.0 < t < math.inf for t in ts):
+        print("error: profile times must be finite and positive", file=sys.stderr)
         return USAGE_EXIT
     diffs = [b - a for a, b in zip(ts, ts[1:])]
     if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):

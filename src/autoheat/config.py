@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 DATA_ENV_VAR = "AUTOHEAT_DATA"
-
-DEFAULT_TOLERANCES = {"oracle_rel": 1e-3}
 
 
 @dataclass(frozen=True)
@@ -18,7 +16,6 @@ class RunConfig:
     panels: int = 5
     nodes_per_panel: int = 32
     oracle_norm_bound: float = 25.0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_format: str = "csv"
 
     def __post_init__(self):
@@ -26,9 +23,6 @@ class RunConfig:
             raise ValueError("r_max must be positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format '{self.output_format}'")
-        for name, tol in self.tolerances.items():
-            if not tol > 0.0:
-                raise ValueError(f"tolerance '{name}' must be positive")
 
     def resolve_data_path(self) -> str:
         if self.maass_data_path:
@@ -45,10 +39,8 @@ _STR_KEYS = {"maass_data_path", "output_format"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a key = value file; `tol.<name>` keys, for the names in
-    DEFAULT_TOLERANCES, populate the tolerance map."""
+    """Read a key = value file of RunConfig fields; any other key is an error."""
     updates: dict = {}
-    tolerances: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -57,9 +49,7 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got '{line}'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key.startswith("tol.") and key[4:] in DEFAULT_TOLERANCES:
-                tolerances[key[4:]] = float(val)
-            elif key in _FLOAT_KEYS:
+            if key in _FLOAT_KEYS:
                 updates[key] = float(val)
             elif key in _INT_KEYS:
                 updates[key] = int(val)
@@ -67,8 +57,6 @@ def parse_config_file(path: str) -> dict:
                 updates[key] = val.strip("\"'")
             else:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
-    if tolerances:
-        updates["tolerances"] = {**DEFAULT_TOLERANCES, **tolerances}
     return updates
 
 

@@ -78,7 +78,9 @@ def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heigh
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[i, n-1] Ktilde_{r_i}(2 pi n y) tr_i(2 pi n x), r_i = bank.r[rows[i]],
-    tr_i = sin on odd rows else cos, n <= n_max[i] and 2 pi n y <= r_i + _BESSEL_DECAY.
+    tr_i = sin on odd rows else cos, over the n with 2 pi n y <= r_i + _BESSEL_DECAY.
+    ValueError where a row's n_max[i] coefficients stop short of that at the
+    lowest height: the dropped terms would go unreported.
 
     Points run in height order, in blocks of at most _ENTRY_BLOCK entries
     (a point at height y has at most sum_i (r_i + _BESSEL_DECAY) / (2 pi y)).
@@ -90,11 +92,21 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
+    if not (len(x) and len(rows)):
+        return out
+    cut, y_min = bank.r[rows] + _BESSEL_DECAY, float(np.min(y))
+    short = np.flatnonzero(2.0 * math.pi * n_max * y_min < cut)
+    if len(short):
+        i = short[0]
+        raise ValueError(
+            f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
+            f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {_BESSEL_DECAY:g}): the point "
+            f"is outside the evaluator's domain")
     order = np.argsort(y, kind="stable")
-    per_height = float(np.sum(bank.r[rows] + _BESSEL_DECAY)) / (2.0 * math.pi)
+    per_height = float(np.sum(cut)) / (2.0 * math.pi)
     load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
     s = 0
-    while s < (len(x) if len(rows) else 0):
+    while s < len(x):
         e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
         idx = order[s:e]
         s = e
@@ -131,17 +143,13 @@ class EisensteinSeries:
 
     def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Real unitary-frame values of the rows, shape (len(rows), npoints),
-        from the expansion at the points as given (not reduced).  Its terms
-        need n <= (r + _BESSEL_DECAY) / (2 pi min(y)); ValueError where that
-        exceeds the _N_MULTIPLIERS stored multipliers."""
+        from the expansion at the points as given (not reduced); ValueError
+        at heights whose terms need more than the _N_MULTIPLIERS stored
+        multipliers."""
         rows, y = np.asarray(rows, dtype=np.intp), np.asarray(y, dtype=float)
         r = self.r[rows]
         sy = np.sqrt(y)
         val = 2.0 * sy * np.cos(r[:, None] * np.log(y) + self._arg_xi[rows][:, None])
-        n_need = np.ceil((r + _BESSEL_DECAY) / (2.0 * math.pi * float(np.min(y))))
-        if np.any(n_need > self._N_MULTIPLIERS):
-            raise ValueError(f"{int(np.max(n_need))} Fourier terms requested; heights this low "
-                             f"are outside the evaluator's domain (max {self._N_MULTIPLIERS})")
         n_max = np.full(len(rows), self._N_MULTIPLIERS)
         acc = _fourier_rows(self.bank, rows, self._bn[rows], n_max,
                             np.zeros(len(rows), dtype=bool), x, y)
@@ -227,13 +235,8 @@ def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
 def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Normalized forms[i], i in rows, on arrays of already-reduced coordinates."""
     sel = [forms[i] for i in rows]
-    for f in sel:
-        if f.norm_constant is None:
-            raise ValueError("form is not normalized; run load_maass_data / normalize_maass_form")
-        if 2.0 * math.pi * f.n_coeffs * float(np.min(y)) <= f.r + 20.0:
-            raise ValueError(
-                f"{f.n_coeffs} coefficients are too few at height y={float(np.min(y)):.4f} "
-                f"for r={f.r:.4f}: need 2 pi N y > r + 20")
+    if any(f.norm_constant is None for f in sel):
+        raise ValueError("form is not normalized; run load_maass_data / normalize_maass_form")
     norm = np.array([f.norm_constant for f in sel], dtype=float)
     return norm[:, None] * _maass_raw(forms, bank, rows, x, y)
 

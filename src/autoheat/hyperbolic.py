@@ -33,14 +33,14 @@ class HPoint:
         return cls(float(z.real), float(z.imag))
 
 
-def reduce_to_fundamental_domain(p: HPoint, max_iter: int = 200) -> HPoint:
+def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
     """Translate/invert z into |x| <= 1/2, |z| >= 1.
 
     The classical reduction: each inversion strictly increases y when |z| < 1,
-    so the loop terminates.
+    so the loop terminates; 200 rounds is a safety stop.
     """
     x, y = p.x, p.y
-    for _ in range(max_iter):
+    for _ in range(200):
         x -= np.floor(x + 0.5)
         n2 = x * x + y * y
         if n2 >= 1.0 - 1e-15:

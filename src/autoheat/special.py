@@ -74,7 +74,7 @@ def zeta_line(t: float) -> complex:
     if t == 0.0:
         raise ValueError("zeta(1 + it) has a pole at t = 0")
     if abs(t) > ZETA_LINE_T_MAX:
-        raise ValueError(f"|t| <= {ZETA_LINE_T_MAX} required, got {t}")
+        raise ValueError(f"zeta(1 + it) is computed for |t| <= {ZETA_LINE_T_MAX:g}, got t = {t}")
     return zeta_euler_maclaurin(complex(1.0, t))
 
 
@@ -93,9 +93,10 @@ def _log_gamma(z: complex) -> complex:
 
 
 def xi_line(r: float) -> complex:
-    """Completed zeta xi(1 + 2ir) = pi^{-s/2} Gamma(s/2) zeta(s) at s = 1 + 2ir."""
+    """Completed zeta xi(1 + 2ir) = pi^{-s/2} Gamma(s/2) zeta(s) at s = 1 + 2ir;
+    zeta_line's range applies, so |2r| <= ZETA_LINE_T_MAX."""
     s = complex(1.0, 2.0 * r)
-    return cmath.exp(_log_gamma(s / 2) - s / 2 * math.log(math.pi)) * zeta_euler_maclaurin(s)
+    return cmath.exp(_log_gamma(s / 2) - s / 2 * math.log(math.pi)) * zeta_line(2.0 * r)
 
 
 def scattering_phase(r: float) -> complex:

@@ -96,7 +96,7 @@ class SpectralGrid:
 
 
 def eisenstein_nodes(r_max: float, panels: int,
-                     nodes_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
+                     nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes on [0, r_max] with equal-width panels.
 
     Equal widths keep the panels narrow at high r, where the integrand
@@ -112,7 +112,7 @@ def eisenstein_nodes(r_max: float, panels: int,
 
 
 def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
-               nodes_per_panel: int = 32) -> SpectralGrid:
+               nodes_per_panel: int) -> SpectralGrid:
     """Assemble the discretized spectral space.
 
     Rejects nonpositive r_max and duplicate cusp parameters (within 1e-9).

@@ -9,7 +9,7 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import sobolev_norm, synthesis_basis, synthesize_values
+from .sobolev import sobolev_norm, sobolev_weights, synthesis_basis, synthesize_values
 from .spectral_model import SobolevIndex, SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
@@ -138,5 +138,5 @@ def eisenstein_tail_norm(t: float, grid: SpectralGrid, r_from: float,
     coeffs = heat_coefficients(t, grid).coeffs
     mask = np.zeros(grid.size, dtype=bool)
     mask[grid.n_cusp + 1:] = grid.eisenstein_r > r_from
-    w = grid.weights * (1.0 - grid.lambdas) ** s
+    w = sobolev_weights(grid, s)
     return float(np.sqrt(np.sum(w[mask] * np.abs(coeffs.values[mask]) ** 2)))

@@ -44,6 +44,7 @@ SUITES = ("sobolev", "semigroup", "heat", "oracle", "all")
 
 ORACLE_TIMES = (0.5, 1.0, 2.0)
 ORACLE_POINTS = (HPoint(0.0, 1.0), HPoint(0.0, 2.0), HPoint(0.25, 1.3))
+ORACLE_REL_TOL = 1e-3  # spectral against periodized values, acceptance criterion 07
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def _random_coeffs(grid: SpectralGrid, rng: np.random.Generator) -> CoeffFn:
     return CoeffFn(grid, vals)
 
 
-def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
+def sobolev_suite(grid: SpectralGrid) -> list[CheckResult]:
     rng = np.random.default_rng(20240311)
     out = []
 
@@ -94,7 +95,7 @@ def sobolev_suite(grid: SpectralGrid, n_random: int = 100) -> list[CheckResult]:
     out.append(_le("weight duality (1-lam)^s (1-lam)^-s = 1", worst, 1e-14))
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(100):
         f = _random_coeffs(grid, rng)
         s = int(rng.integers(-4, 5))
         a = sobolev_norm(apply_one_minus_laplacian(f), s - 2)
@@ -229,8 +230,7 @@ def heat_suite(grid: SpectralGrid) -> list[CheckResult]:
     return out
 
 
-def oracle_suite(grid: SpectralGrid, norm_bound: float,
-                 rel_tol: float = 1e-3) -> list[CheckResult]:
+def oracle_suite(grid: SpectralGrid, norm_bound: float) -> list[CheckResult]:
     out = []
     for t in ORACLE_TIMES:
         for z in ORACLE_POINTS:
@@ -238,7 +238,7 @@ def oracle_suite(grid: SpectralGrid, norm_bound: float,
             reference = periodized_oracle(t, z, norm_bound, shell_warning=False)
             rel = abs(spectral - reference) / abs(reference)
             out.append(_le(f"oracle agreement t={t} z={z.x}+{z.y}i (B={norm_bound:g})",
-                           rel, rel_tol))
+                           rel, ORACLE_REL_TOL))
     return out
 
 
@@ -254,6 +254,5 @@ def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
     if name in ("heat", "all"):
         checks.extend(heat_suite(grid))
     if name in ("oracle", "all"):
-        checks.extend(oracle_suite(grid, cfg.oracle_norm_bound,
-                                   cfg.tolerances.get("oracle_rel", 1e-3)))
+        checks.extend(oracle_suite(grid, cfg.oracle_norm_bound))
     return checks

@@ -111,7 +111,7 @@ def test_criterion_07_oracle_agreement_at_spec_bound(grid):
     companion test below."""
     t0 = time.time()
     report_checks(7, "end-to-end oracle agreement at norm bound 25",
-                  oracle_suite(grid, 25.0, 1e-3), t0)
+                  oracle_suite(grid, 25.0), t0)
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 import autoheat
 from autoheat import cli
-from autoheat.config import DEFAULT_TOLERANCES, RunConfig, build_config, parse_config_file
+from autoheat.config import RunConfig, build_config, parse_config_file
 
 EVAL_HEADER = "t,x,y,value,cusp_part,residual_part,eisenstein_part,tail_estimate\n"
 
@@ -63,6 +64,48 @@ def test_cold_eval_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+GRID_FLAGS = {"--r-max", "--panels", "--nodes-per-panel"}
+CONFIG_FLAGS = {"--config", "--data"}
+
+# The option strings of each subcommand (positional suite as "suite"): each
+# flag exists where its setting is read, and nowhere else.
+PARSER_CONTRACT = {
+    "eval": {"--t", "--x", "--y", "--format"} | GRID_FLAGS | CONFIG_FLAGS,
+    "verify": {"suite", "--norm-bound"} | GRID_FLAGS | CONFIG_FLAGS,
+    "profile": {"--t-list", "--s-list", "--format"} | GRID_FLAGS | CONFIG_FLAGS,
+    "ingest-check": CONFIG_FLAGS,
+}
+
+
+def test_parser_contract():
+    parser = cli.make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {}
+    for name, p in sub.choices.items():
+        got[name] = {opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                     for opt in (a.option_strings or [a.dest])}
+    assert got == PARSER_CONTRACT
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --t 1 --x 0 --y 1 --norm-bound -5",
+    "profile --t-list 1 --norm-bound 160",
+    "verify oracle --format json",
+    "verify heat --suite heat",
+    "ingest-check --r-max 10",
+    "ingest-check --panels 3",
+    "ingest-check --nodes-per-panel 8",
+    "ingest-check --norm-bound 160",
+    "ingest-check --format json",
+])
+def test_removed_flags_are_usage_errors(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEval:
@@ -128,7 +171,13 @@ class TestVerify:
         assert cli.main(["verify", "nonsuite"]) == 64
 
     def test_conflicting_suites_rejected(self, capsys):
-        assert cli.main(["verify", "heat", "--suite", "sobolev"]) == 64
+        # the suite is positional only; a second one is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "heat", "--suite", "sobolev"])
+        assert exc.value.code == 64
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "heat", "sobolev"])
+        assert exc.value.code == 64
 
     def test_sobolev_suite_passes(self, grid, capsys):
         code = cli.main(["verify", "sobolev"])
@@ -169,6 +218,20 @@ class TestProfile:
     def test_non_monotone_list_rejected(self, capsys):
         assert cli.main(["profile", "--t-list", "1,0.1,0.5"]) == 64
 
+    def test_non_finite_times_are_usage_errors(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        for t_list in ("nan", "1,nan", "inf", "0.5,1,inf", "-1"):
+            assert cli.main(["profile", "--t-list", t_list]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite and positive" in captured.err
+
+    def test_overflowing_index_refused(self, grid, capsys):
+        # (1 - lambda)^120 overflows on the cusp rows: an error, not a nan
+        assert cli.main(["profile", "--t-list", "1", "--s-list", "0,120"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflow" in captured.err
+
 
 class TestIngestCheck:
     def test_packaged_data_passes(self, grid, capsys):
@@ -186,14 +249,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.r_max == 12.0 and cfg.panels == 5
-        assert cfg.tolerances == DEFAULT_TOLERANCES
 
     def test_file_then_flag_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("r_max = 10.0\npanels = 3  # comment\ntol.oracle_rel = 5e-3\n")
+        path.write_text("r_max = 10.0\npanels = 3  # comment\n")
         cfg = build_config(str(path))
         assert cfg.r_max == 10.0 and cfg.panels == 3
-        assert cfg.tolerances["oracle_rel"] == 5e-3
         cfg = build_config(str(path), r_max=8.0)
         assert cfg.r_max == 8.0 and cfg.panels == 3
 
@@ -203,9 +264,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown configuration key"):
             parse_config_file(str(path))
 
-    @pytest.mark.parametrize("key", ["tol.tail", "tol.shell", "tol.quad_rel", "tol.no_such_thing"])
+    @pytest.mark.parametrize("key", ["tol.tail", "tol.shell", "tol.quad_rel", "tol.no_such_thing",
+                                     "tol.oracle_rel"])
     def test_unread_tolerance_rejected(self, tmp_path, key):
-        # only tol.oracle_rel is read by anything
+        # no tolerance is configurable: criterion 07's 1e-3 among them
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1.0\n")
         with pytest.raises(ValueError, match="unknown configuration key"):

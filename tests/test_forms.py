@@ -131,6 +131,17 @@ class TestMaass:
         with pytest.raises(ValueError, match="too few"):
             maass_values(form, np.array([0.0]), np.array([0.9]))
 
+    def test_short_expansion_refused_where_a_term_would_drop(self):
+        # 10 coefficients at r = 34 reach 2 pi N y = 54.4 at the domain's
+        # floor, but the terms run to 2 pi n y <= r + 45: n = 11 alone adds
+        # Ktilde_{34i}(59.85) ~ 1.4e-8.  At y = 1.3 ten terms suffice.
+        form = MaassFormData(r=34.0, parity=Parity.EVEN,
+                             coeffs=np.concatenate([[1.0], np.full(9, 0.1)]))
+        form.norm_constant = 1.0
+        with pytest.raises(ValueError, match="too few"):
+            maass_values(form, np.array([0.0]), np.array([math.sqrt(3.0) / 2.0]))
+        assert np.isfinite(maass_values(form, np.array([0.0]), np.array([1.3]))[0])
+
     def test_norms_against_refined_rules(self, dataset):
         # the Parseval-plus-cap rule against itself at doubled node counts
         # (measured 8.9e-16; the former 2-D rule is 1.6e-13 off) and, on

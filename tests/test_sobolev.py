@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from autoheat.forms import Parity, maass_values
+from autoheat.heat import heat_coefficients
 from autoheat.hyperbolic import QuadSpec
 from autoheat.sobolev import (
     CoeffFn,
@@ -16,6 +17,7 @@ from autoheat.sobolev import (
     pairing_s,
     sobolev_norm,
 )
+from autoheat.synthesis import eisenstein_tail_norm
 from autoheat.verify import sobolev_suite
 
 RNG = np.random.default_rng(101)
@@ -54,6 +56,16 @@ class TestNorms:
         a = sobolev_norm(delta_coefficients(grid), 0)
         b = sobolev_norm(delta_coefficients(doubled_grid), 0)
         assert b > 1.1 * a  # keeps growing with the spectral cutoff
+
+    def test_overflowing_weights_refused(self, grid):
+        # (1 - lambda)^120 overflows on the cusp rows and would meet the
+        # coefficients that flushed to zero as inf * 0 = nan
+        coeffs = heat_coefficients(1.0, grid).coeffs
+        assert np.isfinite(sobolev_norm(coeffs, 80))
+        for fn in (lambda s: sobolev_norm(coeffs, s), lambda s: pairing_s(coeffs, coeffs, s),
+                   lambda s: eisenstein_tail_norm(1.0, grid, 6.0, s)):
+            with pytest.raises(ValueError, match="overflow"):
+                fn(120)
 
     def test_nesting(self, tiny_grid):
         for _ in range(30):

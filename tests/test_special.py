@@ -163,6 +163,14 @@ class TestZetaLine:
         with pytest.raises(ValueError):
             zeta_line(150.0)
 
+    def test_xi_line_refused_past_the_zeta_range(self):
+        # the Euler-Maclaurin sum is 1.9e-6 off zeta(1 + 400i) (mpmath), so
+        # xi(1 + 2ir) and with it Eisenstein rows past r = 50 are refused
+        assert np.isfinite(xi_line(50.0))
+        for r in (50.5, -60.0, 200.0):
+            with pytest.raises(ValueError, match="zeta"):
+                xi_line(r)
+
     def test_reference_value(self):
         # zeta(1 + 2i), mpmath at 30 digits
         ref = complex(0.598165569762381737, -0.351854745217845290)

@@ -78,9 +78,9 @@ class TestBuildGrid:
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([], r_max=-1.0, panels=2)
+            build_grid([], r_max=-1.0, panels=2, nodes_per_panel=8)
         with pytest.raises(ValueError):
-            build_grid([], r_max=10.0, panels=0)
+            build_grid([], r_max=10.0, panels=0, nodes_per_panel=8)
 
     def test_refinement_stability(self):
         # doubling panel count moves a smooth quadrature by < the declared tol
