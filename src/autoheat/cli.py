@@ -11,8 +11,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
-from .config import build_config
+from .config import RunConfig, build_config
 from .forms import MaassDataError, load_maass_data
 from .heat import heat_coefficients, initial_condition_gap
 from .hyperbolic import HPoint
@@ -51,10 +52,8 @@ def _config_flags(p: argparse.ArgumentParser, grid: bool = False, fmt: bool = Fa
         p.add_argument("--norm-bound", type=float, default=None, dest="oracle_norm_bound")
 
 
-def _config_from(args) -> "RunConfig":
-    keys = ("r_max", "panels", "nodes_per_panel", "oracle_norm_bound",
-            "maass_data_path", "output_format")
-    overrides = {k: getattr(args, k, None) for k in keys}
+def _config_from(args) -> RunConfig:
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return build_config(args.config, **overrides)
 
 

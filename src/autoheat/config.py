@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 DATA_ENV_VAR = "AUTOHEAT_DATA"
@@ -33,13 +33,11 @@ class RunConfig:
         return str(resources.files("autoheat").joinpath("data/maass_sl2z.dat"))
 
 
-_FLOAT_KEYS = {"r_max", "oracle_norm_bound"}
-_INT_KEYS = {"panels", "nodes_per_panel"}
-_STR_KEYS = {"maass_data_path", "output_format"}
-
-
 def parse_config_file(path: str) -> dict:
-    """Read a key = value file of RunConfig fields; any other key is an error."""
+    """Read a key = value file of RunConfig fields; any other key is an error.
+    A value parses by the type of its field's default, where None means a
+    path; quotes are stripped from string values."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     updates: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -49,14 +47,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got '{line}'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in _FLOAT_KEYS:
-                updates[key] = float(val)
-            elif key in _INT_KEYS:
-                updates[key] = int(val)
-            elif key in _STR_KEYS:
-                updates[key] = val.strip("\"'")
-            else:
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
+            kind = type(defaults[key])
+            updates[key] = val.strip("\"'") if kind in (str, type(None)) else kind(val)
     return updates
 
 

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .special import KBesselBank, kbessel_bank, scattering_phase, xi_line
+from .special import KBesselBank, gauss_rule, kbessel_bank, scattering_phase, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
@@ -266,20 +265,15 @@ def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
     height for all its x nodes."""
     rows = np.arange(len(forms))
     coeffs, n_max, _ = _coeff_table(forms, rows)
-    g, w = leggauss(ny)
-    span = math.log(_NORM_Y_MAX) / _NORM_PANELS
-    log_y = (span * (np.arange(_NORM_PANELS)[:, None] + 0.5 * (g + 1.0))).ravel()
-    table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y))
-    w_log = np.tile(0.5 * span * w, _NORM_PANELS)
-    rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log), axis=1)
-    g, w = leggauss(nphi)
-    phi, w_phi = (math.pi / 12.0) * (g + 1.0), (math.pi / 12.0) * w
-    g, w = leggauss(nx)
-    length = 0.5 - np.sin(phi)
-    x = (np.sin(phi)[:, None] + length[:, None] * 0.5 * (g + 1.0)).ravel()
-    # dy = sin(phi) dphi, dx = length/2 per unit of w; the doubling cancels the 1/2
-    wts = (w_phi * np.sin(phi) * length / np.cos(phi) ** 2)[:, None] * w
-    vals = _maass_raw(forms, bank, rows, x, np.repeat(np.cos(phi), nx))
+    half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
+    log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
+    table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y.ravel()))
+    rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log.ravel()), axis=1)
+    phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
+    x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)
+    # dy = sin(phi) dphi; the doubling by evenness in x
+    wts = (2.0 * w_phi * np.sin(phi) / np.cos(phi) ** 2)[:, None] * w_x
+    vals = _maass_raw(forms, bank, rows, x.ravel(), np.repeat(np.cos(phi), nx))
     return rect + (vals * vals) @ wts.ravel()
 
 

@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .special import gauss_rule
 
 FUNDAMENTAL_DOMAIN_FLOOR = np.sqrt(3.0) / 2.0  # lowest height in the standard domain
 
@@ -80,24 +81,16 @@ class QuadSpec:
 
     def nodes(self):
         """Return flat arrays (x, y, w) with w the dx dy / y^2 weights."""
-        xg, wx = leggauss(self.nx)
-        x = 0.5 * xg  # map [-1,1] -> [-1/2, 1/2]
-        wx = 0.5 * wx
-        yg, wy = leggauss(self.ny_per_panel)
-        xs, ys, ws = [], [], []
-        for xi, wxi in zip(x, wx):
-            y_lo = np.sqrt(max(1.0 - xi * xi, 0.0))
-            # geometric panel edges from the arc up to y_max
-            widths = 1.9 ** np.arange(self.y_panels)
-            widths *= (self.y_max - y_lo) / widths.sum()
-            edges = y_lo + np.concatenate(([0.0], np.cumsum(widths)))
-            for a, b in zip(edges[:-1], edges[1:]):
-                ym = 0.5 * (b - a) * yg + 0.5 * (a + b)
-                wm = 0.5 * (b - a) * wy
-                xs.append(np.full_like(ym, xi))
-                ys.append(ym)
-                ws.append(wxi * wm / ym ** 2)
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+        x, wx = gauss_rule(0.0, 0.5, self.nx)
+        y_lo = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        # geometric panel edges from the arc up to y_max
+        widths = 1.9 ** np.arange(self.y_panels)
+        widths = widths * ((self.y_max - y_lo) / widths.sum())[:, None]
+        edges = y_lo[:, None] + np.cumsum(np.insert(widths, 0, 0.0, axis=1), axis=1)
+        a, b = edges[:, :-1], edges[:, 1:]
+        y, wy = gauss_rule(0.5 * (a + b), 0.5 * (b - a), self.ny_per_panel)
+        w = wx[:, None, None] * wy / y ** 2
+        return np.broadcast_to(x[:, None, None], y.shape).ravel(), y.ravel(), w.ravel()
 
 
 def fundamental_domain_volume(quad: QuadSpec | None = None) -> float:

@@ -46,20 +46,15 @@ import warnings
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.legendre import leggauss
 
 from .hyperbolic import HPoint, hyperbolic_distance
+from .special import gauss_rule
 
 SHELL_TOLERANCE = 1e-4
 T_MIN, T_MAX = 0.2, 10.0
 _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
 _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
 _COUNT_CHUNK = 2 ** 16  # residues m per count block in _count_moments
-
-
-# one eigenvalue solve per rule size and process (~3 ms at 160 nodes); the
-# arrays are shared, so no caller writes to them
-_gauss_legendre = functools.cache(leggauss)
 
 
 def heat_kernel_plane(t: float, rho) -> np.ndarray:
@@ -81,20 +76,19 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho < 0.0):
         raise ValueError("distances are nonnegative")
-    xg, wg = _gauss_legendre(160)
+    xg, wg = gauss_rule(0.5, 0.5, 160)  # on [0, 1]
     val = np.empty(len(rho))
     for lo in range(0, len(rho), _PLANE_BLOCK):
         r = rho[lo:lo + _PLANE_BLOCK, None]
         u_max = np.sqrt(np.maximum(r, 1.0) + math.sqrt(4.0 * t * 46.0) - r)
-        u = 0.5 * u_max * (xg[None, :] + 1.0)
-        w = 0.5 * u_max * wg[None, :]
+        u, w = u_max * xg, u_max * wg
         near = (r[:, 0] > _NEAR_DIAGONAL[0]) & (r[:, 0] < _NEAR_DIAGONAL[1])
         if np.any(near):
             sq = np.sqrt(r[near])
             v_max = np.arcsinh(u_max[near] / sq)
-            v = 0.5 * v_max * (xg[None, :] + 1.0)
+            v = v_max * xg
             u[near] = sq * np.sinh(v)
-            w[near] = 0.5 * v_max * wg[None, :] * sq * np.cosh(v)
+            w[near] = v_max * wg * sq * np.cosh(v)
         s = r + u * u
         denom = 2.0 * np.sinh(r + 0.5 * u * u) * np.sinh(0.5 * u * u)
         integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
@@ -162,6 +156,12 @@ def _plane_kernel_fit(t: float, rho_max: float):
     return kernel
 
 
+def _check_time(t: float) -> None:
+    """Refuse times outside [T_MIN, T_MAX], where the oracle is checked."""
+    if not T_MIN <= t <= T_MAX:
+        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
+
+
 def _check_bound(bound: float) -> None:
     """Refuse norm bounds that enumerate nothing or cannot be enumerated."""
     if not math.isfinite(bound):
@@ -225,9 +225,7 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     a = hyperbolic_distance(z.z, 1j)
     # sinh r p_t(r - a) peaks at r - a ~ t with width ~ sqrt(2t)
     r_hi = max(rho_b, a + t) + math.sqrt(4.0 * t * 46.0)
-    xg, wg = _gauss_legendre(200)
-    r = rho_b + 0.5 * (r_hi - rho_b) * (xg + 1.0)
-    wr = 0.5 * (r_hi - rho_b) * wg * np.sinh(r)
+    r, wr = gauss_rule(0.5 * (r_hi + rho_b), 0.5 * (r_hi - rho_b), 200)
     if a == 0.0:
         theta, wt = np.zeros(1), np.array([2.0 * math.pi])
     else:  # even in theta: half the circle, doubled weights
@@ -238,7 +236,7 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
              * np.sinh(r)[:, None] * np.sin(0.5 * theta)[None, :] ** 2)
     rho = np.arccosh(coshd).ravel()
     p = _plane_kernel_fit(t, float(rho.max()))(rho).reshape(coshd.shape)
-    return 3.0 / math.pi * float(wr @ p @ wt)
+    return 3.0 / math.pi * float((wr * np.sinh(r)) @ p @ wt)
 
 
 def _warn_shell(t: float, norm_bound: float, shell_part: float, total: float) -> None:
@@ -261,8 +259,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     contributes noticeably to the enumerated sum: the ball is then small for
     this t and the answer leans on the tail term.
     """
-    if not (T_MIN <= t <= T_MAX):
-        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
+    _check_time(t)
     mats = enumerate_group(norm_bound)
     a, b, c, d = (mats[:, k].astype(float) for k in range(4))
     orbit = (a * 1j + b) / (c * 1j + d)
@@ -414,8 +411,7 @@ def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     is the same answer as periodized_oracle(t, i, norm_bound), with the same
     boundary-shell warning.
     """
-    if not (T_MIN <= t <= T_MAX):
-        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
+    _check_time(t)
     _check_bound(norm_bound)
     n_max = int(math.floor(norm_bound * norm_bound))
     length = _count_length(n_max)

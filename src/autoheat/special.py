@@ -124,17 +124,25 @@ _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    t, w = leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
+# one eigenvalue solve per rule size and process; the arrays are shared, so
+# no caller writes to them
+_legendre_rule = functools.cache(leggauss)
+
+
+def gauss_rule(mid, half, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on the panels
+    [mid - half, mid + half], each of shape mid.shape + (n,); mid and half
+    broadcast against each other."""
+    t, w = _legendre_rule(n)
+    mid, half = np.broadcast_arrays(np.asarray(mid, dtype=float)[..., None],
+                                    np.asarray(half, dtype=float)[..., None])
+    return mid + half * t, half * w
 
 
 def _gauss_sum(n: int, entries: np.ndarray, integrand) -> np.ndarray:
     """Per entry, the n-point Gauss-Legendre sum on [0, 1] of integrand(entries, t),
     in passes of at most _QUAD_ELEMENTS (entry, node) pairs."""
-    t, w = _gauss(n)
+    t, w = gauss_rule(0.5, 0.5, n)
     step = max(1, _QUAD_ELEMENTS // n)
     return np.concatenate([integrand(entries[a:a + step], t) @ w
                            for a in range(0, len(entries), step)])

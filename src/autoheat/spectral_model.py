@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .forms import EisensteinSeries, MaassFormData, cusp_bank, maass_rows
-from .special import KBesselBank
+from .special import KBesselBank, gauss_rule
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
 # lives at Sobolev index -DELTA_INDEX and below.
@@ -104,24 +103,25 @@ def eisenstein_nodes(r_max: float, panels: int,
     (at r = gamma/2 +- i/4 for the ordinates gamma of the zeta zeros).
     Weights already carry the folded Plancherel factor 1/(2 pi).
     """
-    xg, wg = leggauss(nodes_per_panel)
     half = 0.5 * r_max / panels
-    centres = half * (2.0 * np.arange(panels) + 1.0)
-    nodes = (centres[:, None] + half * xg[None, :]).ravel()
-    return nodes, np.tile(half * wg / (2.0 * np.pi), panels)
+    nodes, weights = gauss_rule(half * (2.0 * np.arange(panels) + 1.0), half, nodes_per_panel)
+    return nodes.ravel(), weights.ravel() / (2.0 * np.pi)
 
 
 def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
                nodes_per_panel: int) -> SpectralGrid:
     """Assemble the discretized spectral space.
 
-    Rejects nonpositive r_max and duplicate cusp parameters (within 1e-9).
-    Cusp forms must be normalized (load_maass_data does that).
+    Rejects an r_max that is not positive and finite, fewer than one panel
+    or node per panel, and duplicate cusp parameters (within 1e-9).  Cusp
+    forms must be normalized (load_maass_data does that).
     """
-    if not r_max > 0.0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < np.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if panels < 1:
         raise ValueError("at least one quadrature panel required")
+    if nodes_per_panel < 1:
+        raise ValueError(f"nodes_per_panel must be at least 1, got {nodes_per_panel}")
     data = sorted(cusp_data, key=lambda f: f.r)
     rs = [f.r for f in data]
     for r1, r2 in zip(rs, rs[1:]):

@@ -22,7 +22,9 @@ class SynthesisReport:
 
     value = cusp_part + residual_part + eisenstein_part by construction;
     tail_estimate bounds the continuous-spectrum contribution dropped beyond
-    the grid's r_max.
+    the grid's r_max.  tail_warning flags a tail that is large against the
+    value, or a value <= 0: the heat kernel is strictly positive, so such a
+    value is wrong by at least its own size.
     """
 
     value: complex
@@ -72,7 +74,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         eisenstein_part=complex(eis),
         tail_estimate=tail,
         nodes_used=grid.n_eisenstein,
-        tail_warning=tail > TAIL_TOLERANCE * max(abs(value), 1e-300),
+        tail_warning=tail > TAIL_TOLERANCE * max(abs(value), 1e-300) or value.real <= 0.0,
     )
 
 
@@ -96,8 +98,6 @@ def smoothness_profile(t: float, s_list: list[SobolevIndex], grid: SpectralGrid,
     t = 0 (allowed here for contrast only) the low norms grow with the
     cutoff, reflecting that the delta datum is not square-integrable.
     """
-    if t < 0.0:
-        raise ValueError("t >= 0")
     coeffs = heat_coefficients(t, grid).coeffs
     coeffs2 = heat_coefficients(t, doubled_grid).coeffs
     norms = tuple((s, sobolev_norm(coeffs, s)) for s in s_list)

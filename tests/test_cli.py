@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -154,6 +156,24 @@ class TestEval:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        ("--r-max inf", "r_max must be positive and finite, got inf"),
+        ("--nodes-per-panel 0", "nodes_per_panel must be at least 1, got 0"),
+    ])
+    def test_bad_grid_parameters_named(self, flags, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1"] + flags.split())
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_positive_value_warns(self, grid, capsys):
+        # the kernel is positive; high in the cusp the quadrature leaves -2e-13
+        code = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e6"])
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
+        assert value <= 0.0 and code == 2
+
     def test_json_mirrors_csv_fields(self, grid, capsys):
         cli.main(["eval", "--t", "1", "--x", "0", "--y", "1"])
         csv_out = capsys.readouterr().out.strip().splitlines()
@@ -251,10 +271,14 @@ class TestConfig:
         assert cfg.r_max == 12.0 and cfg.panels == 5
 
     def test_file_then_flag_precedence(self, tmp_path):
+        # every RunConfig field is a key, parsed by the type of its default
         path = tmp_path / "run.cfg"
-        path.write_text("r_max = 10.0\npanels = 3  # comment\n")
+        path.write_text("maass_data_path = 'forms.dat'\nr_max = 10\npanels = 3  # comment\n"
+                        "nodes_per_panel = 16\noracle_norm_bound = 60\n"
+                        "output_format = \"json\"\n")
         cfg = build_config(str(path))
-        assert cfg.r_max == 10.0 and cfg.panels == 3
+        assert dataclasses.astuple(cfg) == ("forms.dat", 10.0, 3, 16, 60.0, "json")
+        assert [type(v) for v in dataclasses.astuple(cfg)] == [str, float, int, int, float, str]
         cfg = build_config(str(path), r_max=8.0)
         assert cfg.r_max == 8.0 and cfg.panels == 3
 

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from autoheat.forms import (
     EisensteinSeries,
@@ -22,6 +21,7 @@ from autoheat.forms import (
 )
 from autoheat.forms import _maass_raw, _norm_squares, cusp_bank
 from autoheat.hyperbolic import HPoint, QuadSpec, fundamental_domain_volume
+from autoheat.special import gauss_rule
 
 
 def _raw_unitary(r, z):
@@ -83,12 +83,11 @@ class TestEisenstein:
         # in r comes from reality/unitarity of the normalized values.  Each
         # node set is one EisensteinSeries over |r|.
         r_cut = 6.0
-        xg, wg = leggauss(48)
 
         def integral(edges, scale):
-            rs = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b)
-                                 for a, b in zip(edges[:-1], edges[1:])])
-            ws = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
+            edges = np.array(edges)
+            rs, ws = (a.ravel() for a in gauss_rule(0.5 * (edges[1:] + edges[:-1]),
+                                                    0.5 * (edges[1:] - edges[:-1]), 48))
             at_i = EisensteinSeries(np.abs(rs)).unitary_rows(np.arange(len(rs)), [0.0], [1.0])[:, 0]
             density = np.exp(-rs * rs / 8.0) * at_i ** 2
             return float(np.sum(ws * density)) / scale

@@ -6,6 +6,7 @@ import pytest
 from autoheat.special import (
     KBesselBank,
     bessel_k_imag,
+    gauss_rule,
     kbessel_bank,
     kbessel_quad,
     scattering_phase,
@@ -217,3 +218,24 @@ class TestAgainstMpmath:
                          * mpmath.erfc(r_max * mpmath.sqrt(t_mp)))
             assert abs(_gaussian_tail(r_max, t) - want) <= 1e-14 * want
         assert _gaussian_tail(12.0, 8.0) == 0.0
+
+
+class TestGaussRule:
+    # panels of unequal width, centres broadcast against a column of widths
+    MID = np.array([-1.5, 0.25, 3.0])
+    HALF = np.array([[0.5], [2.0]])
+
+    def test_shape_and_weights_sum_to_each_width(self):
+        nodes, weights = gauss_rule(self.MID, self.HALF, 7)
+        assert nodes.shape == weights.shape == (2, 3, 7)
+        assert np.allclose(weights.sum(axis=-1), np.broadcast_to(2.0 * self.HALF, (2, 3)),
+                           rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_exact_on_polynomials_up_to_degree_2n_minus_1(self, n):
+        nodes, weights = gauss_rule(self.MID, self.HALF, n)
+        lo, hi = self.MID - self.HALF, self.MID + self.HALF
+        for k in range(2 * n):
+            want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            got = np.sum(weights * nodes ** k, axis=-1)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)

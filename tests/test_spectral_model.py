@@ -77,10 +77,13 @@ class TestBuildGrid:
             build_grid(doubled, r_max=10.0, panels=2, nodes_per_panel=8)
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            build_grid([], r_max=-1.0, panels=2, nodes_per_panel=8)
+        for r_max in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="r_max must be positive and finite"):
+                build_grid([], r_max=r_max, panels=2, nodes_per_panel=8)
         with pytest.raises(ValueError):
             build_grid([], r_max=10.0, panels=0, nodes_per_panel=8)
+        with pytest.raises(ValueError, match="nodes_per_panel must be at least 1, got 0"):
+            build_grid([], r_max=10.0, panels=2, nodes_per_panel=0)
 
     def test_refinement_stability(self):
         # doubling panel count moves a smooth quadrature by < the declared tol
