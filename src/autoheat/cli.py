@@ -153,8 +153,8 @@ def cmd_profile(args) -> int:
         except ValueError:
             print("error: --s-list must be comma-separated integers", file=sys.stderr)
             return USAGE_EXIT
-        if not s_list:
-            print("error: empty --s-list", file=sys.stderr)
+        if not s_list or len(set(s_list)) < len(s_list):
+            print("error: --s-list must list distinct indices, at least one", file=sys.stderr)
             return USAGE_EXIT
     grid = grid_for_config(cfg)
     header = ["t", "gap"] + [f"s{s}" for s in s_list]

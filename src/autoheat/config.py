@@ -50,7 +50,10 @@ def parse_config_file(path: str) -> dict:
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
             kind = type(defaults[key])
-            updates[key] = val.strip("\"'") if kind in (str, type(None)) else kind(val)
+            try:
+                updates[key] = val.strip("\"'") if kind in (str, type(None)) else kind(val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for '{key}': {exc}") from None
     return updates
 
 

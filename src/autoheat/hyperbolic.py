@@ -38,15 +38,17 @@ def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
     """Translate/invert z into |x| <= 1/2, |z| >= 1.
 
     The classical reduction: each inversion strictly increases y when |z| < 1,
-    so the loop terminates; 200 rounds is a safety stop.
+    so the loop terminates; 200 rounds is a safety stop.  The inversion
+    divides twice by |z| = hypot(x, y), whose square underflows to 0 below
+    |z| ~ 1e-154.
     """
     x, y = p.x, p.y
     for _ in range(200):
         x -= np.floor(x + 0.5)
-        n2 = x * x + y * y
-        if n2 >= 1.0 - 1e-15:
+        if x * x + y * y >= 1.0 - 1e-15:
             return HPoint(x, y)
-        x, y = -x / n2, y / n2
+        r = math.hypot(x, y)
+        x, y = -x / r / r, y / r / r
     raise RuntimeError("fundamental-domain reduction did not terminate")
 
 

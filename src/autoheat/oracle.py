@@ -5,8 +5,8 @@ kernel over the orbit of the basepoint.  This shares no spectral machinery
 with the synthesis path (no zeta, no Eisenstein series, no Maass data), so
 agreement between the two is an end-to-end check of everything.
 
-Truncation: group elements of Frobenius norm <= bound, i.e. orbit points
-within hyperbolic distance rho_B = acosh(bound^2/2) of i, are enumerated.
+Truncation: the orbit points gamma i with gamma of Frobenius norm <= bound,
+i.e. within hyperbolic distance rho_B = acosh(bound^2/2) of i, are enumerated.
 Orbit points multiply like e^rho while the kernel's mass sits around radius
 ~ t, so at moderate t the orbit beyond that ball still carries percents of
 the sum.  orbit_tail supplies it from the main term of the hyperbolic
@@ -32,9 +32,8 @@ rho = +-i pi, and takes its degree from the Bernstein ellipse through i pi.
 On the distances that decide the sums it is within ~1.5e-14 of mpmath,
 where heat_kernel_plane is within ~1e-14, and the bound-25 sums at the
 verify points are within 3e-15 of sums with every orbit point taken from
-mpmath.  The group is enumerated arithmetically: for each a the b prime to
-a fix c = -b^{-1} mod a, so c runs through a progression of step a and
-d = (1 + bc)/a, O(B^2 log B) work at bound B.
+mpmath.  The orbit is enumerated point by point (orbit_of_i), and each
+point stands for the two elements gamma, gamma S of the ball that send i to it.
 """
 
 from __future__ import annotations
@@ -170,40 +169,33 @@ def _check_bound(bound: float) -> None:
         raise ValueError("bound below the identity's norm sqrt(2)")
 
 
-def enumerate_group(bound: float) -> np.ndarray:
-    """Integer matrices (a, b, c, d), ad - bc = 1, Frobenius norm <= bound,
-    deduplicated by sign (first nonzero entry positive).
+def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arrays (X, q) with gamma i = (X + i)/q, one entry for each
+    point of the PSL2(Z) orbit of i whose gamma has Frobenius norm <= bound.
 
-    Rows come a by a (a > 0 first, then a = 0), and within one a by b, then
-    by c.  For a > 0, a | 1 + bc holds exactly when b is prime to a and
-    c = -b^{-1} mod a, so the c of one b form a progression of step a."""
+    gamma = [[a, b], [c, d]] sends i to (ac + bd + i)/(c^2 + d^2), and
+    (a^2 + b^2)(c^2 + d^2) = X^2 + 1 gives ||gamma||^2 = q + (X^2 + 1)/q.
+    The bottom rows +-(c, d) and +-(d, -c) of +-gamma and +-gamma S give the
+    same point, so each point keeps the one with c > 0, d >= 0, coprime.
+    Moving (a, b) to (a + kc, b + kd) shifts X by kq, and X c = a q - d fixes
+    X = -d c^{-1} mod q; the bound leaves |X| <= m, m^2 <= q (n_max - q) - 1."""
     _check_bound(bound)
-    top = int(math.floor(bound))
-    b2 = bound * bound
-    rng = np.arange(-top, top + 1)
-    quads = []
-    for a in range(1, top + 1):  # a > 0 half; sign dedupe keeps a >= 0
-        minus_inv = np.zeros(a, dtype=rng.dtype)  # -b^{-1} mod a by residue of b
-        for res in range(a):
-            if math.gcd(res, a) == 1:
-                minus_inv[res] = -pow(res, -1, a) % a
-        b = rng[np.gcd(rng, a) == 1]
-        first = minus_inv[b % a]
-        first -= a * ((first + top) // a)  # smallest c >= -top in the class
-        c = first[:, None] + a * np.arange(2 * top // a + 1)
-        bb = np.broadcast_to(b[:, None], c.shape)
-        d = (1 + bb * c) // a
-        mask = (c <= top) & (a * a + bb * bb + c * c + d * d <= b2)
-        if np.any(mask):
-            n = int(mask.sum())
-            quads.append(np.stack(
-                [np.full(n, a), bb[mask], c[mask], d[mask]], axis=1))
-    # a = 0 forces bc = -1; keep the sign-canonical b = 1, c = -1 family
-    dmax = int(math.floor(math.sqrt(max(b2 - 2.0, 0.0))))
-    d = np.arange(-dmax, dmax + 1)
-    quads.append(np.stack(
-        [np.zeros_like(d), np.ones_like(d), -np.ones_like(d), d], axis=1))
-    return np.concatenate(quads, axis=0)
+    n_max = math.floor(bound * bound)
+    side = np.arange(math.isqrt(n_max - 1) + 1)
+    c, d = np.meshgrid(side[1:], side, indexing="ij")
+    q = c * c + d * d
+    keep = (np.gcd(c, d) == 1) & (q < n_max)
+    c, d, q = c[keep], d[keep], q[keep]
+    x0 = np.array([-dd * pow(cc, -1, qq) % qq
+                   for cc, dd, qq in zip(c.tolist(), d.tolist(), q.tolist())], dtype=q.dtype)
+    room = q * (n_max - q) - 1
+    m = np.sqrt(room).astype(q.dtype)
+    m -= m * m > room  # a square root rounded up to the next integer
+    lo, hi = -((m + x0) // q), (m - x0) // q  # the translates k with |x0 + kq| <= m
+    count = hi - lo + 1
+    pair = np.repeat(np.arange(len(q)), count)
+    k = lo[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+    return x0[pair] + k * q[pair], q[pair]
 
 
 def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
@@ -212,8 +204,9 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     T_B(t, z) = (3/pi) int_{rho_B}^inf sinh r int_0^{2pi} p_t(d(r, theta)) dtheta dr
 
     in geodesic polar coordinates (r, theta) about i, with cosh rho_B = B^2/2.
-    3/pi = 1/vol(PSL2(Z)\\H) is the density of group elements counted up to
-    sign, as enumerate_group counts them.  For a = d(i, z),
+    3/pi = 1/vol(PSL2(Z)\\H) is the density of PSL2(Z) elements; each orbit
+    point stands for two of them, which periodized_oracle counts by its
+    weight 2.  For a = d(i, z),
     cosh d = cosh(r - a) + 2 sinh r sinh a sin^2(theta/2) is the hyperbolic
     law of cosines without cancellation.  Gauss-Legendre in r out to where
     the e^r growth times the Gaussian decay of p_t has dropped by e^-46;
@@ -252,26 +245,24 @@ def _warn_shell(t: float, norm_bound: float, shell_part: float, total: float) ->
 
 def periodized_oracle(t: float, z: HPoint, norm_bound: float,
                       shell_warning: bool = True) -> float:
-    """Sum of plane heat-kernel values over the orbit of i: the elements of
-    Frobenius norm <= norm_bound enumerated, the rest by orbit_tail.
+    """Sum of plane heat-kernel values over PSL2(Z) acting on i: the points
+    of orbit_of_i(norm_bound) with weight 2 (gamma and gamma S), the rest by
+    orbit_tail.  For gamma i = (X + i)/q, cosh d(z, gamma i) is
+    1 + |z - gamma i|^2 q / 2y, with no cancellation.
 
     Warns when the outermost shell [norm_bound - 1, norm_bound] still
     contributes noticeably to the enumerated sum: the ball is then small for
     this t and the answer leans on the tail term.
     """
     _check_time(t)
-    mats = enumerate_group(norm_bound)
-    a, b, c, d = (mats[:, k].astype(float) for k in range(4))
-    orbit = (a * 1j + b) / (c * 1j + d)
-    zc = z.z
-    coshd = 1.0 + np.abs(zc - orbit) ** 2 / (2.0 * z.y * orbit.imag)
+    x_num, q = orbit_of_i(norm_bound)
+    coshd = 1.0 + ((z.x - x_num / q) ** 2 + (z.y - 1.0 / q) ** 2) * q / (2.0 * z.y)
     rho = np.arccosh(np.maximum(coshd, 1.0))
     vals = _plane_kernel_fit(t, float(rho.max()))(rho)
-    total = float(np.sum(vals))
+    total = 2.0 * float(np.sum(vals))
     if shell_warning:
-        norms2 = a * a + b * b + c * c + d * d
-        shell = norms2 >= (norm_bound - 1.0) ** 2
-        _warn_shell(t, norm_bound, float(np.sum(vals[shell])), total)
+        shell = (q * q + x_num * x_num + 1) // q >= (norm_bound - 1.0) ** 2
+        _warn_shell(t, norm_bound, 2.0 * float(np.sum(vals[shell])), total)
     return total + orbit_tail(t, z, norm_bound)
 
 
@@ -371,7 +362,7 @@ def _count_moments(n_max: int, shell_lo: int, size: int) -> np.ndarray:
             live = np.flatnonzero(cnt)
             n = 4.0 * (lo + live) + cls
             rho = np.arccosh(n / 2.0)
-            cw = 0.5 * cnt[live] * _count_weight(rho)  # 0.5: sign dedupe
+            cw = 0.5 * cnt[live] * _count_weight(rho)  # 0.5: counts hold gamma and -gamma
             # e^{i theta}: cos theta = x, sin theta = 2 sqrt(rho (L - rho)) / L
             step = (2.0 * rho - length
                     + 2j * np.sqrt(rho * np.maximum(length - rho, 0.0))) / length

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -168,6 +169,17 @@ class TestEval:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_tiny_height_answers_as_its_inversion(self, grid, capsys):
+        # z = 1e-300 i reduces to 1e300 i: the same record as there, bar y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e-300"])
+        tiny_out = capsys.readouterr().out.splitlines()[1].split(",")
+        high = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e300"])
+        high_out = capsys.readouterr().out.splitlines()[1].split(",")
+        assert tiny == high == 2
+        assert tiny_out[:2] + tiny_out[3:] == high_out[:2] + high_out[3:]
+
     def test_non_positive_value_warns(self, grid, capsys):
         # the kernel is positive; high in the cusp the quadrature leaves -2e-13
         code = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e6"])
@@ -246,6 +258,14 @@ class TestProfile:
             assert captured.out == ""
             assert "finite and positive" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_index_is_usage_error(self, monkeypatch, capsys, fmt):
+        # a JSON row is a dict, which would keep one of two s0 columns
+        monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        assert cli.main(["profile", "--t-list", "1", "--s-list", "0,4,0", "--format", fmt]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "distinct" in captured.err
+
     def test_overflowing_index_refused(self, grid, capsys):
         # (1 - lambda)^120 overflows on the cusp rows: an error, not a nan
         assert cli.main(["profile", "--t-list", "1", "--s-list", "0,120"]) == 1
@@ -296,6 +316,15 @@ class TestConfig:
         path.write_text(f"{key} = 1.0\n")
         with pytest.raises(ValueError, match="unknown configuration key"):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize("line, key", [("panels = 5.0", "panels"), ("r_max = abc", "r_max")])
+    def test_bad_value_named_with_file_line_and_key(self, tmp_path, capsys, line, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# grid\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad value for '{key}': "):
+            parse_config_file(str(path))
+        assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: bad value for '{key}'")
 
     def test_env_var_supplies_data_path(self, monkeypatch, tmp_path):
         probe = tmp_path / "probe.dat"

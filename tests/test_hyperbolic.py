@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ class TestReduction:
         a = reduce_to_fundamental_domain(z)
         b = reduce_to_fundamental_domain(HPoint(w.real, w.imag))
         assert abs(a.z - b.z) < 1e-12
+
+    def test_inverts_below_the_square_underflow(self):
+        # |z|^2 underflows to 0 below |z| ~ 1e-154; the inversion goes through |z|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = reduce_to_fundamental_domain(HPoint(0.0, 1e-300))
+        assert p.x == 0.0 and abs(p.y - 1e300) < 1e-15 * 1e300
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):

@@ -11,14 +11,14 @@ from autoheat.hyperbolic import HPoint, cosh_distance
 from autoheat.oracle import (
     _PLANE_BLOCK,
     _plane_kernel_fit,
-    enumerate_group,
     heat_kernel_plane,
     matrix_counts_by_norm,
+    orbit_of_i,
     orbit_tail,
     periodized_oracle,
     periodized_oracle_basepoint,
 )
-from autoheat.verify import ORACLE_POINTS
+from autoheat.verify import ORACLE_POINTS, ORACLE_TIMES
 
 
 def _plane_kernel_mpmath(t: float, rho: float) -> float:
@@ -46,7 +46,9 @@ def _count_quadrature(t: float, bound: int) -> float:
 
 
 def _enumerate_group_grid(bound: float) -> np.ndarray:
-    """enumerate_group's former algorithm: every (b, c) of the box, each a."""
+    """The group ball by brute force: every (b, c) of the box, each a.
+    Matrices (a, b, c, d), ad - bc = 1, norm <= bound, first nonzero entry
+    positive; each orbit point gamma i appears twice, as gamma and gamma S."""
     top = int(math.floor(bound))
     b2 = bound * bound
     rng = np.arange(-top, top + 1)
@@ -143,43 +145,53 @@ class TestPlaneKernelFit:
         assert vals[2] == 0.0 and vals[3] == 0.0  # envelope below e^-700 past ~23.5
 
 
-class TestEnumeration:
-    def test_matrices_are_unimodular_and_bounded(self):
-        mats = enumerate_group(9.0)
-        a, b, c, d = mats.T
-        assert np.all(a * d - b * c == 1)
-        assert np.all(a * a + b * b + c * c + d * d <= 81)
+def _grid_orbit(bound: float) -> Counter:
+    """How often each orbit point (X, q), gamma i = (X + i)/q, occurs in the grid ball."""
+    a, b, c, d = _enumerate_group_grid(bound).T
+    return Counter(zip((a * c + b * d).tolist(), (c * c + d * d).tolist()))
 
-    def test_sign_canonical_and_duplicate_free(self):
-        mats = enumerate_group(9.0)
-        seen = set(map(tuple, mats))
-        assert len(seen) == len(mats)
-        for row in mats:
-            first = next(v for v in row if v != 0)
-            assert first > 0
-            assert tuple(-row) not in seen
+
+def _orbit_norms(bound: float) -> np.ndarray:
+    x_num, q = orbit_of_i(bound)
+    return (q * q + x_num * x_num + 1) // q
+
+
+class TestEnumeration:
+    def test_points_are_orbit_points_within_the_bound(self):
+        x_num, q = orbit_of_i(9.0)
+        assert np.all(q > 0) and np.all((x_num * x_num + 1) % q == 0)  # a^2 + b^2 integral
+        assert np.all(_orbit_norms(9.0) <= 81)
+
+    def test_each_point_once(self):
+        x_num, q = orbit_of_i(60.0)
+        assert len(set(zip(x_num.tolist(), q.tolist()))) == len(q)
 
     def test_identity_ball(self):
-        mats = enumerate_group(math.sqrt(2.0) + 1e-9)
-        # exactly the identity and the elliptic inversion survive sign dedupe
-        assert sorted(map(tuple, mats)) == [(0, 1, -1, 0), (1, 0, 0, 1)]
+        # the identity and the elliptic inversion S both send i to i
+        x_num, q = orbit_of_i(math.sqrt(2.0) + 1e-9)
+        assert (x_num.tolist(), q.tolist()) == ([0], [1])
 
-    @pytest.mark.parametrize("bound", [math.sqrt(2.0) + 1e-9, 9.0, 25.0, 60.0])
+    @pytest.mark.parametrize("bound", [math.sqrt(2.0) + 1e-9, 2.0, 9.0, 25.0, 60.0, 160.0])
     def test_same_array_as_the_grid_algorithm(self, bound):
-        fast, ref = enumerate_group(bound), _enumerate_group_grid(bound)
-        assert fast.dtype == ref.dtype
-        assert np.array_equal(fast, ref)
+        # sorted by (q, X), orbit_of_i's points are the grid ball's orbit
+        # points, each of which the ball holds twice (gamma and gamma S)
+        x_num, q = orbit_of_i(bound)
+        ball = _grid_orbit(bound)
+        assert set(ball.values()) == {2}
+        order = np.lexsort((x_num, q))
+        ref = np.array(sorted(ball, key=lambda p: (p[1], p[0]))).T
+        assert np.array_equal(np.stack([x_num[order], q[order]]), ref)
 
     def test_size_matches_arithmetic_counts(self):
-        assert 2 * len(enumerate_group(160.0)) == int(matrix_counts_by_norm(160 * 160)[2:].sum())
+        # a point stands for four matrices: +-gamma and +-gamma S
+        assert 4 * len(orbit_of_i(160.0)[1]) == int(matrix_counts_by_norm(160 * 160)[2:].sum())
 
     def test_counts_identity_against_enumeration(self):
         bound = 12
-        mats = enumerate_group(float(bound))
-        norms = Counter(int(n) for n in np.sum(mats * mats, axis=1))
+        norms = Counter(_orbit_norms(float(bound)).tolist())
         fast = matrix_counts_by_norm(bound * bound)
         for n in range(2, bound * bound + 1):
-            assert 2 * norms.get(n, 0) == int(fast[n])  # fast counts both signs
+            assert 4 * norms.get(n, 0) == int(fast[n])
 
 
 class TestPeriodizedOracle:
@@ -227,7 +239,7 @@ class TestPeriodizedOracle:
         with pytest.raises(ValueError, match=message):
             periodized_oracle_basepoint(0.5, bound)
         with pytest.raises(ValueError, match=message):
-            enumerate_group(bound)
+            orbit_of_i(bound)
 
     def test_basepoint_shell_warning_matches_enumeration(self):
         with pytest.warns(UserWarning, match="boundary shell") as fast:
@@ -243,6 +255,18 @@ class TestPeriodizedOracle:
         near = periodized_oracle(t, HPoint(1e-7, 1.0), 25.0, shell_warning=False)
         at = periodized_oracle(t, HPoint(0.0, 1.0), 25.0, shell_warning=False)
         assert abs(near - at) < 1e-13 * at
+
+    @pytest.mark.parametrize("t", ORACLE_TIMES)
+    @pytest.mark.parametrize("z", [*ORACLE_POINTS, HPoint(0.4, 0.95)])
+    def test_orbit_sum_equals_the_group_sum(self, t, z):
+        # weight 2 per orbit point against every matrix of the ball, with the
+        # same plane-kernel fit; measured within 3.6e-16
+        a, b, c, d = (_enumerate_group_grid(25.0)[:, k].astype(float) for k in range(4))
+        orbit = (a * 1j + b) / (c * 1j + d)
+        coshd = 1.0 + np.abs(z.z - orbit) ** 2 / (2.0 * z.y * orbit.imag)
+        rho = np.arccosh(np.maximum(coshd, 1.0))
+        group = float(np.sum(_plane_kernel_fit(t, float(rho.max()))(rho))) + orbit_tail(t, z, 25.0)
+        assert abs(periodized_oracle(t, z, 25.0, shell_warning=False) - group) < 1e-15 * group
 
     def test_shell_warning_fires_when_truncation_is_inadequate(self):
         with pytest.warns(UserWarning, match="boundary shell"):
@@ -282,15 +306,13 @@ class TestOrbitTail:
 
     def test_tail_difference_matches_enumerated_shell(self):
         t, inner, outer = 2.0, 25.0, 160.0
-        mats = enumerate_group(outer)
-        a, b, c, d = (mats[:, k].astype(float) for k in range(4))
-        orbit = (a * 1j + b) / (c * 1j + d)
-        in_shell = np.sum(mats * mats, axis=1) > inner * inner
+        x_num, q = orbit_of_i(outer)
+        in_shell = _orbit_norms(outer) > inner * inner
         for z in ORACLE_POINTS:
-            coshd = 1.0 + np.abs(z.z - orbit) ** 2 / (2.0 * z.y * orbit.imag)
+            coshd = 1.0 + ((z.x - x_num / q) ** 2 + (z.y - 1.0 / q) ** 2) * q / (2.0 * z.y)
             rho = np.arccosh(np.maximum(coshd, 1.0))
-            shell = float(np.sum(heat_kernel_plane(t, rho[in_shell])))
-            ball = float(np.sum(heat_kernel_plane(t, rho[~in_shell])))
+            shell = 2.0 * float(np.sum(heat_kernel_plane(t, rho[in_shell])))
+            ball = 2.0 * float(np.sum(heat_kernel_plane(t, rho[~in_shell])))
             total = ball + shell + orbit_tail(t, z, outer)
             predicted = orbit_tail(t, z, inner) - orbit_tail(t, z, outer)
             assert abs(shell - predicted) < 1e-3 * total
