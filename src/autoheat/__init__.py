@@ -15,6 +15,7 @@ from .heat import (
     heat_coefficients,
     heat_equation_residual,
     initial_condition_gap,
+    profile,
     semigroup_apply,
     uniqueness_gap,
 )
@@ -34,7 +35,7 @@ from .sobolev import (
 )
 from .special import bessel_k_imag, zeta_line
 from .spectral_model import SpectralGrid, build_grid
-from .synthesis import SynthesisReport, evaluate_heat_kernel, smoothness_profile
+from .synthesis import SynthesisReport, evaluate_heat_kernel
 
 __version__ = "0.1.0"
 
@@ -69,9 +70,9 @@ __all__ = [
     "pairing_s",
     "periodized_oracle",
     "periodized_oracle_basepoint",
+    "profile",
     "reduce_to_fundamental_domain",
     "semigroup_apply",
-    "smoothness_profile",
     "sobolev_norm",
     "synthesize_values",
     "uniqueness_gap",

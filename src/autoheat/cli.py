@@ -15,9 +15,8 @@ from dataclasses import fields
 
 from .config import RunConfig, build_config
 from .forms import MaassDataError, load_maass_data
-from .heat import heat_coefficients, initial_condition_gap
+from .heat import profile
 from .hyperbolic import HPoint
-from .sobolev import sobolev_norm
 from .synthesis import evaluate_heat_kernel
 from .verify import SUITES, grid_for_config, run_suite
 
@@ -158,12 +157,7 @@ def cmd_profile(args) -> int:
             return USAGE_EXIT
     grid = grid_for_config(cfg)
     header = ["t", "gap"] + [f"s{s}" for s in s_list]
-    rows = []
-    for t in ts:
-        coeffs = heat_coefficients(t, grid).coeffs
-        row = [t, initial_condition_gap(t, grid)]
-        row.extend(sobolev_norm(coeffs, s) for s in s_list)
-        rows.append(row)
+    rows = profile(ts, s_list, grid)
     if cfg.output_format == "json":
         print(json.dumps([
             {k: float(_fmt(v)) for k, v in zip(header, row)} for row in rows

@@ -24,6 +24,9 @@ _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
 _ENTRY_BLOCK = 2 ** 16  # Bessel entries per pass of a Fourier sum: bounds its flat arrays
 _NORM_Y_MAX = 10.0  # height cutoff of the L2 normalization
 _NORM_PANELS = 12  # panels in log y of its Parseval rule
+HECKE_BOUND = 1e-8  # largest Hecke defect of a loadable form
+INVERSION_BOUND = 1e-9  # largest |u(z) - u(-1/z)| of a loadable form
+_INVERSION_POINTS = np.array([0.31 + 0.87j, 0.11 + 1.02j, 0.45 + 0.92j])
 
 
 class Parity(enum.Enum):
@@ -187,7 +190,7 @@ class MaassFormData:
 
     coeffs are Hecke-normalized (a_1 = 1).  norm_constant is the L2
     normalization in rescaled-Bessel units, filled in by load_maass_data (or
-    normalize_maass_form); evaluation requires it.
+    maass_defects); evaluation requires it.
     """
 
     r: float
@@ -235,7 +238,7 @@ def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> 
     """Normalized forms[i], i in rows, on arrays of already-reduced coordinates."""
     sel = [forms[i] for i in rows]
     if any(f.norm_constant is None for f in sel):
-        raise ValueError("form is not normalized; run load_maass_data / normalize_maass_form")
+        raise ValueError("form is not normalized; run load_maass_data / maass_defects")
     norm = np.array([f.norm_constant for f in sel], dtype=float)
     return norm[:, None] * _maass_raw(forms, bank, rows, x, y)
 
@@ -284,31 +287,41 @@ def _normalize(forms, bank: KBesselBank) -> None:
         form.norm_constant = 1.0 / math.sqrt(norm_sq)
 
 
-def normalize_maass_form(form: MaassFormData) -> float:
-    """Compute and store the L2(F) normalization constant (see _norm_squares)."""
-    _normalize([form], cusp_bank([form]))
-    return form.norm_constant
+def _hecke_defect(a: np.ndarray) -> float:
+    """Largest |a(m)a(n) - a(mn)| over coprime 1 < m < n with mn <= N = len(a),
+    and |a(p)a(p^j) - a(p^{j-1}) - a(p^{j+1})| for p = 2, 3, 5 (a(1) = 1)."""
+    n = np.arange(2, len(a) + 1)
+    m, k = np.meshgrid(n, n, indexing="ij")
+    pair = (m < k) & (m * k <= len(a)) & (np.gcd(m, k) == 1)
+    m, k = m[pair], k[pair]
+    worst = float(np.max(np.abs(a[m - 1] * a[k - 1] - a[m * k - 1]), initial=0.0))
+    for p in (2, 3, 5):
+        q = p ** np.arange(len(a).bit_length())
+        ap = a[q[q <= len(a)] - 1]  # a(1), a(p), a(p^2), ...
+        worst = max(worst, float(np.max(np.abs(ap[1] * ap[1:-1] - ap[:-2] - ap[2:]), initial=0.0)))
+    return worst
 
 
-def _laplacian_residual(forms, bank: KBesselBank, row: int, z: HPoint, h: float) -> float:
-    form = forms[row]
-    lam = 0.25 + form.r * form.r
-    pts = [reduce_to_fundamental_domain(p) for p in (
-        z, HPoint(z.x + h, z.y), HPoint(z.x - h, z.y), HPoint(z.x, z.y + h), HPoint(z.x, z.y - h))]
-    f0, fxp, fxm, fyp, fym = maass_rows(forms, bank, [row], np.array([p.x for p in pts]),
-                                        np.array([p.y for p in pts]))[0]
-    lap = z.y * z.y * (fxp + fxm + fyp + fym - 4.0 * f0) / (h * h)
-    scale = lam * max(abs(f0), abs(fxp), abs(fyp), 1e-12)
-    return abs(lap + lam * f0) / scale
+def maass_defects(forms, bank: KBesselBank) -> tuple[np.ndarray, np.ndarray]:
+    """L2-normalize the forms in place (row i of `bank` holds forms[i].r) and
+    return each one's Hecke defect (_hecke_defect) and inversion defect
+    max |u(z) - u(-1/z)| at _INVERSION_POINTS, through the expansion as given
+    (not reduced).  The points lie off x = 0, where odd forms vanish, and every
+    height involved is at least sqrt(3)/2, the domain's floor."""
+    _normalize(forms, bank)
+    hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
+    z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
+    vals = maass_rows(forms, bank, np.arange(len(forms)), z.real, z.imag)
+    k = len(_INVERSION_POINTS)
+    return hecke, np.max(np.abs(vals[:, :k] - vals[:, k:]), axis=1, initial=0.0)
 
 
-def maass_laplacian_residual(form: MaassFormData, z: HPoint, h: float = 1e-3) -> float:
-    """Relative residual of y^2 (f_xx + f_yy) + (1/4 + r^2) f by central differences.
-
-    Validates the ingested spectral parameter against the evaluated expansion.
-    Returns |residual| / max over the stencil of |f| scaled by the eigenvalue.
-    """
-    return _laplacian_residual([form], cusp_bank([form]), 0, z, h)
+def check_distinct(forms) -> None:
+    """MaassDataError if two forms' spectral parameters agree within 1e-9."""
+    rs = sorted(f.r for f in forms)
+    for r1, r2 in zip(rs, rs[1:]):
+        if abs(r1 - r2) < 1e-9:
+            raise MaassDataError(f"duplicate cusp spectral parameter r = {r1}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +385,18 @@ def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]
 
 
 def load_maass_data(path) -> list[MaassFormData]:
-    """Load, validate, and L2-normalize a Maass data file.
+    """Load, validate and L2-normalize a Maass data file.
 
-    The first form gets a Laplacian-residual spot check (consistency of the
-    stored spectral parameter with the evaluated expansion).
+    Refuses repeated spectral parameters and any form whose Hecke or
+    inversion defect (maass_defects) exceeds HECKE_BOUND or INVERSION_BOUND.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data = parse_maass_data(text, source=str(path))
-    bank = cusp_bank(data)
-    _normalize(data, bank)
-    if data:
-        first = min(range(len(data)), key=lambda i: data[i].r)
-        probe = HPoint(0.21, 1.17)  # generic: odd forms vanish on x = 0
-        res = _laplacian_residual(data, bank, first, probe, 1e-3)
-        if res > 1e-4:
+    check_distinct(data)
+    for form, hecke, inv in zip(data, *maass_defects(data, cusp_bank(data))):
+        if not (hecke <= HECKE_BOUND and inv <= INVERSION_BOUND):
             raise MaassDataError(
-                f"Laplacian residual check failed for r={data[first].r}: {res:.2e} > 1e-4"
-            )
+                f"form r={form.r} fails the data check: Hecke defect {hecke:.1e} "
+                f"(bound {HECKE_BOUND:g}), inversion defect {inv:.1e} (bound {INVERSION_BOUND:g})")
     return data

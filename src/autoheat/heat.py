@@ -78,18 +78,27 @@ def heat_equation_residual(t: float, h: float, s: SobolevIndex,
     return sobolev_norm(diff.with_values(diff.values - gen.values), s)
 
 
-def initial_condition_gap(t: float, grid: SpectralGrid,
-                          s: SobolevIndex = -DELTA_INDEX) -> float:
-    """Distance of the heat data from the delta data in the index-s norm.
+def profile(ts, s_list: list[SobolevIndex], grid: SpectralGrid) -> list[list[float]]:
+    """One row per time t, from one heat_coefficients call each:
+    [t, gap, ||U(t)||_s for s in s_list], gap = ||U(t) - delta||_{-DELTA_INDEX}.
+    t = 0 is allowed here for contrast: gap 0, and low norms that grow with
+    the cutoff, since the delta datum is not square-integrable."""
+    delta = delta_coefficients(grid)
+    rows = []
+    for t in ts:
+        ht = heat_coefficients(t, grid).coeffs
+        gap = sobolev_norm(ht.with_values(ht.values - delta.values), -DELTA_INDEX)
+        rows.append([t, gap] + [sobolev_norm(ht, s) for s in s_list])
+    return rows
 
-    The default index is the delta datum's natural home (the first index
-    below minus half the surface dimension).
-    """
+
+def initial_condition_gap(t: float, grid: SpectralGrid) -> float:
+    """Distance of the heat data from the delta data in the index -DELTA_INDEX
+    norm, the delta datum's natural home (the first index below minus half
+    the surface dimension): profile's gap column, for t > 0."""
     if not t > 0.0:
         raise ValueError("the gap is defined for t > 0")
-    ht = heat_coefficients(t, grid).coeffs
-    delta = delta_coefficients(grid)
-    return sobolev_norm(ht.with_values(ht.values - delta.values), s)
+    return profile([t], [], grid)[0][1]
 
 
 def uniqueness_gap(f0: CoeffFn, g0: CoeffFn, t: float, s: SobolevIndex) -> float:

@@ -40,7 +40,7 @@ def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
     The classical reduction: each inversion strictly increases y when |z| < 1,
     so the loop terminates; 200 rounds is a safety stop.  The inversion
     divides twice by |z| = hypot(x, y), whose square underflows to 0 below
-    |z| ~ 1e-154.
+    |z| ~ 1e-154; ValueError where the inverted point overflows.
     """
     x, y = p.x, p.y
     for _ in range(200):
@@ -49,6 +49,9 @@ def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
             return HPoint(x, y)
         r = math.hypot(x, y)
         x, y = -x / r / r, y / r / r
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"reducing z = {p.x} + {p.y}i: the inverted point overflows "
+                             f"(height y / |z|^2 = {y})")
     raise RuntimeError("fundamental-domain reduction did not terminate")
 
 

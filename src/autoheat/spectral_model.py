@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import EisensteinSeries, MaassFormData, cusp_bank, maass_rows
+from .forms import EisensteinSeries, MaassFormData, check_distinct, cusp_bank, maass_rows
 from .special import KBesselBank, gauss_rule
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
@@ -113,7 +113,7 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
     """Assemble the discretized spectral space.
 
     Rejects an r_max that is not positive and finite, fewer than one panel
-    or node per panel, and duplicate cusp parameters (within 1e-9).  Cusp
+    or node per panel, and duplicate cusp parameters (forms.check_distinct).  Cusp
     forms must be normalized (load_maass_data does that).
     """
     if not 0.0 < r_max < np.inf:
@@ -122,11 +122,8 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
         raise ValueError("at least one quadrature panel required")
     if nodes_per_panel < 1:
         raise ValueError(f"nodes_per_panel must be at least 1, got {nodes_per_panel}")
+    check_distinct(cusp_data)
     data = sorted(cusp_data, key=lambda f: f.r)
-    rs = [f.r for f in data]
-    for r1, r2 in zip(rs, rs[1:]):
-        if abs(r1 - r2) < 1e-9:
-            raise ValueError(f"duplicate cusp spectral parameter r = {r1}")
     nodes, weights = eisenstein_nodes(r_max, panels, nodes_per_panel)
     return SpectralGrid(
         cusp_forms=tuple(data),

@@ -9,11 +9,10 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import sobolev_norm, sobolev_weights, synthesis_basis, synthesize_values
+from .sobolev import sobolev_weights, synthesis_basis, synthesize_values
 from .spectral_model import SobolevIndex, SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
-STABILITY_TOLERANCE = 1e-6  # largest relative norm change a stable profile shows
 
 
 @dataclass(frozen=True)
@@ -75,43 +74,6 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         tail_estimate=tail,
         nodes_used=grid.n_eisenstein,
         tail_warning=tail > TAIL_TOLERANCE * max(abs(value), 1e-300) or value.real <= 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class SmoothnessProfile:
-    """Norms of the heat data across the Sobolev scale, with tail evidence."""
-
-    t: float
-    norms: tuple[tuple[SobolevIndex, float], ...]
-    doubled_norms: tuple[tuple[SobolevIndex, float], ...]
-    max_rel_change: float
-    tail_stable: bool
-
-
-def smoothness_profile(t: float, s_list: list[SobolevIndex], grid: SpectralGrid,
-                       doubled_grid: SpectralGrid) -> SmoothnessProfile:
-    """Index-s norms of the heat data plus a cutoff-doubling stability flag.
-
-    doubled_grid carries the continuous spectrum to twice grid's r_max.  For
-    t > 0 every norm must be finite and insensitive to that doubling; at
-    t = 0 (allowed here for contrast only) the low norms grow with the
-    cutoff, reflecting that the delta datum is not square-integrable.
-    """
-    coeffs = heat_coefficients(t, grid).coeffs
-    coeffs2 = heat_coefficients(t, doubled_grid).coeffs
-    norms = tuple((s, sobolev_norm(coeffs, s)) for s in s_list)
-    norms2 = tuple((s, sobolev_norm(coeffs2, s)) for s in s_list)
-    rel = max(
-        abs(b - a) / max(abs(a), 1e-300)
-        for (_, a), (_, b) in zip(norms, norms2)
-    )
-    return SmoothnessProfile(
-        t=t,
-        norms=norms,
-        doubled_norms=norms2,
-        max_rel_change=rel,
-        tail_stable=rel <= STABILITY_TOLERANCE,
     )
 
 

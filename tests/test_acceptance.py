@@ -22,12 +22,13 @@ import time
 import numpy as np
 import pytest
 
-from autoheat.forms import EisensteinSeries, maass_laplacian_residual
+from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, EisensteinSeries, cusp_bank, maass_defects
+from autoheat.heat import profile
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.oracle import periodized_oracle_basepoint
 from autoheat.sobolev import analyze, sobolev_norm
 from autoheat.special import bessel_k_imag
-from autoheat.synthesis import evaluate_heat_kernel, smoothness_profile
+from autoheat.synthesis import evaluate_heat_kernel
 from autoheat.verify import heat_suite, oracle_suite, semigroup_suite, sobolev_suite
 
 GENERATOR_CHECKS = (
@@ -139,15 +140,15 @@ def test_criterion_08_long_time_limit(grid):
 
 def test_criterion_09_smoothness(grid, doubled_grid):
     t0 = time.time()
-    prof = smoothness_profile(1.0, [0, 4, 8, 12, 16, 20], grid,
-                              doubled_grid=doubled_grid)
-    finite = all(np.isfinite(v) for _, v in prof.norms)
-    at_zero = smoothness_profile(0.0, [0], grid, doubled_grid=doubled_grid)
-    (_, a), = at_zero.norms
-    (_, b), = at_zero.doubled_norms
-    ok = finite and prof.tail_stable and b >= 1.10 * a
+    s_list = [0, 4, 8, 12, 16, 20]
+    (row,), (doubled,) = (profile([1.0], s_list, g) for g in (grid, doubled_grid))
+    norms, norms2 = np.array(row[2:]), np.array(doubled[2:])
+    rel = float(np.max(np.abs(norms2 - norms) / norms))
+    (zero,), (zero2,) = (profile([0.0], [0], g) for g in (grid, doubled_grid))
+    a, b = zero[2], zero2[2]
+    ok = bool(np.all(np.isfinite(norms))) and rel <= 1e-6 and b >= 1.10 * a
     report(9, "smoothness across the scale + delta divergence", ok,
-           f"t=1 max rel change {prof.max_rel_change:.1e} <= 1e-6; "
+           f"t=1 max rel change {rel:.1e} <= 1e-6; "
            f"t=0 index-0 growth {(b / a - 1.0) * 100:.0f}% >= 10%", t0)
     assert ok
 
@@ -189,10 +190,12 @@ def test_criterion_11_special_functions(dataset):
             # no reduction: inversion must hold through the raw expansion
             a, b = series.unitary_rows([0], [zc.real, w.real], [zc.imag, w.imag])[0]
             inv_worst = max(inv_worst, abs(a - b))
-    first = dataset[0]
-    res = maass_laplacian_residual(first, HPoint(0.21, 1.17))
-    ok = k0 and inv_worst <= 1e-8 and res <= 1e-4
+    # the loader's data check on every packaged form, under the loader's bounds
+    hecke, inv = maass_defects(dataset, cusp_bank(dataset))
+    ok = (k0 and inv_worst <= 1e-8 and np.max(hecke) <= HECKE_BOUND
+          and np.max(inv) <= INVERSION_BOUND)
     report(11, "special-function cross-checks", ok,
            f"K0(1) frozen-oracle ok={k0}, inversion defect {inv_worst:.1e} "
-           f"<= 1e-8, Maass residual {res:.1e} <= 1e-4", t0)
+           f"<= 1e-8, Maass Hecke defect {np.max(hecke):.1e} <= {HECKE_BOUND:g}, "
+           f"Maass inversion defect {np.max(inv):.1e} <= {INVERSION_BOUND:g}", t0)
     assert ok

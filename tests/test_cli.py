@@ -180,6 +180,13 @@ class TestEval:
         assert tiny == high == 2
         assert tiny_out[:2] + tiny_out[3:] == high_out[:2] + high_out[3:]
 
+    def test_overflowing_inversion_named(self, capsys):
+        # 1e-310 i inverts to a height beyond the float range
+        assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e-310"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "inverted point overflows" in captured.err
+        assert "y = inf" not in captured.err
+
     def test_non_positive_value_warns(self, grid, capsys):
         # the kernel is positive; high in the cusp the quadrature leaves -2e-13
         code = cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e6"])
@@ -277,6 +284,14 @@ class TestIngestCheck:
     def test_packaged_data_passes(self, grid, capsys):
         assert cli.main(["ingest-check"]) == 0
         assert "forms" in capsys.readouterr().out
+
+    def test_repeated_form_fails(self, tmp_path, capsys):
+        text = open(RunConfig().resolve_data_path()).read()
+        header, first = text.split("form ")[:2]
+        path = tmp_path / "twice.dat"
+        path.write_text(header + "form " + first + "form " + first)
+        assert cli.main(["ingest-check", "--data", str(path)]) == 1
+        assert "duplicate cusp spectral parameter" in capsys.readouterr().err
 
     def test_corrupt_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"

@@ -15,7 +15,6 @@ from autoheat.forms import (
     eval_eisenstein_unitary,
     eval_maass,
     load_maass_data,
-    maass_laplacian_residual,
     maass_values,
     parse_maass_data,
 )
@@ -116,12 +115,6 @@ class TestMaass:
             a = maass_values(form, np.array([zc.real]), np.array([zc.imag]))[0]
             b = maass_values(form, np.array([w.real]), np.array([w.imag]))[0]
             assert abs(a - b) < 1e-8
-
-    def test_laplacian_residual_validates_parameter(self, dataset):
-        first = dataset[0]
-        assert maass_laplacian_residual(first, HPoint(0.21, 1.17)) < 1e-4
-        even = next(f for f in dataset if f.parity is Parity.EVEN)
-        assert maass_laplacian_residual(even, HPoint(0.0, 1.3)) < 1e-3
 
     def test_truncation_guard(self):
         form = MaassFormData(r=40.0, parity=Parity.EVEN,
@@ -231,6 +224,44 @@ class TestIngestion:
         rs = [f.r for f in dataset]
         assert rs == sorted(rs)
         assert all(f.norm_constant is not None for f in dataset)
+
+
+def _fault(form: MaassFormData, fault: str) -> MaassFormData:
+    r, parity, coeffs = form.r, form.parity, form.coeffs.copy()
+    if fault == "random coefficients":
+        coeffs[1:] = np.random.default_rng(7).standard_normal(len(coeffs) - 1)
+    elif fault == "r + 0.37":
+        r += 0.37
+    elif fault == "swapped parity":
+        parity = Parity.ODD if parity is Parity.EVEN else Parity.EVEN
+    else:  # "-a(2)"
+        coeffs[1] = -coeffs[1]
+    return MaassFormData(r=r, parity=parity, coeffs=coeffs)
+
+
+class TestDataCheck:
+    """The one data check (maass_defects) that the loader, the generator and
+    criterion 11 share: it sees the coefficients and r, so a fault fails it
+    (the packaged forms' own defects are criterion 11's)."""
+
+    @pytest.mark.parametrize("fault", ["random coefficients", "r + 0.37", "swapped parity",
+                                       "-a(2)"])
+    def test_faulty_form_refused_at_load(self, dataset, tmp_path, fault):
+        # the even form at 13.78 reads (Hecke, inversion) 7e-11, 1.8e-12;
+        # each fault, measured, raises at least one of them above 0.3
+        even = next(f for f in dataset if f.parity is Parity.EVEN)
+        bad = _fault(even, fault)
+        path = tmp_path / "fault.dat"
+        path.write_text(HEADER + "\n" + _form_block(bad) + "\n")
+        with pytest.raises(MaassDataError, match=rf"r={bad.r}.*Hecke defect .*inversion defect"):
+            load_maass_data(path)
+
+    def test_repeated_form_refused_at_load(self, dataset, tmp_path):
+        path = tmp_path / "twice.dat"
+        path.write_text(HEADER + "\n" + _form_block(dataset[2]) + "\n"
+                        + _form_block(dataset[2]) + "\n")
+        with pytest.raises(MaassDataError, match="duplicate cusp spectral parameter"):
+            load_maass_data(path)
 
 
 def test_data_generator_imports(monkeypatch):

@@ -6,6 +6,7 @@ from autoheat.heat import (
     heat_coefficients,
     heat_equation_residual,
     initial_condition_gap,
+    profile,
     resolvent_laplace_defect,
     semigroup_apply,
     uniqueness_gap,
@@ -120,6 +121,16 @@ class TestInitialCondition:
         bound = sobolev_norm(apply_generator(delta_coefficients(grid)), -2)
         for t in (0.1, 0.01):
             assert initial_condition_gap(t, grid) <= t * bound
+
+    def test_profile_rows(self, grid):
+        # t = 0 is allowed for contrast: the heat data are the delta data
+        rows = profile([0.0, 0.5], [0, -2], grid)
+        assert rows[0][:2] == [0.0, 0.0]
+        assert rows[1][:2] == [0.5, initial_condition_gap(0.5, grid)]
+        assert rows[1][2:] == [sobolev_norm(heat_coefficients(0.5, grid).coeffs, s)
+                               for s in (0, -2)]
+        with pytest.raises(ValueError, match="t >= 0"):
+            profile([-1.0], [0], grid)
 
 
 class TestUniqueness:

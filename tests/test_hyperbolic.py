@@ -42,6 +42,12 @@ class TestReduction:
             p = reduce_to_fundamental_domain(HPoint(0.0, 1e-300))
         assert p.x == 0.0 and abs(p.y - 1e300) < 1e-15 * 1e300
 
+    def test_overflowing_inversion_refused(self):
+        # 1/|z| overflows below the smallest normal float: the error names the
+        # inversion, not the coordinate it would have produced
+        with pytest.raises(ValueError, match="inverted point overflows"):
+            reduce_to_fundamental_domain(HPoint(0.0, 1e-310))
+
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             HPoint(0.0, -1.0)

@@ -8,9 +8,9 @@ linear system is a scalar function of r whose zero is the eigenvalue; a root
 find starting from published 6-digit seeds recovers r to ~1e-11 and the
 coefficients to ~1e-9.
 
-Each candidate is validated before it is written: Hecke multiplicativity,
-invariance under z -> -1/z (via the package evaluator), and the Laplacian
-finite-difference residual.  Run from the repository root:
+Each candidate is validated before it is written by the package's own data
+check, forms.maass_defects (Hecke relations and invariance under z -> -1/z),
+under the bounds load_maass_data applies.  Run from the repository root:
 
     python3 tools/make_maass_data.py src/autoheat/data/maass_sl2z.dat
 """
@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 sys.path.insert(0, "src")
 
-from autoheat.forms import MaassFormData, Parity, maass_laplacian_residual, maass_values, normalize_maass_form  # noqa: E402
+from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, cusp_bank, maass_defects  # noqa: E402
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 from autoheat.special import KBesselBank  # noqa: E402
 
@@ -85,31 +85,6 @@ def solve_coefficients(r: float, parity: Parity):
     return a, float(V[0] @ a)
 
 
-def hecke_defect(a: np.ndarray) -> float:
-    pairs = [(2, 3), (2, 5), (3, 5), (2, 7), (2, 9), (3, 7), (2, 13), (5, 7),
-             (3, 13), (2, 19), (5, 8), (4, 9)]
-    worst = 0.0
-    for p, q in pairs:
-        if p * q <= len(a):
-            worst = max(worst, abs(a[p - 1] * a[q - 1] - a[p * q - 1]))
-    # a_p^2 = a_{p^2} + 1 for prime p
-    for p in (2, 3, 5):
-        if p * p <= len(a):
-            worst = max(worst, abs(a[p - 1] ** 2 - a[p * p - 1] - 1.0))
-    return worst
-
-
-def inversion_defect(form: MaassFormData) -> float:
-    # unreduced on both sides, otherwise reduction makes the test vacuous
-    worst = 0.0
-    for z in (complex(0.31, 0.87), complex(0.11, 1.02), complex(-0.38, 0.95)):
-        w = -1.0 / z
-        fa = maass_values(form, np.array([z.real]), np.array([z.imag]))[0]
-        fb = maass_values(form, np.array([w.real]), np.array([w.imag]))[0]
-        worst = max(worst, abs(fa - fb))
-    return worst
-
-
 def refine(seed: float, parity: Parity):
     lo, hi = seed - 0.015, seed + 0.015
     g = lambda r: solve_coefficients(r, parity)[1]
@@ -154,18 +129,12 @@ def main(out_path: str) -> int:
             print(f"seed {seed}: no root for either parity, SKIPPED")
             continue
         parity, r, coeffs, resid = found
-        hd = hecke_defect(coeffs)
         form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy(),
                              source="generated")
-        normalize_maass_form(form)
-        inv = inversion_defect(form)
-        probe = HPoint(0.21, 1.17)
-        lap = maass_laplacian_residual(form, probe)
-        # lap is finite-difference-limited (~h^2 r^4), not a data-quality bound
-        ok = hd < 1e-8 and inv < 1e-9 and lap < 5e-3
+        (hd,), (inv,) = maass_defects([form], cusp_bank([form]))
+        ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND
         print(f"seed {seed} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
-              f"hecke={hd:.1e} inv={inv:.1e} lap={lap:.1e} "
-              f"[{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
+              f"hecke={hd:.1e} inv={inv:.1e} [{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
         if ok:
             records.append((r, parity, coeffs[:N_OUT]))
 
