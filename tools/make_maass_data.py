@@ -23,7 +23,8 @@ from scipy.optimize import brentq
 
 sys.path.insert(0, "src")
 
-from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, cusp_bank, maass_defects  # noqa: E402
+from autoheat.forms import (  # noqa: E402
+    HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, cusp_bank, maass_defects)
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 from autoheat.special import KBesselBank  # noqa: E402
 
