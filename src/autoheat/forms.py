@@ -48,18 +48,20 @@ class MaassDataError(ValueError):
 # Eisenstein series
 # ---------------------------------------------------------------------------
 
-def _divisor_cos(n: int, r: float) -> float:
-    """Real Fourier multiplier n^{ir} sigma_{-2ir}(n) = sum_{d|n} cos(r log(n/d^2))."""
-    total = 0.0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            e = n // d
-            total += math.cos(r * math.log(e / d))
-            if e != d:
-                total += math.cos(r * math.log(d / e))
-        d += 1
-    return total
+def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
+    """Real Fourier multipliers n^{ir} sigma_{-2ir}(n) = sum_{d|n} cos(r log(n/d^2)),
+    shape (len(r), n_max) for n = 1..n_max.  Each divisor pair d <= e = n/d
+    adds cos(r log(e/d)), then cos(r log(d/e)) when e != d, in increasing d."""
+    r = np.asarray(r, dtype=float)[:, None]
+    n = np.arange(1, n_max + 1)
+    out = np.zeros((len(r), n_max))
+    for d in range(1, math.isqrt(n_max) + 1):
+        m = n[(n % d == 0) & (n >= d * d)]
+        e = m // d
+        out[:, m - 1] += np.cos(r * np.log(e / d))
+        pair = e != d
+        out[:, m[pair] - 1] += np.cos(r * np.log(d / e[pair]))
+    return out
 
 
 def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heights):
@@ -139,8 +141,7 @@ class EisensteinSeries:
         # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
         self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
                                for v, r in zip(xi, self.r)])
-        self._bn = np.array([[_divisor_cos(n, float(r)) for n in range(1, self._N_MULTIPLIERS + 1)]
-                             for r in self.r]).reshape(len(self.r), self._N_MULTIPLIERS)
+        self._bn = _divisor_table(self.r, self._N_MULTIPLIERS)
         self.bank = KBesselBank(self.r, _KBESSEL_X_MIN)
 
     def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,6 +233,14 @@ def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
     """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
     i in rows; row i of `bank` holds forms[i].r."""
     return np.sqrt(y) * _fourier_rows(bank, rows, *_coeff_table(forms, rows), x, y)
+
+
+def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
+    """Growth of |Ktilde_{ir}| at heights >= y_min, up to a factor common to
+    all r: e^{pi r/2}, as past its turning point Ktilde_{ir} behaves like
+    e^{pi r/2} K_0; 0 where 2 pi y_min > r + _BESSEL_DECAY, where the
+    expansion keeps no term."""
+    return np.where(2.0 * math.pi * y_min > r + _BESSEL_DECAY, 0.0, np.exp(0.5 * math.pi * r))
 
 
 def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import maass_envelope
 from .hyperbolic import QuadSpec
 from .spectral_model import SobolevIndex, SpectralGrid
+
+# A row whose largest possible synthesis term is below this fraction of its
+# family's largest is not evaluated: the skipped terms then sum to far below
+# 2^-53 of the family's largest term.
+NEGLIGIBLE = 1e-20
 
 
 @dataclass(frozen=True)
@@ -107,11 +113,34 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
+def _not_negligible(bound: np.ndarray) -> np.ndarray:
+    return (bound > 0.0) & (bound >= NEGLIGIBLE * bound.max(initial=0.0))
+
+
+def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
+    """The rows whose synthesis term at heights y can reach a double's digits.
+
+    Per family (cusp forms, Eisenstein nodes) a row is kept when a bound on
+    its largest term is at least NEGLIGIBLE times the family's largest bound:
+    |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0 where the row is
+    identically zero at these heights), |w c| on a node.  The constant row is
+    always kept, and the last node whenever its term is nonzero: the tail
+    estimate reads its value."""
+    grid, n = f.grid, f.grid.n_cusp
+    size = np.abs(grid.weights * f.values)
+    y_min = float(np.min(y)) if len(y) else np.inf
+    cusp = _not_negligible(size[:n] * maass_envelope(grid.cusp_bank.r, y_min))
+    nodes = size[n + 1:]
+    eis = _not_negligible(nodes)
+    eis[-1:] = nodes[-1:] != 0.0
+    return np.concatenate([cusp, [True], eis])
+
+
 def synthesis_basis(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """basis_values(f.grid, x, y) with the rows of zero weight in f left at
-    zero, unevaluated: for heat data, the odd cusp forms (they vanish at i)
-    and the entries whose damping underflowed."""
-    return f.grid.basis_rows(x, y, f.grid.weights * f.values != 0.0)
+    """basis_values(f.grid, x, y) with the rows outside synthesis_rows left
+    at zero, unevaluated: for heat data, the odd cusp forms (they vanish at
+    i) and the entries whose damping leaves them negligible."""
+    return f.grid.basis_rows(x, y, synthesis_rows(f, y))
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import sobolev_weights, synthesis_basis, synthesize_values
+from .sobolev import sobolev_weights, synthesis_rows, synthesize_values
 from .spectral_model import SobolevIndex, SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
@@ -21,9 +21,10 @@ class SynthesisReport:
 
     value = cusp_part + residual_part + eisenstein_part by construction;
     tail_estimate bounds the continuous-spectrum contribution dropped beyond
-    the grid's r_max.  tail_warning flags a tail that is large against the
-    value, or a value <= 0: the heat kernel is strictly positive, so such a
-    value is wrong by at least its own size.
+    the grid's r_max; nodes_used counts the Eisenstein nodes evaluated
+    (sobolev.synthesis_rows).  tail_warning flags a tail that is large
+    against the value, or a value <= 0: the heat kernel is strictly
+    positive, so such a value is wrong by at least its own size.
     """
 
     value: complex
@@ -55,7 +56,9 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         raise ValueError("pointwise heat-kernel values exist for t > 0 only")
     p = reduce_to_fundamental_domain(z)
     coeffs = heat_coefficients(t, grid).coeffs
-    column = synthesis_basis(coeffs, np.array([p.x]), np.array([p.y]))[:, 0]
+    y = np.array([p.y])
+    live = synthesis_rows(coeffs, y)
+    column = grid.basis_rows(np.array([p.x]), y, live)[:, 0]
     terms = grid.weights * coeffs.values * column
     n = grid.n_cusp
     cusp, residual, eis = terms[:n].sum(), terms[n], terms[n + 1:].sum()
@@ -72,7 +75,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         residual_part=complex(residual),
         eisenstein_part=complex(eis),
         tail_estimate=tail,
-        nodes_used=grid.n_eisenstein,
+        nodes_used=int(np.count_nonzero(live[n + 1:])),
         tail_warning=tail > TAIL_TOLERANCE * max(abs(value), 1e-300) or value.real <= 0.0,
     )
 

@@ -18,7 +18,7 @@ from autoheat.forms import (
     maass_values,
     parse_maass_data,
 )
-from autoheat.forms import _maass_raw, _norm_squares, cusp_bank
+from autoheat.forms import _divisor_table, _maass_raw, _norm_squares, cusp_bank
 from autoheat.hyperbolic import HPoint, QuadSpec, fundamental_domain_volume
 from autoheat.special import gauss_rule
 
@@ -75,6 +75,23 @@ class TestEisenstein:
         # r = 9 at y = 0.1 needs ceil(54 / (0.2 pi)) = 86 > 72 multipliers
         with pytest.raises(ValueError, match="outside the evaluator's domain"):
             EisensteinSeries((9.0,)).unitary_rows([0], [0.1], [0.1])
+
+    def test_divisor_table_matches_the_divisor_loop(self):
+        # the loop it replaced: the same terms added in the same order
+        def divisor_cos(n, r):
+            total, d = 0.0, 1
+            while d * d <= n:
+                if n % d == 0:
+                    e = n // d
+                    total += math.cos(r * math.log(e / d))
+                    if e != d:
+                        total += math.cos(r * math.log(d / e))
+                d += 1
+            return total
+
+        rs = np.array([0.3, 1.0, 7.07, 12.0, 26.45, 40.0])
+        loop = np.array([[divisor_cos(n, float(r)) for n in range(1, 73)] for r in rs])
+        assert np.array_equal(_divisor_table(rs, 72), loop)
 
     def test_fold_equals_unfold(self):
         # folded (1/2pi) int_0^R g |E(i)|^2 dr against the symmetric

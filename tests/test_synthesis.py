@@ -10,9 +10,11 @@ from autoheat.sobolev import (
     apply_generator,
     basis_values,
     synthesis_basis,
+    synthesis_rows,
     synthesize_values,
 )
 from autoheat.spectral_model import build_grid
+from autoheat import synthesis
 from autoheat.synthesis import (
     eisenstein_tail_norm,
     evaluate_heat_kernel,
@@ -32,7 +34,8 @@ class TestEvaluateHeatKernel:
         total = rep.cusp_part + rep.residual_part + rep.eisenstein_part
         assert abs(rep.value - total) <= 1e-14 * abs(rep.value)
         assert rep.tail_estimate >= 0.0
-        assert rep.nodes_used == grid.n_eisenstein
+        live = synthesis_rows(heat_coefficients(0.8, grid).coeffs, np.array([1.1]))
+        assert 0 < rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) < grid.n_eisenstein
 
     def test_real_valued(self, grid):
         for z in POINTS:
@@ -83,15 +86,78 @@ class TestEvaluateHeatKernel:
             full = ((grid.weights * coeffs.values) @ basis_values(grid, x, y))[0]
             assert abs(value - skipping) <= 1e-13 * abs(skipping)
             assert abs(skipping - full) <= 1e-13 * abs(full)
-            # the skipped rows are left unevaluated
-            column = synthesis_basis(coeffs, x, y)[:grid.n_cusp, 0]
-            assert np.all(column[odd] == 0.0) and np.all(column[~odd] != 0.0)
+            # the skipped rows, the odd forms among them, are left unevaluated
+            live = synthesis_rows(coeffs, y)
+            column = synthesis_basis(coeffs, x, y)[:, 0]
+            assert not np.any(live[:grid.n_cusp][odd])
+            assert np.all(column[~live] == 0.0) and np.all(column[live] != 0.0)
 
     def test_tail_warning_on_inadequate_cutoff(self, dataset):
         small = build_grid([], r_max=1.5, panels=1, nodes_per_panel=16)
         rep = evaluate_heat_kernel(0.25, HPoint(0.0, 1.0), small)
         assert rep.tail_warning
         assert rep.tail_estimate > 1e-6
+
+
+def _report_fields(rep):
+    return (rep.value, rep.cusp_part, rep.residual_part, rep.eisenstein_part,
+            rep.tail_estimate, rep.tail_warning)
+
+
+class TestNegligibleRows:
+    """Synthesis skips the rows whose terms cannot reach a double's digits;
+    every printed number must equal, bit for bit, the synthesis over all
+    rows of nonzero weight."""
+
+    @staticmethod
+    def _against_nonzero_rows(monkeypatch, grid, cases):
+        skipping = [_report_fields(evaluate_heat_kernel(t, z, grid)) for t, z in cases]
+        monkeypatch.setattr(synthesis, "synthesis_rows",
+                            lambda f, y: f.grid.weights * f.values != 0.0)
+        full = [_report_fields(evaluate_heat_kernel(t, z, grid)) for t, z in cases]
+        assert skipping == full
+
+    def test_seeded_sweep_is_bit_identical(self, grid, monkeypatch):
+        rng = np.random.default_rng(18)
+        t = np.exp(rng.uniform(math.log(0.05), math.log(8.0), 300))
+        y = np.exp(rng.uniform(math.log(0.87), math.log(1e5), 300))
+        x = rng.uniform(-0.5, 0.5, 300)
+        cases = [(float(a), HPoint(float(b), float(c))) for a, b, c in zip(t, x, y)]
+        self._against_nonzero_rows(monkeypatch, grid, cases)
+
+    def test_low_time_is_bit_identical(self, grid, monkeypatch):
+        cases = [(0.05, z) for z in (*POINTS, HPoint(0.45, 0.9), HPoint(0.2, 7.5))]
+        self._against_nonzero_rows(monkeypatch, grid, cases)
+
+    def test_edge_node_follows_its_damping(self, grid, monkeypatch):
+        # the tail estimate reads the last node: kept while its damping is
+        # nonzero, even where its neighbours are negligible, and left out
+        # (counting as 1) once the damping underflowed, past t ~ 4.9
+        y = np.array([1.0])
+        live = synthesis_rows(heat_coefficients(1.0, grid).coeffs, y)
+        assert live[-1] and not live[-2]
+        assert not synthesis_rows(heat_coefficients(6.0, grid).coeffs, y)[-1]
+        cases = [(1.0, HPoint(0.0, 1.0)), (4.95, HPoint(0.3, 1.2)), (6.0, HPoint(0.0, 1.0))]
+        self._against_nonzero_rows(monkeypatch, grid, cases)
+
+    def test_cusp_part_from_rows_beyond_a_zero_row(self, grid, monkeypatch):
+        # at y = 10.6 the forms with r <= 19.4 keep no Fourier term, so the
+        # printed cusp part comes from r >= 21 alone; a family maximum taken
+        # over weights, not over rows nonzero here, would cut those to 0
+        cases = [(0.35, HPoint(x, 10.6)) for x in (0.0, 0.13, 0.41)]
+        assert all(evaluate_heat_kernel(t, z, grid).cusp_part != 0.0 for t, z in cases)
+        self._against_nonzero_rows(monkeypatch, grid, cases)
+
+    def test_fields_are_bit_identical(self, grid):
+        rng = np.random.default_rng(11)
+        for t, top in ((0.05, 1.6), (0.35, 12.0), (1.0, 8.0), (4.0, 50.0)):
+            x = rng.uniform(-0.5, 0.5, 200)
+            y = np.maximum(np.exp(rng.uniform(math.log(0.87), math.log(top), 200)),
+                           np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+            coeffs = heat_coefficients(t, grid).coeffs
+            wc = grid.weights * coeffs.values
+            assert np.array_equal(synthesize_values(coeffs, x, y),
+                                  wc @ grid.basis_rows(x, y, wc != 0.0))
 
 
 class TestTranslationToPhysicalSide:
