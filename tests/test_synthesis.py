@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from autoheat import synthesis
 from autoheat.heat import heat_coefficients, profile
 from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
 from autoheat.oracle import periodized_oracle
@@ -14,7 +15,6 @@ from autoheat.sobolev import (
     synthesize_values,
 )
 from autoheat.spectral_model import build_grid
-from autoheat import synthesis
 from autoheat.synthesis import (
     eisenstein_tail_norm,
     evaluate_heat_kernel,
