@@ -149,13 +149,19 @@ class EisensteinSeries:
         from the expansion at the points as given (not reduced); ValueError
         at heights whose terms need more than the _N_MULTIPLIERS stored
         multipliers."""
-        rows, y = np.asarray(rows, dtype=np.intp), np.asarray(y, dtype=float)
-        r = self.r[rows]
-        sy = np.sqrt(y)
-        val = 2.0 * sy * np.cos(r[:, None] * np.log(y) + self._arg_xi[rows][:, None])
+        rows = np.asarray(rows, dtype=np.intp)
         n_max = np.full(len(rows), self._N_MULTIPLIERS)
         acc = _fourier_rows(self.bank, rows, self._bn[rows], n_max,
                             np.zeros(len(rows), dtype=bool), x, y)
+        return self._finish(rows, y, acc)
+
+    def _finish(self, rows, y, acc: np.ndarray) -> np.ndarray:
+        """The rows' values from their Fourier sums acc (_fourier_rows over
+        the multipliers): the constant term 2 sqrt(y) cos(r log y + arg xi)
+        plus pref sqrt(y) acc."""
+        y = np.asarray(y, dtype=float)
+        sy = np.sqrt(y)
+        val = 2.0 * sy * np.cos(self.r[rows][:, None] * np.log(y) + self._arg_xi[rows][:, None])
         return val + self._pref[rows][:, None] * sy * acc
 
 
@@ -219,20 +225,38 @@ def cusp_bank(forms) -> KBesselBank:
     return kbessel_bank(tuple(float(f.r) for f in forms), _KBESSEL_X_MIN)
 
 
-def _coeff_table(forms, rows):
-    """Zero-padded coefficients, counts and odd flags of forms[i], i in rows."""
-    sel = [forms[i] for i in rows]
-    coeffs = np.zeros((len(sel), max((f.n_coeffs for f in sel), default=0)))
-    for j, f in enumerate(sel):
+def _coeff_table(forms):
+    """Zero-padded coefficients, counts and odd flags of the forms."""
+    coeffs = np.zeros((len(forms), max((f.n_coeffs for f in forms), default=0)))
+    for j, f in enumerate(forms):
         coeffs[j, :f.n_coeffs] = f.coeffs
-    return (coeffs, np.array([f.n_coeffs for f in sel], dtype=int),
-            np.array([f.parity is Parity.ODD for f in sel], dtype=bool))
+    return (coeffs, np.array([f.n_coeffs for f in forms], dtype=int),
+            np.array([f.parity is Parity.ODD for f in forms], dtype=bool))
+
+
+def _norm_constants(forms) -> np.ndarray:
+    """The forms' L2 normalizations; ValueError if one has none yet."""
+    if any(f.norm_constant is None for f in forms):
+        raise ValueError("form is not normalized; run load_maass_data / maass_defects")
+    return np.array([f.norm_constant for f in forms], dtype=float)
+
+
+def _cusp_finish(norm: np.ndarray, y, acc: np.ndarray) -> np.ndarray:
+    """Cusp rows from their Fourier sums acc (_fourier_rows over the
+    coefficients): norm (sqrt(y) acc)."""
+    return norm[:, None] * (np.sqrt(y) * acc)
+
+
+def _maass_rows(forms, bank: KBesselBank, rows, x, y, norm: np.ndarray) -> np.ndarray:
+    """_cusp_finish of forms[i], i in rows; row i of `bank` holds forms[i].r."""
+    coeffs, n_max, odd = _coeff_table([forms[i] for i in rows])
+    return _cusp_finish(norm, y, _fourier_rows(bank, rows, coeffs, n_max, odd, x, y))
 
 
 def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
     """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
     i in rows; row i of `bank` holds forms[i].r."""
-    return np.sqrt(y) * _fourier_rows(bank, rows, *_coeff_table(forms, rows), x, y)
+    return _maass_rows(forms, bank, rows, x, y, np.ones(len(rows)))
 
 
 def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
@@ -245,11 +269,36 @@ def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
 
 def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Normalized forms[i], i in rows, on arrays of already-reduced coordinates."""
-    sel = [forms[i] for i in rows]
-    if any(f.norm_constant is None for f in sel):
-        raise ValueError("form is not normalized; run load_maass_data / maass_defects")
-    norm = np.array([f.norm_constant for f in sel], dtype=float)
-    return norm[:, None] * _maass_raw(forms, bank, rows, x, y)
+    return _maass_rows(forms, bank, rows, x, y, _norm_constants([forms[i] for i in rows]))
+
+
+class BasisTable:
+    """Cusp forms, then Eisenstein nodes, as the rows of one stacked K-Bessel
+    bank with one coefficient table (the forms' a_n and the nodes'
+    multipliers, zero-padded to one width), so that values of rows of both
+    families come from one Fourier sum, finished per family."""
+
+    def __init__(self, forms, bank: KBesselBank, series: EisensteinSeries):
+        self.n_cusp, self.series = len(forms), series
+        self.bank = KBesselBank.stack((bank, series.bank))
+        coeffs, n_max, odd = _coeff_table(forms)
+        m, n_nodes = series._N_MULTIPLIERS, len(series.r)
+        self.coeffs = np.zeros((len(self.bank.r), max(coeffs.shape[1], m)))
+        self.coeffs[:self.n_cusp, :coeffs.shape[1]] = coeffs
+        self.coeffs[self.n_cusp:, :m] = series._bn
+        self.n_max = np.concatenate([n_max, np.full(n_nodes, m)])
+        self.odd = np.concatenate([odd, np.zeros(n_nodes, dtype=bool)])
+        self.norm = _norm_constants(forms)
+
+    def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Values of the rows (increasing) at the points as given: normalized
+        forms, then real unitary-frame Eisenstein values; each equals the
+        value of maass_rows or EisensteinSeries.unitary_rows bit for bit."""
+        acc = _fourier_rows(self.bank, rows, self.coeffs[rows], self.n_max[rows],
+                            self.odd[rows], x, y)
+        k = int(np.searchsorted(rows, self.n_cusp))
+        return np.concatenate([_cusp_finish(self.norm[rows[:k]], y, acc[:k]),
+                               self.series._finish(rows[k:] - self.n_cusp, y, acc[k:])])
 
 
 def maass_values(form: MaassFormData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -276,7 +325,7 @@ def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
     (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
     height for all its x nodes."""
     rows = np.arange(len(forms))
-    coeffs, n_max, _ = _coeff_table(forms, rows)
+    coeffs, n_max, _ = _coeff_table(forms)
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
     table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y.ravel()))

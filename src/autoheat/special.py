@@ -284,6 +284,22 @@ class KBesselBank:
         if len(self.r):
             self._fit(u_lo, u_hi)
 
+    @classmethod
+    def stack(cls, banks) -> KBesselBank:
+        """The bank whose rows are the rows of `banks`, in order; they must
+        share x_min.  Nothing is refitted, and evaluation gathers per entry,
+        so every value is bit for bit the one its own bank gives."""
+        banks = tuple(banks)
+        x_min = {bank.x_min for bank in banks}
+        if len(x_min) != 1:
+            raise ValueError(f"banks to stack must share one x_min, got {sorted(x_min)}")
+        out = cls.__new__(cls)
+        out.x_min = x_min.pop()
+        for attr in ("r", "fit_hi", "_u_sum", "_u_span", "deg"):
+            setattr(out, attr, np.concatenate([getattr(bank, attr) for bank in banks]))
+        out._panels = np.concatenate([bank._panels for bank in banks], axis=1)
+        return out
+
     def _fit(self, u_lo: float, u_hi: np.ndarray) -> None:
         n = len(self.r)
         # one quadrature pass over every row's first-kind Chebyshev nodes and

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import EisensteinSeries, MaassFormData, check_distinct, cusp_bank, maass_rows
+from .forms import BasisTable, EisensteinSeries, MaassFormData, check_distinct, cusp_bank
 from .special import KBesselBank, gauss_rule
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
@@ -32,7 +32,9 @@ class SpectralGrid:
     """Discretized spectral parameter space.
 
     Immutable after construction; the K-Bessel banks of the cusp forms and of
-    the continuous nodes are built once here and shared read-only.
+    the continuous nodes are built once here and shared read-only, and their
+    rows are stacked with one coefficient table (forms.BasisTable) so that a
+    basis evaluation is one Fourier sum over both families.
     Coefficient vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...], and so
     are the per-entry arrays set at construction: the eigenvalues `lambdas`
@@ -50,6 +52,7 @@ class SpectralGrid:
     lambdas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     basis_at_i: np.ndarray = field(init=False, repr=False)
+    _table: BasisTable = field(init=False, repr=False)
 
     @property
     def n_cusp(self) -> int:
@@ -76,21 +79,23 @@ class SpectralGrid:
         w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_table", BasisTable(self.cusp_forms, self.cusp_bank,
+                                                      self.eisenstein))
         object.__setattr__(self, "basis_at_i", self.basis_rows(
             np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])
 
     def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Real unitary-frame basis values at reduced points, shape (size,
         npoints) in coefficient order; only the rows where `live` holds are
-        evaluated, the rest stay zero."""
+        evaluated, the rest stay zero: the live cusp forms and nodes in one
+        Fourier sum over the grid's BasisTable."""
         out = np.zeros((self.size, len(x)))
         n = self.n_cusp
-        cusp = np.flatnonzero(live[:n])
-        out[cusp] = maass_rows(self.cusp_forms, self.cusp_bank, cusp, x, y)
+        sel = np.flatnonzero(live)
+        sel = sel[sel != n]
+        out[sel] = self._table(sel - (sel > n), x, y)  # table rows skip the constant
         if live[n]:
             out[n] = np.sqrt(3.0 / np.pi)  # unit-norm constant on volume pi/3
-        eis = np.flatnonzero(live[n + 1:])
-        out[n + 1 + eis] = self.eisenstein.unitary_rows(eis, x, y)
         return out
 
 

@@ -281,13 +281,33 @@ class TestDataCheck:
             load_maass_data(path)
 
 
-def test_data_generator_imports(monkeypatch):
-    # the generator of the packaged data file loads, without running main, so
-    # a package name it imports cannot be removed unnoticed
+@pytest.fixture
+def generator(monkeypatch):
+    # the generator of the packaged data file, loaded without running main
     pytest.importorskip("scipy")
     monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends "src"
     path = Path(__file__).resolve().parents[1] / "tools" / "make_maass_data.py"
     spec = importlib.util.spec_from_file_location("make_maass_data", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main) and callable(module.system_matrix)
+    return module
+
+
+def test_data_generator_imports(generator):
+    # a package name the generator imports cannot be removed unnoticed
+    assert callable(generator.main) and callable(generator.system_matrix)
+
+
+def test_generator_refines_each_sign_change_in_its_own_bracket(generator, monkeypatch):
+    # two roots one scan step apart: a +-0.015 bracket around the midpoint
+    # of either step holds both, so its ends have one sign; the scan's own
+    # steps hold one root each
+    roots = (25.8251, 25.8349)
+    monkeypatch.setattr(generator, "solve_coefficients",
+                        lambda r, parity: (np.ones(1), (r - roots[0]) * (r - roots[1])))
+    found = generator.scan_seeds(25.80, 25.86)
+    even = [bracket for bracket, parity in found if parity == "even"]
+    assert len(even) == 2
+    got = [generator.refine(bracket, Parity.EVEN)[0] for bracket in even]
+    assert np.allclose(got, roots, rtol=0.0, atol=1e-12)
+    assert generator.refine((25.81, 25.84), Parity.EVEN) is None

@@ -8,6 +8,7 @@ from autoheat.forms import (
     EisensteinSeries,
     cusp_bank,
     load_maass_data,
+    maass_rows,
     maass_values,
 )
 from autoheat.sobolev import basis_values
@@ -133,6 +134,43 @@ class TestKBesselBanks:
                 one = special.KBesselBank(bank.r[j:j + 1], bank.x_min)
                 row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
                 assert np.max(np.abs(one._panels - row)) <= 1e-15
+
+    def test_stacked_bank_values_equal_family_banks(self, grid):
+        # the stacked bank answers each row with the bits of its own bank, on
+        # both sides of fit_hi, where the quadrature answers directly
+        banks = (grid.cusp_bank, grid.eisenstein.bank)
+        both = special.KBesselBank.stack(banks)
+        assert np.array_equal(both.r, np.concatenate([b.r for b in banks]))
+        rng = np.random.default_rng(31)
+        offset = 0
+        for bank in banks:
+            rows = rng.integers(0, len(bank.r), 400)
+            x = np.exp(rng.uniform(np.log(2.0), np.log(bank.fit_hi[rows] + 5.0)))
+            assert np.any(x >= bank.fit_hi[rows]) and np.any(x < bank.fit_hi[rows])
+            assert np.array_equal(both(rows + offset, x), bank(rows, x))
+            offset += len(bank.r)
+
+    def test_stack_refuses_mismatched_x_min(self, grid):
+        other = special.KBesselBank((3.0,), x_min=1.0)
+        with pytest.raises(ValueError, match="share one x_min"):
+            special.KBesselBank.stack((grid.cusp_bank, other))
+
+    @pytest.mark.parametrize("which", ["grid", "tiny_grid", "residual_only_grid"])
+    def test_basis_rows_equal_family_evaluations(self, which, request):
+        # the one Fourier sum over both families gives, bit for bit, the
+        # cusp forms' maass_rows and the nodes' unitary_rows, from the arc
+        # floor to y ~ 1e3, with gaps in both families' live rows
+        grid = request.getfixturevalue(which)
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-0.5, 0.5, 60)
+        y = np.sqrt(1.0 - x * x) * np.exp(rng.uniform(0.0, np.log(1150.0), 60))
+        n = grid.n_cusp
+        for live in (np.ones(grid.size, dtype=bool), rng.random(grid.size) < 0.5):
+            cusp, eis = np.flatnonzero(live[:n]), np.flatnonzero(live[n + 1:])
+            rows = grid.basis_rows(x, y, live)
+            assert np.array_equal(rows[cusp], maass_rows(grid.cusp_forms, grid.cusp_bank, cusp, x, y))
+            assert np.array_equal(rows[n + 1 + eis], grid.eisenstein.unitary_rows(eis, x, y))
+            assert not rows[~live].any()
 
     def test_row_subsets_equal_rows_of_the_whole(self, grid):
         # a live set with gaps inside both families (the cusp forms and the

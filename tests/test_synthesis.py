@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from autoheat import synthesis
+from autoheat import forms, synthesis
 from autoheat.heat import heat_coefficients, profile
 from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
 from autoheat.oracle import periodized_oracle
@@ -91,6 +91,22 @@ class TestEvaluateHeatKernel:
             column = synthesis_basis(coeffs, x, y)[:, 0]
             assert not np.any(live[:grid.n_cusp][odd])
             assert np.all(column[~live] == 0.0) and np.all(column[live] != 0.0)
+
+    def test_one_fourier_sum_per_evaluation(self, grid, monkeypatch):
+        # the cusp forms and the Eisenstein nodes are rows of one table, so a
+        # point costs one Fourier sum, not one per family
+        calls = []
+        fourier_rows = forms._fourier_rows
+
+        def counting(bank, rows, *args):
+            calls.append(len(rows))
+            return fourier_rows(bank, rows, *args)
+
+        monkeypatch.setattr(forms, "_fourier_rows", counting)
+        evaluate_heat_kernel(0.6, HPoint(0.1, 1.2), grid)
+        live = synthesis_rows(heat_coefficients(0.6, grid).coeffs, np.array([1.2]))
+        assert live[:grid.n_cusp].any() and live[grid.n_cusp + 1:].any()
+        assert calls == [np.count_nonzero(live) - 1]  # every live row but the constant
 
     def test_tail_warning_on_inadequate_cutoff(self, dataset):
         small = build_grid([], r_max=1.5, panels=1, nodes_per_panel=16)

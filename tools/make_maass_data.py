@@ -5,7 +5,8 @@ Implicit-automorphy solver: sample a horocycle below the fundamental domain,
 expand both f(z_j) and f(pullback z_j) in the truncated Fourier-Bessel series,
 and require consistency.  With a_1 = 1 fixed, the held-out first row of the
 linear system is a scalar function of r whose zero is the eigenvalue; a root
-find starting from published 6-digit seeds recovers r to ~1e-11 and the
+find in a +-0.015 bracket around each published 6-digit seed, and in each
+sign change's own step of a scan above them, recovers r to ~1e-11 and the
 coefficients to ~1e-9.
 
 Each candidate is validated before it is written by the package's own data
@@ -86,8 +87,10 @@ def solve_coefficients(r: float, parity: Parity):
     return a, float(V[0] @ a)
 
 
-def refine(seed: float, parity: Parity):
-    lo, hi = seed - 0.015, seed + 0.015
+def refine(bracket: tuple[float, float], parity: Parity):
+    """The root of the mismatch in the bracket (lo, hi), or None when its ends
+    have one sign."""
+    lo, hi = bracket
     g = lambda r: solve_coefficients(r, parity)[1]
     glo, ghi = g(lo), g(hi)
     if glo * ghi > 0.0:
@@ -98,43 +101,46 @@ def refine(seed: float, parity: Parity):
 
 
 def scan_seeds(r_lo: float, r_hi: float, step: float = 0.01):
-    """Locate eigenvalue candidates by sign changes of the consistency mismatch."""
+    """Locate eigenvalue candidates by sign changes of the consistency
+    mismatch: each change's own scan step (rs[k], rs[k + 1]) is its bracket,
+    so two changes one step apart are refined apart."""
     found = []
     for parity in (Parity.EVEN, Parity.ODD):
         rs = np.arange(r_lo, r_hi, step)
         gs = np.array([solve_coefficients(r, parity)[1] for r in rs])
         sign_flip = np.nonzero(gs[:-1] * gs[1:] < 0.0)[0]
         for k in sign_flip:
-            found.append((0.5 * (rs[k] + rs[k + 1]), parity.value))
+            found.append(((float(rs[k]), float(rs[k + 1])), parity.value))
     return sorted(found)
 
 
 def main(out_path: str) -> int:
-    seeds = list(SEEDS)
+    brackets = [((r - 0.015, r + 0.015), parity) for r, parity in SEEDS]
     print("scanning (19.6, 26.5) for additional eigenvalues...")
     extra = scan_seeds(19.6, 26.5)
-    print("scan candidates:", [(round(r, 3), p) for r, p in extra])
-    seeds.extend(extra)
+    print("scan candidates:", [((round(lo, 3), round(hi, 3)), p) for (lo, hi), p in extra])
+    brackets.extend(extra)
 
     records = []
-    for seed, parity_guess in seeds:
+    for bracket, parity_guess in brackets:
+        where = f"bracket ({bracket[0]:.3f}, {bracket[1]:.3f})"
         t0 = time.time()
         found = None
         order = [Parity(parity_guess), Parity("odd" if parity_guess == "even" else "even")]
         for parity in order:
-            got = refine(seed, parity)
+            got = refine(bracket, parity)
             if got is not None:
                 found = (parity, *got)
                 break
         if found is None:
-            print(f"seed {seed}: no root for either parity, SKIPPED")
+            print(f"{where}: no root for either parity, SKIPPED")
             continue
         parity, r, coeffs, resid = found
         form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy(),
                              source="generated")
         (hd,), (inv,) = maass_defects([form], cusp_bank([form]))
         ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND
-        print(f"seed {seed} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
+        print(f"{where} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
               f"hecke={hd:.1e} inv={inv:.1e} [{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
         if ok:
             records.append((r, parity, coeffs[:N_OUT]))
