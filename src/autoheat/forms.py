@@ -64,64 +64,82 @@ def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _bessel_table(bank: KBesselBank, rows, n_max: np.ndarray, n_cols: int, heights):
+def _bessel_table(bank: KBesselBank, rows, cut, n_max: np.ndarray, n_cols: int, heights):
     """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
-    and 2 pi n y <= r_i + _BESSEL_DECAY, one bank entry each; the table is
-    zero where not live."""
-    cut = bank.r[rows] + _BESSEL_DECAY
-    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
+    and 2 pi n y <= cut[i] = r_i + _BESSEL_DECAY; the table is zero where
+    not live.  When every cut lies below its row's fit_hi and 2 pi min(heights)
+    inside the bank's domain, the live entries go straight to the panel
+    series, from one log per (n, height); otherwise through the bank's call,
+    which sums the same series there and refuses arguments below its domain."""
+    y_min = heights.min()
+    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * y_min)) + 1
     ns = np.arange(1, min(n_cols, n_top) + 1)
     arg = (2.0 * math.pi * ns)[:, None] * heights
     live = (arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None])
     i, k, h = np.nonzero(live)
     table = np.zeros(live.shape)
-    table[live] = bank(rows[i], arg[k, h])
+    if 2.0 * math.pi * y_min >= bank.x_min and (cut < bank.fit_hi[rows]).all():
+        table[live] = bank._clenshaw(rows[i], np.log(arg)[k, h])
+    else:
+        table[live] = bank(rows[i], arg[k, h])
     return table
+
+
+def _height_blocks(y: np.ndarray, per_height: float):
+    """The points in height order, in blocks of at most _ENTRY_BLOCK Bessel
+    entries (a point at height y has at most per_height / y): per block the
+    points, their distinct heights in increasing order and each point's
+    index into those."""
+    if len(y) == 1:  # one block of one height
+        yield slice(None), y, slice(None)
+        return
+    order = np.argsort(y, kind="stable")
+    load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
+    s = 0
+    while s < len(y):
+        e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
+        yield (order[s:e], *np.unique(y[order[s:e]], return_inverse=True))
+        s = e
 
 
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
                   odd: np.ndarray, x, y) -> np.ndarray:
-    """sum_n coeffs[i, n-1] Ktilde_{r_i}(2 pi n y) tr_i(2 pi n x), r_i = bank.r[rows[i]],
-    tr_i = sin on odd rows else cos, over the n with 2 pi n y <= r_i + _BESSEL_DECAY.
-    ValueError where a row's n_max[i] coefficients stop short of that at the
-    lowest height: the dropped terms would go unreported.
+    """sum_n coeffs[j, n-1] Ktilde_{r_j}(2 pi n y) tr_j(2 pi n x) for each bank
+    row j in rows, r_j = bank.r[j], tr_j = sin where odd[j] else cos, over
+    the n with 2 pi n y <= r_j + _BESSEL_DECAY; coeffs, n_max and odd are
+    indexed by bank row.  ValueError where a row's n_max[j] coefficients
+    stop short of that at the lowest height: the dropped terms would go
+    unreported.
 
-    Points run in height order, in blocks of at most _ENTRY_BLOCK entries
-    (a point at height y has at most sum_i (r_i + _BESSEL_DECAY) / (2 pi y)).
-    A block evaluates the bank once per live (row, n, height), scales the
-    table by the coefficients and the trigonometric factors of its points,
-    then adds the terms of n = 1, 2, ... into one (row, point) array (the
-    table is zero off the live entries): every (row, point) sums its terms in
-    increasing n from 0.0, so no value depends on the other points of its
-    batch."""
+    Points run in height order, in blocks (_height_blocks).  A block
+    evaluates the bank once per live (row, n, height), scales the table by
+    the coefficients and the trigonometric factors of its points, then adds
+    the terms of n = 1, 2, ... into one (row, point) array (the table is zero
+    off the live entries): every (row, point) sums its terms in increasing n
+    from 0.0, so no value depends on the other points of its batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
     if not (len(x) and len(rows)):
         return out
+    n_max, odd = n_max[rows], odd[rows]
     cut, y_min = bank.r[rows] + _BESSEL_DECAY, float(np.min(y))
-    short = np.flatnonzero(2.0 * math.pi * n_max * y_min < cut)
-    if len(short):
-        i = short[0]
+    short = 2.0 * math.pi * n_max * y_min < cut
+    if short.any():
+        i = int(np.argmax(short))
         raise ValueError(
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
             f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {_BESSEL_DECAY:g}): the point "
             f"is outside the evaluator's domain")
-    order = np.argsort(y, kind="stable")
-    per_height = float(np.sum(cut)) / (2.0 * math.pi)
-    load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
-    s = 0
-    while s < len(x):
-        e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
-        idx = order[s:e]
-        s = e
-        heights, at_height = np.unique(y[idx], return_inverse=True)
-        table = _bessel_table(bank, rows, n_max, coeffs.shape[1], heights)
-        table *= coeffs[:, :table.shape[1], None]
+    any_odd = odd.any()
+    for idx, heights, at in _height_blocks(y, float(np.sum(cut)) / (2.0 * math.pi)):
+        table = _bessel_table(bank, rows, cut, n_max, coeffs.shape[1], heights)
+        table *= coeffs[rows, :table.shape[1], None]
         ang = (2.0 * math.pi * np.arange(1, table.shape[1] + 1))[:, None] * x[idx]
-        trig = np.where(odd[:, None, None], np.sin(ang), np.cos(ang))
-        acc = np.zeros((len(rows), len(idx)))
+        # without odd rows one factor per (n, point) serves every row
+        tr = np.where(odd[:, None, None], np.sin(ang), np.cos(ang)) if any_odd else np.cos(ang)
+        acc = np.zeros((len(rows), ang.shape[1]))
         for k in range(table.shape[1]):
-            acc += table[:, k, at_height] * trig[:, k]
+            acc += table[:, k, at] * tr[..., k, :]
         out[:, idx] = acc
     return out
 
@@ -149,17 +167,15 @@ class EisensteinSeries:
         from the expansion at the points as given (not reduced); ValueError
         at heights whose terms need more than the _N_MULTIPLIERS stored
         multipliers."""
-        rows = np.asarray(rows, dtype=np.intp)
-        n_max = np.full(len(rows), self._N_MULTIPLIERS)
-        acc = _fourier_rows(self.bank, rows, self._bn[rows], n_max,
-                            np.zeros(len(rows), dtype=bool), x, y)
+        n = len(self.r)
+        acc = _fourier_rows(self.bank, rows, self._bn, np.full(n, self._N_MULTIPLIERS),
+                            np.zeros(n, dtype=bool), x, y)
         return self._finish(rows, y, acc)
 
     def _finish(self, rows, y, acc: np.ndarray) -> np.ndarray:
         """The rows' values from their Fourier sums acc (_fourier_rows over
         the multipliers): the constant term 2 sqrt(y) cos(r log y + arg xi)
         plus pref sqrt(y) acc."""
-        y = np.asarray(y, dtype=float)
         sy = np.sqrt(y)
         val = 2.0 * sy * np.cos(self.r[rows][:, None] * np.log(y) + self._arg_xi[rows][:, None])
         return val + self._pref[rows][:, None] * sy * acc
@@ -249,8 +265,7 @@ def _cusp_finish(norm: np.ndarray, y, acc: np.ndarray) -> np.ndarray:
 
 def _maass_rows(forms, bank: KBesselBank, rows, x, y, norm: np.ndarray) -> np.ndarray:
     """_cusp_finish of forms[i], i in rows; row i of `bank` holds forms[i].r."""
-    coeffs, n_max, odd = _coeff_table([forms[i] for i in rows])
-    return _cusp_finish(norm, y, _fourier_rows(bank, rows, coeffs, n_max, odd, x, y))
+    return _cusp_finish(norm, y, _fourier_rows(bank, rows, *_coeff_table(forms), x, y))
 
 
 def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
@@ -294,8 +309,7 @@ class BasisTable:
         """Values of the rows (increasing) at the points as given: normalized
         forms, then real unitary-frame Eisenstein values; each equals the
         value of maass_rows or EisensteinSeries.unitary_rows bit for bit."""
-        acc = _fourier_rows(self.bank, rows, self.coeffs[rows], self.n_max[rows],
-                            self.odd[rows], x, y)
+        acc = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
         k = int(np.searchsorted(rows, self.n_cusp))
         return np.concatenate([_cusp_finish(self.norm[rows[:k]], y, acc[:k]),
                                self.series._finish(rows[k:] - self.n_cusp, y, acc[k:])])
@@ -328,7 +342,8 @@ def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
     coeffs, n_max, _ = _coeff_table(forms)
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    table = _bessel_table(bank, rows, n_max, coeffs.shape[1], np.exp(log_y.ravel()))
+    table = _bessel_table(bank, rows, bank.r + _BESSEL_DECAY, n_max, coeffs.shape[1],
+                          np.exp(log_y.ravel()))
     rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)

@@ -56,8 +56,7 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
 
 def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     """Spectral heat-kernel data at time t: the delta data times e^{lambda t}."""
-    delta = delta_coefficients(grid)
-    return HeatState(t, delta.with_values(delta.values * _damping(grid, t)))
+    return HeatState(t, CoeffFn(grid, grid.basis_at_i * _damping(grid, t)))
 
 
 def semigroup_apply(t: float, f: CoeffFn) -> CoeffFn:

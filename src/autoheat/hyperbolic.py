@@ -96,11 +96,3 @@ class QuadSpec:
         y, wy = gauss_rule(0.5 * (a + b), 0.5 * (b - a), self.ny_per_panel)
         w = wx[:, None, None] * wy / y ** 2
         return np.broadcast_to(x[:, None, None], y.shape).ravel(), y.ravel(), w.ravel()
-
-
-def fundamental_domain_volume(quad: QuadSpec | None = None) -> float:
-    """Numerical volume of the domain below the cutoff; -> pi/3 as y_max grows."""
-    if quad is None:
-        quad = QuadSpec(nx=64, y_panels=24, ny_per_panel=12, y_max=4000.0)
-    _, _, w = quad.nodes()
-    return float(np.sum(w))

@@ -263,7 +263,8 @@ class KBesselBank:
     Evaluation is one degree-16 Clenshaw pass over flat (row, argument)
     entries, O(1) values with absolute accuracy ~2e-14 from x_min = 2 and
     ~4e-12 from x_min = 1e-3; past fit_hi, where the value has decayed, the
-    quadrature answers directly.  Rows do not depend on each other.
+    quadrature answers directly.  A row's table can differ by ~1 ulp with the
+    rows fitted beside it: the quadrature's Gauss sums are BLAS products.
     """
 
     def __init__(self, rs, x_min: float = 1e-3):
@@ -310,7 +311,7 @@ class KBesselBank:
         probes = np.exp(np.linspace(u_lo, u_hi, 257, axis=1)).ravel()
         rows = np.concatenate((np.repeat(np.arange(n), sizes), np.repeat(np.arange(n), 257)))
         vals = kbessel_quad(self.r[rows], np.concatenate(nodes + [probes]))
-        # row by row, so that no row's table depends on the others: the
+        # row by row, so that the re-expansion mixes no rows: the
         # Chebyshev coefficients are the cosine transform of the node values,
         # an FFT of them mirrored to length 2m; the series is re-expanded on
         # the panels, whose first-kind nodes every row shares, by a product
@@ -329,20 +330,20 @@ class KBesselBank:
             coef[0] *= 0.5
             blocks.append(to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
         self._panels = np.concatenate(blocks, axis=1)
-        err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
+        err = np.abs(self._clenshaw(rows[-len(probes):], np.log(probes)) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
         if np.max(err) > 1e-9:
             raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
                                f"max error {np.max(err):.2e}")
 
-    def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Each entry's panel series at log x: the panel of its row's normalized
-        variable, then a fixed-degree recurrence on coefficients gathered at
-        the flat index row * _PANELS + panel."""
-        s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
-        p = np.clip(s.astype(np.intp), 0, _PANELS - 1)
+    def _clenshaw(self, rows: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+        """Each entry's panel series at log_x = log x: the panel of its row's
+        normalized variable, then a fixed-degree recurrence on coefficients
+        gathered at the flat index row * _PANELS + panel."""
+        s = ((2.0 * log_x - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
+        p = np.minimum(np.maximum(s.astype(np.intp), 0), _PANELS - 1)
         v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p
-        two_v, b0, b1 = 2.0 * v, np.zeros(len(x)), np.zeros(len(x))
+        two_v, b0, b1 = 2.0 * v, np.zeros(len(v)), np.zeros(len(v))
         for c in self._panels[:0:-1]:
             b0, b1 = c.take(idx) + two_v * b0 - b1, b0
         return self._panels[0].take(idx) + v * b0 - b1
@@ -358,7 +359,7 @@ class KBesselBank:
         out = np.zeros(x.shape)
         fit = x < self.fit_hi[rows]
         if np.any(fit):
-            out[fit] = self._clenshaw(rows[fit], x[fit])
+            out[fit] = self._clenshaw(rows[fit], np.log(x[fit]))
         if not np.all(fit):
             # underflow to 0 is fine: these arguments contribute nothing
             out[~fit] = kbessel_quad(self.r[rows[~fit]], x[~fit])

@@ -9,8 +9,8 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import sobolev_weights, synthesis_rows, synthesize_values
-from .spectral_model import SobolevIndex, SpectralGrid
+from .sobolev import synthesis_rows, synthesize_values
+from .spectral_model import SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
 
@@ -95,13 +95,3 @@ def partial_synthesis_sup_difference(t: float, grid_full: SpectralGrid,
     a, b = (synthesize_values(heat_coefficients(t, g).coeffs, x, y).real
             for g in (grid_full, grid_half))
     return float(np.max(np.abs(a - b)))
-
-
-def eisenstein_tail_norm(t: float, grid: SpectralGrid, r_from: float,
-                         s: SobolevIndex) -> float:
-    """Index-s norm restricted to continuous-spectrum nodes with r > r_from."""
-    coeffs = heat_coefficients(t, grid).coeffs
-    mask = np.zeros(grid.size, dtype=bool)
-    mask[grid.n_cusp + 1:] = grid.eisenstein_r > r_from
-    w = sobolev_weights(grid, s)
-    return float(np.sqrt(np.sum(w[mask] * np.abs(coeffs.values[mask]) ** 2)))

@@ -18,8 +18,10 @@ from autoheat.forms import (
     maass_values,
     parse_maass_data,
 )
-from autoheat.forms import _divisor_table, _maass_raw, _norm_squares, cusp_bank
-from autoheat.hyperbolic import HPoint, QuadSpec, fundamental_domain_volume
+from autoheat import forms, special
+from autoheat.forms import _divisor_table, _maass_raw, _norm_squares, cusp_bank, maass_rows
+from autoheat.hyperbolic import HPoint, QuadSpec
+from autoheat.sobolev import basis_values
 from autoheat.special import gauss_rule
 
 
@@ -173,9 +175,72 @@ class TestMaass:
             eval_maass(bare, HPoint(0.2, 1.2))
 
 
+def _bessel_table(bank, rows, heights, n_cols=72):
+    """The synthesis path's Bessel table, with its live entries as (row,
+    argument) pairs for the bank's public call and its live mask."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cut = bank.r[rows] + forms._BESSEL_DECAY
+    table = forms._bessel_table(bank, rows, cut, np.full(len(rows), n_cols), n_cols, heights)
+    arg = (2.0 * np.pi * np.arange(1, table.shape[1] + 1))[:, None] * heights
+    live = arg <= cut[:, None, None]
+    i, k, h = np.nonzero(live)
+    return table, rows[i], arg[k, h], live
+
+
+class TestBesselTable:
+    """The Fourier sums read the panel series straight from a bank's table;
+    every value must be the bank's public call bit for bit."""
+
+    FLOOR = math.sqrt(3.0) / 2.0  # the arc floor of the fundamental domain
+
+    @pytest.fixture(scope="class")
+    def generator_bank(self):
+        # the data generator's bank reaches down to x_min = 2 pi 0.09 0.9
+        return special.KBesselBank((9.53, 13.78, 19.48), x_min=2.0 * np.pi * 0.09 * 0.9)
+
+    def _banks(self, grid, generator_bank):
+        floor = np.array([self.FLOOR, 0.9, 1.0, 1.37, 2.0, 6.0])
+        return ((grid.cusp_bank, floor), (grid.eisenstein.bank, floor),
+                (generator_bank, np.array([0.081, 0.09, 0.2, 0.5, self.FLOOR])))
+
+    def test_direct_entries_equal_the_bank_call(self, grid, generator_bank, monkeypatch):
+        for bank, heights in self._banks(grid, generator_bank):
+            rows = np.arange(len(bank.r))
+            assert 2.0 * np.pi * heights.min() >= bank.x_min  # the direct path
+            with monkeypatch.context() as m:
+                m.setattr(special.KBesselBank, "__call__", None)  # not reached
+                table, entry_rows, args, live = _bessel_table(bank, rows, heights)
+            assert np.array_equal(table[live], bank(entry_rows, args))
+            assert live.sum() > 10 * len(rows) and not table[~live].any()
+
+    def test_every_default_row_is_in_range(self, grid):
+        for bank in (grid.cusp_bank, grid.eisenstein.bank):
+            assert np.all(bank.r + forms._BESSEL_DECAY < bank.fit_hi)
+
+    def test_row_out_of_range_in_floating_point_gets_the_call(self):
+        # at r = 1e-17, pi r/2 + 45 rounds to 45 = r + 45: the row's cut
+        # reaches its fit_hi, where the call answers by quadrature, not by the
+        # panel series, and every entry still equals the public call
+        bank = special.KBesselBank((1e-17, 5.0), x_min=2.0)
+        assert bank.r[0] + forms._BESSEL_DECAY == bank.fit_hi[0]
+        heights = np.array([self.FLOOR, 1.3, 45.0 / (2.0 * np.pi)])
+        table, entry_rows, args, live = _bessel_table(bank, [0, 1], heights)
+        assert np.any((entry_rows == 0) & (args == bank.fit_hi[0]))
+        assert np.array_equal(table[live], bank(entry_rows, args)) and not table[~live].any()
+
+    def test_height_below_the_bank_domain_refused(self, grid):
+        # 2 pi y < x_min = 2 below y ~ 0.318: the bank's own refusal, through
+        # the forms and through the whole basis
+        x, y = np.array([0.1, 0.2]), np.array([1.2, 0.3])
+        with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
+            maass_rows(grid.cusp_forms, grid.cusp_bank, np.arange(grid.n_cusp), x, y)
+        with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
+            basis_values(grid, x, y)
+
+
 class TestBasepoint:
     def test_residual_value_against_volume_quadrature(self):
-        vol = fundamental_domain_volume()
+        vol = float(np.sum(QuadSpec(nx=64, y_panels=24, ny_per_panel=12, y_max=4000.0).nodes()[2]))
         assert abs(1.0 / math.sqrt(vol) - math.sqrt(3.0 / math.pi)) < 2e-4
         assert abs(math.sqrt(3.0 / math.pi) - 0.9772050) < 1e-7
 

@@ -7,7 +7,6 @@ from autoheat.hyperbolic import (
     HPoint,
     QuadSpec,
     cosh_distance,
-    fundamental_domain_volume,
     reduce_to_fundamental_domain,
 )
 
@@ -72,7 +71,7 @@ class TestDistance:
 
 class TestQuadrature:
     def test_volume(self):
-        vol = fundamental_domain_volume()
+        vol = float(np.sum(QuadSpec(nx=64, y_panels=24, ny_per_panel=12, y_max=4000.0).nodes()[2]))
         # remaining defect is the analytic cusp tail 1/y_max of the default spec
         assert abs(vol - np.pi / 3.0) < 3e-4
 

@@ -16,8 +16,8 @@ from autoheat.sobolev import (
     pairing,
     pairing_s,
     sobolev_norm,
+    sobolev_weights,
 )
-from autoheat.synthesis import eisenstein_tail_norm
 from autoheat.verify import sobolev_suite
 
 RNG = np.random.default_rng(101)
@@ -63,7 +63,7 @@ class TestNorms:
         coeffs = heat_coefficients(1.0, grid).coeffs
         assert np.isfinite(sobolev_norm(coeffs, 80))
         for fn in (lambda s: sobolev_norm(coeffs, s), lambda s: pairing_s(coeffs, coeffs, s),
-                   lambda s: eisenstein_tail_norm(1.0, grid, 6.0, s)):
+                   lambda s: sobolev_weights(grid, s)):
             with pytest.raises(ValueError, match="overflow"):
                 fn(120)
 
