@@ -66,22 +66,15 @@ def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
 
 def _bessel_table(bank: KBesselBank, rows, cut, n_max: np.ndarray, n_cols: int, heights):
     """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
-    and 2 pi n y <= cut[i] = r_i + _BESSEL_DECAY; the table is zero where
-    not live.  When every cut lies below its row's fit_hi and 2 pi min(heights)
-    inside the bank's domain, the live entries go straight to the panel
-    series, from one log per (n, height); otherwise through the bank's call,
-    which sums the same series there and refuses arguments below its domain."""
-    y_min = heights.min()
-    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * y_min)) + 1
+    and 2 pi n y <= cut[i] = r_i + _BESSEL_DECAY, one bank entry each; the
+    table is zero where not live."""
+    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
     ns = np.arange(1, min(n_cols, n_top) + 1)
     arg = (2.0 * math.pi * ns)[:, None] * heights
     live = (arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None])
     i, k, h = np.nonzero(live)
     table = np.zeros(live.shape)
-    if 2.0 * math.pi * y_min >= bank.x_min and (cut < bank.fit_hi[rows]).all():
-        table[live] = bank._clenshaw(rows[i], np.log(arg)[k, h])
-    else:
-        table[live] = bank(rows[i], arg[k, h])
+    table[live] = bank(rows[i], arg[k, h])
     return table
 
 

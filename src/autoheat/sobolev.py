@@ -36,7 +36,7 @@ class CoeffFn:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.grid.size,):
             raise ValueError(f"expected {self.grid.size} values, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
+        if not np.all(np.isfinite(vals)):
             raise ValueError("coefficient values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -113,25 +113,27 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
+def _not_negligible(bound: np.ndarray) -> np.ndarray:
+    return (bound > 0.0) & (bound >= NEGLIGIBLE * bound.max(initial=0.0))
+
+
 def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     """The rows whose synthesis term at heights y can reach a double's digits.
 
     Per family (cusp forms, Eisenstein nodes) a row is kept when a bound on
-    its largest term is positive and at least NEGLIGIBLE times the family's
-    largest bound: |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0
-    where the row is identically zero at these heights), |w c| on a node.
-    The constant row is always kept, and the last node whenever its term is
-    nonzero: the tail estimate reads its value."""
+    its largest term is at least NEGLIGIBLE times the family's largest bound:
+    |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0 where the row is
+    identically zero at these heights), |w c| on a node.  The constant row is
+    always kept, and the last node whenever its term is nonzero: the tail
+    estimate reads its value."""
     grid, n = f.grid, f.grid.n_cusp
-    bound = np.abs(grid.weights * f.values)
-    bound[:n] *= maass_envelope(grid.cusp_bank.r, float(np.min(y)) if len(y) else np.inf)
-    live = bound > 0.0
-    for family in (slice(0, n), slice(n + 1, None)):
-        live[family] &= bound[family] >= NEGLIGIBLE * bound[family].max(initial=0.0)
-    live[n] = True
-    if grid.n_eisenstein:
-        live[-1] = bound[-1] != 0.0
-    return live
+    size = np.abs(grid.weights * f.values)
+    y_min = float(np.min(y)) if len(y) else np.inf
+    cusp = _not_negligible(size[:n] * maass_envelope(grid.cusp_bank.r, y_min))
+    nodes = size[n + 1:]
+    eis = _not_negligible(nodes)
+    eis[-1:] = nodes[-1:] != 0.0
+    return np.concatenate([cusp, [True], eis])
 
 
 def synthesis_basis(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -330,20 +330,20 @@ class KBesselBank:
             coef[0] *= 0.5
             blocks.append(to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
         self._panels = np.concatenate(blocks, axis=1)
-        err = np.abs(self._clenshaw(rows[-len(probes):], np.log(probes)) - vals[-len(probes):])
+        err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
         if np.max(err) > 1e-9:
             raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
                                f"max error {np.max(err):.2e}")
 
-    def _clenshaw(self, rows: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-        """Each entry's panel series at log_x = log x: the panel of its row's
-        normalized variable, then a fixed-degree recurrence on coefficients
-        gathered at the flat index row * _PANELS + panel."""
-        s = ((2.0 * log_x - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
+    def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Each entry's panel series at log x: the panel of its row's normalized
+        variable, then a fixed-degree recurrence on coefficients gathered at
+        the flat index row * _PANELS + panel."""
+        s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
         p = np.minimum(np.maximum(s.astype(np.intp), 0), _PANELS - 1)
         v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p
-        two_v, b0, b1 = 2.0 * v, np.zeros(len(v)), np.zeros(len(v))
+        two_v, b0, b1 = 2.0 * v, np.zeros(v.shape), np.zeros(v.shape)
         for c in self._panels[:0:-1]:
             b0, b1 = c.take(idx) + two_v * b0 - b1, b0
         return self._panels[0].take(idx) + v * b0 - b1
@@ -352,17 +352,19 @@ class KBesselBank:
         """Rescaled values at (row, argument) entries; `rows` broadcasts against x."""
         rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
                                       np.atleast_1d(np.asarray(x, dtype=float)))
-        if np.any(x <= 0.0):
+        x_lo = x.min(initial=np.inf)
+        if x_lo <= 0.0:
             raise ValueError("argument of K_{iR} must be positive")
-        if np.any(x < self.x_min - 1e-12):
+        if x_lo < self.x_min - 1e-12:
             raise ValueError(f"argument below cached domain x_min={self.x_min}")
-        out = np.zeros(x.shape)
         fit = x < self.fit_hi[rows]
+        if fit.all():  # the usual case: no mask, no scatter
+            return self._clenshaw(rows, x)
+        out = np.zeros(x.shape)
         if np.any(fit):
-            out[fit] = self._clenshaw(rows[fit], np.log(x[fit]))
-        if not np.all(fit):
-            # underflow to 0 is fine: these arguments contribute nothing
-            out[~fit] = kbessel_quad(self.r[rows[~fit]], x[~fit])
+            out[fit] = self._clenshaw(rows[fit], x[fit])
+        # underflow to 0 is fine: these arguments contribute nothing
+        out[~fit] = kbessel_quad(self.r[rows[~fit]], x[~fit])
         return out
 
 

@@ -188,8 +188,10 @@ def _bessel_table(bank, rows, heights, n_cols=72):
 
 
 class TestBesselTable:
-    """The Fourier sums read the panel series straight from a bank's table;
-    every value must be the bank's public call bit for bit."""
+    """The Fourier sums take their Bessel entries from one bank call, which
+    sends a call with every entry below its row's fit_hi straight to the
+    panel series; every value must be the one the call's masked path gives,
+    bit for bit."""
 
     FLOOR = math.sqrt(3.0) / 2.0  # the arc floor of the fundamental domain
 
@@ -203,14 +205,14 @@ class TestBesselTable:
         return ((grid.cusp_bank, floor), (grid.eisenstein.bank, floor),
                 (generator_bank, np.array([0.081, 0.09, 0.2, 0.5, self.FLOOR])))
 
-    def test_direct_entries_equal_the_bank_call(self, grid, generator_bank, monkeypatch):
+    def test_table_equals_the_masked_bank_call(self, grid, generator_bank):
         for bank, heights in self._banks(grid, generator_bank):
             rows = np.arange(len(bank.r))
-            assert 2.0 * np.pi * heights.min() >= bank.x_min  # the direct path
-            with monkeypatch.context() as m:
-                m.setattr(special.KBesselBank, "__call__", None)  # not reached
-                table, entry_rows, args, live = _bessel_table(bank, rows, heights)
-            assert np.array_equal(table[live], bank(entry_rows, args))
+            table, entry_rows, args, live = _bessel_table(bank, rows, heights)
+            assert np.all(args < bank.fit_hi[entry_rows])  # the unmasked path
+            # one more entry past fit_hi sends the same entries through the mask
+            masked = bank(np.append(entry_rows, 0), np.append(args, bank.fit_hi[0] + 1.0))
+            assert np.array_equal(table[live], masked[:-1])
             assert live.sum() > 10 * len(rows) and not table[~live].any()
 
     def test_every_default_row_is_in_range(self, grid):
@@ -225,7 +227,9 @@ class TestBesselTable:
         assert bank.r[0] + forms._BESSEL_DECAY == bank.fit_hi[0]
         heights = np.array([self.FLOOR, 1.3, 45.0 / (2.0 * np.pi)])
         table, entry_rows, args, live = _bessel_table(bank, [0, 1], heights)
-        assert np.any((entry_rows == 0) & (args == bank.fit_hi[0]))
+        edge = (entry_rows == 0) & (args == bank.fit_hi[0])
+        assert np.any(edge)
+        assert np.all(table[live][edge] == special.kbessel_quad(bank.r[0], bank.fit_hi[0]))
         assert np.array_equal(table[live], bank(entry_rows, args)) and not table[~live].any()
 
     def test_height_below_the_bank_domain_refused(self, grid):

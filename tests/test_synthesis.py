@@ -86,7 +86,8 @@ class TestEvaluateHeatKernel:
         for z in (HPoint(2.45, 0.9 / (0.45 ** 2 + 0.9 ** 2)), HPoint(0.37, 6.0)):
             p = reduce_to_fundamental_domain(z)
             x, y = np.array([p.x]), np.array([p.y])
-            value = evaluate_heat_kernel(t, z, grid).value
+            rep = evaluate_heat_kernel(t, z, grid)
+            value = rep.value
             skipping = synthesize_values(coeffs, x, y)[0]
             full = ((grid.weights * coeffs.values) @ basis_values(grid, x, y))[0]
             assert abs(value - skipping) <= 1e-13 * abs(skipping)
@@ -96,6 +97,11 @@ class TestEvaluateHeatKernel:
             column = synthesis_basis(coeffs, x, y)[:, 0]
             assert not np.any(live[:grid.n_cusp][odd])
             assert np.all(column[~live] == 0.0) and np.all(column[live] != 0.0)
+            # each reported part sums the synthesis terms of its rows, bit for bit
+            terms = grid.weights * coeffs.values * column
+            n = grid.n_cusp
+            assert (rep.cusp_part, rep.residual_part, rep.eisenstein_part) == (
+                terms[:n].sum(), terms[n], terms[n + 1:].sum())
 
     def test_one_fourier_sum_per_evaluation(self, grid, monkeypatch):
         # the cusp forms and the Eisenstein nodes are rows of one table, so a

@@ -1,25 +1,17 @@
 #!/usr/bin/env python3
-"""Time pointwise heat-kernel synthesis by public stage, and check each point
-against the batched synthesis.
+"""Time pointwise heat-kernel synthesis by public stage.
 
 A seeded sweep of 600 `evaluate_heat_kernel` points on the default grid: six
 times t, log-uniform in [1, 4], with 100 points each, x uniform in
 [-1/2, 1/2) and y uniform in [1, 6] (already reduced).  Then one 500-point
 `synthesize_values` field at the first time.  Prints microseconds per point
-for each public stage of a point and for the field, best of three passes.  The timings are for information.
+for each public stage of a point and for the field, best of three passes.
+The bit-identity of a point with its batch is a tier-1 test, not a check
+here.  Run from the repository root:
 
-At these heights every time keeps the same rows live for a point as for its
-batch, so each point's basis column must equal its column of the batched
-`sobolev.synthesis_basis` bit for bit, and each reported part the sum of the
-batched column's terms over its rows.  The batched `synthesize_values`
-sums the same terms by one matrix product, in another order, so the value
-is checked against it to 1e-13 relative.  Exits 1 when a check fails.  Run
-from the repository root:
-
-    python3 tools/time_synthesis.py [--seed N]
+    python3 tools/time_synthesis.py
 """
 
-import argparse
 import math
 import sys
 import time
@@ -31,7 +23,7 @@ sys.path.insert(0, "src")
 from autoheat import config, heat, sobolev, synthesis, verify  # noqa: E402
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 
-TIMES, PER_TIME, FIELD_POINTS, PASSES = 6, 100, 500, 3
+SEED, TIMES, PER_TIME, FIELD_POINTS, PASSES = 21, 6, 100, 500, 3
 
 
 def best_of(passes: int, fn) -> float:
@@ -44,18 +36,14 @@ def best_of(passes: int, fn) -> float:
     return best
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=21)
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
+def main() -> None:
+    rng = np.random.default_rng(SEED)
     grid = verify.grid_for_config(config.RunConfig())
     ts = np.exp(rng.uniform(0.0, math.log(4.0), TIMES))
     xs = rng.uniform(-0.5, 0.5, (TIMES, PER_TIME))
     ys = rng.uniform(1.0, 6.0, (TIMES, PER_TIME))
     points = [(float(t), HPoint(float(x), float(y)))
               for t, row_x, row_y in zip(ts, xs, ys) for x, y in zip(row_x, row_y)]
-    coeffs = {float(t): heat.heat_coefficients(float(t), grid).coeffs for t in ts}
     for t, z in points:  # warm the caches
         synthesis.evaluate_heat_kernel(t, z, grid)
     # per point, its stages one after the other, then the whole evaluation,
@@ -83,7 +71,7 @@ def main(argv=None) -> int:
         best = {name: min(best[name], spent[name]) for name in names}
     us = {name: 1e6 * value / len(points) for name, value in best.items()}
     total = us.pop("evaluate_heat_kernel")
-    print(f"{len(points)} points, t in [1, 4], y in [1, 6] (seed {args.seed}): "
+    print(f"{len(points)} points, t in [1, 4], y in [1, 6] (seed {SEED}): "
           f"evaluate_heat_kernel {total:.1f} us per point, by stage (best of {PASSES}):")
     for name, value in us.items():
         print(f"  {name:30s} {value:7.1f} us")
@@ -97,27 +85,6 @@ def main(argv=None) -> int:
     print(f"{FIELD_POINTS}-point synthesize_values field at t = {t_field:.4f}: "
           f"{1e6 * field / FIELD_POINTS:.1f} us per point")
 
-    failures = 0
-    n = grid.n_cusp
-    for k, t in enumerate(ts):
-        f = coeffs[float(t)]
-        basis = sobolev.synthesis_basis(f, xs[k], ys[k])
-        values = sobolev.synthesize_values(f, xs[k], ys[k])
-        for j in range(PER_TIME):
-            i = k * PER_TIME + j
-            rep = synthesis.evaluate_heat_kernel(*points[i], grid)
-            x, y = xs[k, j:j + 1], ys[k, j:j + 1]
-            terms = grid.weights * f.values * basis[:, j]
-            parts = (terms[:n].sum(), terms[n], terms[n + 1:].sum())
-            live = sobolev.synthesis_rows(f, y)
-            if not (np.array_equal(grid.basis_rows(x, y, live)[:, 0], basis[:, j])
-                    and (rep.cusp_part, rep.residual_part, rep.eisenstein_part) == parts
-                    and abs(rep.value - values[j]) <= 1e-13 * abs(values[j])):
-                failures += 1
-                print(f"MISMATCH at t = {t:.6f}, z = {x[0]:.6f} + {y[0]:.6f}i")
-    print(f"checked {len(points)} points against their batches: {failures} mismatches")
-    return 1 if failures else 0
-
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
