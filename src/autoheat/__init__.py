@@ -5,9 +5,6 @@ from .forms import (
     MaassDataError,
     MaassFormData,
     Parity,
-    eval_eisenstein,
-    eval_eisenstein_unitary,
-    eval_maass,
     load_maass_data,
 )
 from .heat import (
@@ -57,9 +54,6 @@ __all__ = [
     "bessel_k_imag",
     "build_grid",
     "delta_coefficients",
-    "eval_eisenstein",
-    "eval_eisenstein_unitary",
-    "eval_maass",
     "evaluate_heat_kernel",
     "heat_coefficients",
     "heat_equation_residual",

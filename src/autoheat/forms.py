@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .special import KBesselBank, gauss_rule, kbessel_bank, scattering_phase, xi_line
+from .special import KBesselBank, gauss_rule, kbessel_bank, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
@@ -45,7 +44,7 @@ class MaassDataError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein series
+# Fourier sums
 # ---------------------------------------------------------------------------
 
 def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
@@ -137,65 +136,6 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     return out
 
 
-class EisensteinSeries:
-    """E_{1/2+ir} for a vector of r > 0 on one K-Bessel bank, row j at r[j].
-
-    Unitary values carry the phase phi(1/2+ir)^{-1/2} making them real; the
-    zeta, multiplier and Bessel state is built once and shared read-only."""
-
-    _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
-
-    def __init__(self, rs):
-        self.r = np.asarray(rs, dtype=float).reshape(-1)
-        xi = [xi_line(float(r)) for r in self.r]
-        self._arg_xi = np.array([float(np.angle(v)) for v in xi])
-        # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
-        self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
-                               for v, r in zip(xi, self.r)])
-        self._bn = _divisor_table(self.r, self._N_MULTIPLIERS)
-        self.bank = KBesselBank(self.r, _KBESSEL_X_MIN)
-
-    def unitary_rows(self, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Real unitary-frame values of the rows, shape (len(rows), npoints),
-        from the expansion at the points as given (not reduced); ValueError
-        at heights whose terms need more than the _N_MULTIPLIERS stored
-        multipliers."""
-        n = len(self.r)
-        acc = _fourier_rows(self.bank, rows, self._bn, np.full(n, self._N_MULTIPLIERS),
-                            np.zeros(n, dtype=bool), x, y)
-        return self._finish(rows, y, acc)
-
-    def _finish(self, rows, y, acc: np.ndarray) -> np.ndarray:
-        """The rows' values from their Fourier sums acc (_fourier_rows over
-        the multipliers): the constant term 2 sqrt(y) cos(r log y + arg xi)
-        plus pref sqrt(y) acc."""
-        sy = np.sqrt(y)
-        val = 2.0 * sy * np.cos(self.r[rows][:, None] * np.log(y) + self._arg_xi[rows][:, None])
-        return val + self._pref[rows][:, None] * sy * acc
-
-
-def eval_eisenstein_unitary(r: float, z: HPoint) -> float:
-    """Real unitary-frame value of E_{1/2+ir} at z (reduced internally), the
-    frame the spectral grid uses; zero at r = 0."""
-    if r < 0.0:
-        raise ValueError("spectral parameter r must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    p = reduce_to_fundamental_domain(z)
-    return float(EisensteinSeries((r,)).unitary_rows([0], np.array([p.x]), np.array([p.y]))[0, 0])
-
-
-def eval_eisenstein(r: float, z: HPoint) -> complex:
-    """E_{1/2+ir}(z) in the y^s + phi(s) y^{1-s} constant-term normalization.
-
-    It is phi^{1/2} (principal branch) times the real unitary value, a
-    unimodular factor, so conjugated products of two values agree."""
-    val = eval_eisenstein_unitary(r, z)
-    if r == 0.0:
-        return complex(0.0)
-    return complex(np.exp(0.5j * np.angle(scattering_phase(float(r)))) * val)
-
-
 # ---------------------------------------------------------------------------
 # Maass cusp forms
 # ---------------------------------------------------------------------------
@@ -250,23 +190,6 @@ def _norm_constants(forms) -> np.ndarray:
     return np.array([f.norm_constant for f in forms], dtype=float)
 
 
-def _cusp_finish(norm: np.ndarray, y, acc: np.ndarray) -> np.ndarray:
-    """Cusp rows from their Fourier sums acc (_fourier_rows over the
-    coefficients): norm (sqrt(y) acc)."""
-    return norm[:, None] * (np.sqrt(y) * acc)
-
-
-def _maass_rows(forms, bank: KBesselBank, rows, x, y, norm: np.ndarray) -> np.ndarray:
-    """_cusp_finish of forms[i], i in rows; row i of `bank` holds forms[i].r."""
-    return _cusp_finish(norm, y, _fourier_rows(bank, rows, *_coeff_table(forms), x, y))
-
-
-def _maass_raw(forms, bank: KBesselBank, rows, x, y) -> np.ndarray:
-    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of forms[i],
-    i in rows; row i of `bank` holds forms[i].r."""
-    return _maass_rows(forms, bank, rows, x, y, np.ones(len(rows)))
-
-
 def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
     """Growth of |Ktilde_{ir}| at heights >= y_min, up to a factor common to
     all r: e^{pi r/2}, as past its turning point Ktilde_{ir} behaves like
@@ -275,52 +198,68 @@ def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
     return np.where(2.0 * math.pi * y_min > r + _BESSEL_DECAY, 0.0, np.exp(0.5 * math.pi * r))
 
 
-def maass_rows(forms, bank: KBesselBank, rows, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Normalized forms[i], i in rows, on arrays of already-reduced coordinates."""
-    return _maass_rows(forms, bank, rows, x, y, _norm_constants([forms[i] for i in rows]))
-
+# ---------------------------------------------------------------------------
+# Basis evaluation
+# ---------------------------------------------------------------------------
 
 class BasisTable:
-    """Cusp forms, then Eisenstein nodes, as the rows of one stacked K-Bessel
-    bank with one coefficient table (the forms' a_n and the nodes'
-    multipliers, zero-padded to one width), so that values of rows of both
-    families come from one Fourier sum, finished per family."""
+    """The evaluator of the basis: the cusp forms, then the Eisenstein series
+    E_{1/2+ir} at the nodes r, as the rows of one K-Bessel bank (the nodes'
+    bank stacked onto the cached cusp_bank(forms)) with one coefficient table
+    (the forms' a_n and the nodes' multipliers n^{ir} sigma_{-2ir}(n),
+    zero-padded to one width).  Values of rows of both families come from one
+    Fourier sum, finished per family.  Eisenstein values are in the unitary
+    frame: they carry the phase phi(1/2+ir)^{-1/2}, which makes them real.
+    The zeta, multiplier and Bessel state is built once and shared read-only."""
 
-    def __init__(self, forms, bank: KBesselBank, series: EisensteinSeries):
-        self.n_cusp, self.series = len(forms), series
-        self.bank = KBesselBank.stack((bank, series.bank))
+    _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
+
+    def __init__(self, forms, nodes):
+        nodes = np.asarray(nodes, dtype=float).reshape(-1)
+        self.n_cusp, m = len(forms), self._N_MULTIPLIERS
+        xi = [xi_line(float(r)) for r in nodes]
+        self._arg_xi = np.array([float(np.angle(v)) for v in xi])
+        # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
+        self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
+                               for v, r in zip(xi, nodes)])
+        self.bank = KBesselBank.stack((cusp_bank(forms), KBesselBank(nodes, _KBESSEL_X_MIN)))
         coeffs, n_max, odd = _coeff_table(forms)
-        m, n_nodes = series._N_MULTIPLIERS, len(series.r)
         self.coeffs = np.zeros((len(self.bank.r), max(coeffs.shape[1], m)))
         self.coeffs[:self.n_cusp, :coeffs.shape[1]] = coeffs
-        self.coeffs[self.n_cusp:, :m] = series._bn
-        self.n_max = np.concatenate([n_max, np.full(n_nodes, m)])
-        self.odd = np.concatenate([odd, np.zeros(n_nodes, dtype=bool)])
+        self.coeffs[self.n_cusp:, :m] = _divisor_table(nodes, m)
+        self.n_max = np.concatenate([n_max, np.full(len(nodes), m)])
+        self.odd = np.concatenate([odd, np.zeros(len(nodes), dtype=bool)])
         self.norm = _norm_constants(forms)
 
     def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Values of the rows (increasing) at the points as given: normalized
-        forms, then real unitary-frame Eisenstein values; each equals the
-        value of maass_rows or EisensteinSeries.unitary_rows bit for bit."""
+        """Values of the rows (increasing) at the points as given (not
+        reduced), shape (len(rows), npoints): a form's row is
+        norm (sqrt(y) acc), a node's the constant term
+        2 sqrt(y) cos(r log y + arg xi(1+2ir)) plus pref sqrt(y) acc, where
+        acc is the row's Fourier sum (_fourier_rows); ValueError at heights
+        whose terms need more coefficients or multipliers than are stored."""
         acc = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
         k = int(np.searchsorted(rows, self.n_cusp))
-        return np.concatenate([_cusp_finish(self.norm[rows[:k]], y, acc[:k]),
-                               self.series._finish(rows[k:] - self.n_cusp, y, acc[k:])])
+        cusp, node = rows[:k], rows[k:] - self.n_cusp
+        sy = np.sqrt(y)
+        const = 2.0 * sy * np.cos(self.bank.r[rows[k:]][:, None] * np.log(y)
+                                  + self._arg_xi[node][:, None])
+        return np.concatenate([self.norm[cusp][:, None] * (sy * acc[:k]),
+                               const + self._pref[node][:, None] * sy * acc[k:]])
 
 
-def maass_values(form: MaassFormData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Normalized form on arrays of already-reduced coordinates."""
-    return maass_rows([form], cusp_bank([form]), [0], x, y)[0]
+# ---------------------------------------------------------------------------
+# Cusp-form data check
+# ---------------------------------------------------------------------------
+
+def _raw_rows(forms, x, y) -> np.ndarray:
+    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of each form
+    at the points as given (not reduced), on the cached cusp_bank(forms)."""
+    return np.sqrt(y) * _fourier_rows(cusp_bank(forms), np.arange(len(forms)),
+                                      *_coeff_table(forms), x, y)
 
 
-def eval_maass(form: MaassFormData, z: HPoint) -> float:
-    """Value of the unit-norm cusp form at z (reduced internally)."""
-    p = reduce_to_fundamental_domain(z)
-    return float(maass_values(form, np.array([p.x]), np.array([p.y]))[0])
-
-
-def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
-                  nx: int = 32) -> np.ndarray:
+def _norm_squares(forms, ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
     """int |u|^2 dx dy / y^2 of each unnormalized form over the fundamental
     domain below y = _NORM_Y_MAX; the forms decay like e^{-2 pi y}, so the
     cutoff loses nothing.
@@ -331,23 +270,23 @@ def _norm_squares(forms, bank: KBesselBank, ny: int = 32, nphi: int = 32,
     y = cos(phi) for phi in [0, pi/6] (nphi nodes) and x in [sin(phi), 1/2]
     (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
     height for all its x nodes."""
-    rows = np.arange(len(forms))
+    bank = cusp_bank(forms)
     coeffs, n_max, _ = _coeff_table(forms)
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    table = _bessel_table(bank, rows, bank.r + _BESSEL_DECAY, n_max, coeffs.shape[1],
-                          np.exp(log_y.ravel()))
+    table = _bessel_table(bank, np.arange(len(forms)), bank.r + _BESSEL_DECAY, n_max,
+                          coeffs.shape[1], np.exp(log_y.ravel()))
     rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)
     # dy = sin(phi) dphi; the doubling by evenness in x
     wts = (2.0 * w_phi * np.sin(phi) / np.cos(phi) ** 2)[:, None] * w_x
-    vals = _maass_raw(forms, bank, rows, x.ravel(), np.repeat(np.cos(phi), nx))
+    vals = _raw_rows(forms, x.ravel(), np.repeat(np.cos(phi), nx))
     return rect + (vals * vals) @ wts.ravel()
 
 
-def _normalize(forms, bank: KBesselBank) -> None:
-    for form, norm_sq in zip(forms, _norm_squares(forms, bank)):
+def _normalize(forms) -> None:
+    for form, norm_sq in zip(forms, _norm_squares(forms)):
         if not norm_sq > 0.0:
             raise ValueError(f"degenerate L2 norm for form r={form.r}")
         form.norm_constant = 1.0 / math.sqrt(norm_sq)
@@ -368,16 +307,16 @@ def _hecke_defect(a: np.ndarray) -> float:
     return worst
 
 
-def maass_defects(forms, bank: KBesselBank) -> tuple[np.ndarray, np.ndarray]:
-    """L2-normalize the forms in place (row i of `bank` holds forms[i].r) and
-    return each one's Hecke defect (_hecke_defect) and inversion defect
-    max |u(z) - u(-1/z)| at _INVERSION_POINTS, through the expansion as given
-    (not reduced).  The points lie off x = 0, where odd forms vanish, and every
-    height involved is at least sqrt(3)/2, the domain's floor."""
-    _normalize(forms, bank)
+def maass_defects(forms) -> tuple[np.ndarray, np.ndarray]:
+    """L2-normalize the forms in place and return each one's Hecke defect
+    (_hecke_defect) and inversion defect max |u(z) - u(-1/z)| at
+    _INVERSION_POINTS, through the expansion as given (not reduced).  The
+    points lie off x = 0, where odd forms vanish, and every height involved
+    is at least sqrt(3)/2, the domain's floor."""
+    _normalize(forms)
     hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
     z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
-    vals = maass_rows(forms, bank, np.arange(len(forms)), z.real, z.imag)
+    vals = _norm_constants(forms)[:, None] * _raw_rows(forms, z.real, z.imag)
     k = len(_INVERSION_POINTS)
     return hecke, np.max(np.abs(vals[:, :k] - vals[:, k:]), axis=1, initial=0.0)
 
@@ -460,7 +399,7 @@ def load_maass_data(path) -> list[MaassFormData]:
         text = fh.read()
     data = parse_maass_data(text, source=str(path))
     check_distinct(data)
-    for form, hecke, inv in zip(data, *maass_defects(data, cusp_bank(data))):
+    for form, hecke, inv in zip(data, *maass_defects(data)):
         if not (hecke <= HECKE_BOUND and inv <= INVERSION_BOUND):
             raise MaassDataError(
                 f"form r={form.r} fails the data check: Hecke defect {hecke:.1e} "

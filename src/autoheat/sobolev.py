@@ -129,7 +129,7 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     grid, n = f.grid, f.grid.n_cusp
     size = np.abs(grid.weights * f.values)
     y_min = float(np.min(y)) if len(y) else np.inf
-    cusp = _not_negligible(size[:n] * maass_envelope(grid.cusp_bank.r, y_min))
+    cusp = _not_negligible(size[:n] * maass_envelope(grid.table.bank.r[:n], y_min))
     nodes = size[n + 1:]
     eis = _not_negligible(nodes)
     eis[-1:] = nodes[-1:] != 0.0

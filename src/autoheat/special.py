@@ -99,19 +99,6 @@ def xi_line(r: float) -> complex:
     return cmath.exp(_log_gamma(s / 2) - s / 2 * math.log(math.pi)) * zeta_line(2.0 * r)
 
 
-def scattering_phase(r: float) -> complex:
-    """Scattering term phi(1/2 + ir) = xi(2ir)/xi(1 + 2ir) of the modular surface.
-
-    The numerator is moved to the line Re = 1 by the functional equation
-    xi(s) = xi(1-s), which makes it the conjugate of the denominator; the
-    result is exactly unimodular.  phi(1/2) = -1 in the r -> 0 limit.
-    """
-    if r == 0.0:
-        return complex(-1.0)
-    xi = xi_line(r)
-    return np.conj(xi) / xi
-
-
 # ---------------------------------------------------------------------------
 # K_{iR}(x)
 # ---------------------------------------------------------------------------

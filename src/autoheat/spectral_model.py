@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import BasisTable, EisensteinSeries, MaassFormData, check_distinct, cusp_bank
-from .special import KBesselBank, gauss_rule
+from .forms import BasisTable, MaassFormData, check_distinct
+from .special import gauss_rule
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
 # lives at Sobolev index -DELTA_INDEX and below.
@@ -31,10 +31,10 @@ def _eigenvalue_from_r(r):
 class SpectralGrid:
     """Discretized spectral parameter space.
 
-    Immutable after construction; the K-Bessel banks of the cusp forms and of
-    the continuous nodes are built once here and shared read-only, and their
-    rows are stacked with one coefficient table (forms.BasisTable) so that a
-    basis evaluation is one Fourier sum over both families.
+    Immutable after construction.  Its `table` (forms.BasisTable, built once
+    here and shared read-only) evaluates the cusp forms and the continuous
+    nodes, one K-Bessel bank row each, so that a basis evaluation is one
+    Fourier sum over both families.
     Coefficient vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...], and so
     are the per-entry arrays set at construction: the eigenvalues `lambdas`
@@ -47,12 +47,10 @@ class SpectralGrid:
     eisenstein_r: np.ndarray
     eisenstein_w: np.ndarray  # Plancherel-folded quadrature weights dr/(2 pi)
     r_max: float
-    cusp_bank: KBesselBank = field(repr=False)  # row i holds cusp_forms[i].r
-    eisenstein: EisensteinSeries = field(repr=False)  # row j holds eisenstein_r[j]
     lambdas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     basis_at_i: np.ndarray = field(init=False, repr=False)
-    _table: BasisTable = field(init=False, repr=False)
+    table: BasisTable = field(init=False, repr=False)  # rows: cusp forms, then nodes
 
     @property
     def n_cusp(self) -> int:
@@ -79,8 +77,7 @@ class SpectralGrid:
         w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_table", BasisTable(self.cusp_forms, self.cusp_bank,
-                                                      self.eisenstein))
+        object.__setattr__(self, "table", BasisTable(self.cusp_forms, self.eisenstein_r))
         object.__setattr__(self, "basis_at_i", self.basis_rows(
             np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])
 
@@ -88,12 +85,12 @@ class SpectralGrid:
         """Real unitary-frame basis values at reduced points, shape (size,
         npoints) in coefficient order; only the rows where `live` holds are
         evaluated, the rest stay zero: the live cusp forms and nodes in one
-        Fourier sum over the grid's BasisTable."""
+        Fourier sum over the grid's table."""
         out = np.zeros((self.size, len(x)))
         n = self.n_cusp
         sel = np.flatnonzero(live)
         sel = sel[sel != n]
-        out[sel] = self._table(sel - (sel > n), x, y)  # table rows skip the constant
+        out[sel] = self.table(sel - (sel > n), x, y)  # table rows skip the constant
         if live[n]:
             out[n] = np.sqrt(3.0 / np.pi)  # unit-norm constant on volume pi/3
         return out
@@ -135,6 +132,4 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
         eisenstein_r=nodes,
         eisenstein_w=weights,
         r_max=float(r_max),
-        cusp_bank=cusp_bank(data),
-        eisenstein=EisensteinSeries(nodes),
     )

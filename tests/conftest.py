@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from autoheat.config import RunConfig
-from autoheat.forms import EisensteinSeries, cusp_bank, load_maass_data
+from autoheat.forms import load_maass_data
 from autoheat.spectral_model import SpectralGrid, build_grid
 from autoheat.verify import grid_for_config
 
@@ -48,6 +48,4 @@ def residual_only_grid():
         eisenstein_r=np.array([]),
         eisenstein_w=np.array([]),
         r_max=1.0,
-        cusp_bank=cusp_bank([]),
-        eisenstein=EisensteinSeries(()),
     )

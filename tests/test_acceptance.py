@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, EisensteinSeries, cusp_bank, maass_defects
+from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, BasisTable, maass_defects
 from autoheat.heat import profile
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.oracle import periodized_oracle_basepoint
@@ -184,14 +184,14 @@ def test_criterion_11_special_functions(dataset):
     k0 = abs(bessel_k_imag(0.0, 1.0) - 0.4210244382) <= 1e-10
     inv_worst = 0.0
     for r in (1.0, 5.0):
-        series = EisensteinSeries((r,))
+        table = BasisTable((), (r,))
         for zc in (0.3 + 1.1j, 0.15 + 0.95j):
             w = -1.0 / zc
             # no reduction: inversion must hold through the raw expansion
-            a, b = series.unitary_rows([0], [zc.real, w.real], [zc.imag, w.imag])[0]
+            a, b = table(np.array([0]), [zc.real, w.real], [zc.imag, w.imag])[0]
             inv_worst = max(inv_worst, abs(a - b))
     # the loader's data check on every packaged form, under the loader's bounds
-    hecke, inv = maass_defects(dataset, cusp_bank(dataset))
+    hecke, inv = maass_defects(dataset)
     ok = (k0 and inv_worst <= 1e-8 and np.max(hecke) <= HECKE_BOUND
           and np.max(inv) <= INVERSION_BOUND)
     report(11, "special-function cross-checks", ok,

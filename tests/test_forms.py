@@ -7,19 +7,15 @@ import numpy as np
 import pytest
 
 from autoheat.forms import (
-    EisensteinSeries,
+    BasisTable,
     MaassDataError,
     MaassFormData,
     Parity,
-    eval_eisenstein,
-    eval_eisenstein_unitary,
-    eval_maass,
     load_maass_data,
-    maass_values,
     parse_maass_data,
 )
 from autoheat import forms, special
-from autoheat.forms import _divisor_table, _maass_raw, _norm_squares, cusp_bank, maass_rows
+from autoheat.forms import _divisor_table, _norm_squares, _raw_rows
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.sobolev import basis_values
 from autoheat.special import gauss_rule
@@ -27,7 +23,12 @@ from autoheat.special import gauss_rule
 
 def _raw_unitary(r, z):
     """The unreduced one-row expansion at z."""
-    return EisensteinSeries((r,)).unitary_rows([0], [z.x], [z.y])[0, 0]
+    return BasisTable((), (r,))(np.array([0]), [z.x], [z.y])[0, 0]
+
+
+def _one_form(form, x, y):
+    """The form's values at the points as given, through its own table."""
+    return BasisTable([form], ())(np.array([0]), np.asarray(x, float), np.asarray(y, float))[0]
 
 
 class TestEisenstein:
@@ -46,37 +47,48 @@ class TestEisenstein:
             b = _raw_unitary(r, HPoint(w.real, w.imag))
             assert abs(a - b) < 1e-9
 
-    def test_standard_and_unitary_frames_consistent(self):
-        z = HPoint(0.23, 1.4)
-        std_z = eval_eisenstein(3.7, z)
-        std_i = eval_eisenstein(3.7, HPoint(0.0, 1.0))
-        uni_z = eval_eisenstein_unitary(3.7, z)
-        uni = np.conj(complex(eval_eisenstein_unitary(3.7, HPoint(0.0, 1.0)))) * uni_z
-        assert abs(np.conj(std_i) * std_z - uni) < 1e-12
-        assert abs(abs(std_z) - abs(uni_z)) < 1e-12
+    # the unitary-frame value of E_{1/2+ir}(x + iy) from its Fourier expansion,
+    # mpmath at 30 digits: (r, x, y, value).  Made by
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 30
+    #   def unitary_eisenstein(r, x, y):
+    #       r, x, y = mp.mpf(r), mp.mpf(x), mp.mpf(y)
+    #       s = mp.mpf(1) / 2 + 1j * r
+    #       xi = mp.pi ** (-s) * mp.gamma(s) * mp.zeta(2 * s)  # xi(2s) = xi(1 + 2ir)
+    #       val = 2 * mp.sqrt(y) * mp.cos(r * mp.log(y) + mp.arg(xi))
+    #       n = 1
+    #       while 2 * mp.pi * n * y < r + 90:
+    #           sigma = mp.fsum(mp.cos(r * mp.log(mp.mpf(n) / d ** 2))
+    #                           for d in range(1, n + 1) if n % d == 0)
+    #           val += (4 * mp.sqrt(y) / abs(xi)) * sigma \
+    #               * mp.re(mp.besselk(1j * r, 2 * mp.pi * n * y)) * mp.cos(2 * mp.pi * n * x)
+    #           n += 1
+    #       return val
+    #
+    # where sigma is n^{ir} sigma_{-2ir}(n) = sum_{d | n} (n/d^2)^{ir}, real.
+    EISENSTEIN_REFERENCE = [
+        (0.9, 0.0, 1.0, -1.6923857008135766),
+        (1.7, 0.3, 0.96, -1.8923980216606292),
+        (3.2, -0.45, 0.9, -2.2047738758981272),
+        (5.5, 0.5, 0.8660254037844386, -3.4132493559006899),
+        (7.3, 0.0, 1.45, 0.20283261289256439),
+        (9.1, 0.21, 2.2, 0.7290974260538956),
+        (10.6, -0.13, 1.12, -1.7662930985172671),
+        (12.0, 0.37, 3.0, -0.87604466653164381),
+    ]
 
-    def test_basepoint_real_and_finite(self):
-        for r in (1.0, 2.5, 7.0):
-            val = eval_eisenstein_unitary(r, HPoint(0.0, 1.0))
-            assert np.isfinite(val)
-            # unitary frame is real by construction; the standard frame value
-            # carries the half scattering phase
-            std = eval_eisenstein(r, HPoint(0.0, 1.0))
-            assert abs(abs(std) - abs(val)) < 1e-10
-
-    def test_degenerate_at_symmetry_point(self):
-        assert eval_eisenstein(0.0, HPoint(0.1, 1.2)) == 0.0
-        assert eval_eisenstein_unitary(0.0, HPoint(0.1, 1.2)) == 0.0
-
-    def test_negative_parameter_rejected(self):
-        for fn in (eval_eisenstein, eval_eisenstein_unitary):
-            with pytest.raises(ValueError, match="nonnegative"):
-                fn(-1.0, HPoint(0.1, 1.2))
+    def test_rows_match_frozen_mpmath_references(self):
+        # one node per reference point, from the arc floor to y = 3, on and
+        # off x = 0 (measured at most 1.6e-14)
+        r, x, y, want = (np.array(c) for c in zip(*self.EISENSTEIN_REFERENCE))
+        got = np.diag(BasisTable((), r)(np.arange(len(r)), x, y))
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_heights_beyond_the_multipliers_rejected(self):
         # r = 9 at y = 0.1 needs ceil(54 / (0.2 pi)) = 86 > 72 multipliers
         with pytest.raises(ValueError, match="outside the evaluator's domain"):
-            EisensteinSeries((9.0,)).unitary_rows([0], [0.1], [0.1])
+            _raw_unitary(9.0, HPoint(0.1, 0.1))
 
     def test_divisor_table_matches_the_divisor_loop(self):
         # the loop it replaced: the same terms added in the same order
@@ -99,14 +111,14 @@ class TestEisenstein:
         # folded (1/2pi) int_0^R g |E(i)|^2 dr against the symmetric
         # (1/4pi) int_{-R}^{R} version on an independent node set; evenness
         # in r comes from reality/unitarity of the normalized values.  Each
-        # node set is one EisensteinSeries over |r|.
+        # node set is one BasisTable over |r|.
         r_cut = 6.0
 
         def integral(edges, scale):
             edges = np.array(edges)
             rs, ws = (a.ravel() for a in gauss_rule(0.5 * (edges[1:] + edges[:-1]),
                                                     0.5 * (edges[1:] - edges[:-1]), 48))
-            at_i = EisensteinSeries(np.abs(rs)).unitary_rows(np.arange(len(rs)), [0.0], [1.0])[:, 0]
+            at_i = BasisTable((), np.abs(rs))(np.arange(len(rs)), [0.0], [1.0])[:, 0]
             density = np.exp(-rs * rs / 8.0) * at_i ** 2
             return float(np.sum(ws * density)) / scale
 
@@ -118,21 +130,18 @@ class TestEisenstein:
 class TestMaass:
     def test_odd_forms_vanish_on_the_imaginary_axis(self, dataset):
         odd = next(f for f in dataset if f.parity is Parity.ODD)
-        assert eval_maass(odd, HPoint(0.0, 1.37)) == 0.0
-        assert eval_maass(odd, HPoint(0.0, 1.0)) == 0.0
+        assert not _one_form(odd, [0.0, 0.0], [1.37, 1.0]).any()
 
     def test_periodicity(self, dataset):
         form = next(f for f in dataset if f.parity is Parity.EVEN)
-        a = maass_values(form, np.array([0.13]), np.array([1.21]))[0]
-        b = maass_values(form, np.array([1.13]), np.array([1.21]))[0]
+        a, b = _one_form(form, [0.13, 1.13], [1.21, 1.21])
         assert abs(a - b) < 1e-12
 
     def test_inversion_invariance_unreduced(self, dataset):
         form = next(f for f in dataset if f.parity is Parity.EVEN)
         for zc in (0.31 + 0.87j, 0.11 + 1.02j):
             w = -1.0 / zc
-            a = maass_values(form, np.array([zc.real]), np.array([zc.imag]))[0]
-            b = maass_values(form, np.array([w.real]), np.array([w.imag]))[0]
+            a, b = _one_form(form, [zc.real, w.real], [zc.imag, w.imag])
             assert abs(a - b) < 1e-8
 
     def test_truncation_guard(self):
@@ -140,7 +149,7 @@ class TestMaass:
                              coeffs=np.concatenate([[1.0], np.zeros(9)]))
         form.norm_constant = 1.0
         with pytest.raises(ValueError, match="too few"):
-            maass_values(form, np.array([0.0]), np.array([0.9]))
+            _one_form(form, [0.0], [0.9])
 
     def test_short_expansion_refused_where_a_term_would_drop(self):
         # 10 coefficients at r = 34 reach 2 pi N y = 54.4 at the domain's
@@ -150,8 +159,8 @@ class TestMaass:
                              coeffs=np.concatenate([[1.0], np.full(9, 0.1)]))
         form.norm_constant = 1.0
         with pytest.raises(ValueError, match="too few"):
-            maass_values(form, np.array([0.0]), np.array([math.sqrt(3.0) / 2.0]))
-        assert np.isfinite(maass_values(form, np.array([0.0]), np.array([1.3]))[0])
+            _one_form(form, [0.0], [math.sqrt(3.0) / 2.0])
+        assert np.isfinite(_one_form(form, [0.0], [1.3])[0])
 
     def test_norms_against_refined_rules(self, dataset):
         # the Parseval-plus-cap rule against itself at doubled node counts
@@ -160,19 +169,18 @@ class TestMaass:
         # 2-D rule over the whole domain (measured <= 2.1e-14 there, 5.4e-14
         # over all forms)
         norm_sq = np.array([f.norm_constant for f in dataset]) ** -2.0
-        bank = cusp_bank(dataset)
-        doubled = _norm_squares(dataset, bank, ny=64, nphi=64, nx=64)
+        doubled = _norm_squares(dataset, ny=64, nphi=64, nx=64)
         assert np.max(np.abs(norm_sq / doubled - 1.0)) < 5e-15
         rows = [0, 2, len(dataset) - 1]
         x, y, w = QuadSpec(nx=192, y_panels=12, ny_per_panel=24, y_max=10.0).nodes()
-        vals = _maass_raw(dataset, bank, rows, x, y)
+        vals = _raw_rows([dataset[i] for i in rows], x, y)  # on a bank of their own
         assert np.max(np.abs(norm_sq[rows] / ((vals * vals) @ w) - 1.0)) < 1e-13
 
     def test_unnormalized_form_rejected(self, dataset):
         bare = MaassFormData(r=dataset[0].r, parity=dataset[0].parity,
                              coeffs=dataset[0].coeffs.copy())
         with pytest.raises(ValueError, match="not normalized"):
-            eval_maass(bare, HPoint(0.2, 1.2))
+            BasisTable([bare], ())
 
 
 def _bessel_table(bank, rows, heights, n_cols=72):
@@ -202,7 +210,7 @@ class TestBesselTable:
 
     def _banks(self, grid, generator_bank):
         floor = np.array([self.FLOOR, 0.9, 1.0, 1.37, 2.0, 6.0])
-        return ((grid.cusp_bank, floor), (grid.eisenstein.bank, floor),
+        return ((grid.table.bank, floor),
                 (generator_bank, np.array([0.081, 0.09, 0.2, 0.5, self.FLOOR])))
 
     def test_table_equals_the_masked_bank_call(self, grid, generator_bank):
@@ -216,8 +224,8 @@ class TestBesselTable:
             assert live.sum() > 10 * len(rows) and not table[~live].any()
 
     def test_every_default_row_is_in_range(self, grid):
-        for bank in (grid.cusp_bank, grid.eisenstein.bank):
-            assert np.all(bank.r + forms._BESSEL_DECAY < bank.fit_hi)
+        bank = grid.table.bank
+        assert np.all(bank.r + forms._BESSEL_DECAY < bank.fit_hi)
 
     def test_row_out_of_range_in_floating_point_gets_the_call(self):
         # at r = 1e-17, pi r/2 + 45 rounds to 45 = r + 45: the row's cut
@@ -237,7 +245,7 @@ class TestBesselTable:
         # the forms and through the whole basis
         x, y = np.array([0.1, 0.2]), np.array([1.2, 0.3])
         with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
-            maass_rows(grid.cusp_forms, grid.cusp_bank, np.arange(grid.n_cusp), x, y)
+            grid.table(np.arange(grid.n_cusp), x, y)
         with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
             basis_values(grid, x, y)
 
@@ -250,7 +258,7 @@ class TestBasepoint:
 
     def test_even_forms_real_at_basepoint(self, dataset):
         even = next(f for f in dataset if f.parity is Parity.EVEN)
-        val = eval_maass(even, HPoint(0.0, 1.0))
+        val = _one_form(even, [0.0], [1.0])[0]
         assert np.isfinite(val) and val != 0.0
 
 
@@ -380,3 +388,23 @@ def test_generator_refines_each_sign_change_in_its_own_bracket(generator, monkey
     got = [generator.refine(bracket, Parity.EVEN)[0] for bracket in even]
     assert np.allclose(got, roots, rtol=0.0, atol=1e-12)
     assert generator.refine((25.81, 25.84), Parity.EVEN) is None
+
+
+def test_generator_writes_what_the_loader_reads(generator, dataset, monkeypatch, tmp_path, capsys):
+    # the validate-and-write path of the generator on one packaged form, with
+    # the root finding stubbed to return that form: the written file reloads
+    # to the same r and coefficients; with a(2) negated the form fails the
+    # data check, is not written, and the run reports failure
+    form = next(f for f in dataset if f.parity is Parity.EVEN)
+    monkeypatch.setattr(generator, "SEEDS", [(form.r, form.parity.value)])
+    monkeypatch.setattr(generator, "scan_seeds", lambda r_lo, r_hi: [])
+    coeffs = form.coeffs.copy()
+    monkeypatch.setattr(generator, "refine", lambda bracket, parity: (form.r, coeffs, 0.0))
+    assert generator.main(tmp_path / "out.dat") == 0
+    assert "OK" in capsys.readouterr().out
+    (loaded,) = load_maass_data(tmp_path / "out.dat")
+    assert loaded.r == form.r and loaded.parity is form.parity
+    assert np.array_equal(loaded.coeffs, form.coeffs)
+    coeffs[1] = -coeffs[1]
+    assert generator.main(tmp_path / "bad.dat") == 1
+    assert "REJECTED" in capsys.readouterr().out

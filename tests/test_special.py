@@ -9,7 +9,6 @@ from autoheat.special import (
     gauss_rule,
     kbessel_bank,
     kbessel_quad,
-    scattering_phase,
     xi_line,
     zeta_euler_maclaurin,
     zeta_line,
@@ -180,21 +179,20 @@ class TestZetaLine:
 
 class TestScatteringPhase:
     def test_unimodular_by_direct_continuation(self):
-        # compute xi(2ir) directly on Re = 0 and compare with the
-        # functional-equation form used in production
+        # phi(1/2 + ir) = xi(2ir)/xi(1 + 2ir): the functional equation
+        # xi(s) = xi(1-s) makes the numerator conj(xi_line(r)), so phi is
+        # exactly unimodular; compare with xi(2ir) computed directly on Re = 0
         from scipy.special import gamma as complex_gamma
 
         for r in (2.0, 5.0, 10.0):
-            phi = scattering_phase(r)
+            xi = xi_line(r)
+            phi = np.conj(xi) / xi
             assert abs(abs(phi) - 1.0) < 1e-9
             s0 = complex(0.0, 2.0 * r)
             xi_direct = np.pi ** (-s0 / 2) * complex_gamma(s0 / 2) \
                 * zeta_euler_maclaurin(s0)
-            phi_direct = xi_direct / xi_line(r)
+            phi_direct = xi_direct / xi
             assert abs(phi - phi_direct) < 1e-9
-
-    def test_limit_at_zero(self):
-        assert scattering_phase(0.0) == complex(-1.0)
 
 
 class TestAgainstMpmath:

@@ -3,14 +3,7 @@ import pytest
 
 from autoheat import special
 from autoheat.config import RunConfig
-from autoheat.forms import (
-    _ENTRY_BLOCK,
-    EisensteinSeries,
-    cusp_bank,
-    load_maass_data,
-    maass_rows,
-    maass_values,
-)
+from autoheat.forms import _ENTRY_BLOCK, BasisTable, cusp_bank, load_maass_data
 from autoheat.sobolev import basis_values
 from autoheat.spectral_model import build_grid, eisenstein_nodes
 
@@ -108,7 +101,8 @@ class TestBuildGrid:
 class TestKBesselBanks:
     def test_fresh_default_grid_runs_one_quadrature_fill_per_bank(self, monkeypatch):
         # one quadrature pass fills the cusp forms' bank, one the Eisenstein
-        # nodes'; the data load and the grid build share the cusp forms' bank
+        # nodes'; the grid's one bank stacks the nodes' rows onto the bank the
+        # data load fitted, without refitting it
         calls = []
         kbessel_quad = special.kbessel_quad
 
@@ -123,22 +117,25 @@ class TestKBesselBanks:
         assert len(calls) == 1
         grid = build_grid(data, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
         assert len(calls) == 2
-        assert grid.cusp_bank is cusp_bank(data)
-        for bank, n in zip((grid.cusp_bank, grid.eisenstein.bank), calls):
-            assert n == int(np.sum(bank.deg + 1)) + 257 * len(bank.r)
+        bank, n = grid.table.bank, grid.n_cusp
+        assert np.array_equal(bank._panels[:, :n * special._PANELS], cusp_bank(data)._panels)
+        for family, count in zip((slice(None, n), slice(n, None)), calls):
+            assert count == int(np.sum(bank.deg[family] + 1)) + 257 * len(bank.r[family])
+        assert len(calls) == 2
 
     def test_rows_are_independent(self, grid):
-        # a one-row bank fits its row exactly as the family bank does
-        for bank in (grid.cusp_bank, grid.eisenstein.bank):
-            for j in (0, len(bank.r) // 2, len(bank.r) - 1):
-                one = special.KBesselBank(bank.r[j:j + 1], bank.x_min)
-                row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
-                assert np.max(np.abs(one._panels - row)) <= 1e-15
+        # a one-row bank fits its row as the grid's bank does, at the first,
+        # middle and last row of each family
+        bank, n = grid.table.bank, grid.n_cusp
+        for j in (0, n // 2, n - 1, n, (n + len(bank.r)) // 2, len(bank.r) - 1):
+            one = special.KBesselBank(bank.r[j:j + 1], bank.x_min)
+            row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
+            assert np.max(np.abs(one._panels - row)) <= 1e-15
 
     def test_stacked_bank_values_equal_family_banks(self, grid):
         # the stacked bank answers each row with the bits of its own bank, on
         # both sides of fit_hi, where the quadrature answers directly
-        banks = (grid.cusp_bank, grid.eisenstein.bank)
+        banks = (cusp_bank(grid.cusp_forms), special.KBesselBank(grid.eisenstein_r[::8], 2.0))
         both = special.KBesselBank.stack(banks)
         assert np.array_equal(both.r, np.concatenate([b.r for b in banks]))
         rng = np.random.default_rng(31)
@@ -153,14 +150,16 @@ class TestKBesselBanks:
     def test_stack_refuses_mismatched_x_min(self, grid):
         other = special.KBesselBank((3.0,), x_min=1.0)
         with pytest.raises(ValueError, match="share one x_min"):
-            special.KBesselBank.stack((grid.cusp_bank, other))
+            special.KBesselBank.stack((grid.table.bank, other))
 
     @pytest.mark.parametrize("which", ["grid", "tiny_grid", "residual_only_grid"])
     def test_basis_rows_equal_family_evaluations(self, which, request):
-        # the one Fourier sum over both families gives, bit for bit, the
-        # cusp forms' maass_rows and the nodes' unitary_rows, from the arc
-        # floor to y ~ 1e3, with gaps in both families' live rows
+        # the one Fourier sum over both families gives, bit for bit, the rows
+        # of a table of the cusp forms alone and of a table of the nodes
+        # alone, from the arc floor to y ~ 1e3, with gaps in both families'
+        # live rows: no row's value depends on the rows evaluated beside it
         grid = request.getfixturevalue(which)
+        forms_only, nodes_only = BasisTable(grid.cusp_forms, ()), BasisTable((), grid.eisenstein_r)
         rng = np.random.default_rng(37)
         x = rng.uniform(-0.5, 0.5, 60)
         y = np.sqrt(1.0 - x * x) * np.exp(rng.uniform(0.0, np.log(1150.0), 60))
@@ -168,8 +167,8 @@ class TestKBesselBanks:
         for live in (np.ones(grid.size, dtype=bool), rng.random(grid.size) < 0.5):
             cusp, eis = np.flatnonzero(live[:n]), np.flatnonzero(live[n + 1:])
             rows = grid.basis_rows(x, y, live)
-            assert np.array_equal(rows[cusp], maass_rows(grid.cusp_forms, grid.cusp_bank, cusp, x, y))
-            assert np.array_equal(rows[n + 1 + eis], grid.eisenstein.unitary_rows(eis, x, y))
+            assert np.array_equal(rows[cusp], forms_only(cusp, x, y))
+            assert np.array_equal(rows[n + 1 + eis], nodes_only(eis, x, y))
             assert not rows[~live].any()
 
     def test_row_subsets_equal_rows_of_the_whole(self, grid):
@@ -204,7 +203,8 @@ class TestKBesselBanks:
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
     # e^{pi r/2} K_{ir}(x) from mpmath.besselk at 40 digits, at seeded rows and
-    # log-uniform x in [2, fit_hi] of the default banks: (row, r, x, value)
+    # log-uniform x in [2, fit_hi] of each family of the default grid's bank:
+    # (row within the family, r, x, value)
     BANK_REFERENCE = {
         "cusp": [
             (1, 12.1730083246798, 24.792255, 4.347674396315854e-5),
@@ -255,8 +255,9 @@ class TestKBesselBanks:
     @pytest.mark.parametrize("family", ["cusp", "eisenstein"])
     def test_bank_values_match_frozen_mpmath_references(self, grid, family):
         # the panel evaluation callers get, against the Bessel function itself
-        bank = grid.cusp_bank if family == "cusp" else grid.eisenstein.bank
+        bank = grid.table.bank
         rows, r, x, want = (np.array(c) for c in zip(*self.BANK_REFERENCE[family]))
+        rows += 0 if family == "cusp" else grid.n_cusp
         assert np.max(np.abs(bank.r[rows] - r)) < 1e-12
         assert np.max(np.abs(bank(rows, x) - want)) < 1e-11
 
@@ -275,15 +276,15 @@ class TestKBesselBanks:
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
     def test_grid_rows_match_one_row_evaluators(self, grid):
-        # the family banks against one bank per r: the same functions,
+        # the grid's table against one table per r: the same functions,
         # through separately built banks and Fourier sums
         x = np.array([0.0, 0.25, -0.41, 0.5, 0.07])
         y = np.array([1.0, 1.3, 0.92, 2.4, 6.0])
         rows = basis_values(grid, x, y)
         for i, form in enumerate(grid.cusp_forms):
-            single = maass_values(form, x, y)
+            single = BasisTable([form], ())(np.array([0]), x, y)[0]
             assert np.max(np.abs(rows[i] - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))
         for j, r in enumerate(grid.eisenstein_r):
-            single = EisensteinSeries((r,)).unitary_rows([0], x, y)[0]
+            single = BasisTable((), (r,))(np.array([0]), x, y)[0]
             row = rows[grid.n_cusp + 1 + j]
             assert np.max(np.abs(row - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 sys.path.insert(0, "src")
 
 from autoheat.forms import (  # noqa: E402
-    HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, cusp_bank, maass_defects)
+    HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, maass_defects)
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 from autoheat.special import KBesselBank  # noqa: E402
 
@@ -138,7 +138,7 @@ def main(out_path: str) -> int:
         parity, r, coeffs, resid = found
         form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy(),
                              source="generated")
-        (hd,), (inv,) = maass_defects([form], cusp_bank([form]))
+        (hd,), (inv,) = maass_defects([form])
         ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND
         print(f"{where} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
               f"hecke={hd:.1e} inv={inv:.1e} [{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
