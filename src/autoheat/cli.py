@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .config import RunConfig, build_config
-from .forms import MaassDataError, load_maass_data
+from .forms import BasisTable, MaassDataError, load_maass_data
 from .heat import profile
 from .hyperbolic import HPoint
 from .synthesis import evaluate_heat_kernel
@@ -174,14 +174,15 @@ def cmd_ingest_check(args) -> int:
     path = cfg.resolve_data_path()
     try:
         data = load_maass_data(path)
+        table = BasisTable(data, ())
+        table.check()
     except (MaassDataError, OSError, ValueError) as exc:
         print(f"ingest-check FAILED for {path}: {exc}", file=sys.stderr)
         return 1
     print(f"ingest-check ok: {len(data)} forms from {path}")
     print(f"{'r':>18s} {'parity':>7s} {'n_coeffs':>9s} {'norm_const':>14s}")
-    for f in data:
-        print(f"{f.r:18.13f} {f.parity.value:>7s} {f.n_coeffs:9d} "
-              f"{f.norm_constant:14.6e}")
+    for f, norm in zip(data, table.norm):
+        print(f"{f.r:18.13f} {f.parity.value:>7s} {f.n_coeffs:9d} {norm:14.6e}")
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import KBesselBank, gauss_rule, kbessel_bank, xi_line
+from .special import KBesselBank, gauss_rule, xi_line
 
 _BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
@@ -142,18 +142,13 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
 
 @dataclass(eq=False)
 class MaassFormData:
-    """Ingested cusp-form record.
-
-    coeffs are Hecke-normalized (a_1 = 1).  norm_constant is the L2
-    normalization in rescaled-Bessel units, filled in by load_maass_data (or
-    maass_defects); evaluation requires it.
-    """
+    """Ingested cusp-form record, coeffs Hecke-normalized (a_1 = 1); the
+    table that evaluates the form computes its L2 normalization."""
 
     r: float
     parity: Parity
     coeffs: np.ndarray
     source: str = ""
-    norm_constant: float | None = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -169,11 +164,6 @@ class MaassFormData:
         return len(self.coeffs)
 
 
-def cusp_bank(forms) -> KBesselBank:
-    """The cached K-Bessel bank whose row i holds forms[i].r."""
-    return kbessel_bank(tuple(float(f.r) for f in forms), _KBESSEL_X_MIN)
-
-
 def _coeff_table(forms):
     """Zero-padded coefficients, counts and odd flags of the forms."""
     coeffs = np.zeros((len(forms), max((f.n_coeffs for f in forms), default=0)))
@@ -181,13 +171,6 @@ def _coeff_table(forms):
         coeffs[j, :f.n_coeffs] = f.coeffs
     return (coeffs, np.array([f.n_coeffs for f in forms], dtype=int),
             np.array([f.parity is Parity.ODD for f in forms], dtype=bool))
-
-
-def _norm_constants(forms) -> np.ndarray:
-    """The forms' L2 normalizations; ValueError if one has none yet."""
-    if any(f.norm_constant is None for f in forms):
-        raise ValueError("form is not normalized; run load_maass_data / maass_defects")
-    return np.array([f.norm_constant for f in forms], dtype=float)
 
 
 def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
@@ -205,12 +188,18 @@ def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
 class BasisTable:
     """The evaluator of the basis: the cusp forms, then the Eisenstein series
     E_{1/2+ir} at the nodes r, as the rows of one K-Bessel bank (the nodes'
-    bank stacked onto the cached cusp_bank(forms)) with one coefficient table
-    (the forms' a_n and the nodes' multipliers n^{ir} sigma_{-2ir}(n),
-    zero-padded to one width).  Values of rows of both families come from one
-    Fourier sum, finished per family.  Eisenstein values are in the unitary
-    frame: they carry the phase phi(1/2+ir)^{-1/2}, which makes them real.
-    The zeta, multiplier and Bessel state is built once and shared read-only."""
+    bank stacked onto the forms') with one coefficient table (the forms' a_n
+    and the nodes' multipliers n^{ir} sigma_{-2ir}(n), zero-padded to one
+    width).  Values of rows of both families come from one Fourier sum,
+    finished per family.  Eisenstein values are in the unitary frame: they
+    carry the phase phi(1/2+ir)^{-1/2}, which makes them real.
+
+    On its own rows the table computes each form's L2 normalization `norm`
+    (_norm_squares; ValueError where it degenerates), Hecke defect `hecke`
+    and inversion defect `inversion`, max |u(z) - u(-1/z)| at
+    _INVERSION_POINTS (off x = 0, where odd forms vanish; every height at
+    least sqrt(3)/2) through the expansion as given; check() refuses a form
+    over the bounds.  All of this is built once and shared read-only."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
@@ -222,14 +211,32 @@ class BasisTable:
         # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
         self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
                                for v, r in zip(xi, nodes)])
-        self.bank = KBesselBank.stack((cusp_bank(forms), KBesselBank(nodes, _KBESSEL_X_MIN)))
+        self.bank = KBesselBank.stack((KBesselBank([f.r for f in forms], _KBESSEL_X_MIN),
+                                       KBesselBank(nodes, _KBESSEL_X_MIN)))
         coeffs, n_max, odd = _coeff_table(forms)
         self.coeffs = np.zeros((len(self.bank.r), max(coeffs.shape[1], m)))
         self.coeffs[:self.n_cusp, :coeffs.shape[1]] = coeffs
         self.coeffs[self.n_cusp:, :m] = _divisor_table(nodes, m)
         self.n_max = np.concatenate([n_max, np.full(len(nodes), m)])
         self.odd = np.concatenate([odd, np.zeros(len(nodes), dtype=bool)])
-        self.norm = _norm_constants(forms)
+        norm_sq = _norm_squares(self.bank, coeffs, n_max, odd)
+        for form, sq in zip(forms, norm_sq):
+            if not sq > 0.0:
+                raise ValueError(f"degenerate L2 norm for form r={form.r}")
+        self.norm = 1.0 / np.sqrt(norm_sq)
+        self.hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
+        z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
+        vals, k = self(np.arange(self.n_cusp), z.real, z.imag), len(_INVERSION_POINTS)
+        self.inversion = np.max(np.abs(vals[:, :k] - vals[:, k:]), axis=1, initial=0.0)
+
+    def check(self) -> None:
+        """MaassDataError for the first form whose Hecke or inversion defect
+        exceeds HECKE_BOUND or INVERSION_BOUND."""
+        for r, hecke, inv in zip(self.bank.r[:self.n_cusp], self.hecke, self.inversion):
+            if not (hecke <= HECKE_BOUND and inv <= INVERSION_BOUND):
+                raise MaassDataError(f"form r={float(r)} fails the data check: Hecke defect "
+                                     f"{hecke:.1e} (bound {HECKE_BOUND:g}), inversion defect "
+                                     f"{inv:.1e} (bound {INVERSION_BOUND:g})")
 
     def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values of the rows (increasing) at the points as given (not
@@ -252,17 +259,11 @@ class BasisTable:
 # Cusp-form data check
 # ---------------------------------------------------------------------------
 
-def _raw_rows(forms, x, y) -> np.ndarray:
-    """Unnormalized sqrt(y) sum a_n Ktilde(2 pi n y) tr(2 pi n x) of each form
-    at the points as given (not reduced), on the cached cusp_bank(forms)."""
-    return np.sqrt(y) * _fourier_rows(cusp_bank(forms), np.arange(len(forms)),
-                                      *_coeff_table(forms), x, y)
-
-
-def _norm_squares(forms, ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
-    """int |u|^2 dx dy / y^2 of each unnormalized form over the fundamental
-    domain below y = _NORM_Y_MAX; the forms decay like e^{-2 pi y}, so the
-    cutoff loses nothing.
+def _norm_squares(bank: KBesselBank, coeffs: np.ndarray, n_max: np.ndarray, odd: np.ndarray,
+                  ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
+    """int |u|^2 dx dy / y^2 below y = _NORM_Y_MAX in the fundamental domain
+    (u decays like e^{-2 pi y}, so the cutoff loses nothing) of the
+    unnormalized form u of each bank row j with coeffs[j], n_max[j], odd[j].
 
     On the rectangle 1 <= y <= _NORM_Y_MAX, Parseval in x leaves
     (1/2) sum a_n^2 int Ktilde(2 pi n y)^2 dy/y: Gauss-Legendre in log y on
@@ -270,26 +271,19 @@ def _norm_squares(forms, ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarr
     y = cos(phi) for phi in [0, pi/6] (nphi nodes) and x in [sin(phi), 1/2]
     (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
     height for all its x nodes."""
-    bank = cusp_bank(forms)
-    coeffs, n_max, _ = _coeff_table(forms)
+    rows = np.arange(len(coeffs))
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    table = _bessel_table(bank, np.arange(len(forms)), bank.r + _BESSEL_DECAY, n_max,
+    table = _bessel_table(bank, rows, bank.r[rows] + _BESSEL_DECAY, n_max,
                           coeffs.shape[1], np.exp(log_y.ravel()))
     rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)
     # dy = sin(phi) dphi; the doubling by evenness in x
     wts = (2.0 * w_phi * np.sin(phi) / np.cos(phi) ** 2)[:, None] * w_x
-    vals = _raw_rows(forms, x.ravel(), np.repeat(np.cos(phi), nx))
+    y = np.repeat(np.cos(phi), nx)
+    vals = np.sqrt(y) * _fourier_rows(bank, rows, coeffs, n_max, odd, x.ravel(), y)
     return rect + (vals * vals) @ wts.ravel()
-
-
-def _normalize(forms) -> None:
-    for form, norm_sq in zip(forms, _norm_squares(forms)):
-        if not norm_sq > 0.0:
-            raise ValueError(f"degenerate L2 norm for form r={form.r}")
-        form.norm_constant = 1.0 / math.sqrt(norm_sq)
 
 
 def _hecke_defect(a: np.ndarray) -> float:
@@ -305,20 +299,6 @@ def _hecke_defect(a: np.ndarray) -> float:
         ap = a[q[q <= len(a)] - 1]  # a(1), a(p), a(p^2), ...
         worst = max(worst, float(np.max(np.abs(ap[1] * ap[1:-1] - ap[:-2] - ap[2:]), initial=0.0)))
     return worst
-
-
-def maass_defects(forms) -> tuple[np.ndarray, np.ndarray]:
-    """L2-normalize the forms in place and return each one's Hecke defect
-    (_hecke_defect) and inversion defect max |u(z) - u(-1/z)| at
-    _INVERSION_POINTS, through the expansion as given (not reduced).  The
-    points lie off x = 0, where odd forms vanish, and every height involved
-    is at least sqrt(3)/2, the domain's floor."""
-    _normalize(forms)
-    hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
-    z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
-    vals = _norm_constants(forms)[:, None] * _raw_rows(forms, z.real, z.imag)
-    k = len(_INVERSION_POINTS)
-    return hecke, np.max(np.abs(vals[:, :k] - vals[:, k:]), axis=1, initial=0.0)
 
 
 def check_distinct(forms) -> None:
@@ -390,18 +370,10 @@ def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]
 
 
 def load_maass_data(path) -> list[MaassFormData]:
-    """Load, validate and L2-normalize a Maass data file.
-
-    Refuses repeated spectral parameters and any form whose Hecke or
-    inversion defect (maass_defects) exceeds HECKE_BOUND or INVERSION_BOUND.
-    """
+    """Parse a Maass data file; MaassDataError where it is malformed or repeats
+    a spectral parameter.  BasisTable normalizes and checks the forms."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data = parse_maass_data(text, source=str(path))
     check_distinct(data)
-    for form, hecke, inv in zip(data, *maass_defects(data)):
-        if not (hecke <= HECKE_BOUND and inv <= INVERSION_BOUND):
-            raise MaassDataError(
-                f"form r={form.r} fails the data check: Hecke defect {hecke:.1e} "
-                f"(bound {HECKE_BOUND:g}), inversion defect {inv:.1e} (bound {INVERSION_BOUND:g})")
     return data

@@ -47,7 +47,8 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
     """e^{lambda t} per entry: the heat data's and the semigroup's time check."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"heat flow needs a finite time t >= 0, got t = {t}")
-    expo = grid.lambdas * t
+    with np.errstate(over="ignore"):  # -inf where t is huge: damped to 0 below
+        expo = grid.lambdas * t
     out = np.zeros_like(expo)
     live = expo > _UNDERFLOW_EXPONENT
     out[live] = np.exp(expo[live])

@@ -44,6 +44,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .hyperbolic import HPoint, hyperbolic_distance
 from .special import gauss_rule
@@ -129,23 +130,6 @@ def _chebyshev_coef(f, length: float, n: int) -> np.ndarray:
     return coef
 
 
-def _chebval(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """numpy's chebval(u, coef) for len(coef) >= 2, bit for bit: the same
-    Clenshaw steps in the same order, on three buffers of u's size instead
-    of two fresh arrays per degree."""
-    u2 = 2.0 * u
-    c0, c1, tmp = np.full(u.shape, coef[-2]), np.full(u.shape, coef[-1]), np.empty(u.shape)
-    for c in coef[-3::-1]:
-        # c0, c1 = c - c1, c0 + c1 u2
-        np.multiply(c1, u2, out=tmp)
-        tmp += c0
-        np.subtract(c, c1, out=c0)
-        c1, tmp = tmp, c1
-    c1 *= u
-    c1 += c0
-    return c1
-
-
 def _plane_kernel_fit(t: float, rho_max: float):
     """heat_kernel_plane(t, .) on [0, rho_max] as one Chebyshev interpolant.
 
@@ -165,7 +149,7 @@ def _plane_kernel_fit(t: float, rho_max: float):
         out = np.zeros(rho.shape)
         live = rho <= length
         r = rho[live]
-        out[live] = _chebval(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
+        out[live] = chebval(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
         return out
 
     return kernel

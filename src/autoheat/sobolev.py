@@ -136,13 +136,6 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     return np.concatenate([cusp, [True], eis])
 
 
-def synthesis_basis(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """basis_values(f.grid, x, y) with the rows outside synthesis_rows left
-    at zero, unevaluated: for heat data, the odd cusp forms (they vanish at
-    i) and the entries whose damping leaves them negligible."""
-    return f.grid.basis_rows(x, y, synthesis_rows(f, y))
-
-
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:
     """Spectral coefficients of a pointwise-evaluable invariant function.
 
@@ -173,5 +166,8 @@ def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:
 
 
 def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise synthesis sum/integral of coefficients against the basis."""
-    return (f.grid.weights * f.values) @ synthesis_basis(f, x, y)
+    """Pointwise synthesis sum/integral of coefficients against the basis.
+    The rows outside synthesis_rows are left at zero, unevaluated: for heat
+    data, the odd cusp forms (they vanish at i) and the entries whose damping
+    leaves them negligible."""
+    return (f.grid.weights * f.values) @ f.grid.basis_rows(x, y, synthesis_rows(f, y))

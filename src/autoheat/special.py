@@ -355,12 +355,6 @@ class KBesselBank:
         return out
 
 
-@functools.lru_cache(maxsize=64)
-def kbessel_bank(rs: tuple[float, ...], x_min: float) -> KBesselBank:
-    """The bank for a tuple of r at x_min, built once per key."""
-    return KBesselBank(rs, x_min)
-
-
 def bessel_k_imag(r: float, x):
     """K_{iR}(x) = integral_0^inf e^{-x cosh u} cos(Ru) du, straight from
     kbessel_quad.

@@ -31,10 +31,10 @@ def _eigenvalue_from_r(r):
 class SpectralGrid:
     """Discretized spectral parameter space.
 
-    Immutable after construction.  Its `table` (forms.BasisTable, built once
-    here and shared read-only) evaluates the cusp forms and the continuous
-    nodes, one K-Bessel bank row each, so that a basis evaluation is one
-    Fourier sum over both families.
+    Immutable after construction.  Its `table` (forms.BasisTable, built and
+    checked once here and shared read-only) evaluates the cusp forms and the
+    continuous nodes, one K-Bessel bank row each, so that a basis evaluation
+    is one Fourier sum over both families.
     Coefficient vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...], and so
     are the per-entry arrays set at construction: the eigenvalues `lambdas`
@@ -64,10 +64,6 @@ class SpectralGrid:
     def size(self) -> int:
         return self.n_cusp + 1 + self.n_eisenstein
 
-    @property
-    def residual_index(self) -> int:
-        return self.n_cusp
-
     def __post_init__(self):
         lam = np.concatenate([
             _eigenvalue_from_r(np.array([f.r for f in self.cusp_forms], dtype=float)),
@@ -78,6 +74,7 @@ class SpectralGrid:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "table", BasisTable(self.cusp_forms, self.eisenstein_r))
+        self.table.check()
         object.__setattr__(self, "basis_at_i", self.basis_rows(
             np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])
 
@@ -115,8 +112,9 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
     """Assemble the discretized spectral space.
 
     Rejects an r_max that is not positive and finite, fewer than one panel
-    or node per panel, and duplicate cusp parameters (forms.check_distinct).  Cusp
-    forms must be normalized (load_maass_data does that).
+    or node per panel, duplicate cusp parameters (forms.check_distinct) and
+    cusp forms that fail the data check of the grid's table
+    (forms.BasisTable.check).
     """
     if not 0.0 < r_max < np.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")

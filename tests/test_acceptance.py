@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, BasisTable, maass_defects
+from autoheat.forms import HECKE_BOUND, INVERSION_BOUND, BasisTable
 from autoheat.heat import profile
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.oracle import periodized_oracle_basepoint
@@ -179,7 +179,7 @@ def test_criterion_10_parseval(parseval_grid):
     assert ok
 
 
-def test_criterion_11_special_functions(dataset):
+def test_criterion_11_special_functions(grid):
     t0 = time.time()
     k0 = abs(bessel_k_imag(0.0, 1.0) - 0.4210244382) <= 1e-10
     inv_worst = 0.0
@@ -190,8 +190,8 @@ def test_criterion_11_special_functions(dataset):
             # no reduction: inversion must hold through the raw expansion
             a, b = table(np.array([0]), [zc.real, w.real], [zc.imag, w.imag])[0]
             inv_worst = max(inv_worst, abs(a - b))
-    # the loader's data check on every packaged form, under the loader's bounds
-    hecke, inv = maass_defects(dataset)
+    # the data check on every packaged form, under the bounds of check()
+    hecke, inv = grid.table.hecke, grid.table.inversion
     ok = (k0 and inv_worst <= 1e-8 and np.max(hecke) <= HECKE_BOUND
           and np.max(inv) <= INVERSION_BOUND)
     report(11, "special-function cross-checks", ok,

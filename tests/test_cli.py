@@ -120,6 +120,17 @@ class TestEval:
         value = float(out[1].split(",")[3])
         assert abs(value - 0.95493) < 2e-2
 
+    def test_huge_time_warns_nothing(self, grid, capsys):
+        # lambda t overflows to -inf past t ~ 2.6e305: every damped entry is
+        # 0, with no numpy warning, so the run also passes with warnings as
+        # errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--t", "1e308", "--x", "0", "--y", "1"]) == 0
+        assert capsys.readouterr() == (EVAL_HEADER + (
+            "1.000000000000e+308,0.000000000000e+00,1.000000000000e+00,9.549296585514e-01,"
+            "0.000000000000e+00,9.549296585514e-01,0.000000000000e+00,0.000000000000e+00\n"), "")
+
     def test_time_zero_is_a_runtime_error(self, capsys):
         assert cli.main(["eval", "--t", "0", "--x", "0", "--y", "1"]) == 1
         assert "t > 0" in capsys.readouterr().err

@@ -14,10 +14,11 @@ from autoheat.forms import (
     load_maass_data,
     parse_maass_data,
 )
-from autoheat import forms, special
-from autoheat.forms import _divisor_table, _norm_squares, _raw_rows
+from autoheat import cli, forms, special
+from autoheat.forms import _coeff_table, _divisor_table, _fourier_rows, _norm_squares
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.sobolev import basis_values
+from autoheat.spectral_model import build_grid
 from autoheat.special import gauss_rule
 
 
@@ -29,6 +30,13 @@ def _raw_unitary(r, z):
 def _one_form(form, x, y):
     """The form's values at the points as given, through its own table."""
     return BasisTable([form], ())(np.array([0]), np.asarray(x, float), np.asarray(y, float))[0]
+
+
+def _one_sum(form, x, y):
+    """The form's Fourier sum at the points as given, on a bank of its own."""
+    bank = special.KBesselBank((form.r,), 2.0)
+    return _fourier_rows(bank, [0], *_coeff_table([form]), np.asarray(x, float),
+                         np.asarray(y, float))[0]
 
 
 class TestEisenstein:
@@ -147,9 +155,8 @@ class TestMaass:
     def test_truncation_guard(self):
         form = MaassFormData(r=40.0, parity=Parity.EVEN,
                              coeffs=np.concatenate([[1.0], np.zeros(9)]))
-        form.norm_constant = 1.0
         with pytest.raises(ValueError, match="too few"):
-            _one_form(form, [0.0], [0.9])
+            _one_sum(form, [0.0], [0.9])
 
     def test_short_expansion_refused_where_a_term_would_drop(self):
         # 10 coefficients at r = 34 reach 2 pi N y = 54.4 at the domain's
@@ -157,29 +164,37 @@ class TestMaass:
         # Ktilde_{34i}(59.85) ~ 1.4e-8.  At y = 1.3 ten terms suffice.
         form = MaassFormData(r=34.0, parity=Parity.EVEN,
                              coeffs=np.concatenate([[1.0], np.full(9, 0.1)]))
-        form.norm_constant = 1.0
         with pytest.raises(ValueError, match="too few"):
-            _one_form(form, [0.0], [math.sqrt(3.0) / 2.0])
-        assert np.isfinite(_one_form(form, [0.0], [1.3])[0])
+            _one_sum(form, [0.0], [math.sqrt(3.0) / 2.0])
+        assert np.isfinite(_one_sum(form, [0.0], [1.3])[0])
 
-    def test_norms_against_refined_rules(self, dataset):
+    def test_norms_against_refined_rules(self, grid):
         # the Parseval-plus-cap rule against itself at doubled node counts
         # (measured 8.9e-16; the former 2-D rule is 1.6e-13 off) and, on
         # three forms (both parities, lowest and highest r), against a fine
         # 2-D rule over the whole domain (measured <= 2.1e-14 there, 5.4e-14
         # over all forms)
-        norm_sq = np.array([f.norm_constant for f in dataset]) ** -2.0
-        doubled = _norm_squares(dataset, ny=64, nphi=64, nx=64)
+        dataset = grid.cusp_forms
+        norm_sq = grid.table.norm ** -2.0
+        doubled = _norm_squares(grid.table.bank, *_coeff_table(dataset), ny=64, nphi=64, nx=64)
         assert np.max(np.abs(norm_sq / doubled - 1.0)) < 5e-15
         rows = [0, 2, len(dataset) - 1]
         x, y, w = QuadSpec(nx=192, y_panels=12, ny_per_panel=24, y_max=10.0).nodes()
-        vals = _raw_rows([dataset[i] for i in rows], x, y)  # on a bank of their own
+        vals = np.array([_one_sum(dataset[i], x, y) for i in rows]) * np.sqrt(y)
         assert np.max(np.abs(norm_sq[rows] / ((vals * vals) @ w) - 1.0)) < 1e-13
 
-    def test_unnormalized_form_rejected(self, dataset):
+    def test_table_norms_are_the_grids(self, grid):
+        # a table of the forms alone normalizes and checks them with the
+        # grid's bits: its cusp rows are fitted alone in both
+        table = BasisTable(grid.cusp_forms, ())
+        assert np.array_equal(grid.table.norm[:grid.n_cusp], table.norm)
+        assert np.array_equal(grid.table.hecke, table.hecke)
+        assert np.array_equal(grid.table.inversion, table.inversion)
+
+    def test_degenerate_norm_refused(self, dataset):
         bare = MaassFormData(r=dataset[0].r, parity=dataset[0].parity,
-                             coeffs=dataset[0].coeffs.copy())
-        with pytest.raises(ValueError, match="not normalized"):
+                             coeffs=np.concatenate([[1.0], np.full(39, np.nan)]))
+        with pytest.raises(ValueError, match="degenerate L2 norm"):
             BasisTable([bare], ())
 
 
@@ -272,7 +287,7 @@ def _form_block(form: MaassFormData) -> str:
 
 
 class TestIngestion:
-    def test_single_even_form_roundtrip(self, dataset, tmp_path):
+    def test_single_even_form_roundtrip(self, dataset, grid, tmp_path):
         even = next(f for f in dataset if f.parity is Parity.EVEN)
         assert abs(even.r - 13.77975) < 1e-4
         path = tmp_path / "one.dat"
@@ -280,7 +295,8 @@ class TestIngestion:
         loaded = load_maass_data(path)
         assert len(loaded) == 1
         assert loaded[0].parity is Parity.EVEN
-        assert abs(loaded[0].norm_constant - even.norm_constant) < 1e-9
+        norm = BasisTable(loaded, ()).norm[0]
+        assert abs(norm - grid.table.norm[dataset.index(even)]) < 1e-9
 
     def test_empty_file_is_empty_list(self, tmp_path):
         path = tmp_path / "empty.dat"
@@ -313,11 +329,12 @@ class TestIngestion:
         with pytest.raises(MaassDataError, match="at least 10"):
             parse_maass_data(text)
 
-    def test_packaged_dataset_is_validated(self, dataset):
+    def test_packaged_dataset_is_validated(self, dataset, grid):
         assert len(dataset) >= 10
         rs = [f.r for f in dataset]
         assert rs == sorted(rs)
-        assert all(f.norm_constant is not None for f in dataset)
+        grid.table.check()
+        assert np.all(grid.table.norm > 0.0)
 
 
 def _fault(form: MaassFormData, fault: str) -> MaassFormData:
@@ -334,21 +351,33 @@ def _fault(form: MaassFormData, fault: str) -> MaassFormData:
 
 
 class TestDataCheck:
-    """The one data check (maass_defects) that the loader, the generator and
-    criterion 11 share: it sees the coefficients and r, so a fault fails it
-    (the packaged forms' own defects are criterion 11's)."""
+    """The one data check (BasisTable's defects and check()) that every run
+    evaluating the forms, the generator and criterion 11 share: it sees the
+    coefficients and r, so a fault fails it (the packaged forms' own defects
+    are criterion 11's).  Parsing a file does not evaluate its forms."""
 
     @pytest.mark.parametrize("fault", ["random coefficients", "r + 0.37", "swapped parity",
                                        "-a(2)"])
-    def test_faulty_form_refused_at_load(self, dataset, tmp_path, fault):
+    def test_faulty_form_refused_at_load(self, dataset, tmp_path, capsys, fault):
         # the even form at 13.78 reads (Hecke, inversion) 7e-11, 1.8e-12;
-        # each fault, measured, raises at least one of them above 0.3
+        # each fault, measured, raises at least one of them above 0.3.  The
+        # file parses; building a grid on it, and each command that loads it
+        # with --data, refuses it with one message and exit code 1
         even = next(f for f in dataset if f.parity is Parity.EVEN)
         bad = _fault(even, fault)
         path = tmp_path / "fault.dat"
         path.write_text(HEADER + "\n" + _form_block(bad) + "\n")
-        with pytest.raises(MaassDataError, match=rf"r={bad.r}.*Hecke defect .*inversion defect"):
-            load_maass_data(path)
+        (loaded,) = load_maass_data(path)
+        pattern = rf"^form r={bad.r} fails the data check: Hecke defect .*inversion defect .*\)$"
+        with pytest.raises(MaassDataError, match=pattern) as refusal:
+            build_grid([loaded], r_max=2.0, panels=1, nodes_per_panel=4)
+        small = ["--r-max", "2", "--panels", "1", "--nodes-per-panel", "4"]
+        for argv, prefix in ((["eval", "--t", "1", "--x", "0", "--y", "1"] + small, "error: "),
+                             (["verify", "sobolev"] + small, "error: "),
+                             (["ingest-check"], f"ingest-check FAILED for {path}: ")):
+            assert cli.main(argv + ["--data", str(path)]) == 1
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"{prefix}{refusal.value}\n")
 
     def test_repeated_form_refused_at_load(self, dataset, tmp_path):
         path = tmp_path / "twice.dat"

@@ -29,7 +29,7 @@ class TestHeatCoefficients:
     def test_residual_entry_constant_in_time(self, grid):
         for t in (0.1, 1.0, 7.0):
             state = heat_coefficients(t, grid)
-            assert abs(state.coeffs.values[grid.residual_index]
+            assert abs(state.coeffs.values[grid.n_cusp]
                        - np.sqrt(3.0 / np.pi)) < 1e-14
 
     def test_cusp_entries_numerically_dead_by_time_one(self, grid):

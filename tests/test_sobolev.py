@@ -41,7 +41,7 @@ class TestNorms:
             assert sobolev_norm(z, s) == 0.0
 
     def test_residual_indicator_norm_one_for_every_index(self, tiny_grid):
-        e = indicator(tiny_grid, tiny_grid.residual_index)
+        e = indicator(tiny_grid, tiny_grid.n_cusp)
         for s in (-6, -2, 0, 5, 11):
             assert abs(sobolev_norm(e, s) - 1.0) < 1e-15
 
@@ -76,7 +76,7 @@ class TestNorms:
 
 class TestPairing:
     def test_residual_self_pairing(self, tiny_grid):
-        e = indicator(tiny_grid, tiny_grid.residual_index)
+        e = indicator(tiny_grid, tiny_grid.n_cusp)
         assert abs(pairing(e, e) - 1.0) < 1e-15
 
     def test_sesquilinearity(self, tiny_grid):
@@ -100,7 +100,7 @@ class TestPairing:
 
 class TestSmoothingShift:
     def test_residual_fixed_point(self, tiny_grid):
-        e = indicator(tiny_grid, tiny_grid.residual_index)
+        e = indicator(tiny_grid, tiny_grid.n_cusp)
         out = apply_one_minus_laplacian(e)
         assert np.allclose(out.values, e.values, rtol=0, atol=1e-16)
 
@@ -120,7 +120,7 @@ class TestSmoothingShift:
 
 class TestGenerator:
     def test_kills_the_residual_direction(self, tiny_grid):
-        e = indicator(tiny_grid, tiny_grid.residual_index)
+        e = indicator(tiny_grid, tiny_grid.n_cusp)
         assert np.all(apply_generator(e).values == 0.0)
 
     def test_symmetry_in_weighted_inner_products(self, tiny_grid):
@@ -142,7 +142,7 @@ class TestGenerator:
 
 class TestResolvent:
     def test_residual_direction_flips_sign(self, tiny_grid):
-        e = indicator(tiny_grid, tiny_grid.residual_index)
+        e = indicator(tiny_grid, tiny_grid.n_cusp)
         out = apply_resolvent(1.0, e)
         assert np.allclose(out.values, -e.values, rtol=0, atol=1e-16)
 
@@ -171,7 +171,7 @@ class TestResolvent:
 class TestDeltaCoefficients:
     def test_residual_entry(self, grid):
         d = delta_coefficients(grid)
-        assert abs(d.values[grid.residual_index] - np.sqrt(3.0 / np.pi)) < 1e-12
+        assert abs(d.values[grid.n_cusp] - np.sqrt(3.0 / np.pi)) < 1e-12
 
     def test_odd_cusp_entries_vanish(self, grid):
         d = delta_coefficients(grid)
@@ -187,7 +187,7 @@ class TestDeltaCoefficients:
         assert np.array_equal(vals, basis_values(grid, np.array([0.0]), np.array([1.0]))[:, 0])
         odd = np.array([f.parity is Parity.ODD for f in grid.cusp_forms])
         assert odd.any() and np.all(vals[:grid.n_cusp][odd] == 0.0)
-        assert vals[grid.residual_index] == np.sqrt(3.0 / np.pi)
+        assert vals[grid.n_cusp] == np.sqrt(3.0 / np.pi)
 
 
 class TestAnalyze:
@@ -196,7 +196,7 @@ class TestAnalyze:
         quad = QuadSpec(nx=48, y_panels=24, ny_per_panel=12, y_max=4000.0)
         const = np.sqrt(3.0 / np.pi)
         c = analyze(lambda x, y: np.full_like(y, const), grid, quad=quad)
-        assert abs(c.values[grid.residual_index] - 1.0) < 1e-3
+        assert abs(c.values[grid.n_cusp] - 1.0) < 1e-3
         cusp = np.abs(c.values[:grid.n_cusp])
         assert float(np.max(cusp)) < 1e-4
 
@@ -205,7 +205,7 @@ class TestAnalyze:
                          if f.parity is Parity.EVEN)
         c = analyze(lambda x, y: grid.table(np.array([idx]), x, y)[0], grid)
         assert abs(c.values[idx] - 1.0) < 1e-3
-        assert abs(c.values[grid.residual_index]) < 1e-3
+        assert abs(c.values[grid.n_cusp]) < 1e-3
 
     def test_linearity(self, grid):
         quad = QuadSpec(nx=32, y_panels=4, ny_per_panel=8, y_max=6.0)

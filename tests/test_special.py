@@ -7,7 +7,6 @@ from autoheat.special import (
     KBesselBank,
     bessel_k_imag,
     gauss_rule,
-    kbessel_bank,
     kbessel_quad,
     xi_line,
     zeta_euler_maclaurin,
@@ -60,15 +59,19 @@ class TestBesselKImag:
         (5.0, 40.0, 1.587161495505e-15),
     ]
 
+    @pytest.fixture(scope="class")
+    def reference_bank(self):
+        return KBesselBank([r for r, _, _ in self.REFERENCE], 1e-3)
+
     @pytest.mark.parametrize("r,x,expected", REFERENCE)
-    def test_rescaled_reference_values(self, r, x, expected):
-        got = float(kbessel_bank((r,), 1e-3)(0, np.array([x]))[0])
+    def test_rescaled_reference_values(self, r, x, expected, reference_bank):
+        got = float(KBesselBank((r,), 1e-3)(0, np.array([x]))[0])
         assert abs(got - expected) < 5e-11 * max(1.0, abs(expected))
         # the same pair through one bank holding all six r: a shared seed
         # point and rows of mixed Chebyshev degree
-        rs, xs, _ = zip(*self.REFERENCE)
+        _, xs, _ = zip(*self.REFERENCE)
         row = self.REFERENCE.index((r, x, expected))
-        got = kbessel_bank(rs, 1e-3)(np.arange(len(rs)), np.array(xs))[row]
+        got = reference_bank(np.arange(len(xs)), np.array(xs))[row]
         assert abs(got - expected) < 5e-11 * max(1.0, abs(expected))
 
     def test_one_row_bank_at_small_x_min_matches_mpmath(self):
@@ -84,7 +87,7 @@ class TestBesselKImag:
             (0.493029, -2.810459317505485e-1),
             (0.002962, 3.522250144413568e-1),
         ]).T
-        assert np.max(np.abs(kbessel_bank((26.45,), 1e-3)(0, x) - want)) < 1e-11
+        assert np.max(np.abs(KBesselBank((26.45,), 1e-3)(0, x) - want)) < 1e-11
 
     def test_monotone_decreasing_past_the_turn(self):
         # oscillation lives in x < R; for R <= 1 the sampled window is clean

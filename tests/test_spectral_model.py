@@ -3,19 +3,19 @@ import pytest
 
 from autoheat import special
 from autoheat.config import RunConfig
-from autoheat.forms import _ENTRY_BLOCK, BasisTable, cusp_bank, load_maass_data
+from autoheat.forms import _ENTRY_BLOCK, BasisTable, load_maass_data
 from autoheat.sobolev import basis_values
 from autoheat.spectral_model import build_grid, eisenstein_nodes
 
 
 class TestEigenvalue:
     def test_residual_is_harmonic(self, grid):
-        assert grid.lambdas[grid.residual_index] == 0.0
+        assert grid.lambdas[grid.n_cusp] == 0.0
 
     def test_eisenstein_bottom_of_spectrum(self, grid):
         # lambda = -(1/4 + r^2) on the nodes: the continuum lies below -1/4
         r = grid.eisenstein_r
-        lam = grid.lambdas[grid.residual_index + 1:]
+        lam = grid.lambdas[grid.n_cusp + 1:]
         assert np.array_equal(lam, -(0.25 + r * r))
         assert np.all(lam < -0.25)
 
@@ -32,11 +32,11 @@ class TestSobolevWeight:
 
     def test_residual_weight_is_one(self, grid):
         for s in (-6, -1, 0, 3, 12):
-            assert (1.0 - grid.lambdas[grid.residual_index]) ** s == 1.0
+            assert (1.0 - grid.lambdas[grid.n_cusp]) ** s == 1.0
 
     def test_eisenstein_inverse_square(self, grid):
         r = grid.eisenstein_r
-        weight = (1.0 - grid.lambdas[grid.residual_index + 1:]) ** -2
+        weight = (1.0 - grid.lambdas[grid.n_cusp + 1:]) ** -2
         assert np.max(np.abs(weight * (1.25 + r * r) ** 2 - 1.0)) < 1e-15
 
     def test_cuspidal_squared_shift(self, grid):
@@ -91,18 +91,18 @@ class TestBuildGrid:
         assert abs(a - b) < 1e-12
 
     def test_lambda_and_weight_layout(self, grid):
-        assert grid.lambdas[grid.residual_index] == 0.0
+        assert grid.lambdas[grid.n_cusp] == 0.0
         assert np.all(grid.lambdas <= 0.0)
-        assert np.all(grid.weights[:grid.residual_index + 1] == 1.0)
-        assert np.all(grid.weights[grid.residual_index + 1:] > 0.0)
+        assert np.all(grid.weights[:grid.n_cusp + 1] == 1.0)
+        assert np.all(grid.weights[grid.n_cusp + 1:] > 0.0)
         assert np.all(np.diff(grid.eisenstein_r) > 0.0)
 
 
 class TestKBesselBanks:
     def test_fresh_default_grid_runs_one_quadrature_fill_per_bank(self, monkeypatch):
-        # one quadrature pass fills the cusp forms' bank, one the Eisenstein
-        # nodes'; the grid's one bank stacks the nodes' rows onto the bank the
-        # data load fitted, without refitting it
+        # loading the data parses it and fits nothing; building the default
+        # grid runs one quadrature pass for the cusp forms' bank and one for
+        # the Eisenstein nodes', which the grid's one bank stacks
         calls = []
         kbessel_quad = special.kbessel_quad
 
@@ -111,17 +111,14 @@ class TestKBesselBanks:
             return kbessel_quad(r, x)
 
         monkeypatch.setattr(special, "kbessel_quad", counting)
-        special.kbessel_bank.cache_clear()
         cfg = RunConfig()
         data = load_maass_data(cfg.resolve_data_path())
-        assert len(calls) == 1
+        assert len(calls) == 0
         grid = build_grid(data, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
         assert len(calls) == 2
         bank, n = grid.table.bank, grid.n_cusp
-        assert np.array_equal(bank._panels[:, :n * special._PANELS], cusp_bank(data)._panels)
         for family, count in zip((slice(None, n), slice(n, None)), calls):
             assert count == int(np.sum(bank.deg[family] + 1)) + 257 * len(bank.r[family])
-        assert len(calls) == 2
 
     def test_rows_are_independent(self, grid):
         # a one-row bank fits its row as the grid's bank does, at the first,
@@ -135,7 +132,8 @@ class TestKBesselBanks:
     def test_stacked_bank_values_equal_family_banks(self, grid):
         # the stacked bank answers each row with the bits of its own bank, on
         # both sides of fit_hi, where the quadrature answers directly
-        banks = (cusp_bank(grid.cusp_forms), special.KBesselBank(grid.eisenstein_r[::8], 2.0))
+        banks = (special.KBesselBank([f.r for f in grid.cusp_forms], 2.0),
+                 special.KBesselBank(grid.eisenstein_r[::8], 2.0))
         both = special.KBesselBank.stack(banks)
         assert np.array_equal(both.r, np.concatenate([b.r for b in banks]))
         rng = np.random.default_rng(31)

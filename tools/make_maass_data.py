@@ -10,8 +10,9 @@ sign change's own step of a scan above them, recovers r to ~1e-11 and the
 coefficients to ~1e-9.
 
 Each candidate is validated before it is written by the package's own data
-check, forms.maass_defects (Hecke relations and invariance under z -> -1/z),
-under the bounds load_maass_data applies.  Run from the repository root:
+check, the Hecke and inversion defects of forms.BasisTable (Hecke relations
+and invariance under z -> -1/z), under the bounds BasisTable.check applies.
+Run from the repository root:
 
     python3 tools/make_maass_data.py src/autoheat/data/maass_sl2z.dat
 """
@@ -25,7 +26,7 @@ from scipy.optimize import brentq
 sys.path.insert(0, "src")
 
 from autoheat.forms import (  # noqa: E402
-    HECKE_BOUND, INVERSION_BOUND, MaassFormData, Parity, maass_defects)
+    HECKE_BOUND, INVERSION_BOUND, BasisTable, MaassFormData, Parity)
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 from autoheat.special import KBesselBank  # noqa: E402
 
@@ -138,7 +139,8 @@ def main(out_path: str) -> int:
         parity, r, coeffs, resid = found
         form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy(),
                              source="generated")
-        (hd,), (inv,) = maass_defects([form])
+        table = BasisTable([form], ())
+        hd, inv = table.hecke[0], table.inversion[0]
         ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND
         print(f"{where} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
               f"hecke={hd:.1e} inv={inv:.1e} [{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
