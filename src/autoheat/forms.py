@@ -152,8 +152,10 @@ class MaassFormData:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.r <= 0.0:
-            raise ValueError("cusp form spectral parameter must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"spectral parameter must be positive and finite, got r={self.r}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError(f"form r={self.r}: Fourier coefficients must be finite")
         if len(self.coeffs) < 10:
             raise ValueError("at least 10 Fourier coefficients required")
         if abs(self.coeffs[0] - 1.0) > 1e-9:

@@ -54,6 +54,7 @@ T_MIN, T_MAX = 0.2, 10.0
 _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
 _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
 _COUNT_CHUNK = 2 ** 16  # residues m per count block in _count_moments
+ORBIT_MAX = 10 ** 6  # orbit points orbit_of_i lists at most, ~1.5 bound^2: bounds to ~816
 
 
 def heat_kernel_plane(t: float, rho) -> np.ndarray:
@@ -169,6 +170,28 @@ def _check_bound(bound: float) -> None:
         raise ValueError("bound below the identity's norm sqrt(2)")
 
 
+def _sl2_rows(n_max: int) -> tuple[np.ndarray, ...]:
+    """(a, b, c, d) of one gamma = [[a, b], [c, d]] in SL2(Z) for each coprime
+    (c, d), c >= 1, d >= 0, c^2 + d^2 < n_max, sorted by (c, d): Euclid run
+    backwards from [[0, -1], [1, 0]].  Each level adds k >= 1 times its fixed
+    column to the other, which the next level fixes; the norm bounds k, and
+    each bottom row arises once (d >= c and c > d at odd and even levels)."""
+    levels, cols = [], np.array([[0], [1], [-1], [0]])  # (a, c), (b, d)
+    while cols.shape[1]:
+        levels.append(cols if len(levels) % 2 == 0 else cols[[2, 3, 0, 1]])
+        fa, fc, ga, gc = cols
+        room = n_max - 1 - fc * fc
+        s = np.sqrt(room).astype(fc.dtype)
+        s -= s * s > room  # a square root rounded up to the next integer
+        count = np.maximum((s - gc) // fc, 0)
+        pair = np.repeat(np.arange(len(fc)), count)
+        k = np.arange(1, len(pair) + 1) - (np.cumsum(count) - count)[pair]
+        cols = np.stack([ga[pair] + k * fa[pair], gc[pair] + k * fc[pair], fa[pair], fc[pair]])
+    a, c, b, d = np.concatenate(levels, axis=1)
+    order = np.lexsort((d, c))
+    return a[order], b[order], c[order], d[order]
+
+
 def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
     """Integer arrays (X, q) with gamma i = (X + i)/q, one entry for each
     point of the PSL2(Z) orbit of i whose gamma has Frobenius norm <= bound.
@@ -176,21 +199,22 @@ def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
     gamma = [[a, b], [c, d]] sends i to (ac + bd + i)/(c^2 + d^2), and
     (a^2 + b^2)(c^2 + d^2) = X^2 + 1 gives ||gamma||^2 = q + (X^2 + 1)/q.
     The bottom rows +-(c, d) and +-(d, -c) of +-gamma and +-gamma S give the
-    same point, so each point keeps the one with c > 0, d >= 0, coprime.
-    Moving (a, b) to (a + kc, b + kd) shifts X by kq, and X c = a q - d fixes
-    X = -d c^{-1} mod q; the bound leaves |X| <= m, m^2 <= q (n_max - q) - 1."""
+    same point, so each point keeps the one with c > 0, d >= 0, coprime
+    (_sl2_rows).  Moving (a, b) to (a + kc, b + kd) shifts X by kq, so
+    X = (ac + bd) mod q + kq; the bound leaves |X| <= m, m^2 <= q (n_max - q) - 1.
+    The orbit holds ~1.5 bound^2 points.  Past ORBIT_MAX it is refused before
+    any array is built, which also keeps q (n_max - q) < 2e11 inside int64."""
     _check_bound(bound)
+    if 1.5 * bound * bound > ORBIT_MAX:
+        raise ValueError(f"norm bound {bound:g} would list ~{1.5 * bound * bound:.1e} orbit "
+                         f"points, over the limit ORBIT_MAX = {ORBIT_MAX}")
     n_max = math.floor(bound * bound)
-    side = np.arange(math.isqrt(n_max - 1) + 1)
-    c, d = np.meshgrid(side[1:], side, indexing="ij")
+    a, b, c, d = _sl2_rows(n_max)
     q = c * c + d * d
-    keep = (np.gcd(c, d) == 1) & (q < n_max)
-    c, d, q = c[keep], d[keep], q[keep]
-    x0 = np.array([-dd * pow(cc, -1, qq) % qq
-                   for cc, dd, qq in zip(c.tolist(), d.tolist(), q.tolist())], dtype=q.dtype)
+    x0 = (a * c + b * d) % q
     room = q * (n_max - q) - 1
     m = np.sqrt(room).astype(q.dtype)
-    m -= m * m > room  # a square root rounded up to the next integer
+    m -= m * m > room
     lo, hi = -((m + x0) // q), (m - x0) // q  # the translates k with |x0 + kq| <= m
     count = hi - lo + 1
     pair = np.repeat(np.arange(len(q)), count)

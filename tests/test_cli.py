@@ -242,6 +242,13 @@ class TestVerify:
         assert code == 0
         assert "semigroup law" in out
 
+    def test_oversized_orbit_is_one_error_line(self, grid, capsys):
+        # refused before any orbit array is allocated, not a MemoryError
+        assert cli.main(["verify", "oracle", "--norm-bound", "1e5"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: norm bound 100000 ")
+        assert "ORBIT_MAX" in err[0]
+
 
 class TestProfile:
     def test_header_contract_and_monotone_gap(self, grid, capsys):
@@ -309,6 +316,20 @@ class TestIngestCheck:
         bad.write_text("#maass-sl2z v3\n")
         assert cli.main(["ingest-check", "--data", str(bad)]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, line", [
+        ("form r=nan parity=even n=10\n1.0 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n", 3),
+        ("form r=inf parity=even n=10\n1.0 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n", 3),
+        ("form r=9.5 parity=even n=10\n1.0 0.5 0.5 0.5 0.5\n0.5 nan 0.5 0.5 0.5\n", 4),
+    ])
+    def test_non_finite_record_named_with_its_line(self, record, line, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text("#maass-sl2z v1\n" + record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["ingest-check", "--data", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and "must be" in err and "finite" in err
 
 
 class TestConfig:

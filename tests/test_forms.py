@@ -192,10 +192,21 @@ class TestMaass:
         assert np.array_equal(grid.table.inversion, table.inversion)
 
     def test_degenerate_norm_refused(self, dataset):
-        bare = MaassFormData(r=dataset[0].r, parity=dataset[0].parity,
-                             coeffs=np.concatenate([[1.0], np.full(39, np.nan)]))
-        with pytest.raises(ValueError, match="degenerate L2 norm"):
-            BasisTable([bare], ())
+        # a NaN coefficient is refused by the record itself; finite
+        # coefficients whose squares overflow still leave no L2 norm
+        with pytest.raises(ValueError, match="Fourier coefficients must be finite"):
+            MaassFormData(r=dataset[0].r, parity=dataset[0].parity,
+                          coeffs=np.concatenate([[1.0], np.full(39, np.nan)]))
+        huge = MaassFormData(r=dataset[0].r, parity=dataset[0].parity,
+                             coeffs=np.concatenate([[1.0], np.full(39, 1e160)]))
+        with pytest.raises(ValueError, match="degenerate L2 norm"), np.errstate(all="ignore"):
+            BasisTable([huge], ())
+
+    @pytest.mark.parametrize("r, coeffs", [(math.nan, [1.0] * 10), (math.inf, [1.0] * 10),
+                                           (9.5, [1.0, math.inf] + [0.5] * 8)])
+    def test_non_finite_record_refused(self, r, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            MaassFormData(r=r, parity=Parity.EVEN, coeffs=coeffs)
 
 
 def _bessel_table(bank, rows, heights, n_cols=72):

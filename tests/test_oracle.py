@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -145,6 +146,40 @@ class TestPlaneKernelFit:
         assert vals[2] == 0.0 and vals[3] == 0.0  # envelope below e^-700 past ~23.5
 
 
+def _orbit_by_inverses(bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of i as orbit_of_i listed it before the backward Euclid:
+    the coprime (c, d) of a meshgrid in (c, d) order, X0 = -d c^{-1} mod q
+    by modular inverses, then the translates X0 + kq with |X| <= m."""
+    n_max = math.floor(bound * bound)
+    side = np.arange(math.isqrt(n_max - 1) + 1)
+    c, d = np.meshgrid(side[1:], side, indexing="ij")
+    q = c * c + d * d
+    keep = (np.gcd(c, d) == 1) & (q < n_max)
+    c, d, q = c[keep], d[keep], q[keep]
+    x0 = np.array([-dd * pow(cc, -1, qq) % qq
+                   for cc, dd, qq in zip(c.tolist(), d.tolist(), q.tolist())], dtype=q.dtype)
+    room = q * (n_max - q) - 1
+    m = np.sqrt(room).astype(q.dtype)
+    m -= m * m > room
+    lo, hi = -((m + x0) // q), (m - x0) // q
+    count = hi - lo + 1
+    pair = np.repeat(np.arange(len(q)), count)
+    k = lo[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+    return x0[pair] + k * q[pair], q[pair]
+
+
+# float.hex of periodized_oracle(t, x + iy, 160) from the inverse construction,
+# at the heights of both benchmark workloads
+_BOUND_160_SUMS = {
+    (0.5, 0.3, 0.95): "0x1.541b15bb56c06p+0",
+    (0.7, -0.2, 1.15): "0x1.385472c44a179p+0",
+    (0.8, 0.45, 1.4): "0x1.2b4c0cc92ea85p+0",
+    (0.6, 0.1, 2.0): "0x1.1e31540f6179dp+0",
+    (1.0, -0.35, 3.5): "0x1.d9d9b44251a2ep-1",
+    (2.0, 0.5, 6.0): "0x1.c6fb73495597cp-1",
+}
+
+
 def _grid_orbit(bound: float) -> Counter:
     """How often each orbit point (X, q), gamma i = (X + i)/q, occurs in the grid ball."""
     a, b, c, d = _enumerate_group_grid(bound).T
@@ -182,6 +217,23 @@ class TestEnumeration:
         ref = np.array(sorted(ball, key=lambda p: (p[1], p[0]))).T
         assert np.array_equal(np.stack([x_num[order], q[order]]), ref)
 
+    @pytest.mark.parametrize("bound", [math.sqrt(2.0) + 1e-9, 2.0, 3.0, 9.0, 25.0, 25.3,
+                                       60.0, 159.9, 160.0, 300.0])
+    def test_same_order_and_dtype_as_the_inverse_construction(self, bound):
+        x_num, q = orbit_of_i(bound)
+        x_ref, q_ref = _orbit_by_inverses(bound)
+        assert (x_num.dtype, q.dtype) == (x_ref.dtype, q_ref.dtype)
+        assert np.array_equal(x_num, x_ref) and np.array_equal(q, q_ref)
+
+    @pytest.mark.parametrize("bound", [1e5, 1e200])
+    def test_oversized_orbit_refused(self, bound):
+        # at once, before any array of the ~1.5 bound^2 points is built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="ORBIT_MAX") as exc:
+            orbit_of_i(bound)
+        assert time.perf_counter() - start < 0.5
+        assert f"norm bound {bound:g} " in str(exc.value) and str(oracle.ORBIT_MAX) in str(exc.value)
+
     def test_size_matches_arithmetic_counts(self):
         # a point stands for four matrices: +-gamma and +-gamma S
         assert 4 * len(orbit_of_i(160.0)[1]) == int(matrix_counts_by_norm(160 * 160)[2:].sum())
@@ -200,6 +252,10 @@ class TestPeriodizedOracle:
             periodized_oracle(0.1, HPoint(0.0, 1.0), 10.0)
         with pytest.raises(ValueError):
             periodized_oracle(11.0, HPoint(0.0, 1.0), 10.0)
+
+    @pytest.mark.parametrize("t, x, y", list(_BOUND_160_SUMS))
+    def test_bound_160_sums_frozen(self, t, x, y):
+        assert periodized_oracle(t, HPoint(x, y), 160.0).hex() == _BOUND_160_SUMS[t, x, y]
 
     @pytest.mark.filterwarnings("ignore:boundary shell")
     def test_fast_basepoint_path_matches_enumeration(self):
