@@ -14,7 +14,10 @@ lattice-point count: the translates of a fundamental domain tile H, so
 beyond rho_B the orbit is replaced by the plane kernel integrated against
 the area measure times the density 1/vol = 3/pi.  That constant is
 Gauss-Bonnet geometry and carries no Maass or Eisenstein data, so the oracle
-stays independent of the spectral side.  What remains is the lattice-count
+stays independent of the spectral side.  The integral is one-dimensional:
+the kernel's mass beyond a radius closes in one radial quadrature
+(_mass_beyond), and only the circles about z that cross the ball's sphere
+need their share outside it.  What remains is the lattice-count
 fluctuation of the orbit around that mean near rho_B, which the tail term
 cannot see; the boundary-shell warning still flags a ball that is small for
 the requested t.  For the basepoint itself the matrix count by norm factors
@@ -23,12 +26,12 @@ through sums-of-two-squares counts, which makes bounds in the thousands
 functional of the kernel: one dot product of a Chebyshev fit with moments
 of the counts that are built once per bound (periodized_oracle_basepoint).
 
-The other sums over distances (the enumerated orbit, the tail quadrature)
-evaluate the plane kernel through one Chebyshev interpolant per call,
-sampled from the quadrature heat_kernel_plane at a few dozen nodes.  It
-interpolates the smooth ratio of p_t to its envelope e^{-rho^2/4t}
-sqrt(rho/sinh rho), whose only singularities are branch points at
-rho = +-i pi, and takes its degree from the Bernstein ellipse through i pi.
+The sum over the enumerated orbit evaluates the plane kernel through one
+Chebyshev interpolant per call, sampled from the quadrature heat_kernel_plane
+at a few dozen nodes.  It interpolates the smooth ratio of p_t to its
+envelope e^{-rho^2/4t} sqrt(rho/sinh rho), whose only singularities are
+branch points at rho = +-i pi, and takes its degree from the Bernstein
+ellipse through i pi.
 On the distances that decide the sums it is within ~1.5e-14 of mpmath,
 where heat_kernel_plane is within ~1e-14, and the bound-25 sums at the
 verify points are within 3e-15 of sums with every orbit point taken from
@@ -55,6 +58,9 @@ _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
 _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
 _COUNT_CHUNK = 2 ** 16  # residues m per count block in _count_moments
 ORBIT_MAX = 10 ** 6  # orbit points orbit_of_i lists at most, ~1.5 bound^2: bounds to ~816
+# norms periodized_oracle_basepoint counts at most: its two int16
+# sums-of-two-squares tables take ~1 byte per norm, 100 MB; bounds to 10^4
+COUNT_MAX = 10 ** 8
 
 
 def heat_kernel_plane(t: float, rho) -> np.ndarray:
@@ -222,38 +228,63 @@ def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
     return x0[pair] + k * q[pair], q[pair]
 
 
+def _mass_beyond(t: float, rho: float) -> float:
+    """M(t, rho) = 2 pi int_rho^inf sinh r p_t(r) dr, the plane kernel's mass
+    outside the ball of radius rho.
+
+    Swapping the order of integration in heat_kernel_plane's Abel form, with
+    int_rho^s sinh r (cosh s - cosh r)^{-1/2} dr = 2 sqrt(cosh s - cosh rho),
+    closes the radial integral:
+      M = 4 pi C int_rho^inf s e^{-s^2/4t} sqrt(cosh s - cosh rho) ds,
+    C = sqrt(2) e^{-t/4} (4 pi t)^{-3/2}.  As there, s = rho + u^2 and the
+    difference of coshes is 2 sinh(rho + u^2/2) sinh(u^2/2); the rule stops
+    where the Gaussian has fallen by e^-46 past the peak of the integrand,
+    s ~ max(rho, t).  M(t, 0) = 1 to ~4e-15.
+    """
+    u_max = math.sqrt(max(rho, t) + math.sqrt(184.0 * t) - rho)
+    u, w = gauss_rule(0.5 * u_max, 0.5 * u_max, 160)
+    s = rho + u * u
+    gap = 2.0 * np.sinh(rho + 0.5 * u * u) * np.sinh(0.5 * u * u)
+    val = float(np.sum(2.0 * u * s * np.exp(-s * s / (4.0 * t)) * np.sqrt(gap) * w))
+    return 4.0 * math.pi * math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
+
+
 def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     """Gamma-average of the plane kernel over the orbit beyond the norm bound.
 
-    T_B(t, z) = (3/pi) int_{rho_B}^inf sinh r int_0^{2pi} p_t(d(r, theta)) dtheta dr
+    T_B(t, z) = (3/pi) int_{d(w, i) > rho_B} p_t(d(z, w)) dmu(w), cosh rho_B = B^2/2.
 
-    in geodesic polar coordinates (r, theta) about i, with cosh rho_B = B^2/2.
     3/pi = 1/vol(PSL2(Z)\\H) is the density of PSL2(Z) elements; each orbit
     point stands for two of them, which periodized_oracle counts by its
-    weight 2.  For a = d(i, z),
-    cosh d = cosh(r - a) + 2 sinh r sinh a sin^2(theta/2) is the hyperbolic
-    law of cosines without cancellation.  Gauss-Legendre in r out to where
-    the e^r growth times the Gaussian decay of p_t has dropped by e^-46;
-    midpoint rule in theta, which is spectrally accurate for the periodic,
-    even integrand; 200 x 64 nodes agree with 800 x 256 to 1e-13.  At z = i
-    the integrand is radial.
+    weight 2.  In geodesic polar coordinates (rho, phi) about z, with
+    a = d(z, i), the law of cosines puts the point outside the ball where
+    cos phi < kappa = (cosh rho cosh a - cosh rho_B) / (sinh rho sinh a),
+    on the share f(rho) = 1/2 + arcsin(kappa)/pi of the circle.  Circles of
+    radius above rho_B + a lie wholly outside, those below |rho_B - a| wholly
+    inside (a < rho_B) or outside (a > rho_B), so
+
+      T_B = (3/pi) [M(rho_B + a) + 2 pi int_{|rho_B - a|}^{rho_B + a} sinh rho p_t f drho
+                    + (1 - M(a - rho_B) if a > rho_B)]
+
+    with M = _mass_beyond.  The window is integrated in theta,
+    rho = max(rho_B, a) - min(rho_B, a) cos theta, by 64-node Gauss-Legendre
+    with heat_kernel_plane at the nodes: f's square-root kinks at the
+    window's ends become smooth in theta.  At z = i the window is empty.
     """
     rho_b = math.acosh(max(0.5 * norm_bound * norm_bound, 1.0))
     a = hyperbolic_distance(z.z, 1j)
-    # sinh r p_t(r - a) peaks at r - a ~ t with width ~ sqrt(2t)
-    r_hi = max(rho_b, a + t) + math.sqrt(4.0 * t * 46.0)
-    r, wr = gauss_rule(0.5 * (r_hi + rho_b), 0.5 * (r_hi - rho_b), 200)
-    if a == 0.0:
-        theta, wt = np.zeros(1), np.array([2.0 * math.pi])
-    else:  # even in theta: half the circle, doubled weights
-        m = 32
-        theta = (np.arange(m) + 0.5) * math.pi / m
-        wt = np.full(m, 2.0 * math.pi / m)
-    coshd = (np.cosh(r - a)[:, None] + 2.0 * math.sinh(a)
-             * np.sinh(r)[:, None] * np.sin(0.5 * theta)[None, :] ** 2)
-    rho = np.arccosh(coshd).ravel()
-    p = _plane_kernel_fit(t, float(rho.max()))(rho).reshape(coshd.shape)
-    return 3.0 / math.pi * float((wr * np.sinh(r)) @ p @ wt)
+    mass = _mass_beyond(t, rho_b + a)
+    if a > rho_b:
+        mass += 1.0 - _mass_beyond(t, a - rho_b)
+    half = min(rho_b, a)
+    if half > 0.0:
+        theta, w = gauss_rule(0.5 * math.pi, 0.5 * math.pi, 64)
+        rho = max(rho_b, a) - half * np.cos(theta)
+        kappa = (np.cosh(rho) * math.cosh(a) - math.cosh(rho_b)) / (np.sinh(rho) * math.sinh(a))
+        share = 0.5 + np.arcsin(np.clip(kappa, -1.0, 1.0)) / math.pi
+        weight = 2.0 * math.pi * half * w * np.sin(theta) * np.sinh(rho) * share
+        mass += float(weight @ heat_kernel_plane(t, rho))
+    return 3.0 / math.pi * mass
 
 
 def _warn_shell(t: float, norm_bound: float, shell_part: float, total: float) -> None:
@@ -410,7 +441,9 @@ def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     where the moments mu (_count_moments) depend on the bound alone and are
     cached per bound and moment count (64 or the next power of two above the
     degree).  So a repeated call costs one fit of h_t (at most 165
-    heat_kernel_plane nodes at bound 3000), one dot product and orbit_tail.
+    heat_kernel_plane nodes at bound 3000), one dot product and orbit_tail,
+    which at i is one 160-node radial quadrature.  A bound whose norms pass
+    COUNT_MAX is refused before any table is built.
 
     The degree is the larger of the Bernstein-ellipse degree of the ratio
     that _plane_kernel_fit interpolates (branch points at +-i pi) and the
@@ -428,6 +461,9 @@ def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     """
     _check_time(t)
     _check_bound(norm_bound)
+    if norm_bound * norm_bound > COUNT_MAX:
+        raise ValueError(f"norm bound {norm_bound:g} would count norms up to "
+                         f"{norm_bound * norm_bound:.1e}, over the limit COUNT_MAX = {COUNT_MAX}")
     n_max = int(math.floor(norm_bound * norm_bound))
     length = _count_length(n_max)
     # e^{-rho^2/4t} = e^{-a (1 + x)^2} on [-1, 1], a = L^2/16t

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from autoheat import oracle
-from autoheat.hyperbolic import HPoint, cosh_distance
+from autoheat.hyperbolic import HPoint, cosh_distance, hyperbolic_distance
 from autoheat.oracle import (
     _PLANE_BLOCK,
+    _mass_beyond,
     _plane_kernel_fit,
     heat_kernel_plane,
     matrix_counts_by_norm,
@@ -19,6 +20,7 @@ from autoheat.oracle import (
     periodized_oracle,
     periodized_oracle_basepoint,
 )
+from autoheat.special import gauss_rule
 from autoheat.verify import ORACLE_POINTS, ORACLE_TIMES
 
 
@@ -118,8 +120,8 @@ class TestPlaneKernelFit:
     @pytest.mark.parametrize("t", [0.2, 2.0, 10.0])
     @pytest.mark.parametrize("rho_max", [12.0, 63.0])
     def test_matches_the_quadrature(self, t, rho_max):
-        # 63 is as far as orbit_tail reaches at t = 10, where the degree that
-        # serves [0, 17] would be 1e-8 off
+        # 63: a long interval at t = 10, where the degree that serves [0, 17]
+        # would be 1e-8 off
         rho = np.linspace(0.0, rho_max, 2001)
         ref = heat_kernel_plane(t, rho)
         fit = _plane_kernel_fit(t, rho_max)(rho)
@@ -168,15 +170,35 @@ def _orbit_by_inverses(bound: float) -> tuple[np.ndarray, np.ndarray]:
     return x0[pair] + k * q[pair], q[pair]
 
 
+def _tail_by_polar_grid(t: float, z: HPoint, bound: float, n_theta: int) -> float:
+    """orbit_tail as a two-dimensional rule, the way it was computed before
+    the radial integral was closed: geodesic polar coordinates (r, theta)
+    about i, 200 Gauss-Legendre nodes in r from rho_B to where the kernel has
+    decayed, the midpoint rule with n_theta nodes on half the circle, and
+    the kernel from _plane_kernel_fit.  The former tail took 32 nodes in theta."""
+    rho_b = math.acosh(max(0.5 * bound * bound, 1.0))
+    a = hyperbolic_distance(z.z, 1j)
+    r_hi = max(rho_b, a + t) + math.sqrt(4.0 * t * 46.0)
+    r, wr = gauss_rule(0.5 * (r_hi + rho_b), 0.5 * (r_hi - rho_b), 200)
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    coshd = (np.cosh(r - a)[:, None] + 2.0 * math.sinh(a)
+             * np.sinh(r)[:, None] * np.sin(0.5 * theta)[None, :] ** 2)
+    rho = np.arccosh(coshd).ravel()
+    p = _plane_kernel_fit(t, float(rho.max()))(rho).reshape(coshd.shape)
+    return 6.0 / n_theta * float((wr * np.sinh(r)) @ p.sum(axis=1))
+
+
 # float.hex of periodized_oracle(t, x + iy, 160) from the inverse construction,
-# at the heights of both benchmark workloads
+# at the heights of both benchmark workloads.  The entry at 0.5 + 6i moved by
+# 5.8e-11 relative when orbit_tail closed its radial integral: the former
+# tail's 32-node rule in theta was that far off there (TestOrbitTail)
 _BOUND_160_SUMS = {
     (0.5, 0.3, 0.95): "0x1.541b15bb56c06p+0",
     (0.7, -0.2, 1.15): "0x1.385472c44a179p+0",
     (0.8, 0.45, 1.4): "0x1.2b4c0cc92ea85p+0",
     (0.6, 0.1, 2.0): "0x1.1e31540f6179dp+0",
     (1.0, -0.35, 3.5): "0x1.d9d9b44251a2ep-1",
-    (2.0, 0.5, 6.0): "0x1.c6fb73495597cp-1",
+    (2.0, 0.5, 6.0): "0x1.c6fb7349c6bd5p-1",
 }
 
 
@@ -297,6 +319,16 @@ class TestPeriodizedOracle:
         with pytest.raises(ValueError, match=message):
             orbit_of_i(bound)
 
+    @pytest.mark.parametrize("bound", [1e5, 1e200])
+    def test_uncountable_bounds_refused(self, bound):
+        # at once, before the sums-of-two-squares tables (two int16 tables of
+        # ~2.5e9 entries at 1e5) are built; 1e200 squares to inf
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="COUNT_MAX") as exc:
+            periodized_oracle_basepoint(4.0, bound)
+        assert time.perf_counter() - start < 0.5
+        assert f"norm bound {bound:g} " in str(exc.value) and str(oracle.COUNT_MAX) in str(exc.value)
+
     def test_basepoint_shell_warning_matches_enumeration(self):
         with pytest.warns(UserWarning, match="boundary shell") as fast:
             periodized_oracle_basepoint(2.0, 25.0)
@@ -357,8 +389,66 @@ class TestPeriodizedOracle:
 
 
 class TestOrbitTail:
-    """The tail term against the enumerated orbit it stands for; no spectral
-    data enters.  What is left over is the lattice-count fluctuation."""
+    """The tail term against quadratures of the same integral, and against the
+    enumerated orbit it stands for; no spectral data enters.  What is left
+    over against the orbit is the lattice-count fluctuation."""
+
+    @pytest.mark.parametrize("t", [0.2, 1.0, 4.0, 10.0])
+    def test_unit_mass(self, t):
+        assert abs(_mass_beyond(t, 0.0) - 1.0) < 1e-14
+
+    # orbit_tail(t, i, bound) = (3/pi) M(t, rho_B) at 30 digits (40 agree with
+    # 80 subintervals at 40 digits to 1e-30; coarse breakpoints put t = 0.2
+    # ~1e-7 off):
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 30
+    #   def tail_at_i(t, bound):
+    #       t, rho = mp.mpf(t), mp.acosh(mp.mpf(bound) ** 2 / 2)
+    #       def f(u):  # s = rho + u^2
+    #           s = rho + u * u
+    #           return 2 * u * s * mp.exp(-s * s / (4 * t)) \\
+    #               * mp.sqrt(2 * mp.sinh(rho + u * u / 2) * mp.sinh(u * u / 2))
+    #       top = mp.sqrt(max(rho, t) + mp.sqrt(400 * t) - rho)
+    #       mass = 4 * mp.pi * mp.sqrt(2) * mp.exp(-t / 4) / (4 * mp.pi * t) ** 1.5 \\
+    #           * mp.quad(f, mp.linspace(0, top, 41) + [mp.inf])
+    #       return 3 / mp.pi * mass
+    TAIL_AT_I_REFERENCE = {
+        (1.0, 25.0): 0.00018186123739088344,
+        (2.0, 25.0): 0.028235483382302123,
+        (4.0, 25.0): 0.29616585439533927,
+        (10.0, 25.0): 0.8439661818080424,
+        (2.0, 160.0): 6.071712627028069e-05,
+        (4.0, 3000.0): 2.498301866273164e-05,
+        (8.0, 3000.0): 0.03603880456174542,
+        (8.0, 6000.0): 0.015610451743322503,
+    }
+
+    @pytest.mark.parametrize("t, bound", list(TAIL_AT_I_REFERENCE))
+    def test_basepoint_tail_matches_frozen_mpmath(self, t, bound):
+        # measured within 3.0e-15 .. 5.5e-15
+        ref = self.TAIL_AT_I_REFERENCE[t, bound]
+        assert abs(orbit_tail(t, HPoint(0.0, 1.0), bound) - ref) < 2e-14 * ref
+
+    @pytest.mark.parametrize("bound", [25.0, 160.0])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("z, n_theta", [
+        (HPoint(0.25, 1.3), 128), (HPoint(0.0, 2.0), 128), (HPoint(-0.35, 3.5), 128),
+        (HPoint(0.5, 6.0), 128), (HPoint(0.2, 30.0), 512)])
+    def test_tail_off_the_basepoint_matches_the_polar_grid(self, z, n_theta, t, bound):
+        # the kernel about 0.2 + 30i is ~e^-a = 1/30 wide in theta, so 32 nodes
+        # were 48% off there (t = 1) and 256 still 7e-10 (t = 0.5); measured
+        # within 2.4e-13
+        ref = _tail_by_polar_grid(t, z, bound, n_theta)
+        assert abs(orbit_tail(t, z, bound) - ref) < 1e-12 * ref
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+    def test_basepoint_outside_the_ball(self, t):
+        # a = log 6 > rho_B = acosh 2: the circles about z smaller than
+        # a - rho_B lie wholly outside the ball; measured within 1.4e-14
+        z = HPoint(0.0, 6.0)
+        ref = _tail_by_polar_grid(t, z, 2.0, 128)
+        assert abs(orbit_tail(t, z, 2.0) - ref) < 1e-12 * ref
 
     def test_tail_difference_matches_enumerated_shell(self):
         t, inner, outer = 2.0, 25.0, 160.0
