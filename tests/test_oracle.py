@@ -398,8 +398,8 @@ class TestOrbitTail:
         assert abs(_mass_beyond(t, 0.0) - 1.0) < 1e-14
 
     # orbit_tail(t, i, bound) = (3/pi) M(t, rho_B) at 30 digits (40 agree with
-    # 80 subintervals at 40 digits to 1e-30; coarse breakpoints put t = 0.2
-    # ~1e-7 off):
+    # 80 subintervals at 40 digits to 1e-30; breakpoints at u = 1, 3 and 8
+    # alone put t = 0.2, bound 160 off by 3.9e-4):
     #
     #   import mpmath as mp
     #   mp.mp.dps = 30
@@ -407,10 +407,10 @@ class TestOrbitTail:
     #       t, rho = mp.mpf(t), mp.acosh(mp.mpf(bound) ** 2 / 2)
     #       def f(u):  # s = rho + u^2
     #           s = rho + u * u
-    #           return 2 * u * s * mp.exp(-s * s / (4 * t)) \\
+    #           return 2 * u * s * mp.exp(-s * s / (4 * t)) \
     #               * mp.sqrt(2 * mp.sinh(rho + u * u / 2) * mp.sinh(u * u / 2))
     #       top = mp.sqrt(max(rho, t) + mp.sqrt(400 * t) - rho)
-    #       mass = 4 * mp.pi * mp.sqrt(2) * mp.exp(-t / 4) / (4 * mp.pi * t) ** 1.5 \\
+    #       mass = 4 * mp.pi * mp.sqrt(2) * mp.exp(-t / 4) / (4 * mp.pi * t) ** 1.5 \
     #           * mp.quad(f, mp.linspace(0, top, 41) + [mp.inf])
     #       return 3 / mp.pi * mass
     TAIL_AT_I_REFERENCE = {
@@ -426,7 +426,7 @@ class TestOrbitTail:
 
     @pytest.mark.parametrize("t, bound", list(TAIL_AT_I_REFERENCE))
     def test_basepoint_tail_matches_frozen_mpmath(self, t, bound):
-        # measured within 3.0e-15 .. 5.5e-15
+        # measured within 3.3e-15 .. 5.7e-15
         ref = self.TAIL_AT_I_REFERENCE[t, bound]
         assert abs(orbit_tail(t, HPoint(0.0, 1.0), bound) - ref) < 2e-14 * ref
 

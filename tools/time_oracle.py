@@ -32,9 +32,10 @@ BASEPOINT_CALL = (4.0, 3000.0)
 def staged(call, stages: dict) -> dict:
     """Median wall time over REPEATS calls of call(), in microseconds, of the
     whole call and of each module function of stages, timed where the call
-    looks it up.  stages maps a function's name to its label, or to a pair
-    of labels: the function's own time and that of the callable it returns."""
-    spent = {}
+    looks it up.  stages maps a function's name to its label, and
+    optionally a second label for the callable the function returns."""
+    labels = [label for pair in stages.values() for label in pair]
+    spent = dict.fromkeys(labels, 0.0)
 
     def timed(fn, label, result_label=None):
         def wrapper(*args):
@@ -44,13 +45,11 @@ def staged(call, stages: dict) -> dict:
             return timed(out, result_label) if result_label else out
         return wrapper
 
-    labels = [lab for v in stages.values() for lab in ((v,) if isinstance(v, str) else v)]
     saved = {name: getattr(oracle, name) for name in stages}
-    for name, v in stages.items():
-        setattr(oracle, name, timed(saved[name], *((v,) if isinstance(v, str) else v)))
+    for name, pair in stages.items():
+        setattr(oracle, name, timed(saved[name], *pair))
     runs = {label: [] for label in ("call", *labels)}
     try:
-        spent.update(dict.fromkeys(labels, 0.0))
         call()  # warm caches and imports
         for _ in range(REPEATS):
             spent.update(dict.fromkeys(labels, 0.0))
@@ -77,14 +76,15 @@ def main() -> None:
     t, z, bound = ORBIT_CALL
     report(f"periodized_oracle(t={t:g}, z={z.x:g}+{z.y:g}i, bound {bound:g})",
            staged(lambda: oracle.periodized_oracle(t, z, bound),
-                  {"orbit_of_i": "orbit_of_i",
+                  {"orbit_of_i": ("orbit_of_i",),
                    "_plane_kernel_fit": ("fit (_plane_kernel_fit)", "series over the orbit"),
-                   "orbit_tail": "orbit_tail"}),
+                   "orbit_tail": ("orbit_tail",)}),
            "distances, sums, shell check")
     t, bound = BASEPOINT_CALL
     report(f"periodized_oracle_basepoint(t={t:g}, bound {bound:g}), moments built",
            staged(lambda: oracle.periodized_oracle_basepoint(t, bound),
-                  {"_chebyshev_coef": "fit of h_t (_chebyshev_coef)", "orbit_tail": "orbit_tail"}),
+                  {"_chebyshev_coef": ("fit of h_t (_chebyshev_coef)",),
+                   "orbit_tail": ("orbit_tail",)}),
            "moment dot product, the rest")
 
 
