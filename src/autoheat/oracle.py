@@ -176,6 +176,18 @@ def _check_bound(bound: float) -> None:
         raise ValueError("bound below the identity's norm sqrt(2)")
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) of integers 0 <= n < 2^52: the float root, less one where it rounded up."""
+    s = np.sqrt(n).astype(n.dtype)
+    return s - (s * s > n)
+
+
+def _ragged(count: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer pairs (i, first[i] + j), 0 <= j < count[i], in order of i, then j."""
+    pair = np.repeat(np.arange(len(count)), count)
+    return pair, first[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+
+
 def _sl2_rows(n_max: int) -> tuple[np.ndarray, ...]:
     """(a, b, c, d) of one gamma = [[a, b], [c, d]] in SL2(Z) for each coprime
     (c, d), c >= 1, d >= 0, c^2 + d^2 < n_max, sorted by (c, d): Euclid run
@@ -186,12 +198,8 @@ def _sl2_rows(n_max: int) -> tuple[np.ndarray, ...]:
     while cols.shape[1]:
         levels.append(cols if len(levels) % 2 == 0 else cols[[2, 3, 0, 1]])
         fa, fc, ga, gc = cols
-        room = n_max - 1 - fc * fc
-        s = np.sqrt(room).astype(fc.dtype)
-        s -= s * s > room  # a square root rounded up to the next integer
-        count = np.maximum((s - gc) // fc, 0)
-        pair = np.repeat(np.arange(len(fc)), count)
-        k = np.arange(1, len(pair) + 1) - (np.cumsum(count) - count)[pair]
+        count = np.maximum((_isqrt(n_max - 1 - fc * fc) - gc) // fc, 0)
+        pair, k = _ragged(count, np.ones_like(count))
         cols = np.stack([ga[pair] + k * fa[pair], gc[pair] + k * fc[pair], fa[pair], fc[pair]])
     a, c, b, d = np.concatenate(levels, axis=1)
     order = np.lexsort((d, c))
@@ -218,13 +226,9 @@ def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, d = _sl2_rows(n_max)
     q = c * c + d * d
     x0 = (a * c + b * d) % q
-    room = q * (n_max - q) - 1
-    m = np.sqrt(room).astype(q.dtype)
-    m -= m * m > room
+    m = _isqrt(q * (n_max - q) - 1)
     lo, hi = -((m + x0) // q), (m - x0) // q  # the translates k with |x0 + kq| <= m
-    count = hi - lo + 1
-    pair = np.repeat(np.arange(len(q)), count)
-    k = lo[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+    pair, k = _ragged(hi - lo + 1, lo)
     return x0[pair] + k * q[pair], q[pair]
 
 

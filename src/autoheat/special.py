@@ -11,7 +11,7 @@ is taken on the steepest-descent path of e^{-x cosh t + iRt} instead, where
 after the rescaling nothing cancels beyond an O(1) oscillation (Gil, Segura
 & Temme, J. Comput. Phys. 175, 2002; Booker, Stroembergsson & Then, LMS J.
 Comput. Math. 16, 2013).  A bank fits that quadrature once per spectral
-family and serves it by piecewise Chebyshev series.
+family and serves it by piecewise Chebyshev series on a closed range of x.
 """
 
 from __future__ import annotations
@@ -241,23 +241,22 @@ def kbessel_quad(r, x) -> np.ndarray:
 
 
 class KBesselBank:
-    """e^{pi r/2} K_{ir}(x) on x >= x_min for every r of a spectral family.
+    """e^{pi r/2} K_{ir}(x) for every r of a spectral family, on the closed
+    range x_min <= x <= fit_hi = min(r + 50, pi r/2 + 45), past every Fourier
+    term its callers keep (2 pi n y <= r + 45); any other x is refused.
 
-    Row j holds r_j.  Each row is fitted from kbessel_quad at its own
-    first-kind Chebyshev nodes in log x on [x_min, fit_hi(r)]: one global
-    series per row, whose coefficients come from a cosine transform, checked
-    against the quadrature at 257 probes and re-expanded onto fixed panels.
-    Evaluation is one degree-16 Clenshaw pass over flat (row, argument)
-    entries, O(1) values with absolute accuracy ~2e-14 from x_min = 2 and
-    ~4e-12 from x_min = 1e-3; past fit_hi, where the value has decayed, the
-    quadrature answers directly.  A row's table can differ by ~1 ulp with the
-    rows fitted beside it: the quadrature's Gauss sums are BLAS products.
+    Row j holds r_j, fitted from kbessel_quad at its own first-kind Chebyshev
+    nodes in log x: one series per row from a cosine transform, re-expanded
+    onto fixed panels and checked through the bank's own call against the
+    quadrature at 257 probes.  A call is one degree-16 Clenshaw pass, O(1)
+    values with absolute accuracy ~2e-14 from x_min = 2 and ~4e-12 from
+    x_min = 1e-3.  A row's table can differ by ~1 ulp with the rows fitted
+    beside it: the quadrature's Gauss sums are BLAS products.
     """
 
-    def __init__(self, rs, x_min: float = 1e-3):
+    def __init__(self, rs, x_min: float):
         self.r = np.abs(np.asarray(rs, dtype=float).reshape(-1))  # K_{ir} is even in r
         self.x_min = float(x_min)
-        # past fit_hi the value has decayed to where the quadrature answers directly
         self.fit_hi = np.minimum(self.r + 50.0, np.pi * self.r / 2.0 + 45.0)
         if np.any(self.x_min >= self.fit_hi):
             raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
@@ -291,11 +290,11 @@ class KBesselBank:
     def _fit(self, u_lo: float, u_hi: np.ndarray) -> None:
         n = len(self.r)
         # one quadrature pass over every row's first-kind Chebyshev nodes and
-        # its 257 probes for the interpolation check
+        # its 257 probes for the interpolation check, both ends included
         sizes = self.deg + 1
         nodes = [np.exp(0.5 * (hi - u_lo) * (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) + u_lo)
                  for hi, m in zip(u_hi, sizes)]
-        probes = np.exp(np.linspace(u_lo, u_hi, 257, axis=1)).ravel()
+        probes = np.geomspace(self.x_min, self.fit_hi, 257, axis=1).ravel()
         rows = np.concatenate((np.repeat(np.arange(n), sizes), np.repeat(np.arange(n), 257)))
         vals = kbessel_quad(self.r[rows], np.concatenate(nodes + [probes]))
         # row by row, so that the re-expansion mixes no rows: the
@@ -317,26 +316,16 @@ class KBesselBank:
             coef[0] *= 0.5
             blocks.append(to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
         self._panels = np.concatenate(blocks, axis=1)
-        err = np.abs(self._clenshaw(rows[-len(probes):], probes) - vals[-len(probes):])
+        err = np.abs(self(rows[-len(probes):], probes) - vals[-len(probes):])
         err = err.reshape(n, 257).max(axis=1)
         if np.max(err) > 1e-9:
             raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
                                f"max error {np.max(err):.2e}")
 
-    def _clenshaw(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Each entry's panel series at log x: the panel of its row's normalized
-        variable, then a fixed-degree recurrence on coefficients gathered at
-        the flat index row * _PANELS + panel."""
-        s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
-        p = np.minimum(np.maximum(s.astype(np.intp), 0), _PANELS - 1)
-        v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p
-        two_v, b0, b1 = 2.0 * v, np.zeros(v.shape), np.zeros(v.shape)
-        for c in self._panels[:0:-1]:
-            b0, b1 = c.take(idx) + two_v * b0 - b1, b0
-        return self._panels[0].take(idx) + v * b0 - b1
-
     def __call__(self, rows, x) -> np.ndarray:
-        """Rescaled values at (row, argument) entries; `rows` broadcasts against x."""
+        """Rescaled values at (row, argument) entries, rows broadcast against
+        x: per entry the panel of its row's normalized log x, then a Clenshaw
+        recurrence on coefficients gathered at row * _PANELS + panel."""
         rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
                                       np.atleast_1d(np.asarray(x, dtype=float)))
         x_lo = x.min(initial=np.inf)
@@ -344,15 +333,17 @@ class KBesselBank:
             raise ValueError("argument of K_{iR} must be positive")
         if x_lo < self.x_min - 1e-12:
             raise ValueError(f"argument below cached domain x_min={self.x_min}")
-        fit = x < self.fit_hi[rows]
-        if fit.all():  # the usual case: no mask, no scatter
-            return self._clenshaw(rows, x)
-        out = np.zeros(x.shape)
-        if np.any(fit):
-            out[fit] = self._clenshaw(rows[fit], x[fit])
-        # underflow to 0 is fine: these arguments contribute nothing
-        out[~fit] = kbessel_quad(self.r[rows[~fit]], x[~fit])
-        return out
+        if (past := x > self.fit_hi[rows]).any():
+            j = rows[past][0]
+            raise ValueError(f"argument {x[past][0]} past fit_hi={self.fit_hi[j]} of the row "
+                             f"r={self.r[j]}")
+        s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
+        p = np.minimum(np.maximum(s.astype(np.intp), 0), _PANELS - 1)
+        v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p
+        two_v, b0, b1 = 2.0 * v, np.zeros(v.shape), np.zeros(v.shape)
+        for c in self._panels[:0:-1]:
+            b0, b1 = c.take(idx) + two_v * b0 - b1, b0
+        return self._panels[0].take(idx) + v * b0 - b1
 
 
 def bessel_k_imag(r: float, x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import BasisTable, MaassFormData, check_distinct
-from .special import gauss_rule
+from .special import ZETA_LINE_T_MAX, gauss_rule
 
 # Smallest integer strictly greater than dim(X)/2 = 1; the delta distribution
 # lives at Sobolev index -DELTA_INDEX and below.
@@ -21,6 +21,8 @@ DELTA_INDEX = 2
 
 #: Sobolev scale indices are plain integers throughout.
 SobolevIndex = int
+
+NODES_MAX = 2048  # Eisenstein nodes fitted at most: ~5 ms and ~6.5 KB of panels a node
 
 
 def _eigenvalue_from_r(r):
@@ -112,9 +114,9 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
     """Assemble the discretized spectral space.
 
     Rejects an r_max that is not positive and finite, fewer than one panel
-    or node per panel, duplicate cusp parameters (forms.check_distinct) and
-    cusp forms that fail the data check of the grid's table
-    (forms.BasisTable.check).
+    or node per panel, over NODES_MAX nodes, a top node past xi_line's range
+    (all before any fit), duplicate cusp parameters (forms.check_distinct)
+    and cusp forms that fail the data check (forms.BasisTable.check).
     """
     if not 0.0 < r_max < np.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
@@ -122,9 +124,15 @@ def build_grid(cusp_data: list[MaassFormData], r_max: float, panels: int,
         raise ValueError("at least one quadrature panel required")
     if nodes_per_panel < 1:
         raise ValueError(f"nodes_per_panel must be at least 1, got {nodes_per_panel}")
+    if (n_nodes := panels * nodes_per_panel) > NODES_MAX:
+        raise ValueError(f"{panels} panels of {nodes_per_panel} nodes make {n_nodes} Eisenstein "
+                         f"nodes, over the limit NODES_MAX = {NODES_MAX}")
     check_distinct(cusp_data)
     data = sorted(cusp_data, key=lambda f: f.r)
     nodes, weights = eisenstein_nodes(r_max, panels, nodes_per_panel)
+    if 2.0 * nodes[-1] > ZETA_LINE_T_MAX:
+        raise ValueError(f"r_max={r_max:g} puts the top Eisenstein node at r = {nodes[-1]:.4f}, "
+                         f"past r = {ZETA_LINE_T_MAX / 2:g}, where xi(1 + 2ir) is computed")
     return SpectralGrid(
         cusp_forms=tuple(data),
         eisenstein_r=nodes,

@@ -171,6 +171,12 @@ class TestEval:
     @pytest.mark.parametrize("flags, message", [
         ("--r-max inf", "r_max must be positive and finite, got inf"),
         ("--nodes-per-panel 0", "nodes_per_panel must be at least 1, got 0"),
+        ("--panels 100000", "100000 panels of 32 nodes make 3200000 Eisenstein nodes, "
+                            "over the limit NODES_MAX = 2048"),
+        ("--nodes-per-panel 5000", "5 panels of 5000 nodes make 25000 Eisenstein nodes, "
+                                   "over the limit NODES_MAX = 2048"),
+        ("--r-max 60", "r_max=60 puts the top Eisenstein node at r = 59.9836, past r = 50, "
+                       "where xi(1 + 2ir) is computed"),
     ])
     def test_bad_grid_parameters_named(self, flags, message, capsys):
         with warnings.catch_warnings():

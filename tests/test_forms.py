@@ -18,7 +18,7 @@ from autoheat import cli, forms, special
 from autoheat.forms import _coeff_table, _divisor_table, _fourier_rows, _norm_squares
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.sobolev import basis_values
-from autoheat.spectral_model import build_grid
+from autoheat.spectral_model import build_grid, eisenstein_nodes
 from autoheat.special import gauss_rule
 
 
@@ -223,9 +223,9 @@ def _bessel_table(bank, rows, heights, n_cols=72):
 
 class TestBesselTable:
     """The Fourier sums take their Bessel entries from one bank call, which
-    sends a call with every entry below its row's fit_hi straight to the
-    panel series; every value must be the one the call's masked path gives,
-    bit for bit."""
+    answers from the panel series on [x_min, fit_hi] and refuses anything
+    past fit_hi; every value must be the one the public call gives, bit for
+    bit."""
 
     FLOOR = math.sqrt(3.0) / 2.0  # the arc floor of the fundamental domain
 
@@ -239,31 +239,50 @@ class TestBesselTable:
         return ((grid.table.bank, floor),
                 (generator_bank, np.array([0.081, 0.09, 0.2, 0.5, self.FLOOR])))
 
-    def test_table_equals_the_masked_bank_call(self, grid, generator_bank):
+    def test_table_equals_the_bank_call(self, grid, generator_bank):
         for bank, heights in self._banks(grid, generator_bank):
             rows = np.arange(len(bank.r))
             table, entry_rows, args, live = _bessel_table(bank, rows, heights)
-            assert np.all(args < bank.fit_hi[entry_rows])  # the unmasked path
-            # one more entry past fit_hi sends the same entries through the mask
-            masked = bank(np.append(entry_rows, 0), np.append(args, bank.fit_hi[0] + 1.0))
-            assert np.array_equal(table[live], masked[:-1])
+            assert np.all(args <= bank.fit_hi[entry_rows])
+            assert np.array_equal(table[live], bank(entry_rows, args))
             assert live.sum() > 10 * len(rows) and not table[~live].any()
+            # one more entry just past its row's fit_hi refuses the whole call
+            refusal = f"past fit_hi={bank.fit_hi[0]} of the row r={bank.r[0]}"
+            with pytest.raises(ValueError, match=refusal):
+                bank(np.append(entry_rows, 0), np.append(args, np.nextafter(bank.fit_hi[0], 99.0)))
 
     def test_every_default_row_is_in_range(self, grid):
+        # the cut r + _BESSEL_DECAY of the Fourier sums never passes
+        # fit_hi = min(r + 50, pi r/2 + 45) in floating point, since rounding
+        # is monotone; the two meet only where pi r/2 vanishes beside 45.
+        # Checked on the default grid's rows, on rows at the ends of the
+        # range, and at every node of grids with 1, 5 and 40 panels
+        def fit_hi(r):
+            return np.minimum(r + 50.0, np.pi * r / 2.0 + 45.0)
+
         bank = grid.table.bank
+        assert np.array_equal(fit_hi(bank.r), bank.fit_hi)
         assert np.all(bank.r + forms._BESSEL_DECAY < bank.fit_hi)
+        ends = special.KBesselBank((0.0, 1e-300, 1e-17, 26.45, 50.0), x_min=2.0)
+        assert np.array_equal(ends.r + forms._BESSEL_DECAY == ends.fit_hi,
+                              [True, True, True, False, False])
+        for panels in (1, 5, 40):
+            for r_max in (12.0, 44.0):
+                r = eisenstein_nodes(r_max, panels, 32)[0]
+                assert np.all(r + forms._BESSEL_DECAY <= fit_hi(r))
 
     def test_row_out_of_range_in_floating_point_gets_the_call(self):
         # at r = 1e-17, pi r/2 + 45 rounds to 45 = r + 45: the row's cut
-        # reaches its fit_hi, where the call answers by quadrature, not by the
-        # panel series, and every entry still equals the public call
+        # reaches its fit_hi, the right end of its panels, and the entries
+        # there agree with the quadrature; every entry equals the public call
         bank = special.KBesselBank((1e-17, 5.0), x_min=2.0)
         assert bank.r[0] + forms._BESSEL_DECAY == bank.fit_hi[0]
         heights = np.array([self.FLOOR, 1.3, 45.0 / (2.0 * np.pi)])
         table, entry_rows, args, live = _bessel_table(bank, [0, 1], heights)
         edge = (entry_rows == 0) & (args == bank.fit_hi[0])
         assert np.any(edge)
-        assert np.all(table[live][edge] == special.kbessel_quad(bank.r[0], bank.fit_hi[0]))
+        quad = float(special.kbessel_quad(bank.r[0], bank.fit_hi[0]))
+        assert np.all(np.abs(table[live][edge] - quad) <= 1e-15)
         assert np.array_equal(table[live], bank(entry_rows, args)) and not table[~live].any()
 
     def test_height_below_the_bank_domain_refused(self, grid):
@@ -413,6 +432,16 @@ def generator(monkeypatch):
 def test_data_generator_imports(generator):
     # a package name the generator imports cannot be removed unnoticed
     assert callable(generator.main) and callable(generator.system_matrix)
+
+
+def test_generator_system_reproduces_packaged_forms(generator, dataset):
+    # the system's Bessel entries stay inside its bank's range, and at the
+    # packaged r it solves back to the packaged coefficients (measured
+    # <= 1.9e-10 apart, mismatch <= 1.2e-11 at the three lowest forms)
+    for form in dataset[:3]:
+        coeffs, mismatch = generator.solve_coefficients(form.r, form.parity)
+        assert np.max(np.abs(coeffs[:form.n_coeffs] - form.coeffs)) < 1e-9
+        assert abs(mismatch) < 1e-10
 
 
 def test_generator_refines_each_sign_change_in_its_own_bracket(generator, monkeypatch):

@@ -96,14 +96,16 @@ class TestBesselKImag:
             vals = np.array([bessel_k_imag(r, float(x)) for x in xs])
             assert np.all(np.diff(vals) < 0.0)
 
-    def test_panel_and_quadrature_branches_agree_at_fit_hi(self):
-        # the bank answers from its panels below fit_hi and from the
-        # quadrature above; both sides of the seam must be the same function
+    def test_panels_agree_with_the_quadrature_up_to_fit_hi(self):
+        # the bank answers from its panels up to fit_hi, its right end
+        # included, and refuses any argument past it
         bank = KBesselBank((9.0,), x_min=2.0)
-        xs = np.linspace(bank.fit_hi[0] - 8.0, bank.fit_hi[0] + 8.0, 41)
-        below = xs < bank.fit_hi[0]
-        assert 0 < np.count_nonzero(below) < len(xs)
+        xs = np.linspace(bank.fit_hi[0] - 8.0, bank.fit_hi[0], 41)
+        assert xs[-1] == bank.fit_hi[0]
         assert np.max(np.abs(bank(0, xs) - kbessel_quad(9.0, xs))) < 1e-11
+        for past in (np.nextafter(bank.fit_hi[0], np.inf), bank.fit_hi[0] + 8.0):
+            with pytest.raises(ValueError, match="past fit_hi=59.0 of the row r=9.0"):
+                bank(0, np.append(xs, past))
 
 
 class TestKBesselQuad:

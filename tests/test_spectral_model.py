@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from autoheat import special
 from autoheat.config import RunConfig
 from autoheat.forms import _ENTRY_BLOCK, BasisTable, load_maass_data
 from autoheat.sobolev import basis_values
-from autoheat.spectral_model import build_grid, eisenstein_nodes
+from autoheat.special import ZETA_LINE_T_MAX
+from autoheat.spectral_model import NODES_MAX, build_grid, eisenstein_nodes
 
 
 class TestEigenvalue:
@@ -79,6 +82,29 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="nodes_per_panel must be at least 1, got 0"):
             build_grid([], r_max=10.0, panels=2, nodes_per_panel=0)
 
+    @pytest.mark.parametrize("r_max, panels, nodes, message", [
+        (12.0, 100000, 32, "100000 panels of 32 nodes make 3200000 Eisenstein nodes, "
+                           "over the limit NODES_MAX = 2048"),
+        (12.0, 5, 5000, "5 panels of 5000 nodes make 25000 Eisenstein nodes"),
+        (12.0, 2049, 1, "2049 Eisenstein nodes, over the limit"),
+        (60.0, 5, 32, "r_max=60 puts the top Eisenstein node at r = 59.9836, past r = 50"),
+    ])
+    def test_unbuildable_grid_refused_before_any_fit(self, r_max, panels, nodes, message,
+                                                     dataset, monkeypatch):
+        # too many nodes to fit, or a top node past xi_line's range: refused
+        # at once, with no quadrature run and no panel allocated
+        monkeypatch.setattr(special, "kbessel_quad", None)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            build_grid(dataset, r_max=r_max, panels=panels, nodes_per_panel=nodes)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_fine_grid_is_within_both_limits(self):
+        # the finest grid planned so far, r_max 44 in 44 panels of 32 nodes
+        # (1 408), passes the node count and xi_line's range
+        assert 44 * 32 <= NODES_MAX
+        assert 2.0 * eisenstein_nodes(44.0, 44, 32)[0][-1] <= ZETA_LINE_T_MAX
+
     def test_refinement_stability(self):
         # doubling panel count moves a smooth quadrature by < the declared tol
         def g(r):
@@ -130,8 +156,9 @@ class TestKBesselBanks:
             assert np.max(np.abs(one._panels - row)) <= 1e-15
 
     def test_stacked_bank_values_equal_family_banks(self, grid):
-        # the stacked bank answers each row with the bits of its own bank, on
-        # both sides of fit_hi, where the quadrature answers directly
+        # the stacked bank answers each row with the bits of its own bank
+        # over the whole range [2, fit_hi], and refuses an argument past a
+        # row's fit_hi as that row's bank does
         banks = (special.KBesselBank([f.r for f in grid.cusp_forms], 2.0),
                  special.KBesselBank(grid.eisenstein_r[::8], 2.0))
         both = special.KBesselBank.stack(banks)
@@ -140,9 +167,13 @@ class TestKBesselBanks:
         offset = 0
         for bank in banks:
             rows = rng.integers(0, len(bank.r), 400)
-            x = np.exp(rng.uniform(np.log(2.0), np.log(bank.fit_hi[rows] + 5.0)))
-            assert np.any(x >= bank.fit_hi[rows]) and np.any(x < bank.fit_hi[rows])
+            x = np.exp(rng.uniform(np.log(2.0), np.log(bank.fit_hi[rows])))
+            x[:2] = 2.0, bank.fit_hi[rows[1]]  # both ends of the range
             assert np.array_equal(both(rows + offset, x), bank(rows, x))
+            past = np.append(x, bank.fit_hi[rows[0]] + 1e-9)
+            for call, at in ((both, rows + offset), (bank, rows)):
+                with pytest.raises(ValueError, match=f"of the row r={bank.r[rows[0]]}"):
+                    call(np.append(at, at[0]), past)
             offset += len(bank.r)
 
     def test_stack_refuses_mismatched_x_min(self, grid):

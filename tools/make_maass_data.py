@@ -60,10 +60,11 @@ def system_matrix(r: float, parity: Parity):
     kb = KBesselBank((r,), x_min=2.0 * np.pi * Y0 * 0.9)
     tr = np.cos if parity is Parity.EVEN else np.sin
     ns = np.arange(1, M + 1)
-    # kappa_m at the pullback heights and on the horocycle
+    # kappa_m at the pullback heights and on the horocycle; past the bank's
+    # range (x > fit_hi) the rescaled values are below ~1e-18 and are dropped
     args_pull = 2.0 * np.pi * np.outer(ns, ys)          # (M, Q)
     kmat = np.zeros_like(args_pull)
-    live = args_pull <= r + 60.0
+    live = args_pull <= kb.fit_hi[0]
     kmat[live] = kb(0, args_pull[live])
     kmat *= np.sqrt(ys)[None, :]
     kappa0 = np.sqrt(Y0) * kb(0, 2.0 * np.pi * ns * Y0)

@@ -31,9 +31,10 @@ BASEPOINT_CALL = (4.0, 3000.0)
 
 def staged(call, stages: dict) -> dict:
     """Median wall time over REPEATS calls of call(), in microseconds, of the
-    whole call and of each module function of stages, timed where the call
-    looks it up.  stages maps a function's name to its label, and
-    optionally a second label for the callable the function returns."""
+    whole call and of each stage function, timed where the call looks it
+    up.  stages maps (namespace, name), a module or class and the name of a
+    function in it, to its label, and optionally a second label for the
+    callable the function returns."""
     labels = [label for pair in stages.values() for label in pair]
     spent = dict.fromkeys(labels, 0.0)
 
@@ -45,9 +46,9 @@ def staged(call, stages: dict) -> dict:
             return timed(out, result_label) if result_label else out
         return wrapper
 
-    saved = {name: getattr(oracle, name) for name in stages}
-    for name, pair in stages.items():
-        setattr(oracle, name, timed(saved[name], *pair))
+    saved = {key: getattr(*key) for key in stages}
+    for (space, name), pair in stages.items():
+        setattr(space, name, timed(saved[space, name], *pair))
     runs = {label: [] for label in ("call", *labels)}
     try:
         call()  # warm caches and imports
@@ -59,32 +60,33 @@ def staged(call, stages: dict) -> dict:
             for label in labels:
                 runs[label].append(spent[label])
     finally:
-        for name, fn in saved.items():
-            setattr(oracle, name, fn)
+        for (space, name), fn in saved.items():
+            setattr(space, name, fn)
     return {label: 1e6 * statistics.median(v) for label, v in runs.items()}
 
 
 def report(title: str, medians: dict, rest: str) -> None:
     total = medians.pop("call")
-    print(f"{title}: {total:.0f} us, by stage (medians of {REPEATS}):")
+    print(f"{title}: {total:.1f} us, by stage (medians of {REPEATS}):")
     for label, value in medians.items():
-        print(f"  {label:34s} {value:8.0f} us")
-    print(f"  {rest:34s} {total - sum(medians.values()):8.0f} us")
+        print(f"  {label:34s} {value:8.1f} us")
+    print(f"  {rest:34s} {total - sum(medians.values()):8.1f} us")
 
 
 def main() -> None:
     t, z, bound = ORBIT_CALL
     report(f"periodized_oracle(t={t:g}, z={z.x:g}+{z.y:g}i, bound {bound:g})",
            staged(lambda: oracle.periodized_oracle(t, z, bound),
-                  {"orbit_of_i": ("orbit_of_i",),
-                   "_plane_kernel_fit": ("fit (_plane_kernel_fit)", "series over the orbit"),
-                   "orbit_tail": ("orbit_tail",)}),
+                  {(oracle, "orbit_of_i"): ("orbit_of_i",),
+                   (oracle, "_plane_kernel_fit"): ("fit (_plane_kernel_fit)",
+                                                   "series over the orbit"),
+                   (oracle, "orbit_tail"): ("orbit_tail",)}),
            "distances, sums, shell check")
     t, bound = BASEPOINT_CALL
     report(f"periodized_oracle_basepoint(t={t:g}, bound {bound:g}), moments built",
            staged(lambda: oracle.periodized_oracle_basepoint(t, bound),
-                  {"_chebyshev_coef": ("fit of h_t (_chebyshev_coef)",),
-                   "orbit_tail": ("orbit_tail",)}),
+                  {(oracle, "_chebyshev_coef"): ("fit of h_t (_chebyshev_coef)",),
+                   (oracle, "orbit_tail"): ("orbit_tail",)}),
            "moment dot product, the rest")
 
 
