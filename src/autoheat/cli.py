@@ -40,7 +40,7 @@ def _config_flags(p: argparse.ArgumentParser, grid: bool = False, fmt: bool = Fa
     """--config and --data, plus the RunConfig flags the subcommand reads."""
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--data", default=None, dest="maass_data_path",
-                   help="Maass data file (default: $AUTOHEAT_DATA or packaged)")
+                   help="Maass data file, not empty (default: $AUTOHEAT_DATA or packaged)")
     if grid:
         p.add_argument("--r-max", type=float, default=None, dest="r_max")
         p.add_argument("--panels", type=int, default=None)
@@ -68,8 +68,7 @@ def make_parser() -> _Parser:
     _config_flags(p_eval, grid=True, fmt=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", nargs="?", default="all",
-                          help=f"one of: {', '.join(SUITES)}")
+    p_verify.add_argument("suite", nargs="?", default="all", choices=SUITES)
     _config_flags(p_verify, grid=True, norm_bound=True)
 
     p_profile = sub.add_parser("profile",
@@ -114,10 +113,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"error: unknown suite '{args.suite}' (choose from {', '.join(SUITES)})",
-              file=sys.stderr)
-        return USAGE_EXIT
     checks = run_suite(args.suite, _config_from(args))
     print(f"{'check':44s} {'measured':>14s} {'bound':>12s} status")
     for c in checks:

@@ -11,7 +11,7 @@ DATA_ENV_VAR = "AUTOHEAT_DATA"
 
 @dataclass(frozen=True)
 class RunConfig:
-    maass_data_path: str | None = None  # None: $AUTOHEAT_DATA, then packaged data
+    maass_data_path: str | None = None  # None: $AUTOHEAT_DATA, then packaged data; never ""
     r_max: float = 12.0
     panels: int = 5
     nodes_per_panel: int = 32
@@ -19,18 +19,18 @@ class RunConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        if self.maass_data_path == "":
+            raise ValueError("empty maass_data_path (--data): name a Maass data file, or leave "
+                             f"the setting out for ${DATA_ENV_VAR} or the packaged data")
         if not self.r_max > 0.0:
             raise ValueError("r_max must be positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format '{self.output_format}'")
 
     def resolve_data_path(self) -> str:
-        if self.maass_data_path:
-            return self.maass_data_path
-        env = os.environ.get(DATA_ENV_VAR)
-        if env:
-            return env
-        return str(resources.files("autoheat").joinpath("data/maass_sl2z.dat"))
+        """The set path, else a non-empty $AUTOHEAT_DATA, else the packaged data."""
+        return (self.maass_data_path or os.environ.get(DATA_ENV_VAR)
+                or str(resources.files("autoheat").joinpath("data/maass_sl2z.dat")))
 
 
 def parse_config_file(path: str) -> dict:

@@ -37,10 +37,7 @@ class MaassDataError(ValueError):
     """Malformed or invalid Maass data file."""
 
     def __init__(self, message: str, lineno: int | None = None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,6 @@ class MaassFormData:
     r: float
     parity: Parity
     coeffs: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -318,7 +314,7 @@ def check_distinct(forms) -> None:
 _HEADER = "#maass-sl2z v1"
 
 
-def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]:
+def parse_maass_data(text: str) -> list[MaassFormData]:
     """Parse the Maass data grammar; raises MaassDataError with line numbers."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != _HEADER:
@@ -364,8 +360,7 @@ def parse_maass_data(text: str, source: str = "<string>") -> list[MaassFormData]
                 f"form r={r}: expected {n} coefficients, found {len(coeffs)}", lineno=i
             )
         try:
-            forms_out.append(MaassFormData(r=r, parity=parity, coeffs=np.array(coeffs),
-                                           source=source))
+            forms_out.append(MaassFormData(r=r, parity=parity, coeffs=np.array(coeffs)))
         except ValueError as exc:
             raise MaassDataError(str(exc), lineno=i) from exc
     return forms_out
@@ -376,6 +371,6 @@ def load_maass_data(path) -> list[MaassFormData]:
     a spectral parameter.  BasisTable normalizes and checks the forms."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    data = parse_maass_data(text, source=str(path))
+    data = parse_maass_data(text)
     check_distinct(data)
     return data

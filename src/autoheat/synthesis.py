@@ -22,9 +22,12 @@ class SynthesisReport:
     value = cusp_part + residual_part + eisenstein_part by construction;
     tail_estimate bounds the continuous-spectrum contribution dropped beyond
     the grid's r_max; nodes_used counts the Eisenstein nodes evaluated
-    (sobolev.synthesis_rows).  tail_warning flags a tail that is large
-    against the value, or a value <= 0: the heat kernel is strictly
-    positive, so such a value is wrong by at least its own size.
+    (sobolev.synthesis_rows).  tail_warning flags a value <= 0 (the heat
+    kernel is strictly positive, so such a value is wrong by at least its
+    own size) or one against which the tail plus the cancellation error,
+    4 eps times the largest part (not reported), is large: high in the cusp
+    the O(1) residual and Eisenstein parts cancel to a tiny value that keeps
+    their rounding.
     """
 
     value: complex
@@ -67,6 +70,8 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     # whose damping underflowed is not evaluated and counts as 1)
     edge = max(abs(column[-1]), 1.0) * max(abs(grid.basis_at_i[-1]), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
+    # the rounding a value small against its parts keeps from them
+    cancel_error = 4.0 * np.finfo(float).eps * max(abs(cusp), abs(residual), abs(eis))
 
     value = cusp + residual + eis
     return SynthesisReport(
@@ -76,7 +81,8 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         eisenstein_part=complex(eis),
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[n + 1:])),
-        tail_warning=tail > TAIL_TOLERANCE * max(abs(value), 1e-300) or value.real <= 0.0,
+        tail_warning=(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
+                      or value.real <= 0.0),
     )
 
 

@@ -210,6 +210,14 @@ class TestEval:
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[3])
         assert value <= 0.0 and code == 2
 
+    def test_cancelled_value_warns(self, grid, capsys):
+        # high in the cusp the parts' rounding exceeds the tolerance against
+        # the value: exit 2, and the record prints as before
+        assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e4"]) == 2
+        assert capsys.readouterr().out == EVAL_HEADER + (
+            "1.000000000000e+00,0.000000000000e+00,1.000000000000e+04,2.777671337384e-08,"
+            "0.000000000000e+00,9.549296585514e-01,-9.549296307747e-01,8.000631800194e-63\n")
+
     def test_json_mirrors_csv_fields(self, grid, capsys):
         cli.main(["eval", "--t", "1", "--x", "0", "--y", "1"])
         csv_out = capsys.readouterr().out.strip().splitlines()
@@ -224,7 +232,10 @@ class TestEval:
 
 class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
-        assert cli.main(["verify", "nonsuite"]) == 64
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "nonsuite"])
+        assert exc.value.code == 64
+        assert "invalid choice: 'nonsuite'" in capsys.readouterr().err
 
     def test_conflicting_suites_rejected(self, capsys):
         # the suite is positional only; a second one is a usage error
@@ -386,6 +397,22 @@ class TestConfig:
         assert RunConfig().resolve_data_path() == str(probe)
         monkeypatch.delenv("AUTOHEAT_DATA")
         assert RunConfig().resolve_data_path().endswith("maass_sl2z.dat")
+        monkeypatch.setenv("AUTOHEAT_DATA", "")  # empty means unset
+        assert RunConfig().resolve_data_path().endswith("maass_sl2z.dat")
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest-check", "--data", ""],
+        ["verify", "heat", "--config", "CFG"],
+    ])
+    def test_empty_data_path_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # from the flag or a config file, before any grid is built
+        monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        path = tmp_path / "run.cfg"
+        path.write_text("maass_data_path =\n")
+        assert cli.main([str(path) if arg == "CFG" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty maass_data_path (--data)")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -417,21 +417,36 @@ class TestDataCheck:
             load_maass_data(path)
 
 
-@pytest.fixture
-def generator(monkeypatch):
-    # the generator of the packaged data file, loaded without running main
-    pytest.importorskip("scipy")
+def _load_tool(monkeypatch, name):
+    # a script under tools/, loaded without running main
     monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends "src"
-    path = Path(__file__).resolve().parents[1] / "tools" / "make_maass_data.py"
-    spec = importlib.util.spec_from_file_location("make_maass_data", path)
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture
+def generator(monkeypatch):
+    # the generator of the packaged data file
+    pytest.importorskip("scipy")
+    return _load_tool(monkeypatch, "make_maass_data")
+
+
 def test_data_generator_imports(generator):
     # a package name the generator imports cannot be removed unnoticed
     assert callable(generator.main) and callable(generator.system_matrix)
+
+
+def test_stage_timer_stages_resolve(monkeypatch):
+    # the stage timer wraps each stage where its call looks the function
+    # up: a stage renamed or moved away fails here instead of timing nothing
+    timer = _load_tool(monkeypatch, "time_stages")
+    assert len(timer.STAGES) == 5
+    for title, _, stages, _, _ in timer.STAGES.values():
+        for space, name in stages:
+            assert callable(getattr(space, name, None)), (title, name)
 
 
 def test_generator_system_reproduces_packaged_forms(generator, dataset):

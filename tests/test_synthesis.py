@@ -124,6 +124,17 @@ class TestEvaluateHeatKernel:
         assert rep.tail_warning
         assert rep.tail_estimate > 1e-6
 
+    @pytest.mark.parametrize("y, warns", [(1e3, False), (1e4, True)])
+    def test_cancellation_high_in_the_cusp_warns(self, grid, y, warns):
+        # at t = 1 the O(1) residual and Eisenstein parts cancel to a tiny
+        # value: at y = 1e4 it is 2.777671337e-8, 3.1e-7 off the closed-form
+        # constant term 2.777670474509e-8, over the 1e-8 tolerance, while the
+        # r > r_max tail alone is ~1e-62; at y = 1e3 the value is still clear
+        rep = evaluate_heat_kernel(1.0, HPoint(0.0, y), grid)
+        assert rep.value.real > 0.0 and rep.tail_estimate < 1e-60
+        assert abs(rep.residual_part) > 0.9 and abs(rep.eisenstein_part) > 0.9
+        assert rep.tail_warning == warns
+
 
 def _report_fields(rep):
     return (rep.value, rep.cusp_part, rep.residual_part, rep.eisenstein_part,

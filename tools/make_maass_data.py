@@ -138,8 +138,7 @@ def main(out_path: str) -> int:
             print(f"{where}: no root for either parity, SKIPPED")
             continue
         parity, r, coeffs, resid = found
-        form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy(),
-                             source="generated")
+        form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy())
         table = BasisTable([form], ())
         hd, inv = table.hecke[0], table.inversion[0]
         ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Time the package's calls by stage.
+
+Five calls, each repeated, as STAGES lists them: `build_grid` of the
+default grid with its data load (the K-Bessel quadrature of both bank fits
+also per fitted row), a seeded sweep of 120 `evaluate_heat_kernel` points
+(six times t, log-uniform in [1, 4], of 20 points each, x uniform in
+[-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
+first time, both per point, a bound-160 `periodized_oracle`, and a
+bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
+first call of each is left out).  Each stage is timed inside the real call,
+by wrapping the function that the call looks up; what is left of the call
+is the rest.  Prints in-process medians in microseconds.  Run from the
+repository root:
+
+    python3 tools/time_stages.py
+"""
+
+import math
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, "src")
+
+from autoheat import (config, forms, heat, oracle, sobolev, special,  # noqa: E402
+                      spectral_model, synthesis, verify)
+from autoheat.hyperbolic import HPoint  # noqa: E402
+from autoheat.spectral_model import SpectralGrid  # noqa: E402
+
+REPEATS = 21  # of every call but the build
+SEED, TIMES, PER_TIME, FIELD_POINTS = 21, 6, 20, 500
+SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
+
+# Per call: its title, its repeats, its stages ((namespace, name), a module
+# or class and the name of a function in it, to a label, and optionally a
+# second label for the callable the function returns), what the rest of
+# the call is, and the count of points its medians are divided by.
+STAGES = {
+    "build": ("build_grid(load_maass_data(path), 12.0, 5, 32)", 7, {
+        (forms, "load_maass_data"): ("load_maass_data",),
+        (forms, "xi_line"): ("xi_line",),
+        (special, "kbessel_quad"): ("kbessel_quad",),
+        (forms, "_norm_squares"): ("_norm_squares",),
+        (forms, "_hecke_defect"): ("_hecke_defect",),
+        (SpectralGrid, "basis_rows"): ("SpectralGrid.basis_rows",)},
+        "re-expansion, checks, stacking", 1),
+    "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
+        **{(synthesis, name): (name,) for name in
+           ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows")},
+        (SpectralGrid, "basis_rows"): ("SpectralGrid.basis_rows",)},
+        "the rest (sums and report)", TIMES * PER_TIME),
+    "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {},
+              "heat_coefficients and the field", FIELD_POINTS),
+    "orbit": ("periodized_oracle(t=1, z=0.25+1.3i, bound 160)", REPEATS, {
+        (oracle, "orbit_of_i"): ("orbit_of_i",),
+        (oracle, "_plane_kernel_fit"): ("fit (_plane_kernel_fit)", "series over the orbit"),
+        (oracle, "orbit_tail"): ("orbit_tail",)},
+        "distances, sums, shell check", 1),
+    "basepoint": ("periodized_oracle_basepoint(t=4, bound 3000), moments built", REPEATS, {
+        (oracle, "_chebyshev_coef"): ("fit of h_t (_chebyshev_coef)",),
+        (oracle, "orbit_tail"): ("orbit_tail",)},
+        "moment dot product, the rest", 1),
+}
+
+
+def staged(call, stages: dict, repeats: int) -> dict:
+    """Median wall time over `repeats` calls of call(), in microseconds, of
+    the whole call and of each stage function, timed where the call looks
+    it up (stages as in STAGES)."""
+    labels = [label for pair in stages.values() for label in pair]
+    spent = dict.fromkeys(labels, 0.0)
+
+    def timed(fn, label, result_label=None):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            out = fn(*args)
+            spent[label] += time.perf_counter() - t0
+            return timed(out, result_label) if result_label else out
+        return wrapper
+
+    saved = {key: getattr(*key) for key in stages}
+    for (space, name), pair in stages.items():
+        setattr(space, name, timed(saved[space, name], *pair))
+    runs = {label: [] for label in ("call", *labels)}
+    try:
+        call()  # warm caches and imports
+        for _ in range(repeats):
+            spent.update(dict.fromkeys(labels, 0.0))
+            t0 = time.perf_counter()
+            call()
+            runs["call"].append(time.perf_counter() - t0)
+            for label in labels:
+                runs[label].append(spent[label])
+    finally:
+        for (space, name), fn in saved.items():
+            setattr(space, name, fn)
+    return {label: 1e6 * statistics.median(v) for label, v in runs.items()}
+
+
+def report(title: str, medians: dict, rest: str, repeats: int) -> None:
+    total = medians.pop("call")
+    print(f"{title}: {total:.1f} us, by stage (medians of {repeats}):")
+    for label, value in medians.items():
+        print(f"  {label:34s} {value:10.1f} us")
+    print(f"  {rest:34s} {total - sum(medians.values()):10.1f} us")
+
+
+def main() -> None:
+    path, grid = config.RunConfig().resolve_data_path(), verify.grid_for_config(config.RunConfig())
+    rng = np.random.default_rng(SEED)
+    ts = np.exp(rng.uniform(0.0, math.log(4.0), TIMES))
+    xs = rng.uniform(-0.5, 0.5, (TIMES, PER_TIME))
+    ys = rng.uniform(1.0, 6.0, (TIMES, PER_TIME))
+    points = [(float(t), HPoint(float(x), float(y)))
+              for t, row_x, row_y in zip(ts, xs, ys) for x, y in zip(row_x, row_y)]
+    fx, fy = rng.uniform(-0.5, 0.5, FIELD_POINTS), rng.uniform(1.0, 6.0, FIELD_POINTS)
+    calls = {
+        "build": lambda: spectral_model.build_grid(forms.load_maass_data(path), 12.0, 5, 32),
+        "sweep": lambda: [synthesis.evaluate_heat_kernel(t, z, grid) for t, z in points],
+        "field": lambda: sobolev.synthesize_values(
+            heat.heat_coefficients(float(ts[0]), grid).coeffs, fx, fy),
+        "orbit": lambda: oracle.periodized_oracle(1.0, HPoint(0.25, 1.3), 160.0),
+        "basepoint": lambda: oracle.periodized_oracle_basepoint(4.0, 3000.0),
+    }
+    for key, call in calls.items():
+        title, repeats, stages, rest, per = STAGES[key]
+        medians = {label: v / per for label, v in staged(call, stages, repeats).items()}
+        report(title, medians, rest, repeats)
+        if key == "build":
+            rows = len(grid.table.bank.r)
+            print(f"  {f'kbessel_quad per fitted row ({rows})':34s} "
+                  f"{medians['kbessel_quad'] / rows:10.1f} us")
+
+
+if __name__ == "__main__":
+    main()
