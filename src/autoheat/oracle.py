@@ -47,7 +47,6 @@ import math
 import warnings
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .hyperbolic import HPoint, hyperbolic_distance
 from .special import gauss_rule
@@ -77,9 +76,11 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
     bend is lost in rounding.  The distances go through the quadrature in
     fixed blocks, which bounds memory; each value is its own row sum either way.
     """
-    if not t > 0.0:
-        raise ValueError("t > 0 required")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"finite t > 0 required, got {t}")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"finite distances required, got {rho[~np.isfinite(rho)][0]}")
     if np.any(rho < 0.0):
         raise ValueError("distances are nonnegative")
     xg, wg = gauss_rule(0.5, 0.5, 160)  # on [0, 1]
@@ -106,7 +107,14 @@ def _envelope(t: float, rho: np.ndarray) -> np.ndarray:
     """e^{-rho^2/4t} sqrt(rho / sinh rho), with rho/sinh rho written as
     2 rho / (1 - e^{-2 rho}) times e^{-rho}: no overflow, 1 at rho = 0."""
     r = np.maximum(rho, 1e-300)
-    return np.exp(-r * (r / (4.0 * t) + 0.5)) * np.sqrt(-2.0 * r / np.expm1(-2.0 * r))
+    out = np.divide(r, 4.0 * t)
+    out += 0.5
+    out *= r
+    np.exp(np.negative(out, out=out), out=out)  # in place, bit for bit the plain expression
+    ratio = np.multiply(r, -2.0, out=r)
+    ratio /= np.expm1(ratio)
+    out *= np.sqrt(ratio, out=ratio)
+    return out
 
 
 def _count_weight(rho: np.ndarray) -> np.ndarray:
@@ -137,6 +145,20 @@ def _chebyshev_coef(f, length: float, n: int) -> np.ndarray:
     return coef
 
 
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """chebval(x, c) for a 1-d x and len(c) >= 2, bit for bit: numpy's
+    Clenshaw recurrence operation for operation, in three buffers of x's
+    size in place of three fresh arrays per degree."""
+    x2 = 2 * x
+    c0, c1, tmp = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for ck in c[-3::-1]:
+        np.multiply(c1, x2, out=tmp)
+        np.subtract(ck, c1, out=c1)  # c0 = c[-i] - c1
+        np.add(c0, tmp, out=c0)  # c1 = tmp + c1 * x2, tmp the former c0
+        c0, c1 = c1, c0
+    return np.add(c0, np.multiply(c1, x, out=tmp), out=tmp)
+
+
 def _plane_kernel_fit(t: float, rho_max: float):
     """heat_kernel_plane(t, .) on [0, rho_max] as one Chebyshev interpolant.
 
@@ -156,7 +178,7 @@ def _plane_kernel_fit(t: float, rho_max: float):
         out = np.zeros(rho.shape)
         live = rho <= length
         r = rho[live]
-        out[live] = chebval(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
+        out[live] = _clenshaw(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
         return out
 
     return kernel
@@ -202,7 +224,7 @@ def _sl2_rows(n_max: int) -> tuple[np.ndarray, ...]:
         pair, k = _ragged(count, np.ones_like(count))
         cols = np.stack([ga[pair] + k * fa[pair], gc[pair] + k * fc[pair], fa[pair], fc[pair]])
     a, c, b, d = np.concatenate(levels, axis=1)
-    order = np.lexsort((d, c))
+    order = np.argsort(c * n_max + d)  # by (c, d): d < n_max, so the keys are distinct
     return a[order], b[order], c[order], d[order]
 
 
@@ -229,7 +251,8 @@ def orbit_of_i(bound: float) -> tuple[np.ndarray, np.ndarray]:
     m = _isqrt(q * (n_max - q) - 1)
     lo, hi = -((m + x0) // q), (m - x0) // q  # the translates k with |x0 + kq| <= m
     pair, k = _ragged(hi - lo + 1, lo)
-    return x0[pair] + k * q[pair], q[pair]
+    q = q[pair]
+    return x0[pair] + k * q, q
 
 
 def _mass_beyond(t: float, rho: float) -> float:
@@ -315,8 +338,12 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     """
     _check_time(t)
     x_num, q = orbit_of_i(norm_bound)
-    coshd = 1.0 + ((z.x - x_num / q) ** 2 + (z.y - 1.0 / q) ** 2) * q / (2.0 * z.y)
-    rho = np.arccosh(np.maximum(coshd, 1.0))
+    rho = np.square(np.subtract(z.x, np.divide(x_num, q)))
+    rho += np.square(np.subtract(z.y, np.divide(1.0, q)))
+    rho *= q
+    rho /= 2.0 * z.y
+    rho += 1.0  # cosh d(z, gamma i), in place
+    np.arccosh(np.maximum(rho, 1.0, out=rho), out=rho)
     vals = _plane_kernel_fit(t, float(rho.max()))(rho)
     total = 2.0 * float(np.sum(vals))
     if shell_warning:

@@ -81,8 +81,8 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         eisenstein_part=complex(eis),
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[n + 1:])),
-        tail_warning=(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
-                      or value.real <= 0.0),
+        tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
+                          or value.real <= 0.0),
     )
 
 

@@ -44,6 +44,54 @@ GOLDEN = {
         "1.021597002136e+02\n"
         "1.000000000000e-01,1.060531902354e-01,1.298657521013e+00,7.456537362014e+01,"
         "1.424703023814e+05\n")),
+    "verify oracle --norm-bound 160": (0, (
+        "check                                              measured        bound status\n"
+        "oracle agreement t=0.5 z=0.0+1.0i (B=160)      3.363154e-15    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.0+2.0i (B=160)      4.335609e-15    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.25+1.3i (B=160)     2.061382e-15    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.0+1.0i (B=160)      4.250972e-13    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.0+2.0i (B=160)      1.036410e-11    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.25+1.3i (B=160)     8.865265e-13    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.0+1.0i (B=160)      2.642562e-08    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.0+2.0i (B=160)      2.631467e-07    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.25+1.3i (B=160)     4.223893e-08    1.000e-03 pass\n"
+        "9/9 checks passed\n")),
+    "verify all": (0, (
+        "check                                              measured        bound status\n"
+        "weight duality (1-lam)^s (1-lam)^-s = 1        2.220446e-16    1.000e-14 pass\n"
+        "smoothing-shift isometry (100 random f)        2.184998e-16    1.000e-12 pass\n"
+        "smoothing-shift inverse roundtrip              1.313364e-16    1.000e-13 pass\n"
+        "generator symmetry <Mf,g>_s = <f,Mg>_s         4.092790e-16    1.000e-13 pass\n"
+        "generator negativity <Mf,f>_s <= 0            -5.837585e-02    1.000e-13 pass\n"
+        "resolvent bound ||(M-C)^-1 f|| <= ||f||/C     -1.555045e-03    1.000e-13 pass\n"
+        "resolvent bound C ||(M-C)^-1 f|| / ||f|| <= 1  -1.863261e-03    1.000e-13 pass\n"
+        "resolvent roundtrip (M-C)(M-C)^-1 = id         2.700033e-16    1.000e-13 pass\n"
+        "scale nesting ||f||_{s-1} <= ||f||_s          -1.087425e-02    1.000e-13 pass\n"
+        "pairing Cauchy-Schwarz across dual indices    -6.695419e-01    1.000e-13 pass\n"
+        "identity at t=0                                0.000000e+00    0.000e+00 pass\n"
+        "semigroup law G(.3)G(.7) = G(1)                1.858457e-16    1.000e-13 pass\n"
+        "contraction ||G(t)f||_s <= ||f||_s            -9.195902e-04    1.000e-13 pass\n"
+        "strong continuity: gap strictly decreasing    -5.490290e-04    0.000e+00 pass\n"
+        "strong continuity: gap(1e-5)/gap(1e-1)         9.670721e-04    1.000e-03 pass\n"
+        "laplace transform of G matches resolvent (C=1)   1.362273e-04    2.000e-02 pass\n"
+        "t=0 heat data equals delta data                0.000000e+00    0.000e+00 pass\n"
+        "time-difference residual order ratio           4.000072e+00    4.500e+00 pass\n"
+        "residual(h=1e-3) vs generator image            2.111381e-07    1.000e-05 pass\n"
+        "initial-condition gap strictly decreasing     -5.947219e-03    0.000e+00 pass\n"
+        "gap(t) <= t ||M delta||                        9.869501e-01    1.000e+00 pass\n"
+        "gap(1e-4) / gap(1)                             2.709990e-03    1.000e-02 pass\n"
+        "uniqueness: evolved gap <= initial gap        -5.782193e-03    1.000e-13 pass\n"
+        "euler-vs-exact first-order ratio               2.000327e+00    2.200e+00 pass\n"
+        "oracle agreement t=0.5 z=0.0+1.0i (B=25)       5.802927e-10    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.0+2.0i (B=25)       2.770669e-09    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.25+1.3i (B=25)      1.255919e-09    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.0+1.0i (B=25)       7.876227e-06    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.0+2.0i (B=25)       1.056579e-05    1.000e-03 pass\n"
+        "oracle agreement t=1.0 z=0.25+1.3i (B=25)      9.453980e-06    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.0+1.0i (B=25)       5.175975e-04    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.0+2.0i (B=25)       4.909643e-04    1.000e-03 pass\n"
+        "oracle agreement t=2.0 z=0.25+1.3i (B=25)      5.315098e-04    1.000e-03 pass\n"
+        "33/33 checks passed\n")),
 }
 
 

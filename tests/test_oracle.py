@@ -9,8 +9,12 @@ import pytest
 
 from autoheat import oracle
 from autoheat.hyperbolic import HPoint, cosh_distance, hyperbolic_distance
+from numpy.polynomial.chebyshev import chebval
+
 from autoheat.oracle import (
     _PLANE_BLOCK,
+    _clenshaw,
+    _envelope,
     _mass_beyond,
     _plane_kernel_fit,
     heat_kernel_plane,
@@ -124,8 +128,32 @@ class TestPlaneHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel_plane(0.0, [1.0])
 
+    @pytest.mark.parametrize("t, rho, named", [
+        (math.inf, [1.0], "inf"), (math.nan, [1.0], "nan"),
+        (1.0, [0.5, math.nan], "nan"), (1.0, [math.inf], "inf"), (1.0, [-math.inf], "-inf")])
+    def test_non_finite_inputs_refused(self, t, rho, named, monkeypatch):
+        # refused by name before any quadrature runs, not answered as nan
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            heat_kernel_plane(t, rho)
+
+
+def _envelope_plain(t: float, rho: np.ndarray) -> np.ndarray:
+    """_envelope as one expression, as it was written before it was computed in place."""
+    r = np.maximum(rho, 1e-300)
+    return np.exp(-r * (r / (4.0 * t) + 0.5)) * np.sqrt(-2.0 * r / np.expm1(-2.0 * r))
+
 
 class TestPlaneKernelFit:
+    @pytest.mark.parametrize("t", [0.2, 1.0, 10.0])
+    def test_envelope_is_the_plain_expression_bit_for_bit(self, t):
+        rng = np.random.default_rng(11)
+        rho = np.concatenate([[0.0, 1e-300, 1e-12, 1e-3, 1.0, 700.0],
+                              rng.uniform(0.0, 12.0, 4000), rng.uniform(0.0, 60.0, 1000)])
+        before = rho.copy()
+        assert np.array_equal(_envelope(t, rho), _envelope_plain(t, rho))
+        assert np.array_equal(rho, before)  # the distances are not overwritten
+
     @pytest.mark.parametrize("t", [0.2, 2.0, 10.0])
     @pytest.mark.parametrize("rho_max", [12.0, 63.0])
     def test_matches_the_quadrature(self, t, rho_max):
@@ -148,6 +176,14 @@ class TestPlaneKernelFit:
         for r, v in zip(rho, fit):
             ref = _plane_kernel_mpmath(t, r)
             assert abs(v - ref) < 2e-14 * ref, (t, rho_max, r)
+
+    @pytest.mark.parametrize("size", [3, 4, 17, 49, 117, 256])
+    def test_clenshaw_is_chebval_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        coef = rng.standard_normal(size) * np.exp(-0.3 * np.arange(size))
+        x = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 997)])
+        assert np.array_equal(_clenshaw(x, coef), chebval(x, coef))
+        assert _clenshaw(np.empty(0), coef).shape == (0,)
 
     def test_zero_past_the_envelope_underflow(self):
         t = 0.2
@@ -287,6 +323,24 @@ class TestPeriodizedOracle:
     @pytest.mark.parametrize("t, x, y", list(_BOUND_160_SUMS))
     def test_bound_160_sums_frozen(self, t, x, y):
         assert periodized_oracle(t, HPoint(x, y), 160.0).hex() == _BOUND_160_SUMS[t, x, y]
+
+    @pytest.mark.parametrize("t, x, y, bound, frozen", [
+        (1.0, 0.25, 1.3, 60.0, "0x1.2202eaa588253p+0"),
+        (0.5, -0.1, 1.2, 300.0, "0x1.4e8ea58a791c1p+0"),
+        (1.0, 0.2, 2.0, 816.0, "0x1.137785e0ee0fbp+0")])  # 816: the top ORBIT_MAX allows
+    def test_sums_frozen_across_bounds(self, t, x, y, bound, frozen):
+        value = periodized_oracle(t, HPoint(x, y), bound, shell_warning=False)
+        assert value.hex() == frozen
+
+    def test_sum_frozen_with_the_shell_check(self):
+        with pytest.warns(UserWarning, match="contributes 3.41e-02 of the periodized sum"):
+            value = periodized_oracle(8.0, HPoint(0.3, 1.1), 25.0, shell_warning=True)
+        assert value.hex() == "0x1.ea67f200c90d5p-1"
+
+    @pytest.mark.parametrize("t, frozen", [(4.0, "0x1.f5190ccdf7fbep-1"),
+                                           (8.0, "0x1.eafc193c2de3ap-1")])
+    def test_basepoint_sums_frozen_at_the_benchmark_bound(self, t, frozen):
+        assert periodized_oracle_basepoint(t, 3000.0).hex() == frozen
 
     @pytest.mark.filterwarnings("ignore:boundary shell")
     def test_fast_basepoint_path_matches_enumeration(self):

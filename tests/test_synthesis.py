@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestEvaluateHeatKernel:
         rep = evaluate_heat_kernel(1.0, HPoint(0.0, y), grid)
         assert rep.value.real > 0.0 and rep.tail_estimate < 1e-60
         assert abs(rep.residual_part) > 0.9 and abs(rep.eisenstein_part) > 0.9
-        assert rep.tail_warning == warns
+        assert rep.tail_warning is warns  # a Python bool, which JSON takes
+        assert json.dumps(rep.tail_warning) == str(warns).lower()
 
 
 def _report_fields(rep):

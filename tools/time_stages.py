@@ -10,13 +10,16 @@ first time, both per point, a bound-160 `periodized_oracle`, and a
 bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
 first call of each is left out).  Each stage is timed inside the real call,
 by wrapping the function that the call looks up; what is left of the call
-is the rest.  Prints in-process medians in microseconds.  Run from the
+is the rest.  Prints in-process medians in microseconds and, beside each
+call's median, the median count of minor page faults per call (the
+ru_minflt delta of this process, from resource.getrusage).  Run from the
 repository root:
 
     python3 tools/time_stages.py
 """
 
 import math
+import resource
 import statistics
 import sys
 import time
@@ -66,10 +69,10 @@ STAGES = {
 }
 
 
-def staged(call, stages: dict, repeats: int) -> dict:
+def staged(call, stages: dict, repeats: int) -> tuple[dict, float]:
     """Median wall time over `repeats` calls of call(), in microseconds, of
     the whole call and of each stage function, timed where the call looks
-    it up (stages as in STAGES)."""
+    it up (stages as in STAGES), and the median minor page faults per call."""
     labels = [label for pair in stages.values() for label in pair]
     spent = dict.fromkeys(labels, 0.0)
 
@@ -85,24 +88,29 @@ def staged(call, stages: dict, repeats: int) -> dict:
     for (space, name), pair in stages.items():
         setattr(space, name, timed(saved[space, name], *pair))
     runs = {label: [] for label in ("call", *labels)}
+    faults = []
     try:
         call()  # warm caches and imports
         for _ in range(repeats):
             spent.update(dict.fromkeys(labels, 0.0))
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             call()
             runs["call"].append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             for label in labels:
                 runs[label].append(spent[label])
     finally:
         for (space, name), fn in saved.items():
             setattr(space, name, fn)
-    return {label: 1e6 * statistics.median(v) for label, v in runs.items()}
+    return ({label: 1e6 * statistics.median(v) for label, v in runs.items()},
+            statistics.median(faults))
 
 
-def report(title: str, medians: dict, rest: str, repeats: int) -> None:
+def report(title: str, medians: dict, faults: float, rest: str, repeats: int) -> None:
     total = medians.pop("call")
-    print(f"{title}: {total:.1f} us, by stage (medians of {repeats}):")
+    print(f"{title}: {total:.1f} us, {faults:g} minor faults per call, "
+          f"by stage (medians of {repeats}):")
     for label, value in medians.items():
         print(f"  {label:34s} {value:10.1f} us")
     print(f"  {rest:34s} {total - sum(medians.values()):10.1f} us")
@@ -127,8 +135,9 @@ def main() -> None:
     }
     for key, call in calls.items():
         title, repeats, stages, rest, per = STAGES[key]
-        medians = {label: v / per for label, v in staged(call, stages, repeats).items()}
-        report(title, medians, rest, repeats)
+        medians, faults = staged(call, stages, repeats)
+        medians = {label: v / per for label, v in medians.items()}
+        report(title, medians, faults, rest, repeats)
         if key == "build":
             rows = len(grid.table.bank.r)
             print(f"  {f'kbessel_quad per fitted row ({rows})':34s} "
