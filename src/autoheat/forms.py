@@ -162,15 +162,6 @@ class MaassFormData:
         return len(self.coeffs)
 
 
-def _coeff_table(forms):
-    """Zero-padded coefficients, counts and odd flags of the forms."""
-    coeffs = np.zeros((len(forms), max((f.n_coeffs for f in forms), default=0)))
-    for j, f in enumerate(forms):
-        coeffs[j, :f.n_coeffs] = f.coeffs
-    return (coeffs, np.array([f.n_coeffs for f in forms], dtype=int),
-            np.array([f.parity is Parity.ODD for f in forms], dtype=bool))
-
-
 def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
     """Growth of |Ktilde_{ir}| at heights >= y_min, up to a factor common to
     all r: e^{pi r/2}, as past its turning point Ktilde_{ir} behaves like
@@ -211,13 +202,14 @@ class BasisTable:
                                for v, r in zip(xi, nodes)])
         self.bank = KBesselBank.stack((KBesselBank([f.r for f in forms], _KBESSEL_X_MIN),
                                        KBesselBank(nodes, _KBESSEL_X_MIN)))
-        coeffs, n_max, odd = _coeff_table(forms)
-        self.coeffs = np.zeros((len(self.bank.r), max(coeffs.shape[1], m)))
-        self.coeffs[:self.n_cusp, :coeffs.shape[1]] = coeffs
+        self.coeffs = np.zeros((len(self.bank.r), max([m] + [f.n_coeffs for f in forms])))
+        for j, f in enumerate(forms):
+            self.coeffs[j, :f.n_coeffs] = f.coeffs
         self.coeffs[self.n_cusp:, :m] = _divisor_table(nodes, m)
-        self.n_max = np.concatenate([n_max, np.full(len(nodes), m)])
-        self.odd = np.concatenate([odd, np.zeros(len(nodes), dtype=bool)])
-        norm_sq = _norm_squares(self.bank, coeffs, n_max, odd)
+        self.n_max = np.array([f.n_coeffs for f in forms] + [m] * len(nodes), dtype=int)
+        self.odd = np.array([f.parity is Parity.ODD for f in forms] + [False] * len(nodes),
+                            dtype=bool)
+        norm_sq = _norm_squares(self)
         for form, sq in zip(forms, norm_sq):
             if not sq > 0.0:
                 raise ValueError(f"degenerate L2 norm for form r={form.r}")
@@ -257,11 +249,10 @@ class BasisTable:
 # Cusp-form data check
 # ---------------------------------------------------------------------------
 
-def _norm_squares(bank: KBesselBank, coeffs: np.ndarray, n_max: np.ndarray, odd: np.ndarray,
-                  ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
+def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
     """int |u|^2 dx dy / y^2 below y = _NORM_Y_MAX in the fundamental domain
     (u decays like e^{-2 pi y}, so the cutoff loses nothing) of the
-    unnormalized form u of each bank row j with coeffs[j], n_max[j], odd[j].
+    unnormalized form u of each of the table's cusp rows.
 
     On the rectangle 1 <= y <= _NORM_Y_MAX, Parseval in x leaves
     (1/2) sum a_n^2 int Ktilde(2 pi n y)^2 dy/y: Gauss-Legendre in log y on
@@ -269,12 +260,13 @@ def _norm_squares(bank: KBesselBank, coeffs: np.ndarray, n_max: np.ndarray, odd:
     y = cos(phi) for phi in [0, pi/6] (nphi nodes) and x in [sin(phi), 1/2]
     (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
     height for all its x nodes."""
-    rows = np.arange(len(coeffs))
+    bank, rows = table.bank, np.arange(table.n_cusp)
+    coeffs, n_max, odd = table.coeffs[rows], table.n_max[rows], table.odd[rows]
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    table = _bessel_table(bank, rows, bank.r[rows] + _BESSEL_DECAY, n_max,
-                          coeffs.shape[1], np.exp(log_y.ravel()))
-    rect = 0.5 * np.sum(coeffs[:, :table.shape[1]] ** 2 * (table ** 2 @ w_log.ravel()), axis=1)
+    bessel = _bessel_table(bank, rows, bank.r[rows] + _BESSEL_DECAY, n_max,
+                           coeffs.shape[1], np.exp(log_y.ravel()))
+    rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)
     # dy = sin(phi) dphi; the doubling by evenness in x
@@ -321,48 +313,39 @@ def parse_maass_data(text: str) -> list[MaassFormData]:
         got = lines[0].strip() if lines else "<empty file>"
         raise MaassDataError(f"expected header '{_HEADER}', got '{got}'", lineno=1)
     forms_out: list[MaassFormData] = []
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        if not line.startswith("form "):
-            raise MaassDataError(f"expected 'form' record, got '{line}'", lineno=i + 1)
-        fields = dict()
-        for tok in line[5:].split():
-            if "=" not in tok:
-                raise MaassDataError(f"malformed field '{tok}'", lineno=i + 1)
-            key, val = tok.split("=", 1)
-            fields[key] = val
-        try:
-            r = float(fields["r"])
-            parity = Parity(fields["parity"])
-            n = int(fields["n"])
-        except (KeyError, ValueError) as exc:
-            raise MaassDataError(f"bad form record '{line}': {exc}", lineno=i + 1) from exc
-        i += 1
-        coeffs: list[float] = []
-        while len(coeffs) < n and i < len(lines):
-            chunk = lines[i].strip()
-            if chunk.startswith("form "):
-                break  # next record began early: reported as a count mismatch
-            i += 1
-            if not chunk or chunk.startswith("#"):
+    n = None  # the coefficient count of the record being read, None between records
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if n is None:
+            if not line or line.startswith("#"):
                 continue
-            for tok in chunk.split():
+            if not line.startswith("form "):
+                raise MaassDataError(f"expected 'form' record, got '{line}'", lineno=lineno)
+            toks = line[5:].split()
+            if bad := [tok for tok in toks if "=" not in tok]:
+                raise MaassDataError(f"malformed field '{bad[0]}'", lineno=lineno)
+            fields = dict(tok.split("=", 1) for tok in toks)
+            try:
+                r, parity, n = float(fields["r"]), Parity(fields["parity"]), int(fields["n"])
+            except (KeyError, ValueError) as exc:
+                raise MaassDataError(f"bad form record '{line}': {exc}", lineno=lineno) from exc
+            coeffs: list[float] = []
+        elif not line.startswith("#"):
+            for tok in line.split():
                 try:
                     coeffs.append(float(tok))
                 except ValueError as exc:
-                    raise MaassDataError(f"bad coefficient '{tok}'", lineno=i) from exc
-        if len(coeffs) != n:
-            raise MaassDataError(
-                f"form r={r}: expected {n} coefficients, found {len(coeffs)}", lineno=i
-            )
-        try:
-            forms_out.append(MaassFormData(r=r, parity=parity, coeffs=np.array(coeffs)))
-        except ValueError as exc:
-            raise MaassDataError(str(exc), lineno=i) from exc
+                    raise MaassDataError(f"bad coefficient '{tok}'", lineno=lineno) from exc
+        # a record ends at its n-th coefficient, before the next record or at the end
+        if len(coeffs) >= n or lineno == len(lines) or lines[lineno].strip().startswith("form "):
+            if len(coeffs) != n:
+                raise MaassDataError(
+                    f"form r={r}: expected {n} coefficients, found {len(coeffs)}", lineno=lineno)
+            try:
+                forms_out.append(MaassFormData(r=r, parity=parity, coeffs=np.array(coeffs)))
+            except ValueError as exc:
+                raise MaassDataError(str(exc), lineno=lineno) from exc
+            n = None
     return forms_out
 
 

@@ -9,8 +9,6 @@ import numpy as np
 
 from .special import gauss_rule
 
-FUNDAMENTAL_DOMAIN_FLOOR = np.sqrt(3.0) / 2.0  # lowest height in the standard domain
-
 
 @dataclass(frozen=True)
 class HPoint:

@@ -347,7 +347,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     vals = _plane_kernel_fit(t, float(rho.max()))(rho)
     total = 2.0 * float(np.sum(vals))
     if shell_warning:
-        shell = (q * q + x_num * x_num + 1) // q >= (norm_bound - 1.0) ** 2
+        shell = q * q + x_num * x_num + 1 >= math.ceil((norm_bound - 1.0) ** 2) * q
         _warn_shell(t, norm_bound, 2.0 * float(np.sum(vals[shell])), total)
     return total + orbit_tail(t, z, norm_bound)
 

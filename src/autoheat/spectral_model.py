@@ -25,10 +25,6 @@ SobolevIndex = int
 NODES_MAX = 2048  # Eisenstein nodes fitted at most: ~5 ms and ~6.5 KB of panels a node
 
 
-def _eigenvalue_from_r(r):
-    return -(0.25 + r * r)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
     """Discretized spectral parameter space.
@@ -67,15 +63,11 @@ class SpectralGrid:
         return self.n_cusp + 1 + self.n_eisenstein
 
     def __post_init__(self):
-        lam = np.concatenate([
-            _eigenvalue_from_r(np.array([f.r for f in self.cusp_forms], dtype=float)),
-            [0.0],
-            _eigenvalue_from_r(self.eisenstein_r),
-        ])
-        w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "table", BasisTable(self.cusp_forms, self.eisenstein_r))
+        r = self.table.bank.r
+        object.__setattr__(self, "lambdas", np.insert(-(0.25 + r * r), self.n_cusp, 0.0))
+        w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
+        object.__setattr__(self, "weights", w)
         self.table.check()
         object.__setattr__(self, "basis_at_i", self.basis_rows(
             np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])

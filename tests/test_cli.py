@@ -95,6 +95,7 @@ GOLDEN = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow or NaN on the way
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_output(command, grid, capsys):
     code = cli.main(command.split())
@@ -102,7 +103,9 @@ def test_golden_output(command, grid, capsys):
 
 
 def test_cold_eval_loads_no_scipy():
-    # the cold path needs numpy and the standard library only
+    # the cold path needs numpy and the standard library only, and building
+    # the default grid on it raises no RuntimeWarning (the session grid of
+    # the golden pins is built outside their warning filter)
     script = ("import sys\n"
               "from autoheat import cli\n"
               "code = cli.main(['eval', '--t', '1', '--x', '0.25', '--y', '1.3'])\n"
@@ -111,8 +114,8 @@ def test_cold_eval_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(autoheat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("AUTOHEAT_DATA", None)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -437,6 +440,13 @@ class TestConfig:
             parse_config_file(str(path))
         assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: bad value for '{key}'")
+
+    def test_line_without_equals_named_with_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# grid\nr_max 10  # no sign\n")
+        with pytest.raises(ValueError) as refusal:
+            parse_config_file(str(path))
+        assert str(refusal.value) == f"{path}:2: expected key = value, got 'r_max 10'"
 
     def test_env_var_supplies_data_path(self, monkeypatch, tmp_path):
         probe = tmp_path / "probe.dat"

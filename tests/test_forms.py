@@ -15,7 +15,7 @@ from autoheat.forms import (
     parse_maass_data,
 )
 from autoheat import cli, forms, special
-from autoheat.forms import _coeff_table, _divisor_table, _fourier_rows, _norm_squares
+from autoheat.forms import _divisor_table, _fourier_rows, _norm_squares
 from autoheat.hyperbolic import HPoint, QuadSpec
 from autoheat.sobolev import basis_values
 from autoheat.spectral_model import build_grid, eisenstein_nodes
@@ -35,7 +35,8 @@ def _one_form(form, x, y):
 def _one_sum(form, x, y):
     """The form's Fourier sum at the points as given, on a bank of its own."""
     bank = special.KBesselBank((form.r,), 2.0)
-    return _fourier_rows(bank, [0], *_coeff_table([form]), np.asarray(x, float),
+    return _fourier_rows(bank, [0], form.coeffs[None], np.array([form.n_coeffs]),
+                         np.array([form.parity is Parity.ODD]), np.asarray(x, float),
                          np.asarray(y, float))[0]
 
 
@@ -176,7 +177,7 @@ class TestMaass:
         # over all forms)
         dataset = grid.cusp_forms
         norm_sq = grid.table.norm ** -2.0
-        doubled = _norm_squares(grid.table.bank, *_coeff_table(dataset), ny=64, nphi=64, nx=64)
+        doubled = _norm_squares(grid.table, ny=64, nphi=64, nx=64)
         assert np.max(np.abs(norm_sq / doubled - 1.0)) < 5e-15
         rows = [0, 2, len(dataset) - 1]
         x, y, w = QuadSpec(nx=192, y_panels=12, ny_per_panel=24, y_max=10.0).nodes()
@@ -358,6 +359,36 @@ class TestIngestion:
         text = f"{HEADER}\nform r=9.5 parity=odd n=5\n{coeffs}\n"
         with pytest.raises(MaassDataError, match="at least 10"):
             parse_maass_data(text)
+
+    TEN = " ".join(["1.0"] + ["0.1"] * 9)
+
+    @pytest.mark.parametrize("body, message", [
+        # comments and blank lines between records are skipped and counted
+        (f"\n# lead\nform r=9.5 parity=odd n=10\n{TEN}\n\n# between\nbogus\n",
+         "line 8: expected 'form' record, got 'bogus'"),
+        ("form r=9.5 parity n=10 bogus\n", "line 2: malformed field 'parity'"),
+        ("form r=9.5 parity=odd\n", "line 2: bad form record 'form r=9.5 parity=odd': 'n'"),
+        ("form r=9.5 parity=evn n=10\n",
+         "line 2: bad form record 'form r=9.5 parity=evn n=10': 'evn' is not a valid Parity"),
+        ("form r=9.5 parity=odd n=1.5\n", "line 2: bad form record 'form r=9.5 parity=odd "
+         "n=1.5': invalid literal for int() with base 10: '1.5'"),
+        # a record that begins before the last one's n coefficients: the
+        # count mismatch is named on the last line read
+        (f"form r=9.5 parity=odd n=12\n1.0 0.5\n# c\nform r=12.1 parity=odd n=10\n{TEN}\n",
+         "line 4: form r=9.5: expected 12 coefficients, found 2"),
+        # a comment inside a block adds no coefficients and is counted
+        (f"form r=9.5 parity=odd n=10\n1.0 0.1\n# note\n\n{TEN[8:]}\nform n=10 extra\n",
+         "line 7: malformed field 'extra'"),
+    ])
+    def test_refusal_named_with_its_line(self, body, message):
+        with pytest.raises(MaassDataError) as refusal:
+            parse_maass_data(f"{HEADER}\n{body}")
+        assert str(refusal.value) == message
+
+    def test_comment_and_blank_line_inside_a_block(self):
+        (form,) = parse_maass_data(f"{HEADER}\nform r=9.5 parity=odd n=10\n1.0 0.1\n# note\n\n"
+                                   f"{self.TEN[8:]}\n")
+        assert np.array_equal(form.coeffs, [1.0] + [0.1] * 9)
 
     def test_packaged_dataset_is_validated(self, dataset, grid):
         assert len(dataset) >= 10

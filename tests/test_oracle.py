@@ -332,6 +332,14 @@ class TestPeriodizedOracle:
         value = periodized_oracle(t, HPoint(x, y), bound, shell_warning=False)
         assert value.hex() == frozen
 
+    @pytest.mark.parametrize("bound", [1.5, 2.0, 25.0, 33.3, 60.0, 100.7, 160.0, 300.0, 816.0])
+    def test_shell_mask_without_a_division(self, bound):
+        # periodized_oracle's shell mask, N q >= ceil((B - 1)^2) q, against
+        # the norms N = (q^2 + X^2 + 1) / q it stands for
+        x_num, q = orbit_of_i(bound)
+        mask = q * q + x_num * x_num + 1 >= math.ceil((bound - 1.0) ** 2) * q
+        assert np.array_equal(mask, _orbit_norms(bound) >= (bound - 1.0) ** 2)
+
     def test_sum_frozen_with_the_shell_check(self):
         with pytest.warns(UserWarning, match="contributes 3.41e-02 of the periodized sum"):
             value = periodized_oracle(8.0, HPoint(0.3, 1.1), 25.0, shell_warning=True)

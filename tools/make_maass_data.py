@@ -25,8 +25,7 @@ from scipy.optimize import brentq
 
 sys.path.insert(0, "src")
 
-from autoheat.forms import (  # noqa: E402
-    HECKE_BOUND, INVERSION_BOUND, BasisTable, MaassFormData, Parity)
+from autoheat.forms import BasisTable, MaassDataError, MaassFormData, Parity  # noqa: E402
 from autoheat.hyperbolic import HPoint, reduce_to_fundamental_domain  # noqa: E402
 from autoheat.special import KBesselBank  # noqa: E402
 
@@ -141,7 +140,11 @@ def main(out_path: str) -> int:
         form = MaassFormData(r=r, parity=parity, coeffs=coeffs[:N_OUT].copy())
         table = BasisTable([form], ())
         hd, inv = table.hecke[0], table.inversion[0]
-        ok = hd <= HECKE_BOUND and inv <= INVERSION_BOUND
+        try:
+            table.check()
+            ok = True
+        except MaassDataError:
+            ok = False
         print(f"{where} -> r={r:.13f} parity={parity.value} mism={resid:.1e} "
               f"hecke={hd:.1e} inv={inv:.1e} [{time.time()-t0:.1f}s] {'OK' if ok else 'REJECTED'}")
         if ok:
