@@ -176,19 +176,22 @@ def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
 
 class BasisTable:
     """The evaluator of the basis: the cusp forms, then the Eisenstein series
-    E_{1/2+ir} at the nodes r, as the rows of one K-Bessel bank (the nodes'
-    bank stacked onto the forms') with one coefficient table (the forms' a_n
-    and the nodes' multipliers n^{ir} sigma_{-2ir}(n), zero-padded to one
-    width).  Values of rows of both families come from one Fourier sum,
-    finished per family.  Eisenstein values are in the unitary frame: they
-    carry the phase phi(1/2+ir)^{-1/2}, which makes them real.
+    E_{1/2+ir} at the nodes r, as the rows of one K-Bessel bank (the forms'
+    r, then the nodes) with one coefficient table (the forms' a_n and the
+    nodes' multipliers n^{ir} sigma_{-2ir}(n), zero-padded to one width).
+    Values of rows of both families come from one Fourier sum, finished per
+    family.  Eisenstein values are in the unitary frame: they carry the
+    phase phi(1/2+ir)^{-1/2}, which makes them real.  Rows are fitted on
+    first use; a fitted row never changes.
 
     On its own rows the table computes each form's L2 normalization `norm`
     (_norm_squares; ValueError where it degenerates), Hecke defect `hecke`
     and inversion defect `inversion`, max |u(z) - u(-1/z)| at
     _INVERSION_POINTS (off x = 0, where odd forms vanish; every height at
     least sqrt(3)/2) through the expansion as given; check() refuses a form
-    over the bounds.  All of this is built once and shared read-only."""
+    over the bounds; this fits every cusp row.  `node_bound_at_i` bounds
+    each node's |E(i)| before any fit by 2 + (4/|xi(1+2ir)|) sum_n d(n)
+    K_0(2 pi n), as |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
@@ -200,8 +203,10 @@ class BasisTable:
         # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
         self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
                                for v, r in zip(xi, nodes)])
-        self.bank = KBesselBank.stack((KBesselBank([f.r for f in forms], _KBESSEL_X_MIN),
-                                       KBesselBank(nodes, _KBESSEL_X_MIN)))
+        n = np.arange(1, m + 1)  # K_0(2 pi n) <= e^{-2 pi n}/(2 sqrt n); the d(n) are r = 0's
+        k0 = np.sum(_divisor_table(np.zeros(1), m)[0] * np.exp(-2.0 * math.pi * n) / np.sqrt(4 * n))
+        self.node_bound_at_i = 2.0 + 4.0 / np.abs(np.array(xi, dtype=complex)) * k0
+        self.bank = KBesselBank(np.concatenate(([f.r for f in forms], nodes)), _KBESSEL_X_MIN)
         self.coeffs = np.zeros((len(self.bank.r), max([m] + [f.n_coeffs for f in forms])))
         for j, f in enumerate(forms):
             self.coeffs[j, :f.n_coeffs] = f.coeffs

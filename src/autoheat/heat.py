@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sobolev import (
+    NEGLIGIBLE,
     CoeffFn,
     apply_generator,
     apply_resolvent,
@@ -56,8 +57,22 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
 
 
 def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
-    """Spectral heat-kernel data at time t: the delta data times e^{lambda t}."""
-    return HeatState(t, CoeffFn(grid, grid.basis_at_i * _damping(grid, t)))
+    """Spectral heat-kernel data at time t: the delta data times e^{lambda t}
+    where sobolev.synthesis_rows can keep them, 0 elsewhere (as where it
+    underflows): the cusp forms, the constant, the last node (the tail
+    estimate reads it) and, chosen before any fit, each node whose bound
+    w e^{lambda t} |E(i)| (forms.BasisTable.node_bound_at_i) reaches NEGLIGIBLE
+    of the largest term of the nodes bounded within half the top bound."""
+    damp, n = _damping(grid, t), grid.n_cusp
+    bound = grid.eisenstein_w * damp[n + 1:] * grid.table.node_bound_at_i
+    top = n + 1 + np.flatnonzero((bound > 0.0) & (bound >= 0.5 * bound.max(initial=0.0)))
+    largest = np.max(np.abs(grid.weights[top] * (grid.basis_at_i(top) * damp[top])), initial=0.0)
+    # the least double as the floor: a zero bound is never kept
+    keep = np.concatenate([np.ones(n + 1, dtype=bool), bound >= (NEGLIGIBLE * largest or 5e-324)])
+    keep[-1] = True
+    values = np.zeros(grid.size)
+    values[keep] = grid.basis_at_i(keep) * damp[keep]
+    return HeatState(t, CoeffFn(grid, values))
 
 
 def semigroup_apply(t: float, f: CoeffFn) -> CoeffFn:

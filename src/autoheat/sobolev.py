@@ -101,7 +101,7 @@ def apply_resolvent(c: float, f: CoeffFn) -> CoeffFn:
 def delta_coefficients(grid: SpectralGrid) -> CoeffFn:
     """Spectral data of the Dirac delta at i: the grid's basis column there
     (real in the unitary frame, so conjugation is a no-op)."""
-    return CoeffFn(grid, grid.basis_at_i)
+    return CoeffFn(grid, grid.basis_at_i())
 
 
 def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:

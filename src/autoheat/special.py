@@ -109,6 +109,7 @@ _QUAD_ELEMENTS = 2 ** 14  # (entry, node) pairs per quadrature pass: bounds its 
 _X_MIN = 1e-3  # smallest argument bessel_k_imag answers for
 _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
+_FIT_BLOCK = 64  # bank rows per quadrature call of a fit: bounds its arrays
 
 
 # one eigenvalue solve per rule size and process; the arrays are shared, so
@@ -131,7 +132,8 @@ def _gauss_sum(n: int, entries: np.ndarray, integrand) -> np.ndarray:
     in passes of at most _QUAD_ELEMENTS (entry, node) pairs."""
     t, w = gauss_rule(0.5, 0.5, n)
     step = max(1, _QUAD_ELEMENTS // n)
-    return np.concatenate([integrand(entries[a:a + step], t) @ w
+    # row-wise sums, not a BLAS product: their order, set by n alone, keeps entries apart
+    return np.concatenate([np.sum(integrand(entries[a:a + step], t) * w, axis=1)
                            for a in range(0, len(entries), step)])
 
 
@@ -245,13 +247,14 @@ class KBesselBank:
     range x_min <= x <= fit_hi = min(r + 50, pi r/2 + 45), past every Fourier
     term its callers keep (2 pi n y <= r + 45); any other x is refused.
 
-    Row j holds r_j, fitted from kbessel_quad at its own first-kind Chebyshev
-    nodes in log x: one series per row from a cosine transform, re-expanded
-    onto fixed panels and checked through the bank's own call against the
-    quadrature at 257 probes.  A call is one degree-16 Clenshaw pass, O(1)
-    values with absolute accuracy ~2e-14 from x_min = 2 and ~4e-12 from
-    x_min = 1e-3.  A row's table can differ by ~1 ulp with the rows fitted
-    beside it: the quadrature's Gauss sums are BLAS products.
+    Row j holds r_j, fitted on first use from kbessel_quad at its own
+    first-kind Chebyshev nodes in log x (`fitted` marks the rows fitted so
+    far): one series per row from a cosine transform, re-expanded onto
+    fixed panels and checked through the bank's own series against the
+    quadrature at 257 probes.  A row depends on its r and x_min alone: it
+    is bit for bit the row of a one-row bank and never changes once fitted.
+    A call is one degree-16 Clenshaw pass, O(1) values with absolute
+    accuracy ~2e-14 from x_min = 2 and ~4e-12 from x_min = 1e-3.
     """
 
     def __init__(self, rs, x_min: float):
@@ -262,41 +265,17 @@ class KBesselBank:
             raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
         # interpolate in u = log x: near zero the rescaled Bessel is a clean
         # cosine of u, and the e^{-x} roll-off stays resolvable
-        u_lo = math.log(self.x_min)
+        self._u_lo = u_lo = math.log(self.x_min)
         u_hi = np.array([math.log(h) for h in self.fit_hi])
         self._u_sum, self._u_span = u_lo + u_hi, u_hi - u_lo
         self.deg = (160 + 10.0 * (self.r * (u_hi - u_lo) / (2.0 * np.pi))
                     + 2.5 * self.fit_hi).astype(int)
         self._panels = np.zeros((_PANEL_DEGREE + 1, _PANELS * len(self.r)))
-        if len(self.r):
-            self._fit(u_lo, u_hi)
+        self.fitted = np.zeros(len(self.r), dtype=bool)
 
-    @classmethod
-    def stack(cls, banks) -> KBesselBank:
-        """The bank whose rows are the rows of `banks`, in order; they must
-        share x_min.  Nothing is refitted, and evaluation gathers per entry,
-        so every value is bit for bit the one its own bank gives."""
-        banks = tuple(banks)
-        x_min = {bank.x_min for bank in banks}
-        if len(x_min) != 1:
-            raise ValueError(f"banks to stack must share one x_min, got {sorted(x_min)}")
-        out = cls.__new__(cls)
-        out.x_min = x_min.pop()
-        for attr in ("r", "fit_hi", "_u_sum", "_u_span", "deg"):
-            setattr(out, attr, np.concatenate([getattr(bank, attr) for bank in banks]))
-        out._panels = np.concatenate([bank._panels for bank in banks], axis=1)
-        return out
-
-    def _fit(self, u_lo: float, u_hi: np.ndarray) -> None:
-        n = len(self.r)
-        # one quadrature pass over every row's first-kind Chebyshev nodes and
-        # its 257 probes for the interpolation check, both ends included
-        sizes = self.deg + 1
-        nodes = [np.exp(0.5 * (hi - u_lo) * (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) + u_lo)
-                 for hi, m in zip(u_hi, sizes)]
-        probes = np.geomspace(self.x_min, self.fit_hi, 257, axis=1).ravel()
-        rows = np.concatenate((np.repeat(np.arange(n), sizes), np.repeat(np.arange(n), 257)))
-        vals = kbessel_quad(self.r[rows], np.concatenate(nodes + [probes]))
+    def _fit(self, rows: np.ndarray) -> None:
+        """Fit the distinct unfitted rows with one quadrature call per
+        _FIT_BLOCK of them, at their Chebyshev nodes and 257 probes each."""
         # row by row, so that the re-expansion mixes no rows: the
         # Chebyshev coefficients are the cosine transform of the node values,
         # an FFT of them mirrored to length 2m; the series is re-expanded on
@@ -305,27 +284,34 @@ class KBesselBank:
         k = np.arange(_PANEL_DEGREE + 1)
         theta = np.pi * (k + 0.5) / len(k)
         u = (np.arange(_PANELS)[:, None] + 0.5 * (np.cos(theta) + 1.0)) * (2.0 / _PANELS) - 1.0
-        t_k = np.cos(np.outer(np.arccos(u.ravel()), np.arange(np.max(sizes))))
+        t_k = np.cos(np.outer(np.arccos(u.ravel()), np.arange(np.max(self.deg[rows]) + 1)))
         to_panels = (2.0 / len(k)) * np.cos(np.outer(k, theta))
         to_panels[0] *= 0.5
-        blocks = []
-        for f in np.split(vals[:-len(probes)], np.cumsum(sizes)[:-1]):
-            m = len(f)
-            spec = np.fft.rfft(np.concatenate((f, f[::-1])))[:m]
-            coef = (np.exp(-0.5j * np.pi * np.arange(m) / m) * spec).real / m
-            coef[0] *= 0.5
-            blocks.append(to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
-        self._panels = np.concatenate(blocks, axis=1)
-        err = np.abs(self(rows[-len(probes):], probes) - vals[-len(probes):])
-        err = err.reshape(n, 257).max(axis=1)
-        if np.max(err) > 1e-9:
-            raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[np.argmax(err)]}: "
-                               f"max error {np.max(err):.2e}")
+        for a in range(0, len(rows), _FIT_BLOCK):
+            block = rows[a:a + _FIT_BLOCK]
+            sizes = self.deg[block] + 1
+            nodes = [np.exp(du / 2 * (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) + self._u_lo)
+                     for du, m in zip(self._u_span[block], sizes)]
+            probes = np.geomspace(self.x_min, self.fit_hi[block], 257, axis=1).ravel()
+            at = np.concatenate((np.repeat(block, sizes), np.repeat(block, 257)))
+            vals = kbessel_quad(self.r[at], np.concatenate(nodes + [probes]))
+            for j, f in zip(block, np.split(vals[:-len(probes)], np.cumsum(sizes)[:-1])):
+                m = len(f)
+                spec = np.fft.rfft(np.concatenate((f, f[::-1])))[:m]
+                coef = (np.exp(-0.5j * np.pi * np.arange(m) / m) * spec).real / m
+                coef[0] *= 0.5
+                self._panels[:, j * _PANELS:(j + 1) * _PANELS] = (
+                    to_panels @ (t_k[:, :m] @ coef).reshape(_PANELS, len(k)).T)
+            err = np.abs(self._series(at[-len(probes):], probes) - vals[-len(probes):])
+            if np.max(err) > 1e-9:
+                j = block[np.argmax(err) // 257]
+                raise RuntimeError(f"K-Bessel interpolation failed for R={self.r[j]}: "
+                                   f"max error {np.max(err):.2e}")
+            self.fitted[block] = True
 
     def __call__(self, rows, x) -> np.ndarray:
         """Rescaled values at (row, argument) entries, rows broadcast against
-        x: per entry the panel of its row's normalized log x, then a Clenshaw
-        recurrence on coefficients gathered at row * _PANELS + panel."""
+        x; the rows not fitted yet are fitted first."""
         rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
                                       np.atleast_1d(np.asarray(x, dtype=float)))
         x_lo = x.min(initial=np.inf)
@@ -337,6 +323,14 @@ class KBesselBank:
             j = rows[past][0]
             raise ValueError(f"argument {x[past][0]} past fit_hi={self.fit_hi[j]} of the row "
                              f"r={self.r[j]}")
+        if not self.fitted.all() and len(new := np.unique(rows[~self.fitted[rows]])):
+            self._fit(new)
+        return self._series(rows, x)
+
+    def _series(self, rows, x) -> np.ndarray:
+        """The fitted rows' series at (row, argument) entries: per entry the
+        panel of its row's normalized log x, then a Clenshaw recurrence on
+        coefficients gathered at row * _PANELS + panel."""
         s = ((2.0 * np.log(x) - self._u_sum[rows]) / self._u_span[rows] + 1.0) * (0.5 * _PANELS)
         p = np.minimum(np.maximum(s.astype(np.intp), 0), _PANELS - 1)
         v, idx = 2.0 * (s - p) - 1.0, rows * _PANELS + p

@@ -29,16 +29,15 @@ NODES_MAX = 2048  # Eisenstein nodes fitted at most: ~5 ms and ~6.5 KB of panels
 class SpectralGrid:
     """Discretized spectral parameter space.
 
-    Immutable after construction.  Its `table` (forms.BasisTable, built and
-    checked once here and shared read-only) evaluates the cusp forms and the
-    continuous nodes, one K-Bessel bank row each, so that a basis evaluation
-    is one Fourier sum over both families.
+    Rows fitted on first use; a fitted row never changes.  Its `table`
+    (forms.BasisTable, built and checked here) evaluates the cusp forms and
+    the continuous nodes, one K-Bessel bank row each, so that a basis
+    evaluation is one Fourier sum over both families.
     Coefficient vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...], and so
     are the per-entry arrays set at construction: the eigenvalues `lambdas`
-    (always <= 0), the integration `weights` (1 on the discrete part, w_j on
-    the nodes) and `basis_at_i`, the basis column at i (the odd cusp forms
-    vanish there).
+    (always <= 0) and the integration `weights` (1 on the discrete part, w_j
+    on the nodes).
     """
 
     cusp_forms: tuple[MaassFormData, ...]
@@ -47,8 +46,8 @@ class SpectralGrid:
     r_max: float
     lambdas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
-    basis_at_i: np.ndarray = field(init=False, repr=False)
     table: BasisTable = field(init=False, repr=False)  # rows: cusp forms, then nodes
+    _at_i: np.ndarray = field(init=False, repr=False)  # basis_at_i(); NaN until evaluated
 
     @property
     def n_cusp(self) -> int:
@@ -69,8 +68,18 @@ class SpectralGrid:
         w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
         object.__setattr__(self, "weights", w)
         self.table.check()
-        object.__setattr__(self, "basis_at_i", self.basis_rows(
-            np.array([0.0]), np.array([1.0]), np.ones(self.size, dtype=bool))[:, 0])
+        object.__setattr__(self, "_at_i", np.full(self.size, np.nan))
+
+    def basis_at_i(self, rows=slice(None)) -> np.ndarray:
+        """The basis column at i (the odd cusp forms vanish there) on the
+        entries `rows` (all by default), each evaluated on first request."""
+        rows = np.arange(self.size)[rows]
+        new = rows[np.isnan(self._at_i[rows])]
+        if len(new):
+            live = np.zeros(self.size, dtype=bool)
+            live[new] = True
+            self._at_i[new] = self.basis_rows(np.array([0.0]), np.array([1.0]), live)[new, 0]
+        return self._at_i[rows]
 
     def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Real unitary-frame basis values at reduced points, shape (size,

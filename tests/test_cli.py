@@ -46,7 +46,7 @@ GOLDEN = {
         "1.424703023814e+05\n")),
     "verify oracle --norm-bound 160": (0, (
         "check                                              measured        bound status\n"
-        "oracle agreement t=0.5 z=0.0+1.0i (B=160)      3.363154e-15    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.0+1.0i (B=160)      3.194996e-15    1.000e-03 pass\n"
         "oracle agreement t=0.5 z=0.0+2.0i (B=160)      4.335609e-15    1.000e-03 pass\n"
         "oracle agreement t=0.5 z=0.25+1.3i (B=160)     2.061382e-15    1.000e-03 pass\n"
         "oracle agreement t=1.0 z=0.0+1.0i (B=160)      4.250972e-13    1.000e-03 pass\n"
@@ -82,7 +82,7 @@ GOLDEN = {
         "gap(1e-4) / gap(1)                             2.709990e-03    1.000e-02 pass\n"
         "uniqueness: evolved gap <= initial gap        -5.782193e-03    1.000e-13 pass\n"
         "euler-vs-exact first-order ratio               2.000327e+00    2.200e+00 pass\n"
-        "oracle agreement t=0.5 z=0.0+1.0i (B=25)       5.802927e-10    1.000e-03 pass\n"
+        "oracle agreement t=0.5 z=0.0+1.0i (B=25)       5.802929e-10    1.000e-03 pass\n"
         "oracle agreement t=0.5 z=0.0+2.0i (B=25)       2.770669e-09    1.000e-03 pass\n"
         "oracle agreement t=0.5 z=0.25+1.3i (B=25)      1.255919e-09    1.000e-03 pass\n"
         "oracle agreement t=1.0 z=0.0+1.0i (B=25)       7.876227e-06    1.000e-03 pass\n"
@@ -266,7 +266,7 @@ class TestEval:
         # the value: exit 2, and the record prints as before
         assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e4"]) == 2
         assert capsys.readouterr().out == EVAL_HEADER + (
-            "1.000000000000e+00,0.000000000000e+00,1.000000000000e+04,2.777671337384e-08,"
+            "1.000000000000e+00,0.000000000000e+00,1.000000000000e+04,2.777671348486e-08,"
             "0.000000000000e+00,9.549296585514e-01,-9.549296307747e-01,8.000631800194e-63\n")
 
     def test_json_mirrors_csv_fields(self, grid, capsys):

@@ -127,8 +127,8 @@ class TestBuildGrid:
 class TestKBesselBanks:
     def test_fresh_default_grid_runs_one_quadrature_fill_per_bank(self, monkeypatch):
         # loading the data parses it and fits nothing; building the default
-        # grid runs one quadrature pass for the cusp forms' bank and one for
-        # the Eisenstein nodes', which the grid's one bank stacks
+        # grid fits the 22 cusp rows, which its data check needs, in one
+        # quadrature call, and leaves every Eisenstein row to its first use
         calls = []
         kbessel_quad = special.kbessel_quad
 
@@ -141,45 +141,47 @@ class TestKBesselBanks:
         data = load_maass_data(cfg.resolve_data_path())
         assert len(calls) == 0
         grid = build_grid(data, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
-        assert len(calls) == 2
         bank, n = grid.table.bank, grid.n_cusp
-        for family, count in zip((slice(None, n), slice(n, None)), calls):
-            assert count == int(np.sum(bank.deg[family] + 1)) + 257 * len(bank.r[family])
+        assert n == 22 and np.array_equal(bank.fitted, np.arange(len(bank.r)) < n)
+        assert calls == [int(np.sum(bank.deg[:n] + 1)) + 257 * n] == [15526]
 
     def test_rows_are_independent(self, grid):
-        # a one-row bank fits its row as the grid's bank does, at the first,
-        # middle and last row of each family
-        bank, n = grid.table.bank, grid.n_cusp
-        for j in (0, n // 2, n - 1, n, (n + len(bank.r)) // 2, len(bank.r) - 1):
-            one = special.KBesselBank(bank.r[j:j + 1], bank.x_min)
-            row = bank._panels[:, j * special._PANELS:(j + 1) * special._PANELS]
-            assert np.max(np.abs(one._panels - row)) <= 1e-15
+        # every row of the default grid's bank, fitted with all the others,
+        # with all of them in reversed order, or in a random half, holds the
+        # panels of a one-row bank of its r, bit for bit
+        r, p = grid.table.bank.r, special._PANELS
+        ones = [special.KBesselBank(r[j:j + 1], 2.0) for j in range(len(r))]
+        for one in ones:
+            one(0, 2.0)
+        whole, backward, half = (special.KBesselBank(rs, 2.0) for rs in (r, r[::-1], r))
+        whole(np.arange(len(r)), 2.0)
+        backward(np.arange(len(r)), 2.0)
+        some = np.sort(np.random.default_rng(32).permutation(len(r))[:len(r) // 2])
+        half(some, 2.0)
+        assert np.array_equal(np.flatnonzero(half.fitted), some)
+        for bank, rows in ((whole, range(len(r))), (half, some)):
+            for j in rows:
+                assert np.array_equal(bank._panels[:, j * p:(j + 1) * p], ones[j]._panels)
+        for j in range(len(r)):
+            k = len(r) - 1 - j
+            assert np.array_equal(backward._panels[:, k * p:(k + 1) * p], ones[j]._panels)
 
-    def test_stacked_bank_values_equal_family_banks(self, grid):
-        # the stacked bank answers each row with the bits of its own bank
-        # over the whole range [2, fit_hi], and refuses an argument past a
-        # row's fit_hi as that row's bank does
-        banks = (special.KBesselBank([f.r for f in grid.cusp_forms], 2.0),
-                 special.KBesselBank(grid.eisenstein_r[::8], 2.0))
-        both = special.KBesselBank.stack(banks)
-        assert np.array_equal(both.r, np.concatenate([b.r for b in banks]))
+    def test_bank_values_equal_one_row_banks(self, grid):
+        # the grid's one bank answers each row of each family with the bits
+        # of a one-row bank over the whole range [2, fit_hi], and refuses an
+        # argument past a row's fit_hi with that row's r
+        bank, n = grid.table.bank, grid.n_cusp
         rng = np.random.default_rng(31)
-        offset = 0
-        for bank in banks:
-            rows = rng.integers(0, len(bank.r), 400)
+        for family in (np.arange(n), np.arange(n, len(bank.r), 8)):
+            rows = rng.choice(family, 400)
             x = np.exp(rng.uniform(np.log(2.0), np.log(bank.fit_hi[rows])))
             x[:2] = 2.0, bank.fit_hi[rows[1]]  # both ends of the range
-            assert np.array_equal(both(rows + offset, x), bank(rows, x))
+            ones = {j: special.KBesselBank(bank.r[j:j + 1], 2.0) for j in np.unique(rows)}
+            want = np.array([ones[j](0, xk)[0] for j, xk in zip(rows, x)])
+            assert np.array_equal(bank(rows, x), want)
             past = np.append(x, bank.fit_hi[rows[0]] + 1e-9)
-            for call, at in ((both, rows + offset), (bank, rows)):
-                with pytest.raises(ValueError, match=f"of the row r={bank.r[rows[0]]}"):
-                    call(np.append(at, at[0]), past)
-            offset += len(bank.r)
-
-    def test_stack_refuses_mismatched_x_min(self, grid):
-        other = special.KBesselBank((3.0,), x_min=1.0)
-        with pytest.raises(ValueError, match="share one x_min"):
-            special.KBesselBank.stack((grid.table.bank, other))
+            with pytest.raises(ValueError, match=f"of the row r={bank.r[rows[0]]}"):
+                bank(np.append(rows, rows[0]), past)
 
     @pytest.mark.parametrize("which", ["grid", "tiny_grid", "residual_only_grid"])
     def test_basis_rows_equal_family_evaluations(self, which, request):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from autoheat import forms, synthesis
-from autoheat.heat import heat_coefficients, profile
+from autoheat import forms, special, synthesis, verify
+from autoheat.config import RunConfig
+from autoheat.heat import _damping, heat_coefficients, profile
 from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
 from autoheat.oracle import periodized_oracle
 from autoheat.sobolev import (
+    CoeffFn,
     apply_generator,
     basis_values,
     sobolev_weights,
@@ -199,6 +201,59 @@ class TestNegligibleRows:
                                   wc @ grid.basis_rows(x, y, wc != 0.0))
 
 
+class TestRowsOnFirstUse:
+    """A fresh grid fits its Eisenstein rows on first use.  The heat data
+    choose their rows before any fit, and the rows they choose must hold
+    every row the synthesis keeps, with the terms of a fully fitted grid."""
+
+    @staticmethod
+    def _fresh(dataset):
+        cfg = RunConfig()
+        return build_grid(dataset, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
+
+    def test_cold_golden_eval_fits_few_rows(self, dataset):
+        # 22 cusp rows for the data check and 94 of the 160 nodes at t = 1
+        grid = self._fresh(dataset)
+        rep = evaluate_heat_kernel(1.0, HPoint(0.25, 1.3), grid)
+        assert f"{rep.value.real:.12e}" == "1.132857050437e+00"
+        assert grid.n_cusp == 22 and np.count_nonzero(grid.table.bank.fitted) <= 22 + 96
+
+    @pytest.mark.parametrize("t", [0.2, 0.35, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_heat_data_hold_every_live_row(self, t, dataset, grid):
+        # synthesis_rows keeps the same rows from the heat data of a fresh
+        # grid as from the whole column at i, every one of them fitted, and
+        # their terms are bit for bit those of the whole column
+        fresh = self._fresh(dataset)
+        lazy = heat_coefficients(t, fresh).coeffs
+        fitted = np.insert(fresh.table.bank.fitted, fresh.n_cusp, True)
+        full = CoeffFn(grid, grid.basis_at_i() * _damping(grid, t))
+        for y in (0.87, 1.3, 6.0, 1e3):
+            live = synthesis_rows(lazy, np.array([y]))
+            assert np.array_equal(live, synthesis_rows(full, np.array([y])))
+            assert np.all(fitted[live])
+            assert np.array_equal(lazy.values[live], full.values[live])
+
+    def test_repeated_eval_runs_no_quadrature(self, dataset, monkeypatch):
+        grid = self._fresh(dataset)
+        first = evaluate_heat_kernel(1.0, HPoint(0.25, 1.3), grid)
+        monkeypatch.setattr(special, "kbessel_quad", None)
+        assert evaluate_heat_kernel(1.0, HPoint(0.25, 1.3), grid) == first
+
+    def test_verify_rows_do_not_depend_on_the_fill(self, dataset):
+        # the verify suites print the same rows on a fresh grid that they
+        # fill as they go (the oracle suite first) as on a fully fitted grid
+        lazy, full = self._fresh(dataset), self._fresh(dataset)
+        assert full.basis_at_i().shape == (full.size,) and full.table.bank.fitted.all()
+        suites = {"sobolev": verify.sobolev_suite, "semigroup": verify.semigroup_suite,
+                  "heat": verify.heat_suite,
+                  "oracle": lambda g: verify.oracle_suite(g, RunConfig().oracle_norm_bound)}
+
+        def rows(grid, order):
+            return {name: [check.row() for check in suites[name](grid)] for name in order}
+
+        assert rows(lazy, ["oracle", "heat", "sobolev", "semigroup"]) == rows(full, suites)
+
+
 class TestTranslationToPhysicalSide:
     def test_generator_image_synthesizes_to_the_laplacian(self, grid):
         # two routes to Delta U(t): apply the multiplication under the
@@ -253,7 +308,7 @@ class TestMassConservation:
         # form over the domain, and land back on the residual coefficient
         quad = QuadSpec(nx=72, y_panels=30, ny_per_panel=18, y_max=2e5)
         x, y, w = quad.nodes()
-        constant = grid.basis_at_i[grid.n_cusp]
+        constant = grid.basis_at_i([grid.n_cusp])[0]
         masses = []
         for t in (0.7, 1.5):
             vals = synthesize_values(heat_coefficients(t, grid).coeffs, x, y).real

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the package's calls by stage.
 
-Five calls, each repeated, as STAGES lists them: `build_grid` of the
-default grid with its data load (the K-Bessel quadrature of both bank fits
-also per fitted row), a seeded sweep of 120 `evaluate_heat_kernel` points
+Five calls, each repeated, as STAGES lists them: a cold evaluation, the
+default grid with its data load built afresh and evaluated at the golden
+point t = 1, z = 0.25 + 1.3i (the set-up the benchmark times; the grid
+fits only the bank rows the point uses, and the K-Bessel quadrature is
+also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel` points
 (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
 [-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
 first time, both per point, a bound-160 `periodized_oracle`, and a
@@ -33,8 +35,9 @@ from autoheat import (config, forms, heat, oracle, sobolev, special,  # noqa: E4
 from autoheat.hyperbolic import HPoint  # noqa: E402
 from autoheat.spectral_model import SpectralGrid  # noqa: E402
 
-REPEATS = 21  # of every call but the build
+REPEATS = 21  # of every call but the cold one
 SEED, TIMES, PER_TIME, FIELD_POINTS = 21, 6, 20, 500
+COLD = "evaluate_heat_kernel(1, 0.25 + 1.3i)"
 SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
 
 # Per call: its title, its repeats, its stages ((namespace, name), a module
@@ -42,14 +45,14 @@ SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
 # second label for the callable the function returns), what the rest of
 # the call is, and the count of points its medians are divided by.
 STAGES = {
-    "build": ("build_grid(load_maass_data(path), 12.0, 5, 32)", 7, {
+    "cold": (f"{COLD} on a fresh build_grid(load_maass_data(path), 12.0, 5, 32)", 7, {
         (forms, "load_maass_data"): ("load_maass_data",),
         (forms, "xi_line"): ("xi_line",),
         (special, "kbessel_quad"): ("kbessel_quad",),
         (forms, "_norm_squares"): ("_norm_squares",),
         (forms, "_hecke_defect"): ("_hecke_defect",),
         (SpectralGrid, "basis_rows"): ("SpectralGrid.basis_rows",)},
-        "re-expansion, checks, stacking", 1),
+        "re-expansion, checks, the rest", 1),
     "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
         **{(synthesis, name): (name,) for name in
            ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows")},
@@ -125,8 +128,14 @@ def main() -> None:
     points = [(float(t), HPoint(float(x), float(y)))
               for t, row_x, row_y in zip(ts, xs, ys) for x, y in zip(row_x, row_y)]
     fx, fy = rng.uniform(-0.5, 0.5, FIELD_POINTS), rng.uniform(1.0, 6.0, FIELD_POINTS)
+    fresh = []  # the grid of the last cold call
+
+    def cold():
+        fresh[:] = [spectral_model.build_grid(forms.load_maass_data(path), 12.0, 5, 32)]
+        synthesis.evaluate_heat_kernel(1.0, HPoint(0.25, 1.3), fresh[0])
+
     calls = {
-        "build": lambda: spectral_model.build_grid(forms.load_maass_data(path), 12.0, 5, 32),
+        "cold": cold,
         "sweep": lambda: [synthesis.evaluate_heat_kernel(t, z, grid) for t, z in points],
         "field": lambda: sobolev.synthesize_values(
             heat.heat_coefficients(float(ts[0]), grid).coeffs, fx, fy),
@@ -138,8 +147,10 @@ def main() -> None:
         medians, faults = staged(call, stages, repeats)
         medians = {label: v / per for label, v in medians.items()}
         report(title, medians, faults, rest, repeats)
-        if key == "build":
-            rows = len(grid.table.bank.r)
+        if key == "cold":
+            bank = fresh[0].table.bank
+            rows = int(np.count_nonzero(bank.fitted))
+            print(f"  rows fitted: {rows} of {len(bank.r)}")
             print(f"  {f'kbessel_quad per fitted row ({rows})':34s} "
                   f"{medians['kbessel_quad'] / rows:10.1f} us")
 
