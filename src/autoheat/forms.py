@@ -189,9 +189,10 @@ class BasisTable:
     and inversion defect `inversion`, max |u(z) - u(-1/z)| at
     _INVERSION_POINTS (off x = 0, where odd forms vanish; every height at
     least sqrt(3)/2) through the expansion as given; check() refuses a form
-    over the bounds; this fits every cusp row.  `node_bound_at_i` bounds
-    each node's |E(i)| before any fit by 2 + (4/|xi(1+2ir)|) sum_n d(n)
-    K_0(2 pi n), as |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0."""
+    over the bounds; this fits every cusp row.  `bounds_at_i` holds, per
+    node and before any fit, bounds 2 |cos arg xi(1+2ir)| - F <= |E(i)| <=
+    2 + F, F = (4/|xi(1+2ir)|) sum_n d(n) K_0(2 pi n): at i the constant
+    term is 2 cos arg xi, |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
@@ -203,9 +204,10 @@ class BasisTable:
         # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
         self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
                                for v, r in zip(xi, nodes)])
-        n = np.arange(1, m + 1)  # K_0(2 pi n) <= e^{-2 pi n}/(2 sqrt n); the d(n) are r = 0's
+        n = np.arange(1, m + 1)  # d(n), the multipliers at r = 0; K_0(x) <= sqrt(pi/2x) e^{-x}
         k0 = np.sum(_divisor_table(np.zeros(1), m)[0] * np.exp(-2.0 * math.pi * n) / np.sqrt(4 * n))
-        self.node_bound_at_i = 2.0 + 4.0 / np.abs(np.array(xi, dtype=complex)) * k0
+        fb = 4.0 / np.abs(np.array(xi, dtype=complex)) * k0  # F, the Fourier part's bound at i
+        self.bounds_at_i = (np.maximum(2.0 * np.abs(np.cos(self._arg_xi)) - fb, 0.0), 2.0 + fb)
         self.bank = KBesselBank(np.concatenate(([f.r for f in forms], nodes)), _KBESSEL_X_MIN)
         self.coeffs = np.zeros((len(self.bank.r), max([m] + [f.n_coeffs for f in forms])))
         for j, f in enumerate(forms):

@@ -59,16 +59,15 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
 def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     """Spectral heat-kernel data at time t: the delta data times e^{lambda t}
     where sobolev.synthesis_rows can keep them, 0 elsewhere (as where it
-    underflows): the cusp forms, the constant, the last node (the tail
-    estimate reads it) and, chosen before any fit, each node whose bound
-    w e^{lambda t} |E(i)| (forms.BasisTable.node_bound_at_i) reaches NEGLIGIBLE
-    of the largest term of the nodes bounded within half the top bound."""
+    underflows), chosen before any fit: the cusp forms, the constant, the
+    last node (the tail estimate reads it) and each node whose largest term
+    w e^{lambda t} |E(i)| is nonzero (5e-324 is the least double) and can
+    reach NEGLIGIBLE of the largest node term (forms.BasisTable.bounds_at_i)."""
     damp, n = _damping(grid, t), grid.n_cusp
-    bound = grid.eisenstein_w * damp[n + 1:] * grid.table.node_bound_at_i
-    top = n + 1 + np.flatnonzero((bound > 0.0) & (bound >= 0.5 * bound.max(initial=0.0)))
-    largest = np.max(np.abs(grid.weights[top] * (grid.basis_at_i(top) * damp[top])), initial=0.0)
-    # the least double as the floor: a zero bound is never kept
-    keep = np.concatenate([np.ones(n + 1, dtype=bool), bound >= (NEGLIGIBLE * largest or 5e-324)])
+    lo, hi = grid.table.bounds_at_i
+    w = grid.eisenstein_w * damp[n + 1:]
+    keep = np.ones(grid.size, dtype=bool)
+    keep[n + 1:] = w * hi >= (NEGLIGIBLE * np.max(w * lo, initial=0.0) or 5e-324)
     keep[-1] = True
     values = np.zeros(grid.size)
     values[keep] = grid.basis_at_i(keep) * damp[keep]

@@ -73,13 +73,12 @@ class SpectralGrid:
     def basis_at_i(self, rows=slice(None)) -> np.ndarray:
         """The basis column at i (the odd cusp forms vanish there) on the
         entries `rows` (all by default), each evaluated on first request."""
-        rows = np.arange(self.size)[rows]
-        new = rows[np.isnan(self._at_i[rows])]
-        if len(new):
+        if np.isnan(col := self._at_i[rows]).any():
             live = np.zeros(self.size, dtype=bool)
-            live[new] = True
-            self._at_i[new] = self.basis_rows(np.array([0.0]), np.array([1.0]), live)[new, 0]
-        return self._at_i[rows]
+            live[rows] = np.isnan(col)
+            self._at_i[live] = self.basis_rows(np.array([0.0]), np.array([1.0]), live)[live, 0]
+            col = self._at_i[rows]
+        return col
 
     def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Real unitary-frame basis values at reduced points, shape (size,

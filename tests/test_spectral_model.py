@@ -146,16 +146,17 @@ class TestKBesselBanks:
         assert calls == [int(np.sum(bank.deg[:n] + 1)) + 257 * n] == [15526]
 
     def test_rows_are_independent(self, grid):
-        # every row of the default grid's bank, fitted with all the others,
-        # with all of them in reversed order, or in a random half, holds the
-        # panels of a one-row bank of its r, bit for bit
+        # every row of the default grid's bank, fitted as the grid uses it,
+        # with all the others, with all of them in reversed order, or in a
+        # random half, holds the panels of a one-row bank of its r, bit for bit
         r, p = grid.table.bank.r, special._PANELS
         ones = [special.KBesselBank(r[j:j + 1], 2.0) for j in range(len(r))]
         for one in ones:
             one(0, 2.0)
         whole, backward, half = (special.KBesselBank(rs, 2.0) for rs in (r, r[::-1], r))
-        whole(np.arange(len(r)), 2.0)
-        backward(np.arange(len(r)), 2.0)
+        for bank in (grid.table.bank, whole, backward):
+            bank(np.arange(len(r)), 2.0)
+        assert np.array_equal(grid.table.bank._panels, whole._panels)
         some = np.sort(np.random.default_rng(32).permutation(len(r))[:len(r) // 2])
         half(some, 2.0)
         assert np.array_equal(np.flatnonzero(half.fitted), some)

@@ -4,9 +4,10 @@
 Five calls, each repeated, as STAGES lists them: a cold evaluation, the
 default grid with its data load built afresh and evaluated at the golden
 point t = 1, z = 0.25 + 1.3i (the set-up the benchmark times; the grid
-fits only the bank rows the point uses, and the K-Bessel quadrature is
-also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel` points
-(six times t, log-uniform in [1, 4], of 20 points each, x uniform in
+fits only the bank rows the point uses, inside the norm, the data check
+and the evaluation, so those are not stages; the K-Bessel quadrature is
+also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel`
+points (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
 [-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
 first time, both per point, a bound-160 `periodized_oracle`, and a
 bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
@@ -49,10 +50,8 @@ STAGES = {
         (forms, "load_maass_data"): ("load_maass_data",),
         (forms, "xi_line"): ("xi_line",),
         (special, "kbessel_quad"): ("kbessel_quad",),
-        (forms, "_norm_squares"): ("_norm_squares",),
-        (forms, "_hecke_defect"): ("_hecke_defect",),
-        (SpectralGrid, "basis_rows"): ("SpectralGrid.basis_rows",)},
-        "re-expansion, checks, the rest", 1),
+        (forms, "_hecke_defect"): ("_hecke_defect",)},
+        "re-expansion, checks, Fourier sums", 1),
     "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
         **{(synthesis, name): (name,) for name in
            ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows")},
