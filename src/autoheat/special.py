@@ -109,7 +109,7 @@ _QUAD_ELEMENTS = 2 ** 14  # (entry, node) pairs per quadrature pass: bounds its 
 _X_MIN = 1e-3  # smallest argument bessel_k_imag answers for
 _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
-_FIT_BLOCK = 64  # bank rows per quadrature call of a fit: bounds its arrays
+_FIT_BLOCK = 128  # bank rows per quadrature call of a fit: bounds its arrays
 
 
 # one eigenvalue solve per rule size and process; the arrays are shared, so
