@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import autoheat
-from autoheat import cli
+from autoheat import cli, verify
 from autoheat.config import RunConfig, build_config, parse_config_file
 
 EVAL_HEADER = "t,x,y,value,cusp_part,residual_part,eisenstein_part,tail_estimate\n"
@@ -44,6 +44,11 @@ GOLDEN = {
         "1.021597002136e+02\n"
         "1.000000000000e-01,1.060531902354e-01,1.298657521013e+00,7.456537362014e+01,"
         "1.424703023814e+05\n")),
+    "profile --t-list 1,0.5,0.1 --format json": (0, (
+        '[{"t": 1.0, "gap": 0.2751641897158, "s0": 1.016597274802, "s4": 1.429789475705, '
+        '"s8": 9.585117729127}, {"t": 0.5, "gap": 0.2133058158928, "s0": 1.068565315846, '
+        '"s4": 3.27791755627, "s8": 102.1597002136}, {"t": 0.1, "gap": 0.1060531902354, '
+        '"s0": 1.298657521013, "s4": 74.56537362014, "s8": 142470.3023814}]\n')),
     "verify oracle --norm-bound 160": (0, (
         "check                                              measured        bound status\n"
         "oracle agreement t=0.5 z=0.0+1.0i (B=160)      3.194996e-15    1.000e-03 pass\n"
@@ -297,6 +302,13 @@ class TestVerify:
             cli.main(["verify", "heat", "sobolev"])
         assert exc.value.code == 64
 
+    def test_run_suite_refuses_an_unknown_name(self, monkeypatch):
+        monkeypatch.setattr(verify, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        with pytest.raises(ValueError) as exc:
+            verify.run_suite("nosuch", RunConfig())
+        assert str(exc.value) == ("unknown suite 'nosuch' "
+                                  "(choose from sobolev, semigroup, heat, oracle, all)")
+
     def test_sobolev_suite_passes(self, grid, capsys):
         code = cli.main(["verify", "sobolev"])
         out = capsys.readouterr().out
@@ -350,6 +362,14 @@ class TestProfile:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "finite and positive" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--t-list 1,a", "error: --t-list must be comma-separated numbers\n"),
+        ("--t-list 1 --s-list 0,x", "error: --s-list must be comma-separated integers\n")])
+    def test_unparsed_lists_are_usage_errors(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "grid_for_config", lambda cfg: pytest.fail("grid built"))
+        assert cli.main(["profile", *argv.split()]) == 64
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_repeated_index_is_usage_error(self, monkeypatch, capsys, fmt):

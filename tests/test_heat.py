@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from autoheat.heat import (
+    HeatState,
     euler_error,
     heat_coefficients,
     heat_equation_residual,
@@ -44,6 +45,11 @@ class TestHeatCoefficients:
     def test_negative_time_rejected(self, grid):
         with pytest.raises(ValueError):
             heat_coefficients(-0.5, grid)
+
+    def test_negative_time_state_refused(self, tiny_grid):
+        with pytest.raises(ValueError) as exc:
+            HeatState(-1.0, CoeffFn(tiny_grid, np.zeros(tiny_grid.size)))
+        assert str(exc.value) == "heat flow is one-sided: t >= 0"
 
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, tiny_grid, t):
@@ -122,6 +128,11 @@ class TestInitialCondition:
         for t in (0.1, 0.01):
             assert initial_condition_gap(t, grid) <= t * bound
 
+    def test_gap_refused_at_time_zero(self, tiny_grid):
+        with pytest.raises(ValueError) as exc:
+            initial_condition_gap(0.0, tiny_grid)
+        assert str(exc.value) == "the gap is defined for t > 0"
+
     def test_profile_rows(self, grid):
         # t = 0 is allowed for contrast: the heat data are the delta data
         rows = profile([0.0, 0.5], [0, -2], grid)
@@ -149,6 +160,16 @@ class TestUniqueness:
         e1 = euler_error(0.5, 1024, grid)
         e2 = euler_error(0.5, 2048, grid)
         assert 1.8 <= e1 / e2 <= 2.2
+
+    def test_data_on_two_grids_refused(self, tiny_grid, residual_only_grid):
+        with pytest.raises(ValueError) as exc:
+            uniqueness_gap(rand_fn(tiny_grid), rand_fn(residual_only_grid), 1.0, -2)
+        assert str(exc.value) == "initial data live on different grids"
+
+    def test_euler_needs_a_step(self, tiny_grid):
+        with pytest.raises(ValueError) as exc:
+            euler_error(1.0, 0, tiny_grid)
+        assert str(exc.value) == "at least one step"
 
     def test_euler_stability_guard(self, grid):
         with pytest.raises(ValueError, match="step too large"):

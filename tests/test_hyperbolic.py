@@ -57,6 +57,14 @@ class TestReduction:
             HPoint(x, y)
 
 
+class TestHPoint:
+    def test_from_complex(self):
+        for z, want in ((0.25 + 1.3j, (0.25, 1.3)), (np.complex128(1j), (0.0, 1.0))):
+            p = HPoint.from_complex(z)
+            assert (p.x, p.y) == want and type(p.x) is float and type(p.y) is float
+            assert p.z == complex(z)
+
+
 class TestDistance:
     def test_translation_distance(self):
         # cosh d(i, i+1) = 1 + 1/2
@@ -70,6 +78,14 @@ class TestDistance:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("spec, message", [
+        (dict(y_max=1.0), "height cutoff must clear the arc: y_max > 1"),
+        (dict(nx=0), "quadrature sizes must be positive")])
+    def test_refusals(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            QuadSpec(**spec)
+        assert str(exc.value) == message
+
     def test_volume(self):
         vol = float(np.sum(QuadSpec(nx=64, y_panels=24, ny_per_panel=12, y_max=4000.0).nodes()[2]))
         # remaining defect is the analytic cusp tail 1/y_max of the default spec

@@ -124,6 +124,12 @@ class TestPlaneHeatKernel:
             ref = _plane_kernel_mpmath(t, r)
             assert abs(v - ref) < 1e-13 * ref, (t, r)
 
+    def test_rejects_negative_distance(self, monkeypatch):
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError) as exc:
+            heat_kernel_plane(1.0, [0.5, -1.0])
+        assert str(exc.value) == "distances are nonnegative"
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             heat_kernel_plane(0.0, [1.0])

@@ -34,6 +34,21 @@ def indicator(grid, index):
     return CoeffFn(grid, vals)
 
 
+class TestCoeffFn:
+    def test_wrong_shape_refused(self, tiny_grid):
+        with pytest.raises(ValueError) as exc:
+            CoeffFn(tiny_grid, np.zeros(3))
+        assert str(exc.value) == "expected 17 values, got shape (3,)"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_values_refused(self, tiny_grid, bad):
+        vals = np.zeros(tiny_grid.size, dtype=complex)
+        vals[-1] = bad
+        with pytest.raises(ValueError) as exc:
+            CoeffFn(tiny_grid, vals)
+        assert str(exc.value) == "coefficient values must be finite"
+
+
 class TestNorms:
     def test_zero_vector(self, tiny_grid):
         z = CoeffFn(tiny_grid, np.zeros(tiny_grid.size))

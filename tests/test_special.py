@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from autoheat import special
 from autoheat.special import (
     KBesselBank,
     bessel_k_imag,
@@ -108,6 +109,40 @@ class TestBesselKImag:
                 bank(0, np.append(xs, past))
 
 
+class TestKBesselBankRefusals:
+    def test_x_min_past_the_fit_range(self):
+        # fit_hi = min(r + 50, pi r / 2 + 45) is 45 at r = 0
+        with pytest.raises(ValueError) as exc:
+            KBesselBank((0.0,), 50.0)
+        assert str(exc.value) == "x_min=50.0 must lie below every row's fit range"
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_argument_not_positive(self, x):
+        # refused before the row is fitted
+        bank = KBesselBank((5.0,), 2.0)
+        with pytest.raises(ValueError) as exc:
+            bank([0, 0], [3.0, x])
+        assert str(exc.value) == "argument of K_{iR} must be positive"
+        assert not bank.fitted.any()
+
+    def test_probe_check_names_the_row(self, monkeypatch):
+        # the 257 probe values, the last of the fit's one quadrature call,
+        # moved by 1e-6 off the series fitted through the nodes
+        quad = special.kbessel_quad
+
+        def perturbed(r, x):
+            vals = quad(r, x)
+            vals[-257:] += 1e-6
+            return vals
+
+        monkeypatch.setattr(special, "kbessel_quad", perturbed)
+        bank = KBesselBank((5.0,), 2.0)
+        with pytest.raises(RuntimeError) as exc:
+            bank(0, 3.0)
+        assert str(exc.value) == "K-Bessel interpolation failed for R=5.0: max error 1.00e-06"
+        assert not bank.fitted.any()
+
+
 class TestKBesselQuad:
     # e^{pi r/2} K_{ir}(x) from mpmath.besselk at 40 digits: the turning point
     # x = r(1 +- 1e-3) and r +- 0.3, the longest segment (r = 26.45 at small
@@ -167,6 +202,14 @@ class TestZetaLine:
             zeta_line(0.0)
         with pytest.raises(ValueError):
             zeta_line(150.0)
+
+    @pytest.mark.parametrize("s, tail_terms, message", [
+        (1, 8, "zeta has a pole at s = 1"),
+        (2, 9, "at most 8 Bernoulli tail terms supported")])
+    def test_euler_maclaurin_refusals(self, s, tail_terms, message):
+        with pytest.raises(ValueError) as exc:
+            zeta_euler_maclaurin(s, tail_terms=tail_terms)
+        assert str(exc.value) == message
 
     def test_xi_line_refused_past_the_zeta_range(self):
         # the Euler-Maclaurin sum is 1.9e-6 off zeta(1 + 400i) (mpmath), so
