@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sobolev import (
-    NEGLIGIBLE,
     CoeffFn,
+    _not_negligible,
     apply_generator,
     apply_resolvent,
     delta_coefficients,
@@ -61,13 +61,13 @@ def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     where sobolev.synthesis_rows can keep them, 0 elsewhere (as where it
     underflows), chosen before any fit: the cusp forms, the constant, the
     last node (the tail estimate reads it) and each node whose largest term
-    w e^{lambda t} |E(i)| is nonzero (5e-324 is the least double) and can
-    reach NEGLIGIBLE of the largest node term (forms.BasisTable.bounds_at_i)."""
+    w e^{lambda t} |E(i)| is nonzero and can reach NEGLIGIBLE of the largest
+    node term (sobolev._not_negligible on forms.BasisTable.bounds_at_i)."""
     damp, n = _damping(grid, t), grid.n_cusp
     lo, hi = grid.table.bounds_at_i
     w = grid.eisenstein_w * damp[n + 1:]
     keep = np.ones(grid.size, dtype=bool)
-    keep[n + 1:] = w * hi >= (NEGLIGIBLE * np.max(w * lo, initial=0.0) or 5e-324)
+    keep[n + 1:] = _not_negligible(w * hi, w * lo)
     keep[-1] = True
     values = np.zeros(grid.size)
     values[keep] = grid.basis_at_i(keep) * damp[keep]

@@ -11,7 +11,6 @@ the heat flow, and (lambda - C)^{-1} is its resolvent for C > 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +24,17 @@ from .spectral_model import SobolevIndex, SpectralGrid
 NEGLIGIBLE = 1e-20
 
 
-@dataclass(frozen=True)
 class CoeffFn:
-    """A complex-valued function on the spectral grid."""
+    """A complex-valued function on the spectral grid, equal only to itself."""
 
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.size,):
-            raise ValueError(f"expected {self.grid.size} values, got shape {vals.shape}")
+    def __init__(self, grid: SpectralGrid, values: np.ndarray):
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != (grid.size,):
+            raise ValueError(f"expected {grid.size} values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficient values must be finite")
-        object.__setattr__(self, "values", vals)
+        self.grid = grid
+        self.values = vals
 
     def with_values(self, values: np.ndarray) -> "CoeffFn":
         return CoeffFn(self.grid, values)
@@ -65,9 +61,8 @@ def sobolev_norm(f: CoeffFn, s: SobolevIndex) -> float:
 
 
 def pairing(f: CoeffFn, g: CoeffFn) -> complex:
-    """Weight-free sesquilinear duality pairing integral f conj(g)."""
-    _same_grid(f, g)
-    return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
+    """Weight-free sesquilinear duality pairing integral f conj(g): index 0."""
+    return pairing_s(f, g, 0)
 
 
 def pairing_s(f: CoeffFn, g: CoeffFn, s: SobolevIndex) -> complex:
@@ -113,8 +108,9 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
-def _not_negligible(bound: np.ndarray) -> np.ndarray:
-    return (bound > 0.0) & (bound >= NEGLIGIBLE * bound.max(initial=0.0))
+def _not_negligible(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    # the rows whose upper bound is nonzero and >= NEGLIGIBLE x the largest lower bound
+    return (hi > 0.0) & (hi >= NEGLIGIBLE * lo.max(initial=0.0))
 
 
 def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
@@ -129,11 +125,11 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     grid, n = f.grid, f.grid.n_cusp
     size = np.abs(grid.weights * f.values)
     y_min = float(np.min(y)) if len(y) else np.inf
-    cusp = _not_negligible(size[:n] * maass_envelope(grid.table.bank.r[:n], y_min))
+    cusp = size[:n] * maass_envelope(grid.table.bank.r[:n], y_min)
     nodes = size[n + 1:]
-    eis = _not_negligible(nodes)
+    eis = _not_negligible(nodes, nodes)
     eis[-1:] = nodes[-1:] != 0.0
-    return np.concatenate([cusp, [True], eis])
+    return np.concatenate([_not_negligible(cusp, cusp), [True], eis])
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:

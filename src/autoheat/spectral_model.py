@@ -8,8 +8,6 @@ weights dr / (2 pi) on [0, r_max]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .forms import BasisTable, MaassFormData, check_distinct
@@ -25,50 +23,35 @@ SobolevIndex = int
 NODES_MAX = 2048  # Eisenstein nodes fitted at most: ~5 ms and ~6.5 KB of panels a node
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralGrid:
     """Discretized spectral parameter space.
 
-    Rows fitted on first use; a fitted row never changes.  Its `table`
-    (forms.BasisTable, built and checked here) evaluates the cusp forms and
-    the continuous nodes, one K-Bessel bank row each, so that a basis
-    evaluation is one Fourier sum over both families.
-    Coefficient vectors over the grid are laid out as
+    A plain object: every array is set once, here; only the basis column at
+    i (`basis_at_i`) and the table's bank rows fill in place, on first use.
+    The `table` (forms.BasisTable, built and checked here) evaluates the
+    cusp forms and the continuous nodes, one K-Bessel bank row each, so that
+    a basis evaluation is one Fourier sum over both families.  Coefficient
+    vectors over the grid are laid out as
     [cusp entries..., residual entry, eisenstein node entries...], and so
-    are the per-entry arrays set at construction: the eigenvalues `lambdas`
-    (always <= 0) and the integration `weights` (1 on the discrete part, w_j
-    on the nodes).
+    are the per-entry arrays: the eigenvalues `lambdas` (always <= 0) and
+    the integration `weights` (1 on the discrete part, w_j on the nodes).
     """
 
-    cusp_forms: tuple[MaassFormData, ...]
-    eisenstein_r: np.ndarray
-    eisenstein_w: np.ndarray  # Plancherel-folded quadrature weights dr/(2 pi)
-    r_max: float
-    lambdas: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    table: BasisTable = field(init=False, repr=False)  # rows: cusp forms, then nodes
-    _at_i: np.ndarray = field(init=False, repr=False)  # basis_at_i(); NaN until evaluated
-
-    @property
-    def n_cusp(self) -> int:
-        return len(self.cusp_forms)
-
-    @property
-    def n_eisenstein(self) -> int:
-        return len(self.eisenstein_r)
-
-    @property
-    def size(self) -> int:
-        return self.n_cusp + 1 + self.n_eisenstein
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", BasisTable(self.cusp_forms, self.eisenstein_r))
+    def __init__(self, cusp_forms: tuple[MaassFormData, ...], eisenstein_r: np.ndarray,
+                 eisenstein_w: np.ndarray, r_max: float):
+        self.cusp_forms = cusp_forms
+        self.eisenstein_r = eisenstein_r
+        self.eisenstein_w = eisenstein_w  # Plancherel-folded quadrature weights dr/(2 pi)
+        self.r_max = r_max
+        self.n_cusp = len(cusp_forms)
+        self.n_eisenstein = len(eisenstein_r)
+        self.size = self.n_cusp + 1 + self.n_eisenstein
+        self.table = BasisTable(cusp_forms, eisenstein_r)  # rows: cusp forms, then nodes
         r = self.table.bank.r
-        object.__setattr__(self, "lambdas", np.insert(-(0.25 + r * r), self.n_cusp, 0.0))
-        w = np.concatenate([np.ones(self.n_cusp), [1.0], self.eisenstein_w])
-        object.__setattr__(self, "weights", w)
+        self.lambdas = np.insert(-(0.25 + r * r), self.n_cusp, 0.0)
+        self.weights = np.concatenate([np.ones(self.n_cusp), [1.0], eisenstein_w])
         self.table.check()
-        object.__setattr__(self, "_at_i", np.full(self.size, np.nan))
+        self._at_i = np.full(self.size, np.nan)  # basis_at_i(); NaN until evaluated
 
     def basis_at_i(self, rows=slice(None)) -> np.ndarray:
         """The basis column at i (the odd cusp forms vanish there) on the

@@ -3,6 +3,7 @@ import pytest
 
 from autoheat.heat import (
     HeatState,
+    _damping,
     euler_error,
     heat_coefficients,
     heat_equation_residual,
@@ -12,7 +13,14 @@ from autoheat.heat import (
     semigroup_apply,
     uniqueness_gap,
 )
-from autoheat.sobolev import CoeffFn, apply_generator, delta_coefficients, sobolev_norm
+from autoheat.sobolev import (
+    NEGLIGIBLE,
+    CoeffFn,
+    _not_negligible,
+    apply_generator,
+    delta_coefficients,
+    sobolev_norm,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -45,6 +53,27 @@ class TestHeatCoefficients:
     def test_negative_time_rejected(self, grid):
         with pytest.raises(ValueError):
             heat_coefficients(-0.5, grid)
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.2, 0.35, 0.5, 1.0, 2.0, 4.0, 4.9, 8.0,
+                                   1e3, 2.8e3, 5e3, 1e308])
+    def test_nodes_kept_by_the_synthesis_rule(self, t, grid):
+        # sobolev._not_negligible on the upper and lower bounds keeps the
+        # nodes of the expression it replaced, whose threshold fell back to
+        # the least double where it underflows to 0 (from t = 2.8e3 here);
+        # the heat data built from those nodes are the same bits
+        n = grid.n_cusp
+        lo, hi = grid.table.bounds_at_i
+        damp = _damping(grid, t)
+        w = grid.eisenstein_w * damp[n + 1:]
+        threshold = NEGLIGIBLE * np.max(w * lo, initial=0.0)
+        assert (threshold == 0.0) == (t >= 2.8e3)
+        old = w * hi >= (threshold or 5e-324)
+        assert np.array_equal(_not_negligible(w * hi, w * lo), old)
+        keep = np.concatenate([np.ones(n + 1, dtype=bool), old])
+        keep[-1] = True
+        values = np.zeros(grid.size)
+        values[keep] = grid.basis_at_i(keep) * damp[keep]
+        assert np.array_equal(heat_coefficients(t, grid).coeffs.values, values)
 
     def test_negative_time_state_refused(self, tiny_grid):
         with pytest.raises(ValueError) as exc:
