@@ -27,15 +27,12 @@ functional of the kernel: one dot product of a Chebyshev fit with moments
 of the counts that are built once per bound (periodized_oracle_basepoint).
 
 The sum over the enumerated orbit evaluates the plane kernel through one
-Chebyshev interpolant per call, sampled from the quadrature heat_kernel_plane
-at a few dozen nodes.  It interpolates the smooth ratio of p_t to its
-envelope e^{-rho^2/4t} sqrt(rho/sinh rho), whose only singularities are
-branch points at rho = +-i pi, and takes its degree from the Bernstein
-ellipse through i pi.
-On the distances that decide the sums it is within ~1.5e-14 of mpmath,
-where heat_kernel_plane is within ~1e-14, and the bound-25 sums at the
-verify points are within 3e-15 of sums with every orbit point taken from
-mpmath.  The orbit is enumerated point by point (orbit_of_i), and each
+Chebyshev interpolant per call (_plane_kernel_fit).  Its cosine transform
+is built once per degree, so a fit costs heat_kernel_plane at a few dozen
+nodes.  On the distances that decide the sums it is within ~1.5e-14 of
+mpmath, where heat_kernel_plane is within ~1e-14, and the bound-25 sums at
+the verify points are within 3e-15 of sums with every orbit point taken
+from mpmath.  The orbit is enumerated point by point (orbit_of_i), and each
 point stands for the two elements gamma, gamma S of the ball that send i to it.
 """
 
@@ -78,7 +75,15 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"finite t > 0 required, got {t}")
+    try:
+        volume = (4.0 * math.pi * t) ** 1.5
+    except OverflowError:  # past t ~ 2.5e204; 0 below t ~ 1.5e-217
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"(4 pi t)^(3/2) must be a finite nonzero double, not at t = {t}")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if rho.ndim > 1:
+        raise ValueError(f"distances must be a scalar or 1-d, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError(f"finite distances required, got {rho[~np.isfinite(rho)][0]}")
     if np.any(rho < 0.0):
@@ -96,11 +101,23 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
             v = v_max * xg
             u[near] = sq * np.sinh(v)
             w[near] = v_max * wg * sq * np.cosh(v)
-        s = r + u * u
-        denom = 2.0 * np.sinh(r + 0.5 * u * u) * np.sinh(0.5 * u * u)
-        integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
-        val[lo:lo + _PLANE_BLOCK] = np.sum(integrand * w, axis=1)
-    return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
+        # 2 u s e^{-s^2/4t} / sqrt(2 sinh(r + u^2/2) sinh(u^2/2)) w, s = r + u^2,
+        # in place in the plain expression's order: bit for bit, as halving is exact
+        half = u * u
+        s = r + half
+        half *= 0.5
+        np.sinh(denom := r + half, out=denom)
+        denom *= 2.0
+        denom *= np.sinh(half, out=half)
+        np.multiply(np.negative(s, out=half), s, out=half)  # now -s^2
+        half /= 4.0 * t
+        u *= 2.0
+        u *= s
+        u *= np.exp(half, out=half)
+        u /= np.sqrt(denom, out=denom)
+        u *= w
+        val[lo:lo + _PLANE_BLOCK] = np.sum(u, axis=1)
+    return math.sqrt(2.0) * math.exp(-t / 4.0) / volume * val
 
 
 def _envelope(t: float, rho: np.ndarray) -> np.ndarray:
@@ -133,14 +150,24 @@ def _bernstein_degree(length: float) -> int:
     return math.ceil(38.0 / math.log(radius)) + 1
 
 
-def _chebyshev_coef(f, length: float, n: int) -> np.ndarray:
-    """Coefficients on [0, length] of the interpolant of f at n Chebyshev points."""
+@functools.lru_cache(maxsize=16)
+def _chebyshev_transform(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin^2(theta/2) at theta = (j + 1/2) pi / n, (2/n)(-1)^k and cos(k theta):
+    _chebyshev_coef's transform, read-only, kept for 16 degrees (0.3 MB at n = 190)."""
     theta = (np.arange(n) + 0.5) * math.pi / n  # node rho = L sin^2(theta/2), x = -cos theta
-    nodes = length * np.sin(0.5 * theta) ** 2
+    k = np.arange(n)
     # T_k(-cos theta) = (-1)^k cos(k theta) directly: the three-term recurrence
     # behind chebinterpolate loses ~4e-14 at the nodes next to x = -1
-    k = np.arange(n)
-    coef = (2.0 / n) * (-1.0) ** k * (np.cos(np.outer(k, theta)) @ f(nodes))
+    parts = np.sin(0.5 * theta) ** 2, (2.0 / n) * (-1.0) ** k, np.cos(np.outer(k, theta))
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+def _chebyshev_coef(f, length: float, n: int) -> np.ndarray:
+    """Coefficients on [0, length] of the interpolant of f at n Chebyshev points."""
+    sin_sq, scale, cos_k = _chebyshev_transform(n)
+    coef = scale * (cos_k @ f(length * sin_sq))
     coef[0] *= 0.5
     return coef
 
@@ -471,8 +498,8 @@ def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     With h_t = sum_k c_k T_k as a Chebyshev interpolant the sum is c @ mu,
     where the moments mu (_count_moments) depend on the bound alone and are
     cached per bound and moment count (64 or the next power of two above the
-    degree).  So a repeated call costs one fit of h_t (at most 165
-    heat_kernel_plane nodes at bound 3000), one dot product and orbit_tail,
+    degree).  So a repeated call costs heat_kernel_plane at the fit's nodes
+    (at most 165 at bound 3000), two small matrix products and orbit_tail,
     which at i is one 160-node radial quadrature.  A bound whose norms pass
     COUNT_MAX is refused before any table is built.
 

@@ -12,7 +12,9 @@ from autoheat.hyperbolic import HPoint, cosh_distance, hyperbolic_distance
 from numpy.polynomial.chebyshev import chebval
 
 from autoheat.oracle import (
+    _NEAR_DIAGONAL,
     _PLANE_BLOCK,
+    _chebyshev_coef,
     _clenshaw,
     _envelope,
     _mass_beyond,
@@ -143,6 +145,70 @@ class TestPlaneHeatKernel:
         with pytest.raises(ValueError, match=f"got {named}$"):
             heat_kernel_plane(t, rho)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-217, 3e204, 1e300])
+    def test_times_without_a_prefactor_refused(self, t, monkeypatch):
+        # (4 pi t)^(3/2) underflows to 0 below t ~ 1.5e-217 (a division by
+        # zero) and overflows past t ~ 2.5e204 (an OverflowError)
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError) as exc:
+            heat_kernel_plane(t, [1.0])
+        assert str(exc.value) == (f"(4 pi t)^(3/2) must be a finite nonzero double, "
+                                  f"not at t = {t}")
+
+    @pytest.mark.parametrize("rho, shape", [([[0.5, 1.0]], "(1, 2)"),
+                                            (np.ones((2, 3, 1)), "(2, 3, 1)"),
+                                            (np.ones((0, 2)), "(0, 2)")])
+    def test_arrays_of_more_than_one_dimension_refused(self, rho, shape, monkeypatch):
+        # numpy's broadcasting error, or a silent wrong shape, before
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError) as exc:
+            heat_kernel_plane(1.0, rho)
+        assert str(exc.value) == f"distances must be a scalar or 1-d, got shape {shape}"
+
+    @pytest.mark.parametrize("t", [0.01, 0.2, 0.5, 1.0, 4.0, 8.0, 10.0])
+    def test_quadrature_is_the_plain_expression_bit_for_bit(self, t):
+        # 5e-4 takes the near-diagonal branch; the seeded distances span two blocks
+        rng = np.random.default_rng(17)
+        rho = np.concatenate([[0.0, 1e-17, 1e-10, 5e-4, 0.999, 1.0, 1.5, 10.15, 40.0],
+                              rng.uniform(0.0, 40.0, 2500),
+                              np.exp(rng.uniform(math.log(1e-18), math.log(40.0), 2500))])
+        assert _PLANE_BLOCK < len(rho) <= 2 * _PLANE_BLOCK
+        assert np.array_equal(heat_kernel_plane(t, rho), _plane_kernel_plain(t, rho))
+        assert np.array_equal(heat_kernel_plane(t, 0.3), _plane_kernel_plain(t, [0.3]))
+
+
+def _plane_kernel_plain(t: float, rho) -> np.ndarray:
+    """heat_kernel_plane's quadrature as it was written before it was computed in place."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    xg, wg = gauss_rule(0.5, 0.5, 160)  # on [0, 1]
+    val = np.empty(len(rho))
+    for lo in range(0, len(rho), _PLANE_BLOCK):
+        r = rho[lo:lo + _PLANE_BLOCK, None]
+        u_max = np.sqrt(np.maximum(r, 1.0) + math.sqrt(4.0 * t * 46.0) - r)
+        u, w = u_max * xg, u_max * wg
+        near = (r[:, 0] > _NEAR_DIAGONAL[0]) & (r[:, 0] < _NEAR_DIAGONAL[1])
+        if np.any(near):
+            sq = np.sqrt(r[near])
+            v_max = np.arcsinh(u_max[near] / sq)
+            v = v_max * xg
+            u[near] = sq * np.sinh(v)
+            w[near] = v_max * wg * sq * np.cosh(v)
+        s = r + u * u
+        denom = 2.0 * np.sinh(r + 0.5 * u * u) * np.sinh(0.5 * u * u)
+        integrand = 2.0 * u * s * np.exp(-s * s / (4.0 * t)) / np.sqrt(denom)
+        val[lo:lo + _PLANE_BLOCK] = np.sum(integrand * w, axis=1)
+    return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
+
+
+def _chebyshev_coef_plain(f, length: float, n: int) -> np.ndarray:
+    """_chebyshev_coef as it was written before its transform was cached per degree."""
+    theta = (np.arange(n) + 0.5) * math.pi / n
+    nodes = length * np.sin(0.5 * theta) ** 2
+    k = np.arange(n)
+    coef = (2.0 / n) * (-1.0) ** k * (np.cos(np.outer(k, theta)) @ f(nodes))
+    coef[0] *= 0.5
+    return coef
+
 
 def _envelope_plain(t: float, rho: np.ndarray) -> np.ndarray:
     """_envelope as one expression, as it was written before it was computed in place."""
@@ -182,6 +248,23 @@ class TestPlaneKernelFit:
         for r, v in zip(rho, fit):
             ref = _plane_kernel_mpmath(t, r)
             assert abs(v - ref) < 2e-14 * ref, (t, rho_max, r)
+
+    def test_chebyshev_coef_is_the_plain_transform_bit_for_bit(self):
+        # the degrees of the benchmark's fits and two beyond, interleaved, so a
+        # transform kept under the wrong degree fails
+        def ratio(r):
+            return heat_kernel_plane(0.5, r) / _envelope(0.5, r)
+
+        for n in (2, 48, 165, 49, 2, 52, 188, 60, 48, 107, 49, 165, 60, 52, 188, 107):
+            for length in (1.0, 10.15, 17.0):
+                coef = _chebyshev_coef(ratio, length, n)
+                assert np.array_equal(coef, _chebyshev_coef_plain(ratio, length, n)), (n, length)
+
+    def test_chebyshev_transform_cache_is_bounded_and_read_only(self):
+        assert oracle._chebyshev_transform.cache_info().maxsize == 16
+        for table in oracle._chebyshev_transform(49):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
     @pytest.mark.parametrize("size", [3, 4, 17, 49, 117, 256])
     def test_clenshaw_is_chebval_bit_for_bit(self, size):
@@ -351,8 +434,14 @@ class TestPeriodizedOracle:
             value = periodized_oracle(8.0, HPoint(0.3, 1.1), 25.0, shell_warning=True)
         assert value.hex() == "0x1.ea67f200c90d5p-1"
 
-    @pytest.mark.parametrize("t, frozen", [(4.0, "0x1.f5190ccdf7fbep-1"),
-                                           (8.0, "0x1.eafc193c2de3ap-1")])
+    # t = 0.2, 0.5, 1 and t >= 2 fit h_t at 165, 107, 78 and 60 nodes
+    @pytest.mark.parametrize("t, frozen", [(0.2, "0x1.afbf355225684p+0"),
+                                           (0.5, "0x1.5209506e3571cp+0"),
+                                           (1.0, "0x1.244f17518adaep+0"),
+                                           (2.0, "0x1.08917dbd94311p+0"),
+                                           (4.0, "0x1.f5190ccdf7fbep-1"),
+                                           (8.0, "0x1.eafc193c2de3ap-1"),
+                                           (10.0, "0x1.e9e16e2a34abep-1")])
     def test_basepoint_sums_frozen_at_the_benchmark_bound(self, t, frozen):
         assert periodized_oracle_basepoint(t, 3000.0).hex() == frozen
 
@@ -506,6 +595,21 @@ class TestOrbitTail:
         # measured within 3.3e-15 .. 5.7e-15
         ref = self.TAIL_AT_I_REFERENCE[t, bound]
         assert abs(orbit_tail(t, HPoint(0.0, 1.0), bound) - ref) < 2e-14 * ref
+
+    # float.hex of orbit_tail(t, x + iy, 160) at the points of _BOUND_160_SUMS,
+    # whose window the plane kernel integrates
+    TAIL_160_FROZEN = {
+        (0.5, 0.3, 0.95): "0x1.0abff83989a01p-67",
+        (0.7, -0.2, 1.15): "0x1.9cea61e090cebp-48",
+        (0.8, 0.45, 1.4): "0x1.d1a5807840074p-40",
+        (0.6, 0.1, 2.0): "0x1.9813a7c3bc0cbp-52",
+        (1.0, -0.35, 3.5): "0x1.a59656559b185p-27",
+        (2.0, 0.5, 6.0): "0x1.7d69545416d0fp-11",
+    }
+
+    @pytest.mark.parametrize("t, x, y", list(TAIL_160_FROZEN))
+    def test_window_tail_frozen(self, t, x, y):
+        assert orbit_tail(t, HPoint(x, y), 160.0).hex() == self.TAIL_160_FROZEN[t, x, y]
 
     @pytest.mark.parametrize("bound", [25.0, 160.0])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 10.0])

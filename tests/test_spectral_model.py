@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ class TestKBesselBanks:
         bank, n = grid.table.bank, grid.n_cusp
         assert n == 22 and np.array_equal(bank.fitted, np.arange(len(bank.r)) < n)
         assert calls == [int(np.sum(bank.deg[:n] + 1)) + 257 * n] == [15526]
+
+    def test_fitting_every_row_bounds_its_traced_memory(self):
+        # building the default grid and fitting all 182 rows (the column at i)
+        # peaks at ~11.3 MiB of traced allocations in calls of 24 rows, and at
+        # ~19.5 MiB in calls of 128: the quadrature's arrays grow with the rows
+        # per call (tracemalloc counts numpy's buffers, whatever the heap layout)
+        cfg = RunConfig()
+        data = load_maass_data(cfg.resolve_data_path())
+        tracemalloc.start()
+        try:
+            grid = build_grid(data, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
+            grid.basis_at_i()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.table.bank.fitted.all() and len(grid.table.bank.r) == 182
+        assert peak < 14 * 2 ** 20
 
     def test_rows_are_independent(self, grid):
         # every row of the default grid's bank, fitted as the grid uses it,

@@ -11,12 +11,15 @@ points (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
 [-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
 first time, both per point, a bound-160 `periodized_oracle`, and a
 bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
-first call of each is left out).  Each stage is timed inside the real call,
-by wrapping the function that the call looks up; what is left of the call
-is the rest.  Prints in-process medians in microseconds and, beside each
-call's median, the median count of minor page faults per call (the
-ru_minflt delta of this process, from resource.getrusage).  Run from the
-repository root:
+first call of each is left out; its plane-kernel stage is the quadrature at
+the fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages
+do not nest).  Each stage is timed inside the real call, by wrapping the
+function that the call looks up; what is left of the call is the rest.
+Prints in-process medians in microseconds and, beside each call's median,
+the median count of minor page faults per call (the ru_minflt delta of
+this process, from resource.getrusage).  After the cold call it prints the
+peak of one more cold call under tracemalloc, which counts numpy's
+buffers: the working set of the bank fits.  Run from the repository root:
 
     python3 tools/time_stages.py
 """
@@ -26,6 +29,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -65,9 +69,9 @@ STAGES = {
         (oracle, "orbit_tail"): ("orbit_tail",)},
         "distances, sums, shell check", 1),
     "basepoint": ("periodized_oracle_basepoint(t=4, bound 3000), moments built", REPEATS, {
-        (oracle, "_chebyshev_coef"): ("fit of h_t (_chebyshev_coef)",),
+        (oracle, "heat_kernel_plane"): ("plane kernel at the fit nodes",),
         (oracle, "orbit_tail"): ("orbit_tail",)},
-        "moment dot product, the rest", 1),
+        "transform, dot product, the rest", 1),
 }
 
 
@@ -152,6 +156,11 @@ def main() -> None:
             print(f"  rows fitted: {rows} of {len(bank.r)}")
             print(f"  {f'kbessel_quad per fitted row ({rows})':34s} "
                   f"{medians['kbessel_quad'] / rows:10.1f} us")
+            tracemalloc.start()
+            cold()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(f"  {'traced peak of one cold call':34s} {peak / 2 ** 20:10.1f} MiB")
 
 
 if __name__ == "__main__":
