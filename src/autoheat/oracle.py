@@ -101,16 +101,16 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
             v = v_max * xg
             u[near] = sq * np.sinh(v)
             w[near] = v_max * wg * sq * np.cosh(v)
-        # 2 u s e^{-s^2/4t} / sqrt(2 sinh(r + u^2/2) sinh(u^2/2)) w, s = r + u^2,
-        # in place in the plain expression's order: bit for bit, as halving is exact
+        # 2 u s e^{-s^2/4t} / sqrt(2 sinh(r + u^2/2) sinh(u^2/2)) w, s = r + u^2, in
+        # place and bit for bit: halving is exact, and (-s) s / 4t is s s / (-4t)
         half = u * u
         s = r + half
         half *= 0.5
         np.sinh(denom := r + half, out=denom)
         denom *= 2.0
         denom *= np.sinh(half, out=half)
-        np.multiply(np.negative(s, out=half), s, out=half)  # now -s^2
-        half /= 4.0 * t
+        np.multiply(s, s, out=half)
+        half /= -4.0 * t
         u *= 2.0
         u *= s
         u *= np.exp(half, out=half)
