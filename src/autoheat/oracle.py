@@ -27,7 +27,7 @@ functional of the kernel: one dot product of a Chebyshev fit with moments
 of the counts that are built once per bound (periodized_oracle_basepoint).
 
 The sum over the enumerated orbit evaluates the plane kernel through one
-Chebyshev interpolant per call (_plane_kernel_fit).  Its cosine transform
+Chebyshev interpolant per call (_plane_kernel_series).  Its cosine transform
 is built once per degree, so a fit costs heat_kernel_plane at a few dozen
 nodes.  On the distances that decide the sums it is within ~1.5e-14 of
 mpmath, where heat_kernel_plane is within ~1e-14, and the bound-25 sums at
@@ -50,6 +50,7 @@ from .special import gauss_rule
 
 SHELL_TOLERANCE = 1e-4
 T_MIN, T_MAX = 0.2, 10.0
+PLANE_T = (1e-4, 100.0)  # heat_kernel_plane's times: 1e-6 off at 1e-9, overflows at 5e3
 _PLANE_BLOCK = 4096  # distances per quadrature block in heat_kernel_plane
 _NEAR_DIAGONAL = (1e-16, 1e-3)  # distances that heat_kernel_plane integrates in sinh
 _COUNT_CHUNK = 2 ** 16  # residues m per count block in _count_moments
@@ -72,15 +73,9 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
     _NEAR_DIAGONAL the rule runs in v with u = sqrt(rho) sinh v; below it the
     bend is lost in rounding.  The distances go through the quadrature in
     fixed blocks, which bounds memory; each value is its own row sum either way.
+    Times outside PLANE_T, where it was checked against mpmath, are refused.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"finite t > 0 required, got {t}")
-    try:
-        volume = (4.0 * math.pi * t) ** 1.5
-    except OverflowError:  # past t ~ 2.5e204; 0 below t ~ 1.5e-217
-        volume = math.inf
-    if not 0.0 < volume < math.inf:
-        raise ValueError(f"(4 pi t)^(3/2) must be a finite nonzero double, not at t = {t}")
+    _check_time(t, PLANE_T)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.ndim > 1:
         raise ValueError(f"distances must be a scalar or 1-d, got shape {rho.shape}")
@@ -117,7 +112,7 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
         u /= np.sqrt(denom, out=denom)
         u *= w
         val[lo:lo + _PLANE_BLOCK] = np.sum(u, axis=1)
-    return math.sqrt(2.0) * math.exp(-t / 4.0) / volume * val
+    return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
 
 
 def _envelope(t: float, rho: np.ndarray) -> np.ndarray:
@@ -186,8 +181,8 @@ def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.add(c0, np.multiply(c1, x, out=tmp), out=tmp)
 
 
-def _plane_kernel_fit(t: float, rho_max: float):
-    """heat_kernel_plane(t, .) on [0, rho_max] as one Chebyshev interpolant.
+def _plane_kernel_series(t: float, rho: np.ndarray) -> np.ndarray:
+    """heat_kernel_plane(t, rho) from one Chebyshev interpolant on [0, max rho].
 
     It interpolates q = p_t / envelope, which is smooth: its only
     singularities are the branch points rho = +-i pi of sqrt(rho/sinh rho),
@@ -197,24 +192,20 @@ def _plane_kernel_fit(t: float, rho_max: float):
     e^-700 the kernel is returned as 0.
     """
     cut = math.sqrt(t * t + 2800.0 * t) - t  # rho^2/4t + rho/2 = 700
-    length = min(max(rho_max, 1.0), cut)
+    length = min(max(float(rho.max()), 1.0), cut)
     coef = _chebyshev_coef(lambda r: heat_kernel_plane(t, r) / _envelope(t, r),
                            length, _bernstein_degree(length))
-
-    def kernel(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros(rho.shape)
-        live = rho <= length
-        r = rho[live]
-        out[live] = _clenshaw(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
-        return out
-
-    return kernel
+    out = np.zeros(rho.shape)
+    live = rho <= length
+    r = rho[live]
+    out[live] = _clenshaw(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
+    return out
 
 
-def _check_time(t: float) -> None:
-    """Refuse times outside [T_MIN, T_MAX], where the oracle is checked."""
-    if not T_MIN <= t <= T_MAX:
-        raise ValueError(f"t in [{T_MIN}, {T_MAX}] required, got {t}")
+def _check_time(t: float, domain: tuple[float, float] = (T_MIN, T_MAX)) -> None:
+    """Refuse times outside the domain; [T_MIN, T_MAX] is where the oracle is checked."""
+    if not domain[0] <= t <= domain[1]:
+        raise ValueError(f"t in [{domain[0]}, {domain[1]}] required, got {t}")
 
 
 def _check_bound(bound: float) -> None:
@@ -371,7 +362,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     rho /= 2.0 * z.y
     rho += 1.0  # cosh d(z, gamma i), in place
     np.arccosh(np.maximum(rho, 1.0, out=rho), out=rho)
-    vals = _plane_kernel_fit(t, float(rho.max()))(rho)
+    vals = _plane_kernel_series(t, rho)
     total = 2.0 * float(np.sum(vals))
     if shell_warning:
         shell = q * q + x_num * x_num + 1 >= math.ceil((norm_bound - 1.0) ** 2) * q
@@ -504,7 +495,7 @@ def periodized_oracle_basepoint(t: float, norm_bound: float) -> float:
     COUNT_MAX is refused before any table is built.
 
     The degree is the larger of the Bernstein-ellipse degree of the ratio
-    that _plane_kernel_fit interpolates (branch points at +-i pi) and the
+    that _plane_kernel_series interpolates (branch points at +-i pi) and the
     degree at which the Chebyshev series of e^{-rho^2/4t} on [0, L] has
     fallen to e^-38: 60 for t >= 2 and 165 at T_MIN, at bound 3000.  The
     weight e^{-rho} balances two growths.  h_t = q e^{rho/2 - rho^2/4t}

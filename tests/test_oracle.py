@@ -12,13 +12,14 @@ from autoheat.hyperbolic import HPoint, cosh_distance, hyperbolic_distance
 from numpy.polynomial.chebyshev import chebval
 
 from autoheat.oracle import (
+    PLANE_T,
     _NEAR_DIAGONAL,
     _PLANE_BLOCK,
     _chebyshev_coef,
     _clenshaw,
     _envelope,
     _mass_beyond,
-    _plane_kernel_fit,
+    _plane_kernel_series,
     heat_kernel_plane,
     matrix_counts_by_norm,
     orbit_of_i,
@@ -147,13 +148,32 @@ class TestPlaneHeatKernel:
 
     @pytest.mark.parametrize("t", [1e-300, 1e-217, 3e204, 1e300])
     def test_times_without_a_prefactor_refused(self, t, monkeypatch):
-        # (4 pi t)^(3/2) underflows to 0 below t ~ 1.5e-217 (a division by
-        # zero) and overflows past t ~ 2.5e204 (an OverflowError)
+        # (4 pi t)^(3/2) underflows to 0 below t ~ 1.5e-217 and overflows
+        # past t ~ 2.5e204: far outside PLANE_T, refused by the same rule
         monkeypatch.setattr(oracle, "gauss_rule", None)
         with pytest.raises(ValueError) as exc:
             heat_kernel_plane(t, [1.0])
-        assert str(exc.value) == (f"(4 pi t)^(3/2) must be a finite nonzero double, "
-                                  f"not at t = {t}")
+        assert str(exc.value) == f"t in [0.0001, 100.0] required, got {t}"
+
+    @pytest.mark.parametrize("t", PLANE_T)
+    def test_matches_mpmath_at_the_ends_of_the_time_domain(self, t):
+        # measured at most 9.3e-14 off at t = 1e-4 (rho = 0.3) and 6.8e-15
+        # at t = 100; p_t(1) underflows to 0 on both sides at t = 1e-4
+        rho = [0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.03, 0.1, 0.3, 1.0]
+        vals = heat_kernel_plane(t, rho)
+        for r, v in zip(rho, vals):
+            ref = _plane_kernel_mpmath(t, r)
+            assert abs(v - ref) <= 1e-13 * ref, (t, r)
+
+    @pytest.mark.parametrize("t", [math.nextafter(PLANE_T[0], 0.0),
+                                   math.nextafter(PLANE_T[1], math.inf), 1e-9])
+    def test_times_outside_the_measured_domain_refused(self, t, monkeypatch):
+        # 1e-9: the 160-node rule cannot resolve the Gaussian there and was
+        # 1e-6 off; refused by name before any quadrature runs
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError) as exc:
+            heat_kernel_plane(t, [1.0])
+        assert str(exc.value) == f"t in [0.0001, 100.0] required, got {t}"
 
     @pytest.mark.parametrize("rho, shape", [([[0.5, 1.0]], "(1, 2)"),
                                             (np.ones((2, 3, 1)), "(2, 3, 1)"),
@@ -210,6 +230,24 @@ def _chebyshev_coef_plain(f, length: float, n: int) -> np.ndarray:
     return coef
 
 
+def _plane_kernel_fit_plain(t: float, rho_max: float):
+    """_plane_kernel_series as it was written before it returned values: the
+    fit on [0, rho_max] as a closure over the coefficients."""
+    cut = math.sqrt(t * t + 2800.0 * t) - t  # rho^2/4t + rho/2 = 700
+    length = min(max(rho_max, 1.0), cut)
+    coef = _chebyshev_coef(lambda r: heat_kernel_plane(t, r) / _envelope(t, r),
+                           length, oracle._bernstein_degree(length))
+
+    def kernel(rho: np.ndarray) -> np.ndarray:
+        out = np.zeros(rho.shape)
+        live = rho <= length
+        r = rho[live]
+        out[live] = _clenshaw(r * (2.0 / length) - 1.0, coef) * _envelope(t, r)
+        return out
+
+    return kernel
+
+
 def _envelope_plain(t: float, rho: np.ndarray) -> np.ndarray:
     """_envelope as one expression, as it was written before it was computed in place."""
     r = np.maximum(rho, 1e-300)
@@ -226,6 +264,15 @@ class TestPlaneKernelFit:
         assert np.array_equal(_envelope(t, rho), _envelope_plain(t, rho))
         assert np.array_equal(rho, before)  # the distances are not overwritten
 
+    @pytest.mark.parametrize("t", [0.2, 0.5, 1.0, 4.0, 10.0])
+    def test_series_is_the_closure_bit_for_bit(self, t):
+        x_num, q = orbit_of_i(160.0)
+        for z in ORACLE_POINTS:
+            coshd = 1.0 + ((z.x - x_num / q) ** 2 + (z.y - 1.0 / q) ** 2) * q / (2.0 * z.y)
+            rho = np.arccosh(np.maximum(coshd, 1.0))
+            plain = _plane_kernel_fit_plain(t, float(rho.max()))(rho)
+            assert np.array_equal(_plane_kernel_series(t, rho), plain), (t, z)
+
     @pytest.mark.parametrize("t", [0.2, 2.0, 10.0])
     @pytest.mark.parametrize("rho_max", [12.0, 63.0])
     def test_matches_the_quadrature(self, t, rho_max):
@@ -233,7 +280,7 @@ class TestPlaneKernelFit:
         # would be 1e-8 off
         rho = np.linspace(0.0, rho_max, 2001)
         ref = heat_kernel_plane(t, rho)
-        fit = _plane_kernel_fit(t, rho_max)(rho)
+        fit = _plane_kernel_series(t, rho)
         live = ref > 1e-290
         assert np.all(np.abs(fit[live] - ref[live]) <= 1e-12 * ref[live])
         assert np.all(np.isfinite(fit)) and np.all(fit[~live] < 1e-280)
@@ -242,9 +289,10 @@ class TestPlaneKernelFit:
     @pytest.mark.parametrize("rho_max", [10.15, 17.0])
     def test_matches_mpmath_where_the_orbit_sums_are_decided(self, t, rho_max):
         # rho = 0 is an end of the interpolation interval, where coefficients
-        # built by numpy's chebinterpolate (a three-term recurrence) are 5e-14 off
+        # built by numpy's chebinterpolate (a three-term recurrence) are 5e-14
+        # off; rho_max sets the interval and its value is dropped
         rho = np.array([0.0, 1e-3, 0.05, 0.3, 1.0])
-        fit = _plane_kernel_fit(t, rho_max)(rho)
+        fit = _plane_kernel_series(t, np.append(rho, rho_max))[:-1]
         for r, v in zip(rho, fit):
             ref = _plane_kernel_mpmath(t, r)
             assert abs(v - ref) < 2e-14 * ref, (t, rho_max, r)
@@ -277,7 +325,7 @@ class TestPlaneKernelFit:
     def test_zero_past_the_envelope_underflow(self):
         t = 0.2
         rho = np.array([0.0, 20.0, 30.0, 1e3])
-        vals = _plane_kernel_fit(t, float(rho.max()))(rho)
+        vals = _plane_kernel_series(t, rho)
         assert vals[0] > 0.0 and vals[1] > 0.0
         assert vals[2] == 0.0 and vals[3] == 0.0  # envelope below e^-700 past ~23.5
 
@@ -309,7 +357,7 @@ def _tail_by_polar_grid(t: float, z: HPoint, bound: float, n_theta: int) -> floa
     the radial integral was closed: geodesic polar coordinates (r, theta)
     about i, 200 Gauss-Legendre nodes in r from rho_B to where the kernel has
     decayed, the midpoint rule with n_theta nodes on half the circle, and
-    the kernel from _plane_kernel_fit.  The former tail took 32 nodes in theta."""
+    the kernel from _plane_kernel_series.  The former tail took 32 nodes in theta."""
     rho_b = math.acosh(max(0.5 * bound * bound, 1.0))
     a = hyperbolic_distance(z.z, 1j)
     r_hi = max(rho_b, a + t) + math.sqrt(4.0 * t * 46.0)
@@ -318,7 +366,7 @@ def _tail_by_polar_grid(t: float, z: HPoint, bound: float, n_theta: int) -> floa
     coshd = (np.cosh(r - a)[:, None] + 2.0 * math.sinh(a)
              * np.sinh(r)[:, None] * np.sin(0.5 * theta)[None, :] ** 2)
     rho = np.arccosh(coshd).ravel()
-    p = _plane_kernel_fit(t, float(rho.max()))(rho).reshape(coshd.shape)
+    p = _plane_kernel_series(t, rho).reshape(coshd.shape)
     return 6.0 / n_theta * float((wr * np.sinh(r)) @ p.sum(axis=1))
 
 
@@ -519,7 +567,7 @@ class TestPeriodizedOracle:
         orbit = (a * 1j + b) / (c * 1j + d)
         coshd = 1.0 + np.abs(z.z - orbit) ** 2 / (2.0 * z.y * orbit.imag)
         rho = np.arccosh(np.maximum(coshd, 1.0))
-        group = float(np.sum(_plane_kernel_fit(t, float(rho.max()))(rho))) + orbit_tail(t, z, 25.0)
+        group = float(np.sum(_plane_kernel_series(t, rho))) + orbit_tail(t, z, 25.0)
         assert abs(periodized_oracle(t, z, 25.0, shell_warning=False) - group) < 1e-15 * group
 
     def test_shell_warning_fires_when_truncation_is_inadequate(self):

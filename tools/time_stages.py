@@ -14,7 +14,8 @@ bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
 first call of each is left out; its plane-kernel stage is the quadrature at
 the fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages
 do not nest).  Each stage is timed inside the real call, by wrapping the
-function that the call looks up; what is left of the call is the rest.
+function that the call looks up; what is left of the call is the rest (in
+the orbit sum that includes the envelope the series is multiplied by).
 Prints in-process medians in microseconds and, beside each call's median,
 the median count of minor page faults per call (the ru_minflt delta of
 this process, from resource.getrusage).  After the cold call it prints the
@@ -46,31 +47,31 @@ COLD = "evaluate_heat_kernel(1, 0.25 + 1.3i)"
 SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
 
 # Per call: its title, its repeats, its stages ((namespace, name), a module
-# or class and the name of a function in it, to a label, and optionally a
-# second label for the callable the function returns), what the rest of
+# or class and the name of a function in it, to a label), what the rest of
 # the call is, and the count of points its medians are divided by.
 STAGES = {
     "cold": (f"{COLD} on a fresh build_grid(load_maass_data(path), 12.0, 5, 32)", 7, {
-        (forms, "load_maass_data"): ("load_maass_data",),
-        (forms, "xi_line"): ("xi_line",),
-        (special, "kbessel_quad"): ("kbessel_quad",),
-        (forms, "_hecke_defect"): ("_hecke_defect",)},
+        (forms, "load_maass_data"): "load_maass_data",
+        (forms, "xi_line"): "xi_line",
+        (special, "kbessel_quad"): "kbessel_quad",
+        (forms, "_hecke_defect"): "_hecke_defect"},
         "re-expansion, checks, Fourier sums", 1),
     "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
-        **{(synthesis, name): (name,) for name in
+        **{(synthesis, name): name for name in
            ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows")},
-        (SpectralGrid, "basis_rows"): ("SpectralGrid.basis_rows",)},
+        (SpectralGrid, "basis_rows"): "SpectralGrid.basis_rows"},
         "the rest (sums and report)", TIMES * PER_TIME),
     "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {},
               "heat_coefficients and the field", FIELD_POINTS),
     "orbit": ("periodized_oracle(t=1, z=0.25+1.3i, bound 160)", REPEATS, {
-        (oracle, "orbit_of_i"): ("orbit_of_i",),
-        (oracle, "_plane_kernel_fit"): ("fit (_plane_kernel_fit)", "series over the orbit"),
-        (oracle, "orbit_tail"): ("orbit_tail",)},
+        (oracle, "orbit_of_i"): "orbit_of_i",
+        (oracle, "_chebyshev_coef"): "fit (_chebyshev_coef)",
+        (oracle, "_clenshaw"): "series over the orbit (_clenshaw)",
+        (oracle, "orbit_tail"): "orbit_tail"},
         "distances, sums, shell check", 1),
     "basepoint": ("periodized_oracle_basepoint(t=4, bound 3000), moments built", REPEATS, {
-        (oracle, "heat_kernel_plane"): ("plane kernel at the fit nodes",),
-        (oracle, "orbit_tail"): ("orbit_tail",)},
+        (oracle, "heat_kernel_plane"): "plane kernel at the fit nodes",
+        (oracle, "orbit_tail"): "orbit_tail"},
         "transform, dot product, the rest", 1),
 }
 
@@ -79,20 +80,20 @@ def staged(call, stages: dict, repeats: int) -> tuple[dict, float]:
     """Median wall time over `repeats` calls of call(), in microseconds, of
     the whole call and of each stage function, timed where the call looks
     it up (stages as in STAGES), and the median minor page faults per call."""
-    labels = [label for pair in stages.values() for label in pair]
+    labels = list(stages.values())
     spent = dict.fromkeys(labels, 0.0)
 
-    def timed(fn, label, result_label=None):
+    def timed(fn, label):
         def wrapper(*args):
             t0 = time.perf_counter()
             out = fn(*args)
             spent[label] += time.perf_counter() - t0
-            return timed(out, result_label) if result_label else out
+            return out
         return wrapper
 
     saved = {key: getattr(*key) for key in stages}
-    for (space, name), pair in stages.items():
-        setattr(space, name, timed(saved[space, name], *pair))
+    for (space, name), label in stages.items():
+        setattr(space, name, timed(saved[space, name], label))
     runs = {label: [] for label in ("call", *labels)}
     faults = []
     try:
