@@ -98,10 +98,10 @@ def cmd_eval(args) -> int:
     rep = evaluate_heat_kernel(args.t, z, grid)
     fields = [
         ("t", args.t), ("x", args.x), ("y", args.y),
-        ("value", rep.value.real),
-        ("cusp_part", rep.cusp_part.real),
-        ("residual_part", rep.residual_part.real),
-        ("eisenstein_part", rep.eisenstein_part.real),
+        ("value", rep.value),
+        ("cusp_part", rep.cusp_part),
+        ("residual_part", rep.residual_part),
+        ("eisenstein_part", rep.eisenstein_part),
         ("tail_estimate", rep.tail_estimate),
     ]
     if cfg.output_format == "json":

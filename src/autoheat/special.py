@@ -346,12 +346,15 @@ def bessel_k_imag(r: float, x):
 
     Symmetric in R; absolute accuracy ~2e-13 e^{-pi R/2} for x >= 1e-3 and
     R <= 40, ~2e-14 e^{-pi R/2} for x >= 0.5.  Scalar x gives a float; an
-    array of x gives an array.
+    array of x gives an array.  A non-finite R or x is refused by name.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < _X_MIN):
-        raise ValueError(f"K_iR(x) is answered for x >= {_X_MIN}, got x = {np.min(x)}")
-    r = abs(float(r))
-    val = kbessel_quad(r, x) * math.exp(-np.pi * r / 2.0)
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"K_iR(x) is answered for finite R, got R = {r}")
+    bad = x[~((x >= _X_MIN) & (x < math.inf))]
+    if len(bad):
+        raise ValueError(f"K_iR(x) is answered for finite x >= {_X_MIN}, got x = {bad[0]}")
+    val = kbessel_quad(abs(r), x) * math.exp(-np.pi * abs(r) / 2.0)
     return float(val[0]) if scalar else val

@@ -30,10 +30,10 @@ class SynthesisReport:
     their rounding.
     """
 
-    value: complex
-    cusp_part: complex
-    residual_part: complex
-    eisenstein_part: complex
+    value: float
+    cusp_part: float
+    residual_part: float
+    eisenstein_part: float
     tail_estimate: float
     nodes_used: int
     tail_warning: bool
@@ -75,10 +75,10 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
 
     value = cusp + residual + eis
     return SynthesisReport(
-        value=complex(value),
-        cusp_part=complex(cusp),
-        residual_part=complex(residual),
-        eisenstein_part=complex(eis),
+        value=float(value.real),
+        cusp_part=float(cusp.real),
+        residual_part=float(residual.real),
+        eisenstein_part=float(eis.real),
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[n + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)

@@ -234,7 +234,7 @@ def oracle_suite(grid: SpectralGrid, norm_bound: float) -> list[CheckResult]:
     out = []
     for t in ORACLE_TIMES:
         for z in ORACLE_POINTS:
-            spectral = evaluate_heat_kernel(t, z, grid).value.real
+            spectral = evaluate_heat_kernel(t, z, grid).value
             reference = periodized_oracle(t, z, norm_bound, shell_warning=False)
             rel = abs(spectral - reference) / abs(reference)
             out.append(_le(f"oracle agreement t={t} z={z.x}+{z.y}i (B={norm_bound:g})",

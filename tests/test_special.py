@@ -49,6 +49,21 @@ class TestBesselKImag:
         with pytest.raises(ValueError):
             bessel_k_imag(1.0, -2.0)
 
+    @pytest.mark.parametrize("r, x, refused", [
+        (math.nan, 1.0, "finite R, got R = nan"),
+        (math.inf, 1.0, "finite R, got R = inf"),
+        (-math.inf, 1.0, "finite R, got R = -inf"),
+        (5.0, math.nan, "finite x >= 0.001, got x = nan"),
+        (5.0, [1.0, math.nan], "finite x >= 0.001, got x = nan"),
+        (5.0, math.inf, "finite x >= 0.001, got x = inf")])
+    def test_non_finite_inputs_refused(self, r, x, refused, monkeypatch):
+        # refused by name before any quadrature runs, not answered as nan
+        # (or, at R = inf, an OverflowError inside the quadrature)
+        monkeypatch.setattr(special, "kbessel_quad", None)
+        with pytest.raises(ValueError) as exc:
+            bessel_k_imag(r, x)
+        assert str(exc.value) == f"K_iR(x) is answered for {refused}"
+
     # reference values computed with mpmath.besselk at 40 digits (rescaled by
     # e^{pi R/2}); they pin both the oscillatory and the monotone regimes
     REFERENCE = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -48,6 +49,17 @@ class TestEvaluateHeatKernel:
         for z in POINTS:
             rep = evaluate_heat_kernel(1.0, z, grid)
             assert abs(rep.value.imag) <= 1e-9 * abs(rep.value.real)
+
+    @pytest.mark.parametrize("t, z", [(1.0, HPoint(0.25, 1.3)), (0.2, HPoint(0.1, 3.5)),
+                                      (1.0, HPoint(0.0, 1e4)), (8.0, HPoint(0.0, 1.0))])
+    def test_parts_are_floats_and_the_report_serializes(self, grid, t, z):
+        # the heat data hold no imaginary part and the basis is real, so the
+        # complex sums the parts are taken from have imaginary parts exactly 0
+        assert not np.any(heat_coefficients(t, grid).coeffs.values.imag)
+        rep = evaluate_heat_kernel(t, z, grid)
+        parts = (rep.value, rep.cusp_part, rep.residual_part, rep.eisenstein_part)
+        assert all(type(part) is float for part in parts)
+        assert json.loads(json.dumps(dataclasses.asdict(rep)))["value"] == rep.value
 
     def test_positivity(self, grid):
         for t in (0.5, 1.0, 2.0, 8.0):
