@@ -182,7 +182,7 @@ def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _plane_kernel_series(t: float, rho: np.ndarray) -> np.ndarray:
-    """heat_kernel_plane(t, rho) from one Chebyshev interpolant on [0, max rho].
+    """heat_kernel_plane(t, rho) from one Chebyshev interpolant on [0, max(rho, 1)].
 
     It interpolates q = p_t / envelope, which is smooth: its only
     singularities are the branch points rho = +-i pi of sqrt(rho/sinh rho),
