@@ -157,7 +157,7 @@ class TestPlaneHeatKernel:
 
     @pytest.mark.parametrize("t", PLANE_T)
     def test_matches_mpmath_at_the_ends_of_the_time_domain(self, t):
-        # measured at most 9.3e-14 off at t = 1e-4 (rho = 0.3) and 6.8e-15
+        # measured at most 9.3e-14 off at t = 1e-4 (rho = 0.3) and 6.7e-15
         # at t = 100; p_t(1) underflows to 0 on both sides at t = 1e-4
         rho = [0.0, 1e-8, 1e-6, 1e-4, 0.01, 0.03, 0.1, 0.3, 1.0]
         vals = heat_kernel_plane(t, rho)
