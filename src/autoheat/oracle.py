@@ -101,15 +101,16 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
         half = u * u
         s = r + half
         half *= 0.5
-        np.sinh(denom := r + half, out=denom)
-        denom *= 2.0
-        denom *= np.sinh(half, out=half)
-        np.multiply(s, s, out=half)
-        half /= -4.0 * t
-        u *= 2.0
-        u *= s
-        u *= np.exp(half, out=half)
-        u /= np.sqrt(denom, out=denom)
+        with np.errstate(over="ignore"):  # an inf cosh difference (rho past ~700): a 0 term
+            np.sinh(denom := r + half, out=denom)
+            denom *= 2.0
+            denom *= np.sinh(half, out=half)
+            np.multiply(s, s, out=half)
+            half /= -4.0 * t
+            u *= 2.0
+            u *= s
+            u *= np.exp(half, out=half)
+            u /= np.sqrt(denom, out=denom)
         u *= w
         val[lo:lo + _PLANE_BLOCK] = np.sum(u, axis=1)
     return math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val

@@ -120,16 +120,13 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     its largest term is at least NEGLIGIBLE times the family's largest bound:
     |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0 where the row is
     identically zero at these heights), |w c| on a node.  The constant row is
-    always kept, and the last node whenever its term is nonzero: the tail
-    estimate reads its value."""
+    always kept."""
     grid, n = f.grid, f.grid.n_cusp
     size = np.abs(grid.weights * f.values)
     y_min = float(np.min(y)) if len(y) else np.inf
     cusp = size[:n] * maass_envelope(grid.table.bank.r[:n], y_min)
     nodes = size[n + 1:]
-    eis = _not_negligible(nodes, nodes)
-    eis[-1:] = nodes[-1:] != 0.0
-    return np.concatenate([_not_negligible(cusp, cusp), [True], eis])
+    return np.concatenate([_not_negligible(cusp, cusp), [True], _not_negligible(nodes, nodes)])
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:
@@ -161,9 +158,18 @@ def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:
     return CoeffFn(grid, coeffs)
 
 
+def synthesis_parts(f: CoeffFn, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point of basis (grid.basis_rows' shape) the cusp, residual and
+    Eisenstein parts of f's synthesis: each point's terms w c E are one row,
+    summed in row order family by family, so no point depends on its batch."""
+    n, terms = f.grid.n_cusp, np.ascontiguousarray(basis.T) * (f.grid.weights * f.values)
+    return terms[:, :n].sum(axis=-1), terms[:, n], terms[:, n + 1:].sum(axis=-1)
+
+
 def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise synthesis sum/integral of coefficients against the basis.
+    """Pointwise synthesis sum/integral of coefficients against the basis:
+    synthesis_parts' sum, as evaluate_heat_kernel's value for heat data.
     The rows outside synthesis_rows are left at zero, unevaluated: for heat
-    data, the odd cusp forms (they vanish at i) and the entries whose damping
-    leaves them negligible."""
-    return (f.grid.weights * f.values) @ f.grid.basis_rows(x, y, synthesis_rows(f, y))
+    data, the odd cusp forms (they vanish at i) and the negligible entries."""
+    cusp, residual, eis = synthesis_parts(f, f.grid.basis_rows(x, y, synthesis_rows(f, y)))
+    return cusp + residual + eis

@@ -9,7 +9,7 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import synthesis_rows, synthesize_values
+from .sobolev import synthesis_parts, synthesis_rows, synthesize_values
 from .spectral_model import SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
@@ -19,10 +19,11 @@ TAIL_TOLERANCE = 1e-8
 class SynthesisReport:
     """One heat-kernel evaluation split into spectral parts.
 
-    value = cusp_part + residual_part + eisenstein_part by construction;
-    tail_estimate bounds the continuous-spectrum contribution dropped beyond
-    the grid's r_max; nodes_used counts the Eisenstein nodes evaluated
-    (sobolev.synthesis_rows).  tail_warning flags a value <= 0 (the heat
+    value = cusp_part + residual_part + eisenstein_part, the parts summed by
+    sobolev.synthesis_parts, so value is synthesize_values' at the reduced
+    point; nodes_used counts the Eisenstein nodes evaluated, synthesis_rows'
+    and the last, from which tail_estimate bounds the continuum dropped
+    beyond the grid's r_max.  tail_warning flags a value <= 0 (the heat
     kernel is strictly positive, so such a value is wrong by at least its
     own size) or one against which the tail plus the cancellation error,
     4 eps times the largest part (not reported), is large: high in the cusp
@@ -48,27 +49,22 @@ def _gaussian_tail(r_max: float, t: float) -> float:
 
 
 def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisReport:
-    """Heat kernel at (t, z) by synthesis over the grid.
-
-    Refuses t = 0: the initial datum is a distribution, reachable only as
-    coefficients.  The three spectral parts are the sums of the synthesis
-    terms over the cusp, residual and Eisenstein rows; the report adds an
-    engineering bound on the dropped r > r_max continuum.
-    """
+    """Heat kernel at (t, z) by synthesis over the grid, as SynthesisReport
+    splits it.  Refuses t = 0: the initial datum is a distribution, reachable
+    only as coefficients."""
     if not t > 0.0:
         raise ValueError("pointwise heat-kernel values exist for t > 0 only")
     p = reduce_to_fundamental_domain(z)
     coeffs = heat_coefficients(t, grid).coeffs
     y = np.array([p.y])
     live = synthesis_rows(coeffs, y)
-    column = grid.basis_rows(np.array([p.x]), y, live)[:, 0]
-    terms = grid.weights * coeffs.values * column
-    n = grid.n_cusp
-    cusp, residual, eis = terms[:n].sum(), terms[n], terms[n + 1:].sum()
+    live[-1] |= coeffs.values[-1] != 0.0  # the tail estimate reads the last node
+    basis = grid.basis_rows(np.array([p.x]), y, live)
+    cusp, residual, eis = (part[0] for part in synthesis_parts(coeffs, basis))
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
-    edge = max(abs(column[-1]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
+    edge = max(abs(basis[-1, 0]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them
     cancel_error = 4.0 * np.finfo(float).eps * max(abs(cusp), abs(residual), abs(eis))
@@ -80,7 +76,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         residual_part=float(residual.real),
         eisenstein_part=float(eis.real),
         tail_estimate=tail,
-        nodes_used=int(np.count_nonzero(live[n + 1:])),
+        nodes_used=int(np.count_nonzero(live[grid.n_cusp + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
                           or value.real <= 0.0),
     )

@@ -189,12 +189,26 @@ class TestPlaneHeatKernel:
     def test_quadrature_is_the_plain_expression_bit_for_bit(self, t):
         # 5e-4 takes the near-diagonal branch; the seeded distances span two blocks
         rng = np.random.default_rng(17)
-        rho = np.concatenate([[0.0, 1e-17, 1e-10, 5e-4, 0.999, 1.0, 1.5, 10.15, 40.0],
+        # 700 and 1000 overflow the cosh difference: zero terms in both
+        rng = np.random.default_rng(17)
+        rho = np.concatenate([[0.0, 1e-17, 1e-10, 5e-4, 0.999, 1.0, 1.5, 10.15, 40.0,
+                               700.0, 1000.0],
                               rng.uniform(0.0, 40.0, 2500),
                               np.exp(rng.uniform(math.log(1e-18), math.log(40.0), 2500))])
         assert _PLANE_BLOCK < len(rho) <= 2 * _PLANE_BLOCK
-        assert np.array_equal(heat_kernel_plane(t, rho), _plane_kernel_plain(t, rho))
+        with np.errstate(over="ignore"):
+            plain = _plane_kernel_plain(t, rho)
+        assert np.array_equal(heat_kernel_plane(t, rho), plain)
         assert np.array_equal(heat_kernel_plane(t, 0.3), _plane_kernel_plain(t, [0.3]))
+
+    @pytest.mark.parametrize("t, rho", [(1.0, 700.0), (100.0, 580.0), (1.0, 1000.0),
+                                        (1e-4, 720.0)])
+    def test_far_distances_are_zero_without_a_warning(self, t, rho):
+        # the last node's cosh difference overflows (in sinh or in the
+        # product) past rho ~ 710 - sqrt(184 t); the term it divides is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert heat_kernel_plane(t, rho)[0] == 0.0
 
 
 def _plane_kernel_plain(t: float, rho) -> np.ndarray:

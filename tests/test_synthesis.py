@@ -11,10 +11,12 @@ from autoheat.heat import _damping, heat_coefficients, profile
 from autoheat.hyperbolic import HPoint, QuadSpec, reduce_to_fundamental_domain
 from autoheat.oracle import periodized_oracle
 from autoheat.sobolev import (
+    NEGLIGIBLE,
     CoeffFn,
     apply_generator,
     basis_values,
     sobolev_weights,
+    synthesis_parts,
     synthesis_rows,
     synthesize_values,
 )
@@ -22,6 +24,22 @@ from autoheat.spectral_model import build_grid
 from autoheat.synthesis import evaluate_heat_kernel, partial_synthesis_sup_difference
 
 POINTS = (HPoint(0.0, 1.0), HPoint(0.0, 2.0), HPoint(0.3, 1.1))
+
+
+def _report_rows(coeffs, y):
+    """The rows evaluate_heat_kernel evaluates: synthesis_rows and the last
+    node whenever its term is nonzero (the tail estimate reads it)."""
+    live = synthesis_rows(coeffs, y)
+    live[-1] |= coeffs.values[-1] != 0.0
+    return live
+
+
+def _seeded_field(rng, top, npoints=200):
+    """Seeded reduced points, y log-uniform from 0.87 to top, over the arc."""
+    x = rng.uniform(-0.5, 0.5, npoints)
+    y = np.maximum(np.exp(rng.uniform(math.log(0.87), math.log(top), npoints)),
+                   np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+    return x, y
 
 
 def _eisenstein_tail_norm(t, grid, r_from, s):
@@ -42,7 +60,7 @@ class TestEvaluateHeatKernel:
         total = rep.cusp_part + rep.residual_part + rep.eisenstein_part
         assert abs(rep.value - total) <= 1e-14 * abs(rep.value)
         assert rep.tail_estimate >= 0.0
-        live = synthesis_rows(heat_coefficients(0.8, grid).coeffs, np.array([1.1]))
+        live = _report_rows(heat_coefficients(0.8, grid).coeffs, np.array([1.1]))
         assert 0 < rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) < grid.n_eisenstein
 
     def test_real_valued(self, grid):
@@ -117,6 +135,22 @@ class TestEvaluateHeatKernel:
             assert (rep.cusp_part, rep.residual_part, rep.eisenstein_part) == (
                 terms[:n].sum(), terms[n], terms[n + 1:].sum())
 
+    def test_report_is_the_one_point_field(self, grid):
+        # seeded points, most of them outside the fundamental domain: the
+        # value is the field's at the reduced point and the parts are
+        # synthesis_parts' over the report's rows, bit for bit
+        rng = np.random.default_rng(36)
+        for t in (0.05, 0.2, 0.6, 1.0, 2.5, 8.0):
+            coeffs = heat_coefficients(t, grid).coeffs
+            for x, y in zip(rng.uniform(-3.0, 3.0, 20), np.exp(rng.uniform(-1.5, 2.1, 20))):
+                rep = evaluate_heat_kernel(t, HPoint(float(x), float(y)), grid)
+                p = reduce_to_fundamental_domain(HPoint(float(x), float(y)))
+                px, py = np.array([p.x]), np.array([p.y])
+                parts = synthesis_parts(coeffs, grid.basis_rows(px, py, _report_rows(coeffs, py)))
+                assert (rep.cusp_part, rep.residual_part, rep.eisenstein_part) == tuple(
+                    part[0].real for part in parts)
+                assert rep.value == synthesize_values(coeffs, px, py)[0].real
+
     def test_one_fourier_sum_per_evaluation(self, grid, monkeypatch):
         # the cusp forms and the Eisenstein nodes are rows of one table, so a
         # point costs one Fourier sum, not one per family
@@ -129,7 +163,7 @@ class TestEvaluateHeatKernel:
 
         monkeypatch.setattr(forms, "_fourier_rows", counting)
         evaluate_heat_kernel(0.6, HPoint(0.1, 1.2), grid)
-        live = synthesis_rows(heat_coefficients(0.6, grid).coeffs, np.array([1.2]))
+        live = _report_rows(heat_coefficients(0.6, grid).coeffs, np.array([1.2]))
         assert live[:grid.n_cusp].any() and live[grid.n_cusp + 1:].any()
         assert calls == [np.count_nonzero(live) - 1]  # every live row but the constant
 
@@ -183,13 +217,17 @@ class TestNegligibleRows:
         self._against_nonzero_rows(monkeypatch, grid, cases)
 
     def test_edge_node_follows_its_damping(self, grid, monkeypatch):
-        # the tail estimate reads the last node: kept while its damping is
-        # nonzero, even where its neighbours are negligible, and left out
-        # (counting as 1) once the damping underflowed, past t ~ 4.9
-        y = np.array([1.0])
-        live = synthesis_rows(heat_coefficients(1.0, grid).coeffs, y)
-        assert live[-1] and not live[-2]
-        assert not synthesis_rows(heat_coefficients(6.0, grid).coeffs, y)[-1]
+        # the tail estimate reads the last node: the report evaluates it
+        # while its damping is nonzero, where synthesis_rows finds it
+        # negligible, and leaves it out (counting as 1) once the damping
+        # underflowed, past t ~ 4.9
+        z = HPoint(0.0, 1.0)
+        for t, edge in ((1.0, True), (6.0, False)):
+            coeffs = heat_coefficients(t, grid).coeffs
+            live = synthesis_rows(coeffs, np.array([z.y]))
+            assert not live[-1] and not live[-2] and bool(coeffs.values[-1]) is edge
+            rep = evaluate_heat_kernel(t, z, grid)
+            assert rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) + edge
         cases = [(1.0, HPoint(0.0, 1.0)), (4.95, HPoint(0.3, 1.2)), (6.0, HPoint(0.0, 1.0))]
         self._against_nonzero_rows(monkeypatch, grid, cases)
 
@@ -204,13 +242,35 @@ class TestNegligibleRows:
     def test_fields_are_bit_identical(self, grid):
         rng = np.random.default_rng(11)
         for t, top in ((0.05, 1.6), (0.35, 12.0), (1.0, 8.0), (4.0, 50.0)):
-            x = rng.uniform(-0.5, 0.5, 200)
-            y = np.maximum(np.exp(rng.uniform(math.log(0.87), math.log(top), 200)),
-                           np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+            x, y = _seeded_field(rng, top)
             coeffs = heat_coefficients(t, grid).coeffs
-            wc = grid.weights * coeffs.values
+            nonzero = grid.weights * coeffs.values != 0.0
             assert np.array_equal(synthesize_values(coeffs, x, y),
-                                  wc @ grid.basis_rows(x, y, wc != 0.0))
+                                  sum(synthesis_parts(coeffs, grid.basis_rows(x, y, nonzero))))
+
+    def test_field_values_do_not_depend_on_their_batch(self, grid):
+        rng = np.random.default_rng(36)
+        for t, top in ((0.05, 1.6), (0.35, 12.0), (1.0, 8.0), (4.0, 50.0)):
+            x, y = _seeded_field(rng, top)
+            coeffs = heat_coefficients(t, grid).coeffs
+            field = synthesize_values(coeffs, x, y)
+            alone = [synthesize_values(coeffs, x[k:k + 1], y[k:k + 1])[0] for k in range(len(x))]
+            assert np.array_equal(field, alone)
+            assert np.array_equal(field[:100], synthesize_values(coeffs, x[:100], y[:100]))
+
+    def test_no_row_is_forced(self, grid):
+        # a seeded non-heat function whose last node, and one node inside
+        # the line, is below NEGLIGIBLE of the largest node term: both are
+        # left out, and the rest of the line is kept
+        rng = np.random.default_rng(36)
+        n, mid = grid.n_cusp, grid.n_cusp + 1 + grid.n_eisenstein // 2
+        values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        nodes = np.abs(grid.weights * values)[n + 1:]
+        for row in (mid, -1):
+            values[row] *= 0.1 * NEGLIGIBLE * nodes.max() / nodes[row - n - 1]
+        live = synthesis_rows(CoeffFn(grid, values), np.array([1.0, 3.0]))
+        assert not live[-1] and not live[mid]
+        assert np.count_nonzero(live[n + 1:]) == grid.n_eisenstein - 2
 
 
 class TestRowsOnFirstUse:

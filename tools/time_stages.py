@@ -2,14 +2,16 @@
 """Time the package's calls by stage.
 
 Five calls, each repeated, as STAGES lists them: a cold evaluation, the
-default grid with its data load built afresh and evaluated at the golden
+default grid (RunConfig's r_max, panels and nodes per panel) with its data
+load built afresh and evaluated at the golden
 point t = 1, z = 0.25 + 1.3i (the set-up the benchmark times; the grid
 fits only the bank rows the point uses, inside the norm, the data check
 and the evaluation, so those are not stages; the K-Bessel quadrature is
 also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel`
 points (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
 [-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
-first time, both per point, a bound-160 `periodized_oracle`, and a
+first time, both per point and both with `synthesis_parts`, their one sum
+of the synthesis terms, as a stage, a bound-160 `periodized_oracle`, and a
 bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
 first call of each is left out; its plane-kernel stage is the quadrature at
 the fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages
@@ -44,13 +46,16 @@ from autoheat.spectral_model import SpectralGrid  # noqa: E402
 REPEATS = 21  # of every call but the cold one
 SEED, TIMES, PER_TIME, FIELD_POINTS = 21, 6, 20, 500
 COLD = "evaluate_heat_kernel(1, 0.25 + 1.3i)"
+CFG = config.RunConfig()
+GRID = (CFG.r_max, CFG.panels, CFG.nodes_per_panel)
 SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
 
 # Per call: its title, its repeats, its stages ((namespace, name), a module
 # or class and the name of a function in it, to a label), what the rest of
 # the call is, and the count of points its medians are divided by.
 STAGES = {
-    "cold": (f"{COLD} on a fresh build_grid(load_maass_data(path), 12.0, 5, 32)", 7, {
+    "cold": (f"{COLD} on a fresh build_grid(load_maass_data(path), {', '.join(map(str, GRID))})",
+             7, {
         (forms, "load_maass_data"): "load_maass_data",
         (forms, "xi_line"): "xi_line",
         (special, "kbessel_quad"): "kbessel_quad",
@@ -58,11 +63,13 @@ STAGES = {
         "re-expansion, checks, Fourier sums", 1),
     "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
         **{(synthesis, name): name for name in
-           ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows")},
+           ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows",
+            "synthesis_parts")},
         (SpectralGrid, "basis_rows"): "SpectralGrid.basis_rows"},
-        "the rest (sums and report)", TIMES * PER_TIME),
-    "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {},
-              "heat_coefficients and the field", FIELD_POINTS),
+        "the rest (report)", TIMES * PER_TIME),
+    "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {
+        (sobolev, "synthesis_parts"): "synthesis_parts"},
+        "heat_coefficients, rows and basis", FIELD_POINTS),
     "orbit": ("periodized_oracle(t=1, z=0.25+1.3i, bound 160)", REPEATS, {
         (oracle, "orbit_of_i"): "orbit_of_i",
         (oracle, "_chebyshev_coef"): "fit (_chebyshev_coef)",
@@ -124,7 +131,7 @@ def report(title: str, medians: dict, faults: float, rest: str, repeats: int) ->
 
 
 def main() -> None:
-    path, grid = config.RunConfig().resolve_data_path(), verify.grid_for_config(config.RunConfig())
+    path, grid = CFG.resolve_data_path(), verify.grid_for_config(CFG)
     rng = np.random.default_rng(SEED)
     ts = np.exp(rng.uniform(0.0, math.log(4.0), TIMES))
     xs = rng.uniform(-0.5, 0.5, (TIMES, PER_TIME))
@@ -135,7 +142,7 @@ def main() -> None:
     fresh = []  # the grid of the last cold call
 
     def cold():
-        fresh[:] = [spectral_model.build_grid(forms.load_maass_data(path), 12.0, 5, 32)]
+        fresh[:] = [spectral_model.build_grid(forms.load_maass_data(path), *GRID)]
         synthesis.evaluate_heat_kernel(1.0, HPoint(0.25, 1.3), fresh[0])
 
     calls = {
