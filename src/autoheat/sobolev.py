@@ -120,7 +120,7 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     its largest term is at least NEGLIGIBLE times the family's largest bound:
     |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0 where the row is
     identically zero at these heights), |w c| on a node.  The constant row is
-    always kept."""
+    always kept (synthesis.evaluate_heat_kernel adds the last node for its tail)."""
     grid, n = f.grid, f.grid.n_cusp
     size = np.abs(grid.weights * f.values)
     y_min = float(np.min(y)) if len(y) else np.inf

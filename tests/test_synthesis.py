@@ -122,7 +122,7 @@ class TestEvaluateHeatKernel:
             value = rep.value
             skipping = synthesize_values(coeffs, x, y)[0]
             full = ((grid.weights * coeffs.values) @ basis_values(grid, x, y))[0]
-            assert abs(value - skipping) <= 1e-13 * abs(skipping)
+            assert value == skipping
             assert abs(skipping - full) <= 1e-13 * abs(full)
             # the skipped rows, the odd forms among them, are left unevaluated
             live = synthesis_rows(coeffs, y)
