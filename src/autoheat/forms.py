@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import KBesselBank, gauss_rule, xi_line
+from .special import FOURIER_DECAY, KBesselBank, gauss_rule, xi_line
 
-_BESSEL_DECAY = 45.0  # keep Fourier terms until 2*pi*n*y exceeds r + this
 _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
 _ENTRY_BLOCK = 2 ** 16  # Bessel entries per pass of a Fourier sum: bounds its flat arrays
 _NORM_Y_MAX = 10.0  # height cutoff of the L2 normalization
@@ -62,7 +61,7 @@ def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
 
 def _bessel_table(bank: KBesselBank, rows, cut, n_max: np.ndarray, n_cols: int, heights):
     """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
-    and 2 pi n y <= cut[i] = r_i + _BESSEL_DECAY, one bank entry each; the
+    and 2 pi n y <= cut[i] = r_i + FOURIER_DECAY, one bank entry each; the
     table is zero where not live."""
     n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
     ns = np.arange(1, min(n_cols, n_top) + 1)
@@ -95,7 +94,7 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[j, n-1] Ktilde_{r_j}(2 pi n y) tr_j(2 pi n x) for each bank
     row j in rows, r_j = bank.r[j], tr_j = sin where odd[j] else cos, over
-    the n with 2 pi n y <= r_j + _BESSEL_DECAY; coeffs, n_max and odd are
+    the n with 2 pi n y <= r_j + FOURIER_DECAY; coeffs, n_max and odd are
     indexed by bank row.  ValueError where a row's n_max[j] coefficients
     stop short of that at the lowest height: the dropped terms would go
     unreported.
@@ -111,13 +110,13 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     if not (len(x) and len(rows)):
         return out
     n_max, odd = n_max[rows], odd[rows]
-    cut, y_min = bank.r[rows] + _BESSEL_DECAY, float(np.min(y))
+    cut, y_min = bank.r[rows] + FOURIER_DECAY, float(np.min(y))
     short = 2.0 * math.pi * n_max * y_min < cut
     if short.any():
         i = int(np.argmax(short))
         raise ValueError(
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
-            f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {_BESSEL_DECAY:g}): the point "
+            f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {FOURIER_DECAY:g}): the point "
             f"is outside the evaluator's domain")
     any_odd = odd.any()
     for idx, heights, at in _height_blocks(y, float(np.sum(cut)) / (2.0 * math.pi)):
@@ -165,9 +164,9 @@ class MaassFormData:
 def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
     """Growth of |Ktilde_{ir}| at heights >= y_min, up to a factor common to
     all r: e^{pi r/2}, as past its turning point Ktilde_{ir} behaves like
-    e^{pi r/2} K_0; 0 where 2 pi y_min > r + _BESSEL_DECAY, where the
+    e^{pi r/2} K_0; 0 where 2 pi y_min > r + FOURIER_DECAY, where the
     expansion keeps no term."""
-    return np.where(2.0 * math.pi * y_min > r + _BESSEL_DECAY, 0.0, np.exp(0.5 * math.pi * r))
+    return np.where(2.0 * math.pi * y_min > r + FOURIER_DECAY, 0.0, np.exp(0.5 * math.pi * r))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32)
     coeffs, n_max, odd = table.coeffs[rows], table.n_max[rows], table.odd[rows]
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    bessel = _bessel_table(bank, rows, bank.r[rows] + _BESSEL_DECAY, n_max,
+    bessel = _bessel_table(bank, rows, bank.r[rows] + FOURIER_DECAY, n_max,
                            coeffs.shape[1], np.exp(log_y.ravel()))
     rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)

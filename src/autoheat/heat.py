@@ -65,7 +65,7 @@ def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     node term (sobolev._not_negligible on forms.BasisTable.bounds_at_i)."""
     damp, n = _damping(grid, t), grid.n_cusp
     lo, hi = grid.table.bounds_at_i
-    w = grid.eisenstein_w * damp[n + 1:]
+    w = grid.weights[n + 1:] * damp[n + 1:]
     keep = np.ones(grid.size, dtype=bool)
     keep[n + 1:] = _not_negligible(w * hi, w * lo)
     keep[-1] = True

@@ -110,6 +110,7 @@ _X_MIN = 1e-3  # smallest argument bessel_k_imag answers for
 _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
 _FIT_BLOCK = 24  # bank rows per quadrature call of a fit: bounds its arrays
+FOURIER_DECAY = 45.0  # callers keep Fourier terms with 2 pi n y <= r + this; banks cover them
 
 
 # one eigenvalue solve per rule size and process; the arrays are shared, so
@@ -243,9 +244,9 @@ def kbessel_quad(r, x) -> np.ndarray:
 
 
 class KBesselBank:
-    """e^{pi r/2} K_{ir}(x) for every r of a spectral family, on the closed
-    range x_min <= x <= fit_hi = min(r + 50, pi r/2 + 45), past every Fourier
-    term its callers keep (2 pi n y <= r + 45); any other x is refused.
+    """e^{pi r/2} K_{ir}(x) for every r of a spectral family, on the closed range
+    x_min <= x <= fit_hi = min(r + D + 5, pi r/2 + D), D = FOURIER_DECAY: past
+    every Fourier term its callers keep (2 pi n y <= r + D); any other x is refused.
 
     Row j holds r_j, fitted on first use from kbessel_quad at its own
     first-kind Chebyshev nodes in log x (`fitted` marks the rows fitted so
@@ -260,7 +261,8 @@ class KBesselBank:
     def __init__(self, rs, x_min: float):
         self.r = np.abs(np.asarray(rs, dtype=float).reshape(-1))  # K_{ir} is even in r
         self.x_min = float(x_min)
-        self.fit_hi = np.minimum(self.r + 50.0, np.pi * self.r / 2.0 + 45.0)
+        self.fit_hi = np.minimum(self.r + (FOURIER_DECAY + 5.0),
+                                 np.pi * self.r / 2.0 + FOURIER_DECAY)
         if np.any(self.x_min >= self.fit_hi):
             raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
         # interpolate in u = log x: near zero the rescaled Bessel is a clean

@@ -28,26 +28,20 @@ class SpectralGrid:
 
     A plain object: every array is set once, here; only the basis column at
     i (`basis_at_i`) and the table's bank rows fill in place, on first use.
-    The `table` (forms.BasisTable, built and checked here) evaluates the
-    cusp forms and the continuous nodes, one K-Bessel bank row each, so that
-    a basis evaluation is one Fourier sum over both families.  Coefficient
-    vectors over the grid are laid out as
-    [cusp entries..., residual entry, eisenstein node entries...], and so
-    are the per-entry arrays: the eigenvalues `lambdas` (always <= 0) and
-    the integration `weights` (1 on the discrete part, w_j on the nodes).
+    The `table` (forms.BasisTable, built and checked here), the only record
+    of each row's r, parity and coefficients, evaluates the cusp forms and
+    the nodes as one K-Bessel bank row each, in one Fourier sum.  Coefficient
+    vectors are laid out as [cusp entries..., residual entry, node entries...],
+    and so are the per-entry arrays: the eigenvalues `lambdas` (always <= 0)
+    and the `weights` (1 on the discrete part, dr/(2 pi) quadrature weights).
     """
 
     def __init__(self, cusp_forms: tuple[MaassFormData, ...], eisenstein_r: np.ndarray,
                  eisenstein_w: np.ndarray, r_max: float):
-        self.cusp_forms = cusp_forms
-        self.eisenstein_r = eisenstein_r
-        self.eisenstein_w = eisenstein_w  # Plancherel-folded quadrature weights dr/(2 pi)
         self.r_max = r_max
-        self.n_cusp = len(cusp_forms)
-        self.n_eisenstein = len(eisenstein_r)
-        self.size = self.n_cusp + 1 + self.n_eisenstein
         self.table = BasisTable(cusp_forms, eisenstein_r)  # rows: cusp forms, then nodes
-        r = self.table.bank.r
+        r, self.n_cusp = self.table.bank.r, self.table.n_cusp
+        self.size = len(r) + 1
         self.lambdas = np.insert(-(0.25 + r * r), self.n_cusp, 0.0)
         self.weights = np.concatenate([np.ones(self.n_cusp), [1.0], eisenstein_w])
         self.table.check()

@@ -169,13 +169,13 @@ class TestMaass:
             _one_sum(form, [0.0], [math.sqrt(3.0) / 2.0])
         assert np.isfinite(_one_sum(form, [0.0], [1.3])[0])
 
-    def test_norms_against_refined_rules(self, grid):
+    def test_norms_against_refined_rules(self, grid, forms_of):
         # the Parseval-plus-cap rule against itself at doubled node counts
         # (measured 8.9e-16; the former 2-D rule is 1.6e-13 off) and, on
         # three forms (both parities, lowest and highest r), against a fine
         # 2-D rule over the whole domain (measured <= 2.1e-14 there, 5.4e-14
         # over all forms)
-        dataset = grid.cusp_forms
+        dataset = forms_of(grid)
         norm_sq = grid.table.norm ** -2.0
         doubled = _norm_squares(grid.table, ny=64, nphi=64, nx=64)
         assert np.max(np.abs(norm_sq / doubled - 1.0)) < 5e-15
@@ -184,10 +184,10 @@ class TestMaass:
         vals = np.array([_one_sum(dataset[i], x, y) for i in rows]) * np.sqrt(y)
         assert np.max(np.abs(norm_sq[rows] / ((vals * vals) @ w) - 1.0)) < 1e-13
 
-    def test_table_norms_are_the_grids(self, grid):
+    def test_table_norms_are_the_grids(self, grid, forms_of):
         # a table of the forms alone normalizes and checks them with the
         # grid's bits: its cusp rows are fitted alone in both
-        table = BasisTable(grid.cusp_forms, ())
+        table = BasisTable(forms_of(grid), ())
         assert np.array_equal(grid.table.norm[:grid.n_cusp], table.norm)
         assert np.array_equal(grid.table.hecke, table.hecke)
         assert np.array_equal(grid.table.inversion, table.inversion)
@@ -214,7 +214,7 @@ def _bessel_table(bank, rows, heights, n_cols=72):
     """The synthesis path's Bessel table, with its live entries as (row,
     argument) pairs for the bank's public call and its live mask."""
     rows = np.asarray(rows, dtype=np.intp)
-    cut = bank.r[rows] + forms._BESSEL_DECAY
+    cut = bank.r[rows] + special.FOURIER_DECAY
     table = forms._bessel_table(bank, rows, cut, np.full(len(rows), n_cols), n_cols, heights)
     arg = (2.0 * np.pi * np.arange(1, table.shape[1] + 1))[:, None] * heights
     live = arg <= cut[:, None, None]
@@ -253,7 +253,7 @@ class TestBesselTable:
                 bank(np.append(entry_rows, 0), np.append(args, np.nextafter(bank.fit_hi[0], 99.0)))
 
     def test_every_default_row_is_in_range(self, grid):
-        # the cut r + _BESSEL_DECAY of the Fourier sums never passes
+        # the cut r + FOURIER_DECAY of the Fourier sums never passes
         # fit_hi = min(r + 50, pi r/2 + 45) in floating point, since rounding
         # is monotone; the two meet only where pi r/2 vanishes beside 45.
         # Checked on the default grid's rows, on rows at the ends of the
@@ -263,21 +263,21 @@ class TestBesselTable:
 
         bank = grid.table.bank
         assert np.array_equal(fit_hi(bank.r), bank.fit_hi)
-        assert np.all(bank.r + forms._BESSEL_DECAY < bank.fit_hi)
+        assert np.all(bank.r + special.FOURIER_DECAY < bank.fit_hi)
         ends = special.KBesselBank((0.0, 1e-300, 1e-17, 26.45, 50.0), x_min=2.0)
-        assert np.array_equal(ends.r + forms._BESSEL_DECAY == ends.fit_hi,
+        assert np.array_equal(ends.r + special.FOURIER_DECAY == ends.fit_hi,
                               [True, True, True, False, False])
         for panels in (1, 5, 40):
             for r_max in (12.0, 44.0):
                 r = eisenstein_nodes(r_max, panels, 32)[0]
-                assert np.all(r + forms._BESSEL_DECAY <= fit_hi(r))
+                assert np.all(r + special.FOURIER_DECAY <= fit_hi(r))
 
     def test_row_out_of_range_in_floating_point_gets_the_call(self):
         # at r = 1e-17, pi r/2 + 45 rounds to 45 = r + 45: the row's cut
         # reaches its fit_hi, the right end of its panels, and the entries
         # there agree with the quadrature; every entry equals the public call
         bank = special.KBesselBank((1e-17, 5.0), x_min=2.0)
-        assert bank.r[0] + forms._BESSEL_DECAY == bank.fit_hi[0]
+        assert bank.r[0] + special.FOURIER_DECAY == bank.fit_hi[0]
         heights = np.array([self.FLOOR, 1.3, 45.0 / (2.0 * np.pi)])
         table, entry_rows, args, live = _bessel_table(bank, [0, 1], heights)
         edge = (entry_rows == 0) & (args == bank.fit_hi[0])

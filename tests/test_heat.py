@@ -64,7 +64,7 @@ class TestHeatCoefficients:
         n = grid.n_cusp
         lo, hi = grid.table.bounds_at_i
         damp = _damping(grid, t)
-        w = grid.eisenstein_w * damp[n + 1:]
+        w = grid.weights[n + 1:] * damp[n + 1:]
         threshold = NEGLIGIBLE * np.max(w * lo, initial=0.0)
         assert (threshold == 0.0) == (t >= 2.8e3)
         old = w * hi >= (threshold or 5e-324)
@@ -74,6 +74,15 @@ class TestHeatCoefficients:
         values = np.zeros(grid.size)
         values[keep] = grid.basis_at_i(keep) * damp[keep]
         assert np.array_equal(heat_coefficients(t, grid).coeffs.values, values)
+
+    def test_node_weight_has_one_copy(self, fresh_grid):
+        # the heat data read the node weights from grid.weights, the array
+        # the synthesis multiplies by: a node whose weight is set to 0 there
+        # drops out of the heat data as its term drops out of every sum
+        j = fresh_grid.n_cusp + 11
+        assert heat_coefficients(1.0, fresh_grid).coeffs.values[j] != 0.0
+        fresh_grid.weights[j] = 0.0
+        assert heat_coefficients(1.0, fresh_grid).coeffs.values[j] == 0.0
 
     def test_negative_time_state_refused(self, tiny_grid):
         with pytest.raises(ValueError) as exc:

@@ -9,25 +9,16 @@ defect passes every row.
 import pytest
 
 from autoheat import verify
-from autoheat.config import RunConfig
-from autoheat.spectral_model import build_grid
 
 ORACLE_BOUND = 25.0
 
 
 def _node_weights(grid, factor):
     grid.weights[grid.n_cusp + 1:] *= factor
-    grid.eisenstein_w *= factor
 
 
 def _node_eigenvalues(grid, factor):
     grid.lambdas[grid.n_cusp + 1:] *= factor
-
-
-@pytest.fixture
-def fresh_grid(dataset):
-    cfg = RunConfig()
-    return build_grid(dataset, cfg.r_max, cfg.panels, cfg.nodes_per_panel)
 
 
 def test_fresh_grid_passes_the_oracle_suite(fresh_grid):

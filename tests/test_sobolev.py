@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from autoheat.forms import Parity
 from autoheat.heat import heat_coefficients
 from autoheat.hyperbolic import QuadSpec
 from autoheat.sobolev import (
@@ -190,8 +189,8 @@ class TestDeltaCoefficients:
 
     def test_odd_cusp_entries_vanish(self, grid):
         d = delta_coefficients(grid)
-        for i, form in enumerate(grid.cusp_forms):
-            if form.parity is Parity.ODD:
+        for i, odd in enumerate(grid.table.odd[:grid.n_cusp]):
+            if odd:
                 assert d.values[i] == 0.0
 
     def test_is_the_basis_column_at_i(self, grid):
@@ -200,7 +199,7 @@ class TestDeltaCoefficients:
         # constant form
         vals = delta_coefficients(grid).values
         assert np.array_equal(vals, basis_values(grid, np.array([0.0]), np.array([1.0]))[:, 0])
-        odd = np.array([f.parity is Parity.ODD for f in grid.cusp_forms])
+        odd = grid.table.odd[:grid.n_cusp]
         assert odd.any() and np.all(vals[:grid.n_cusp][odd] == 0.0)
         assert vals[grid.n_cusp] == np.sqrt(3.0 / np.pi)
 
@@ -216,8 +215,7 @@ class TestAnalyze:
         assert float(np.max(cusp)) < 1e-4
 
     def test_cusp_form_projects_onto_itself(self, grid):
-        idx, form = next((i, f) for i, f in enumerate(grid.cusp_forms)
-                         if f.parity is Parity.EVEN)
+        idx = next(i for i in range(grid.n_cusp) if not grid.table.odd[i])
         c = analyze(lambda x, y: grid.table(np.array([idx]), x, y)[0], grid)
         assert abs(c.values[idx] - 1.0) < 1e-3
         assert abs(c.values[grid.n_cusp]) < 1e-3

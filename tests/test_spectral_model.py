@@ -18,14 +18,14 @@ class TestEigenvalue:
 
     def test_eisenstein_bottom_of_spectrum(self, grid):
         # lambda = -(1/4 + r^2) on the nodes: the continuum lies below -1/4
-        r = grid.eisenstein_r
+        r = grid.table.bank.r[grid.n_cusp:]
         lam = grid.lambdas[grid.n_cusp + 1:]
         assert np.array_equal(lam, -(0.25 + r * r))
         assert np.all(lam < -0.25)
 
     def test_cuspidal_from_ingested_parameter(self, grid):
         # lowest form: r = 9.53369526135...; lambda = -(1/4 + r^2)
-        r, lam = grid.cusp_forms[0].r, grid.lambdas[0]
+        r, lam = grid.table.bank.r[0], grid.lambdas[0]
         assert abs(r - 9.53369526135) < 1e-9
         assert abs(lam + (0.25 + r ** 2)) == 0.0
         assert abs(lam + 91.1413) < 2e-4
@@ -39,12 +39,12 @@ class TestSobolevWeight:
             assert (1.0 - grid.lambdas[grid.n_cusp]) ** s == 1.0
 
     def test_eisenstein_inverse_square(self, grid):
-        r = grid.eisenstein_r
+        r = grid.table.bank.r[grid.n_cusp:]
         weight = (1.0 - grid.lambdas[grid.n_cusp + 1:]) ** -2
         assert np.max(np.abs(weight * (1.25 + r * r) ** 2 - 1.0)) < 1e-15
 
     def test_cuspidal_squared_shift(self, grid):
-        r, weight = grid.cusp_forms[0].r, (1.0 - grid.lambdas[0]) ** 2
+        r, weight = grid.table.bank.r[0], (1.0 - grid.lambdas[0]) ** 2
         expected = (1.0 + 0.25 + r ** 2) ** 2
         assert abs(weight - expected) < 1e-9 * expected
         assert abs(weight - 8490.0) < 1.0
@@ -60,13 +60,20 @@ class TestSobolevWeight:
 class TestBuildGrid:
     def test_structure_without_cusp_forms(self, tiny_grid):
         assert tiny_grid.n_cusp == 0
-        assert tiny_grid.n_eisenstein == 2 * 8
+        assert len(tiny_grid.table.bank.r) == 2 * 8
         assert tiny_grid.size == 17
+
+    def test_table_holds_the_sorted_forms(self, grid, dataset, forms_of):
+        # the table is the grid's one record of the forms: each one's r,
+        # parity and coefficients, bit for bit, in increasing r
+        for held, form in zip(forms_of(grid), sorted(dataset, key=lambda f: f.r), strict=True):
+            assert (held.r, held.parity) == (form.r, form.parity)
+            assert np.array_equal(held.coeffs, form.coeffs)
 
     def test_weights_reproduce_folded_measure(self, tiny_grid, grid):
         # Gauss-Legendre is exact on constants panel by panel
         for g in (tiny_grid, grid):
-            total = float(np.sum(g.eisenstein_w))
+            total = float(np.sum(g.weights[g.n_cusp + 1:]))
             assert abs(total - g.r_max / (2.0 * np.pi)) < 1e-12
 
     def test_duplicate_parameters_rejected(self, dataset):
@@ -122,7 +129,7 @@ class TestBuildGrid:
         assert np.all(grid.lambdas <= 0.0)
         assert np.all(grid.weights[:grid.n_cusp + 1] == 1.0)
         assert np.all(grid.weights[grid.n_cusp + 1:] > 0.0)
-        assert np.all(np.diff(grid.eisenstein_r) > 0.0)
+        assert np.all(np.diff(grid.table.bank.r[grid.n_cusp:]) > 0.0)
 
 
 class TestKBesselBanks:
@@ -203,13 +210,14 @@ class TestKBesselBanks:
                 bank(np.append(rows, rows[0]), past)
 
     @pytest.mark.parametrize("which", ["grid", "tiny_grid", "residual_only_grid"])
-    def test_basis_rows_equal_family_evaluations(self, which, request):
+    def test_basis_rows_equal_family_evaluations(self, which, request, forms_of):
         # the one Fourier sum over both families gives, bit for bit, the rows
         # of a table of the cusp forms alone and of a table of the nodes
         # alone, from the arc floor to y ~ 1e3, with gaps in both families'
         # live rows: no row's value depends on the rows evaluated beside it
         grid = request.getfixturevalue(which)
-        forms_only, nodes_only = BasisTable(grid.cusp_forms, ()), BasisTable((), grid.eisenstein_r)
+        forms_only = BasisTable(forms_of(grid), ())
+        nodes_only = BasisTable((), grid.table.bank.r[grid.n_cusp:])
         rng = np.random.default_rng(37)
         x = rng.uniform(-0.5, 0.5, 60)
         y = np.sqrt(1.0 - x * x) * np.exp(rng.uniform(0.0, np.log(1150.0), 60))
@@ -243,7 +251,7 @@ class TestKBesselBanks:
         n = 400
         x = rng.uniform(-0.5, 0.5, n)
         y = np.sqrt(1.0 - x * x) + rng.uniform(0.0, 3.0, n) ** 2
-        per_point = np.sum(grid.eisenstein_r + 45.0) / (2.0 * np.pi * y)
+        per_point = np.sum(grid.table.bank.r[grid.n_cusp:] + 45.0) / (2.0 * np.pi * y)
         assert per_point.sum() > 3 * _ENTRY_BLOCK
         whole = basis_values(grid, x, y)
         cuts = (0, 150, 151, 330, n)
@@ -325,16 +333,16 @@ class TestKBesselBanks:
         for k in range(len(x)):
             assert np.array_equal(whole[:, k], basis_values(grid, x[k:k + 1], y[k:k + 1])[:, 0])
 
-    def test_grid_rows_match_one_row_evaluators(self, grid):
+    def test_grid_rows_match_one_row_evaluators(self, grid, forms_of):
         # the grid's table against one table per r: the same functions,
         # through separately built banks and Fourier sums
         x = np.array([0.0, 0.25, -0.41, 0.5, 0.07])
         y = np.array([1.0, 1.3, 0.92, 2.4, 6.0])
         rows = basis_values(grid, x, y)
-        for i, form in enumerate(grid.cusp_forms):
+        for i, form in enumerate(forms_of(grid)):
             single = BasisTable([form], ())(np.array([0]), x, y)[0]
             assert np.max(np.abs(rows[i] - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))
-        for j, r in enumerate(grid.eisenstein_r):
+        for j, r in enumerate(grid.table.bank.r[grid.n_cusp:]):
             single = BasisTable((), (r,))(np.array([0]), x, y)[0]
             row = rows[grid.n_cusp + 1 + j]
             assert np.max(np.abs(row - single)) <= 1e-10 * max(1.0, np.max(np.abs(single)))

@@ -45,7 +45,7 @@ def _seeded_field(rng, top, npoints=200):
 def _eisenstein_tail_norm(t, grid, r_from, s):
     """Index-s norm of the heat data at time t on the nodes with r > r_from."""
     tail = np.zeros(grid.size, dtype=bool)
-    tail[grid.n_cusp + 1:] = grid.eisenstein_r > r_from
+    tail[grid.n_cusp + 1:] = grid.table.bank.r[grid.n_cusp:] > r_from
     values = heat_coefficients(t, grid).coeffs.values[tail]
     return float(np.sqrt(np.sum(sobolev_weights(grid, s)[tail] * np.abs(values) ** 2)))
 
@@ -61,7 +61,7 @@ class TestEvaluateHeatKernel:
         assert abs(rep.value - total) <= 1e-14 * abs(rep.value)
         assert rep.tail_estimate >= 0.0
         live = _report_rows(heat_coefficients(0.8, grid).coeffs, np.array([1.1]))
-        assert 0 < rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) < grid.n_eisenstein
+        assert 0 < rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) < grid.size - grid.n_cusp - 1
 
     def test_real_valued(self, grid):
         for z in POINTS:
@@ -263,14 +263,14 @@ class TestNegligibleRows:
         # the line, is below NEGLIGIBLE of the largest node term: both are
         # left out, and the rest of the line is kept
         rng = np.random.default_rng(36)
-        n, mid = grid.n_cusp, grid.n_cusp + 1 + grid.n_eisenstein // 2
+        n, mid = grid.n_cusp, grid.n_cusp + 1 + (grid.size - grid.n_cusp - 1) // 2
         values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
         nodes = np.abs(grid.weights * values)[n + 1:]
         for row in (mid, -1):
             values[row] *= 0.1 * NEGLIGIBLE * nodes.max() / nodes[row - n - 1]
         live = synthesis_rows(CoeffFn(grid, values), np.array([1.0, 3.0]))
         assert not live[-1] and not live[mid]
-        assert np.count_nonzero(live[n + 1:]) == grid.n_eisenstein - 2
+        assert np.count_nonzero(live[n + 1:]) == grid.size - n - 3
 
 
 class TestRowsOnFirstUse:
