@@ -313,10 +313,11 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
                     + (1 - M(a - rho_B) if a > rho_B)]
 
     with M = _mass_beyond.  The window is integrated in theta,
-    rho = max(rho_B, a) - min(rho_B, a) cos theta, by 64-node Gauss-Legendre
-    with heat_kernel_plane at the nodes: f's square-root kinks at the
-    window's ends become smooth in theta.  At z = i the window is empty.
+    rho = max(rho_B, a) - min(rho_B, a) cos theta, by 64-node Gauss-Legendre with
+    heat_kernel_plane at the nodes: f's square-root kinks at the window's ends become
+    smooth in theta.  At z = i the window is empty.  t must lie in PLANE_T.
     """
+    _check_time(t, PLANE_T)
     rho_b = math.acosh(max(0.5 * norm_bound * norm_bound, 1.0))
     a = hyperbolic_distance(z.z, 1j)
     mass = _mass_beyond(t, rho_b + a)

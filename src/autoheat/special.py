@@ -259,8 +259,12 @@ class KBesselBank:
     """
 
     def __init__(self, rs, x_min: float):
-        self.r = np.abs(np.asarray(rs, dtype=float).reshape(-1))  # K_{ir} is even in r
-        self.x_min = float(x_min)
+        r, self.x_min = np.asarray(rs, dtype=float).reshape(-1), float(x_min)
+        if not np.isfinite(r).all():
+            raise ValueError(f"spectral parameters must be finite, got r={r[~np.isfinite(r)][0]}")
+        if not 0.0 < self.x_min < math.inf:
+            raise ValueError(f"x_min must be positive and finite, got x_min={self.x_min}")
+        self.r = np.abs(r)  # K_{ir} is even in r
         self.fit_hi = np.minimum(self.r + (FOURIER_DECAY + 5.0),
                                  np.pi * self.r / 2.0 + FOURIER_DECAY)
         if np.any(self.x_min >= self.fit_hi):

@@ -625,6 +625,22 @@ class TestOrbitTail:
     def test_unit_mass(self, t):
         assert abs(_mass_beyond(t, 0.0) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("t", [PLANE_T[0], 0.2, 10.0, PLANE_T[1]])
+    def test_unit_mass_across_the_plane_times(self, t):
+        # measured 1 - M(t, 0) = 3.4e-15, 3.3e-15, 3.3e-15 and 4.4e-15;
+        # past t ~ 400 the cosh difference overflows, which PLANE_T keeps out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(_mass_beyond(t, 0.0) - 1.0) < 5e-15
+
+    @pytest.mark.parametrize("t", [500.0, math.nextafter(PLANE_T[1], math.inf), 1e-5])
+    def test_times_outside_the_plane_domain_refused(self, t, monkeypatch):
+        # refused by name before any quadrature runs
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        with pytest.raises(ValueError) as exc:
+            orbit_tail(t, HPoint(0.0, 1.0), 25.0)
+        assert str(exc.value) == f"t in [0.0001, 100.0] required, got {t}"
+
     # orbit_tail(t, i, bound) = (3/pi) M(t, rho_B) at 30 digits (40 agree with
     # 80 subintervals at 40 digits to 1e-30; breakpoints at u = 1, 3 and 8
     # alone put t = 0.2, bound 160 off by 3.9e-4):

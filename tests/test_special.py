@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestKBesselBankRefusals:
         with pytest.raises(ValueError) as exc:
             KBesselBank((0.0,), 50.0)
         assert str(exc.value) == "x_min=50.0 must lie below every row's fit range"
+
+    @pytest.mark.parametrize("rs, x_min, message", [
+        ((5.0,), 0.0, "x_min must be positive and finite, got x_min=0.0"),
+        ((5.0,), -1.0, "x_min must be positive and finite, got x_min=-1.0"),
+        ((5.0,), math.nan, "x_min must be positive and finite, got x_min=nan"),
+        ((math.nan,), 2.0, "spectral parameters must be finite, got r=nan"),
+        ((math.inf,), 2.0, "spectral parameters must be finite, got r=inf")])
+    def test_non_finite_or_non_positive_inputs_refused(self, rs, x_min, message):
+        # refused by name before the log of x_min or the panel count's cast
+        # to int, which raised "math domain error" or warned and built a bank
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                KBesselBank(rs, x_min)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_argument_not_positive(self, x):
