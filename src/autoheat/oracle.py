@@ -79,10 +79,8 @@ def heat_kernel_plane(t: float, rho) -> np.ndarray:
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.ndim > 1:
         raise ValueError(f"distances must be a scalar or 1-d, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError(f"finite distances required, got {rho[~np.isfinite(rho)][0]}")
-    if np.any(rho < 0.0):
-        raise ValueError("distances are nonnegative")
+    if not np.all(ok := (rho >= 0.0) & (rho < math.inf)):
+        raise ValueError(f"distances in [0, inf) required, got {rho[~ok][0]}")
     xg, wg = gauss_rule(0.5, 0.5, 160)  # on [0, 1]
     val = np.empty(len(rho))
     for lo in range(0, len(rho), _PLANE_BLOCK):
@@ -210,11 +208,10 @@ def _check_time(t: float, domain: tuple[float, float] = (T_MIN, T_MAX)) -> None:
 
 
 def _check_bound(bound: float) -> None:
-    """Refuse norm bounds that enumerate nothing or cannot be enumerated."""
-    if not math.isfinite(bound):
-        raise ValueError(f"finite norm bound required, got {bound}")
-    if bound < math.sqrt(2.0):
-        raise ValueError("bound below the identity's norm sqrt(2)")
+    """Refuse norm bounds below the identity's norm sqrt(2), inf and nan."""
+    if not math.sqrt(2.0) <= bound < math.inf:
+        raise ValueError(f"finite norm bound of at least the identity's norm sqrt(2) required, "
+                         f"got {bound}")
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -318,7 +315,8 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     smooth in theta.  At z = i the window is empty.  t must lie in PLANE_T.
     """
     _check_time(t, PLANE_T)
-    rho_b = math.acosh(max(0.5 * norm_bound * norm_bound, 1.0))
+    _check_bound(norm_bound)
+    rho_b = math.acosh(0.5 * norm_bound * norm_bound)
     a = hyperbolic_distance(z.z, 1j)
     mass = _mass_beyond(t, rho_b + a)
     if a > rho_b:

@@ -66,15 +66,10 @@ def zeta_euler_maclaurin(s: complex, n_terms: int = 100, tail_terms: int = 8) ->
 
 
 def zeta_line(t: float) -> complex:
-    """zeta(1 + it) on the edge of the critical strip.
-
-    Relative accuracy ~1e-12 for |t| <= 100.  t = 0 hits the pole and is
-    rejected.
-    """
-    if t == 0.0:
-        raise ValueError("zeta(1 + it) has a pole at t = 0")
-    if abs(t) > ZETA_LINE_T_MAX:
-        raise ValueError(f"zeta(1 + it) is computed for |t| <= {ZETA_LINE_T_MAX:g}, got t = {t}")
+    """zeta(1 + it) on the edge of the critical strip, to ~1e-12 relative for
+    0 < |t| <= 100; any other t (the pole t = 0, nan) is refused."""
+    if not 0.0 < abs(t) <= ZETA_LINE_T_MAX:
+        raise ValueError(f"zeta(1 + it) is computed on 0 < |t| <= {ZETA_LINE_T_MAX:g}, got {t}")
     return zeta_euler_maclaurin(complex(1.0, t))
 
 
@@ -181,8 +176,8 @@ def kbessel_quad(r, x) -> np.ndarray:
     ~350.  Values below ~1e-308 underflow to 0.
     """
     r, x = np.broadcast_arrays(np.abs(np.asarray(r, dtype=float)), np.asarray(x, dtype=float))
-    if np.any(x <= 0.0):
-        raise ValueError("argument of K_{iR} must be positive")
+    if not np.all(x > 0.0):
+        raise ValueError(f"K_iR(x) is computed for x > 0, got x = {x[~(x > 0.0)][0]}")
     shape, r, x = x.shape, r.ravel(), x.ravel()
     osc = x < r
     s1 = np.zeros(len(x))
@@ -246,7 +241,7 @@ def kbessel_quad(r, x) -> np.ndarray:
 class KBesselBank:
     """e^{pi r/2} K_{ir}(x) for every r of a spectral family, on the closed range
     x_min <= x <= fit_hi = min(r + D + 5, pi r/2 + D), D = FOURIER_DECAY: past
-    every Fourier term its callers keep (2 pi n y <= r + D); any other x is refused.
+    every Fourier term its callers keep (2 pi n y <= r + D); any other x, nan too, is refused.
 
     Row j holds r_j, fitted on first use from kbessel_quad at its own
     first-kind Chebyshev nodes in log x (`fitted` marks the rows fitted so
@@ -320,15 +315,12 @@ class KBesselBank:
         x; the rows not fitted yet are fitted first."""
         rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
                                       np.atleast_1d(np.asarray(x, dtype=float)))
-        x_lo = x.min(initial=np.inf)
-        if x_lo <= 0.0:
-            raise ValueError("argument of K_{iR} must be positive")
-        if x_lo < self.x_min - 1e-12:
-            raise ValueError(f"argument below cached domain x_min={self.x_min}")
-        if (past := x > self.fit_hi[rows]).any():
-            j = rows[past][0]
-            raise ValueError(f"argument {x[past][0]} past fit_hi={self.fit_hi[j]} of the row "
-                             f"r={self.r[j]}")
+        lo = max(self.x_min - 1e-12, math.ulp(0.0))  # x > 0, with 1e-12 of slack at x_min
+        if not (x.min(initial=np.inf) >= lo and (x <= self.fit_hi[rows]).all()):  # nan fails
+            k = np.argmin((x >= lo) & (x <= self.fit_hi[rows]), axis=None)  # the first outside
+            j = rows.flat[k]
+            raise ValueError(f"argument {x.flat[k]} outside [{self.x_min}, {self.fit_hi[j]}] "
+                             f"of the row r={self.r[j]}")
         if not self.fitted.all() and len(new := np.unique(rows[~self.fitted[rows]])):
             self._fit(new)
         return self._series(rows, x)

@@ -248,9 +248,12 @@ class TestBesselTable:
             assert np.array_equal(table[live], bank(entry_rows, args))
             assert live.sum() > 10 * len(rows) and not table[~live].any()
             # one more entry just past its row's fit_hi refuses the whole call
-            refusal = f"past fit_hi={bank.fit_hi[0]} of the row r={bank.r[0]}"
-            with pytest.raises(ValueError, match=refusal):
-                bank(np.append(entry_rows, 0), np.append(args, np.nextafter(bank.fit_hi[0], 99.0)))
+            past = np.nextafter(bank.fit_hi[0], 99.0)
+            refusal = (f"argument {past} outside [{bank.x_min}, {bank.fit_hi[0]}] "
+                       f"of the row r={bank.r[0]}")
+            with pytest.raises(ValueError) as exc:
+                bank(np.append(entry_rows, 0), np.append(args, past))
+            assert str(exc.value) == refusal
 
     def test_every_default_row_is_in_range(self, grid):
         # the cut r + FOURIER_DECAY of the Fourier sums never passes
@@ -290,10 +293,13 @@ class TestBesselTable:
         # 2 pi y < x_min = 2 below y ~ 0.318: the bank's own refusal, through
         # the forms and through the whole basis
         x, y = np.array([0.1, 0.2]), np.array([1.2, 0.3])
-        with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
-            grid.table(np.arange(grid.n_cusp), x, y)
-        with pytest.raises(ValueError, match="argument below cached domain x_min=2.0"):
-            basis_values(grid, x, y)
+        refusal = (f"argument {2.0 * math.pi * 0.3} outside [2.0, {grid.table.bank.fit_hi[0]}] "
+                   f"of the row r={grid.table.bank.r[0]}")
+        for call in (lambda: grid.table(np.arange(grid.n_cusp), x, y),
+                     lambda: basis_values(grid, x, y)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == refusal
 
 
 class TestBasepoint:

@@ -131,7 +131,7 @@ class TestPlaneHeatKernel:
         monkeypatch.setattr(oracle, "gauss_rule", None)
         with pytest.raises(ValueError) as exc:
             heat_kernel_plane(1.0, [0.5, -1.0])
-        assert str(exc.value) == "distances are nonnegative"
+        assert str(exc.value) == "distances in [0, inf) required, got -1.0"
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -546,6 +546,19 @@ class TestPeriodizedOracle:
             periodized_oracle_basepoint(0.5, bound)
         with pytest.raises(ValueError, match=message):
             orbit_of_i(bound)
+
+    @pytest.mark.parametrize("bound", [1.0, -3.0, math.sqrt(2.0) - 1e-9, math.nan, math.inf])
+    def test_orbit_tail_refuses_the_bounds_the_orbit_refuses(self, bound):
+        # the tail read a bound below sqrt(2) as an empty ball and answered
+        # nan at nan; the same rule as orbit_of_i's refuses them by value
+        for call in (lambda: orbit_tail(1.0, HPoint(0.25, 1.3), bound), lambda: orbit_of_i(bound)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as exc:
+                    call()
+            assert str(exc.value) == ("finite norm bound of at least the identity's norm sqrt(2) "
+                                      f"required, got {bound}")
+        assert orbit_tail(1.0, HPoint(0.25, 1.3), math.sqrt(2.0)) == 3.0 / math.pi
 
     @pytest.mark.parametrize("bound", [1e5, 1e200])
     def test_uncountable_bounds_refused(self, bound):

@@ -121,8 +121,9 @@ class TestBesselKImag:
         assert xs[-1] == bank.fit_hi[0]
         assert np.max(np.abs(bank(0, xs) - kbessel_quad(9.0, xs))) < 1e-11
         for past in (np.nextafter(bank.fit_hi[0], np.inf), bank.fit_hi[0] + 8.0):
-            with pytest.raises(ValueError, match="past fit_hi=59.0 of the row r=9.0"):
+            with pytest.raises(ValueError) as exc:
                 bank(0, np.append(xs, past))
+            assert str(exc.value) == f"argument {past} outside [2.0, 59.0] of the row r=9.0"
 
 
 class TestKBesselBankRefusals:
@@ -153,8 +154,28 @@ class TestKBesselBankRefusals:
         bank = KBesselBank((5.0,), 2.0)
         with pytest.raises(ValueError) as exc:
             bank([0, 0], [3.0, x])
-        assert str(exc.value) == "argument of K_{iR} must be positive"
+        assert str(exc.value) == f"argument {x} outside [2.0, 52.853981633974485] of the row r=5.0"
         assert not bank.fitted.any()
+
+    @pytest.mark.parametrize("x", [math.nan, [3.0, math.nan], [math.nan, 3.0], math.inf,
+                                   -math.inf, 2.0 - 2e-12])
+    def test_arguments_outside_the_range_refused_by_value(self, x):
+        # one rule for x > 0, x_min - 1e-12 <= x <= fit_hi: a nan fails it
+        # too, before the panel index's cast to int (which warned) and any fit
+        bank = KBesselBank((5.0, 12.0), 2.0)
+        bad = [v for v in np.atleast_1d(x) if v != 3.0][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                bank(0, x)
+        assert str(exc.value) == (f"argument {bad} outside [2.0, 52.853981633974485] "
+                                  "of the row r=5.0")
+        assert not bank.fitted.any()
+
+    def test_slack_below_x_min_kept(self):
+        # 1e-12 below x_min is still answered, from the first panel
+        bank = KBesselBank((5.0,), 2.0)
+        assert bank(0, 2.0 - 1e-13)[0] == pytest.approx(kbessel_quad(5.0, 2.0), abs=1e-11)
 
     def test_probe_check_names_the_row(self, monkeypatch):
         # the 257 probe values, the last of the fit's one quadrature call,
@@ -211,6 +232,14 @@ class TestKBesselQuad:
         with pytest.raises(ValueError):
             kbessel_quad(1.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, -math.inf])
+    def test_arguments_outside_the_domain_refused_by_value(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                kbessel_quad(5.0, np.array([3.0, x]))
+        assert str(exc.value) == f"K_iR(x) is computed for x > 0, got x = {x}"
+
 
 class TestZetaLine:
     def test_euler_closed_form(self):
@@ -233,6 +262,14 @@ class TestZetaLine:
             zeta_line(0.0)
         with pytest.raises(ValueError):
             zeta_line(150.0)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 101.0, -math.inf, math.inf, math.nan])
+    def test_outside_the_line_refused_by_value(self, t):
+        # one rule, 0 < |t| <= 100: the pole, the range and nan
+        with pytest.raises(ValueError) as exc:
+            zeta_line(t)
+        assert str(exc.value) == f"zeta(1 + it) is computed on 0 < |t| <= 100, got {t}"
+        assert np.isfinite(zeta_line(100.0)) and np.isfinite(zeta_line(-100.0))
 
     @pytest.mark.parametrize("s, tail_terms, message", [
         (1, 8, "zeta has a pole at s = 1"),
