@@ -35,13 +35,14 @@ class HPoint:
 def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
     """Translate/invert z into |x| <= 1/2, |z| >= 1.
 
-    The classical reduction: each inversion strictly increases y when |z| < 1,
-    so the loop terminates; 200 rounds is a safety stop.  The inversion
-    divides twice by |z| = hypot(x, y), whose square underflows to 0 below
-    |z| ~ 1e-154; ValueError where the inverted point overflows.
+    The classical reduction.  While y <= 1/2, |z|^2 <= 1/2 after the translation and
+    an inversion at least doubles y: from y >= 2^-1074, 1074 pass 1/2, then at most one
+    more was seen; 1080 rounds is the stop.  The inversion divides twice by hypot(x, y),
+    whose square underflows below |z| ~ 1e-154; ValueError where the inverted point
+    overflows.  Rounding moves the result by up to eps |z0| / y, z0 the translated input.
     """
     x, y = p.x, p.y
-    for _ in range(200):
+    for _ in range(1080):
         x -= np.floor(x + 0.5)
         if x * x + y * y >= 1.0 - 1e-15:
             return HPoint(x, y)

@@ -28,8 +28,8 @@ class SynthesisReport:
     own size) or one against which the tail plus the cancellation error,
     4 eps times the largest part (not reported), is large: high in the cusp
     the O(1) residual and Eisenstein parts cancel to a tiny value that keeps
-    their rounding.
-    """
+    their rounding.  So does a point the reduction's rounding may move by eps
+    |z0| / y > TAIL_TOLERANCE (z0 the translated input: y below ~1e-8)."""
 
     value: float
     cusp_part: float
@@ -68,6 +68,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them
     cancel_error = 4.0 * np.finfo(float).eps * max(abs(cusp), abs(residual), abs(eis))
+    drift = np.finfo(float).eps * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
 
     value = cusp + residual + eis
     return SynthesisReport(
@@ -78,7 +79,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[grid.n_cusp + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
-                          or value.real <= 0.0),
+                          or value.real <= 0.0 or drift > TAIL_TOLERANCE),
     )
 
 

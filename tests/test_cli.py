@@ -253,6 +253,16 @@ class TestEval:
         assert tiny == high == 2
         assert tiny_out[:2] + tiny_out[3:] == high_out[:2] + high_out[3:]
 
+    @pytest.mark.parametrize("x, y", [("0.41421356237309515", "1e-300"), ("0.123456789", "1e-20")])
+    def test_reduction_rounding_warns(self, grid, x, y, capsys):
+        # the reduction's own rounding may move these points by eps |z0| / y in
+        # distance (0.19 to 0.92 measured at 1e-20): a record with exit 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["eval", "--t", "1", "--x", x, "--y", y])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and captured.out.startswith(EVAL_HEADER)
+
     def test_overflowing_inversion_named(self, capsys):
         # 1e-310 i inverts to a height beyond the float range
         assert cli.main(["eval", "--t", "1", "--x", "0", "--y", "1e-310"]) == 1

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -40,6 +41,17 @@ class TestReduction:
             warnings.simplefilter("error")
             p = reduce_to_fundamental_domain(HPoint(0.0, 1e-300))
         assert p.x == 0.0 and abs(p.y - 1e300) < 1e-15 * 1e300
+
+    @pytest.mark.parametrize("y", [1e-300, 5e-324])
+    def test_deep_points_land_in_the_domain(self, y):
+        # sqrt(2) - 1 needs 210 and 226 inversions here; below y = 1/2 each
+        # inversion at least doubles y, so at most 1074 reach any height
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert in_domain(reduce_to_fundamental_domain(HPoint(math.sqrt(2.0) - 1.0, y)))
+        rng = np.random.default_rng(38)
+        for x in rng.uniform(-0.5, 0.5, 100):
+            assert in_domain(reduce_to_fundamental_domain(HPoint(float(x), y)))
 
     def test_overflowing_inversion_refused(self):
         # 1/|z| overflows below the smallest normal float: the error names the

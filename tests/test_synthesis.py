@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestEvaluateHeatKernel:
         assert rep.tail_estimate >= 0.0
         live = _report_rows(heat_coefficients(0.8, grid).coeffs, np.array([1.1]))
         assert 0 < rep.nodes_used == np.count_nonzero(live[grid.n_cusp + 1:]) < grid.size - grid.n_cusp - 1
+
+    def test_reduction_rounding_sets_the_warning(self, grid):
+        # eps |z0| / y against TAIL_TOLERANCE: 9.2e-10 at y = 1e-7, 9.2e-8 at 1e-9;
+        # both reduce to y > 1, where no other term warns
+        for y, warned in ((1e-7, False), (1e-9, True)):
+            rep = evaluate_heat_kernel(1.0, HPoint(math.sqrt(2.0) - 1.0, y), grid)
+            assert rep.tail_warning is warned
 
     def test_real_valued(self, grid):
         for z in POINTS:
@@ -271,6 +279,32 @@ class TestNegligibleRows:
         live = synthesis_rows(CoeffFn(grid, values), np.array([1.0, 3.0]))
         assert not live[-1] and not live[mid]
         assert np.count_nonzero(live[n + 1:]) == grid.size - n - 3
+
+
+class TestFieldRefusals:
+    @pytest.mark.parametrize("x, y, message", [
+        ([math.nan], [1.0], "points need finite x, 0 < y < inf, got x = nan, y = 1.0 at 0"),
+        ([0.1, -math.inf], [1.0, 2.0],
+         "points need finite x, 0 < y < inf, got x = -inf, y = 2.0 at 1"),
+        ([0.1], [math.inf], "points need finite x, 0 < y < inf, got x = 0.1, y = inf at 0"),
+        ([0.1], [math.nan], "points need finite x, 0 < y < inf, got x = 0.1, y = nan at 0"),
+        ([0.1], [0.0], "points need finite x, 0 < y < inf, got x = 0.1, y = 0.0 at 0"),
+        ([0.1], [-1.0], "points need finite x, 0 < y < inf, got x = 0.1, y = -1.0 at 0"),
+        ([0.1, 0.2], [1.0], "x and y must be 1-d of one length, got (2,), (1,)"),
+        ([0.1], [1.0, 2.0], "x and y must be 1-d of one length, got (1,), (2,)"),
+        ([[0.1]], [[1.0]], "x and y must be 1-d of one length, got (1, 1), (1, 1)")])
+    def test_fields_refuse_what_points_refuse(self, grid, monkeypatch, x, y, message):
+        # by name, before any basis row: no nan answered, no numpy warning,
+        # no IndexError and no value at the wrong height
+        coeffs = heat_coefficients(1.0, grid).coeffs
+        monkeypatch.setattr(type(grid), "basis_rows", None)
+        x, y = np.array(x), np.array(y)
+        for call in (lambda: synthesize_values(coeffs, x, y), lambda: basis_values(grid, x, y)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as exc:
+                    call()
+            assert str(exc.value) == message
 
 
 class TestRowsOnFirstUse:

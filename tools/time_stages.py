@@ -11,7 +11,9 @@ also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel`
 points (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
 [-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
 first time, both per point and both with `synthesis_parts`, their one sum
-of the synthesis terms, as a stage, a bound-160 `periodized_oracle`, and a
+of the synthesis terms, as a stage (the field also with the bank call,
+`KBesselBank.__call__`, its range rule and panel series, which runs inside
+the basis before that sum), a bound-160 `periodized_oracle`, and a
 bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
 first call of each is left out; its plane-kernel stage is the quadrature at
 the fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages
@@ -68,8 +70,9 @@ STAGES = {
         (SpectralGrid, "basis_rows"): "SpectralGrid.basis_rows"},
         "the rest (report)", TIMES * PER_TIME),
     "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {
+        (special.KBesselBank, "__call__"): "KBesselBank.__call__",
         (sobolev, "synthesis_parts"): "synthesis_parts"},
-        "heat_coefficients, rows and basis", FIELD_POINTS),
+        "heat data, rows, Fourier sums", FIELD_POINTS),
     "orbit": ("periodized_oracle(t=1, z=0.25+1.3i, bound 160)", REPEATS, {
         (oracle, "orbit_of_i"): "orbit_of_i",
         (oracle, "_chebyshev_coef"): "fit (_chebyshev_coef)",
