@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -192,6 +193,68 @@ class TestEvaluateHeatKernel:
         assert abs(rep.residual_part) > 0.9 and abs(rep.eisenstein_part) > 0.9
         assert rep.tail_warning is warns  # a Python bool, which JSON takes
         assert json.dumps(rep.tail_warning) == str(warns).lower()
+
+
+# float.hex of every SynthesisReport field (value, cusp, residual and
+# Eisenstein parts, tail estimate), then nodes_used and tail_warning, at
+# each benchmark workload's three point heights (arc 0.95, 1.15, 1.4; cusp
+# 2, 3.5, 6) for t in {0.5, 0.8, 3}, and at x = +-1/2 on the arc floor of
+# the field band, y = 0.875
+_FROZEN_REPORTS = {
+    (0.5, 0.41, 0.95): ("0x1.550fdf62f8a13p+0", "0x1.5b790f127a32ap-137", "0x1.e8ec8a4aeacc4p-1",
+                        "0x1.826668f60cec4p-2", "0x1.11b3d207fbb08p-106", 126, False),
+    (3.0, -0.37, 0.95): ("0x1.fe2ec02c9d667p-1", "-0x1.6a4ada031f302p-822", "0x1.e8ec8a4aeacc4p-1",
+                         "0x1.54235e1b29a31p-5", "0x1.9641508deb314p-630", 52, False),
+    (0.8, 0.23, 1.15): ("0x1.301b0df47021cp+0", "-0x1.c7f6d872e88a8p-218", "0x1.e8ec8a4aeacc4p-1",
+                        "0x1.dd264677d5dcep-3", "0x1.523aebbbd7514p-170", 107, False),
+    (0.5, -0.48, 1.15): ("0x1.5101e6d988ac2p+0", "0x1.e0a090adfc119p-136", "0x1.e8ec8a4aeacc4p-1",
+                         "0x1.722e86d04d180p-2", "0x1.7b5734c9c5f5cp-106", 126, False),
+    (3.0, 0.12, 1.4): ("0x1.fd0ec26f13b79p-1", "-0x1.12629a2d5edb8p-821", "0x1.e8ec8a4aeacc4p-1",
+                       "0x1.422382428eb50p-5", "0x1.2ab0c1a728e4fp-630", 52, False),
+    (0.8, -0.31, 1.4): ("0x1.2b4474a114d49p+0", "0x1.0c407f8950779p-219", "0x1.e8ec8a4aeacc4p-1",
+                        "0x1.b6717bdcfb739p-3", "0x1.8e895a673e47ep-171", 107, False),
+    (0.5, 0.07, 2.0): ("0x1.20703d6463bb9p+0", "0x1.b6ca75bde3ed4p-135", "0x1.e8ec8a4aeacc4p-1",
+                       "0x1.5fcfc1f772ab9p-3", "0x1.df9aca9113bd3p-106", 126, False),
+    (3.0, -0.44, 2.0): ("0x1.f9d300bf4f176p-1", "-0x1.0b1f81c4244fep-820", "0x1.e8ec8a4aeacc4p-1",
+                        "0x1.0e67674644b1ep-5", "0x1.dcb3179602491p-631", 52, False),
+    (0.8, 0.36, 3.5): ("0x1.c7e378f91bda1p-1", "-0x1.e3f5d3e26a5e5p-226", "0x1.e8ec8a4aeacc4p-1",
+                       "-0x1.08488a8e77919p-4", "0x1.748add1de7ffep-169", 107, False),
+    (0.5, -0.19, 3.5): ("0x1.86b5af0ef2f0cp-1", "0x1.55dab06b8d957p-144", "0x1.e8ec8a4aeacc4p-1",
+                        "-0x1.88db6cefdf6e0p-3", "0x1.91810e06271a5p-106", 126, False),
+    (3.0, 0.3, 6.0): ("0x1.dc0bed3d8446fp-1", "-0x1.568ccb0553334p-850", "0x1.e8ec8a4aeacc4p-1",
+                      "-0x1.9c13a1acd0aaep-6", "0x1.1dc30a4d71c67p-628", 52, False),
+    (0.8, -0.5, 6.0): ("0x1.437703fb9d762p-1", "-0x1.7e4606ac78940p-245", "0x1.e8ec8a4aeacc4p-1",
+                       "-0x1.4aeb0c9e9aac5p-2", "0x1.ddd00ad136eebp-169", 107, False),
+    (0.5, 0.5, 0.875): ("0x1.55c0eb03d2b06p+0", "0x1.0704ab43d9458p-134", "0x1.e8ec8a4aeacc4p-1",
+                        "0x1.852a977975290p-2", "0x1.159477ca318cap-105", 126, False),
+    (0.8, -0.5, 0.875): ("0x1.32903bf44eb77p+0", "0x1.ae14e9a2e63bep-217", "0x1.e8ec8a4aeacc4p-1",
+                         "0x1.f0cfb676ca8a8p-3", "0x1.01bace80c3ff5p-168", 107, False),
+}
+
+# SHA-256 of the bytes of synthesize_values at t = 0.7 on 500 seeded points
+# (seed 39: x uniform in [-1/2, 1/2], y log-uniform in [0.875, 8] and lifted
+# onto the arc where below it)
+_FROZEN_FIELD = "f47e75c00b329bc2717b85520923a47591144c50de3f0e332b05bf1ada59b672"
+
+
+class TestFrozenSynthesis:
+    """The synthesis side bit for bit: every report field and one field."""
+
+    @pytest.mark.parametrize("t, x, y", list(_FROZEN_REPORTS))
+    def test_report_fields_frozen(self, grid, t, x, y):
+        rep = evaluate_heat_kernel(t, HPoint(x, y), grid)
+        floats = (rep.value, rep.cusp_part, rep.residual_part, rep.eisenstein_part,
+                  rep.tail_estimate)
+        assert (*(v.hex() for v in floats), rep.nodes_used, rep.tail_warning) == \
+            _FROZEN_REPORTS[t, x, y]
+
+    def test_seeded_field_frozen(self, grid):
+        rng = np.random.default_rng(39)
+        x = rng.uniform(-0.5, 0.5, 500)
+        y = np.maximum(np.exp(rng.uniform(math.log(0.875), math.log(8.0), 500)),
+                       np.sqrt(1.0 - x * x))
+        field = synthesize_values(heat_coefficients(0.7, grid).coeffs, x, y)
+        assert hashlib.sha256(field.tobytes()).hexdigest() == _FROZEN_FIELD
 
 
 def _report_fields(rep):
