@@ -59,29 +59,29 @@ def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _bessel_table(bank: KBesselBank, rows, cut, n_max: np.ndarray, n_cols: int, heights):
-    """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= n_max[i]
-    and 2 pi n y <= cut[i] = r_i + FOURIER_DECAY, one bank entry each; the
-    table is zero where not live."""
-    n_top = int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1
-    ns = np.arange(1, min(n_cols, n_top) + 1)
-    arg = (2.0 * math.pi * ns)[:, None] * heights
-    live = (arg <= cut[:, None, None]) & (ns[:, None] <= n_max[:, None, None])
-    i, k, h = np.nonzero(live)
+def _bessel_table(bank: KBesselBank, rows, cut, two_pi_n: np.ndarray, heights):
+    """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= len(two_pi_n)
+    (two_pi_n[n-1] = 2 pi n) and 2 pi n y <= cut[i] = r_i + FOURIER_DECAY,
+    one bank entry each; the table is zero where not live."""
+    w = two_pi_n[:int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1]
+    arg = w[:, None] * heights
+    live = arg <= cut[:, None, None]
+    i, k = np.nonzero(live.reshape(len(rows), arg.size))  # k runs over (n, height) pairs
     table = np.zeros(live.shape)
-    table[live] = bank(rows[i], arg[k, h])
+    table[live] = bank(rows[i], arg.reshape(-1)[k])
     return table
 
 
-def _height_blocks(y: np.ndarray, per_height: float):
+def _height_blocks(y: np.ndarray, cut: np.ndarray):
     """The points in height order, in blocks of at most _ENTRY_BLOCK Bessel
-    entries (a point at height y has at most per_height / y): per block the
-    points, their distinct heights in increasing order and each point's
+    entries (a point at height y has at most sum(cut) / (2 pi y)): per block
+    the points, their distinct heights in increasing order and each point's
     index into those."""
     if len(y) == 1:  # one block of one height
         yield slice(None), y, slice(None)
         return
     order = np.argsort(y, kind="stable")
+    per_height = float(np.sum(cut)) / (2.0 * math.pi)
     load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
     s = 0
     while s < len(y):
@@ -94,40 +94,39 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[j, n-1] Ktilde_{r_j}(2 pi n y) tr_j(2 pi n x) for each bank
     row j in rows, r_j = bank.r[j], tr_j = sin where odd[j] else cos, over
-    the n with 2 pi n y <= r_j + FOURIER_DECAY; coeffs, n_max and odd are
-    indexed by bank row.  ValueError where a row's n_max[j] coefficients
-    stop short of that at the lowest height: the dropped terms would go
-    unreported.
+    the n with 2 pi n y <= bank.cut[j] = r_j + FOURIER_DECAY; coeffs, n_max
+    and odd are indexed by bank row.  ValueError where a row's n_max[j]
+    coefficients stop short of that at the lowest height: the dropped terms
+    would go unreported.
 
     Points run in height order, in blocks (_height_blocks).  A block
     evaluates the bank once per live (row, n, height), scales the table by
-    the coefficients and the trigonometric factors of its points, then adds
-    the terms of n = 1, 2, ... into one (row, point) array (the table is zero
-    off the live entries): every (row, point) sums its terms in increasing n
-    from 0.0, so no value depends on the other points of its batch."""
+    the coefficients and the trigonometric factors of its points into one
+    (row, n, point) array of terms (zero off the live entries), then adds
+    the terms of n = 1, 2, ...: every (row, point) sums its terms in
+    increasing n from 0.0, so no value depends on the other points of its
+    batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
     out = np.zeros((len(rows), len(x)))
     if not (len(x) and len(rows)):
         return out
-    n_max, odd = n_max[rows], odd[rows]
-    cut, y_min = bank.r[rows] + FOURIER_DECAY, float(np.min(y))
-    short = 2.0 * math.pi * n_max * y_min < cut
-    if short.any():
+    n_max, odd, cut, y_min = n_max[rows], odd[rows], bank.cut[rows], y.min()
+    if (short := 2.0 * math.pi * n_max * y_min < cut).any():
         i = int(np.argmax(short))
         raise ValueError(
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
             f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {FOURIER_DECAY:g}): the point "
             f"is outside the evaluator's domain")
-    any_odd = odd.any()
-    for idx, heights, at in _height_blocks(y, float(np.sum(cut)) / (2.0 * math.pi)):
-        table = _bessel_table(bank, rows, cut, n_max, coeffs.shape[1], heights)
+    any_odd, two_pi_n = odd.any(), 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
+    for idx, heights, at in _height_blocks(y, cut):
+        table = _bessel_table(bank, rows, cut, two_pi_n, heights)
         table *= coeffs[rows, :table.shape[1], None]
-        ang = (2.0 * math.pi * np.arange(1, table.shape[1] + 1))[:, None] * x[idx]
+        ang = two_pi_n[:table.shape[1], None] * x[idx]
         # without odd rows one factor per (n, point) serves every row
         tr = np.where(odd[:, None, None], np.sin(ang), np.cos(ang)) if any_odd else np.cos(ang)
-        acc = np.zeros((len(rows), ang.shape[1]))
-        for k in range(table.shape[1]):
-            acc += table[:, k, at] * tr[..., k, :]
+        terms, acc = table[:, :, at] * tr, out[:, idx]
+        for k in range(terms.shape[1]):
+            acc += terms[:, k]
         out[:, idx] = acc
     return out
 
@@ -159,14 +158,6 @@ class MaassFormData:
     @property
     def n_coeffs(self) -> int:
         return len(self.coeffs)
-
-
-def maass_envelope(r: np.ndarray, y_min: float) -> np.ndarray:
-    """Growth of |Ktilde_{ir}| at heights >= y_min, up to a factor common to
-    all r: e^{pi r/2}, as past its turning point Ktilde_{ir} behaves like
-    e^{pi r/2} K_0; 0 where 2 pi y_min > r + FOURIER_DECAY, where the
-    expansion keeps no term."""
-    return np.where(2.0 * math.pi * y_min > r + FOURIER_DECAY, 0.0, np.exp(0.5 * math.pi * r))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +211,9 @@ class BasisTable:
             if not sq > 0.0:
                 raise ValueError(f"degenerate L2 norm for form r={form.r}")
         self.norm = 1.0 / np.sqrt(norm_sq)
+        self._scale = np.concatenate([self.norm, self._pref])  # per row: norm, then pref
+        # e^{pi r/2} per form: past its turning point Ktilde_{ir} behaves like e^{pi r/2} K_0
+        self._growth = np.exp(0.5 * math.pi * self.bank.r[:self.n_cusp])
         self.hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
         z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
         vals, k = self(np.arange(self.n_cusp), z.real, z.imag), len(_INVERSION_POINTS)
@@ -234,6 +228,12 @@ class BasisTable:
                                      f"{hecke:.1e} (bound {HECKE_BOUND:g}), inversion defect "
                                      f"{inv:.1e} (bound {INVERSION_BOUND:g})")
 
+    def envelope(self, y_min: float) -> np.ndarray:
+        """Growth of each form's |Ktilde_{ir}| at heights >= y_min, up to a
+        factor common to all r: e^{pi r/2}; 0 where 2 pi y_min > r +
+        FOURIER_DECAY, where the expansion keeps no term."""
+        return np.where(2.0 * math.pi * y_min > self.bank.cut[:self.n_cusp], 0.0, self._growth)
+
     def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values of the rows (increasing) at the points as given (not
         reduced), shape (len(rows), npoints): a form's row is
@@ -241,14 +241,16 @@ class BasisTable:
         2 sqrt(y) cos(r log y + arg xi(1+2ir)) plus pref sqrt(y) acc, where
         acc is the row's Fourier sum (_fourier_rows); ValueError at heights
         whose terms need more coefficients or multipliers than are stored."""
-        acc = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
-        k = int(np.searchsorted(rows, self.n_cusp))
-        cusp, node = rows[:k], rows[k:] - self.n_cusp
-        sy = np.sqrt(y)
-        const = 2.0 * sy * np.cos(self.bank.r[rows[k:]][:, None] * np.log(y)
-                                  + self._arg_xi[node][:, None])
-        return np.concatenate([self.norm[cusp][:, None] * (sy * acc[:k]),
-                               const + self._pref[node][:, None] * sy * acc[k:]])
+        y = np.asarray(y, float)
+        out = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
+        k, sy = int(np.searchsorted(rows, self.n_cusp)), np.sqrt(y)
+        scale, node = self._scale[rows][:, None], rows[k:]
+        out[:k] *= sy
+        out[:k] *= scale[:k]
+        out[k:] *= scale[k:] * sy
+        out[k:] += 2.0 * sy * np.cos(self.bank.r[node][:, None] * np.log(y)
+                                     + self._arg_xi[node - self.n_cusp][:, None])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +272,9 @@ def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32)
     coeffs, n_max, odd = table.coeffs[rows], table.n_max[rows], table.odd[rows]
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    bessel = _bessel_table(bank, rows, bank.r[rows] + FOURIER_DECAY, n_max,
-                           coeffs.shape[1], np.exp(log_y.ravel()))
+    # past a form's n_max its Bessel entries meet zero coefficients
+    bessel = _bessel_table(bank, rows, bank.cut[rows], 2.0 * math.pi * np.arange(
+        1, coeffs.shape[1] + 1), np.exp(log_y.ravel()))
     rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)

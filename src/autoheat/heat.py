@@ -50,10 +50,7 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
         raise ValueError(f"heat flow needs a finite time t >= 0, got t = {t}")
     with np.errstate(over="ignore"):  # -inf where t is huge: damped to 0 below
         expo = grid.lambdas * t
-    out = np.zeros_like(expo)
-    live = expo > _UNDERFLOW_EXPONENT
-    out[live] = np.exp(expo[live])
-    return out
+    return np.exp(expo, out=np.zeros(expo.shape), where=expo > _UNDERFLOW_EXPONENT)
 
 
 def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
@@ -69,7 +66,7 @@ def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     keep = np.ones(grid.size, dtype=bool)
     keep[n + 1:] = _not_negligible(w * hi, w * lo)
     keep[-1] = True
-    values = np.zeros(grid.size)
+    values = np.zeros(grid.size, dtype=complex)  # CoeffFn's dtype: taken without a copy
     values[keep] = grid.basis_at_i(keep) * damp[keep]
     return HeatState(t, CoeffFn(grid, values))
 

@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 
-from .forms import maass_envelope
 from .hyperbolic import QuadSpec
 from .spectral_model import SobolevIndex, SpectralGrid
 
@@ -31,7 +30,7 @@ class CoeffFn:
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (grid.size,):
             raise ValueError(f"expected {grid.size} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("coefficient values must be finite")
         self.grid = grid
         self.values = vals
@@ -125,13 +124,13 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
 
     Per family (cusp forms, Eisenstein nodes) a row is kept when a bound on
     its largest term is at least NEGLIGIBLE times the family's largest bound:
-    |w c| e^{pi r/2} on a cusp row (forms.maass_envelope; 0 where the row is
-    identically zero at these heights), |w c| on a node.  The constant row is
-    always kept (synthesis.evaluate_heat_kernel adds the last node for its tail)."""
+    |w c| e^{pi r/2} on a cusp row (forms.BasisTable.envelope; 0 where the
+    row is identically zero at these heights), |w c| on a node.  The constant
+    row is always kept (synthesis.evaluate_heat_kernel adds the last node for
+    its tail)."""
     grid, n = f.grid, f.grid.n_cusp
     size = np.abs(grid.weights * f.values)
-    y_min = float(np.min(y)) if len(y) else np.inf
-    cusp = size[:n] * maass_envelope(grid.table.bank.r[:n], y_min)
+    cusp = size[:n] * grid.table.envelope(y.min() if len(y) else np.inf)
     nodes = size[n + 1:]
     return np.concatenate([_not_negligible(cusp, cusp), [True], _not_negligible(nodes, nodes)])
 
@@ -170,7 +169,7 @@ def synthesis_parts(f: CoeffFn, basis: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Eisenstein parts of f's synthesis: each point's terms w c E are one row,
     summed in row order family by family, so no point depends on its batch."""
     n, terms = f.grid.n_cusp, np.ascontiguousarray(basis.T) * (f.grid.weights * f.values)
-    return terms[:, :n].sum(axis=-1), terms[:, n], terms[:, n + 1:].sum(axis=-1)
+    return np.add.reduce(terms[:, :n], -1), terms[:, n], np.add.reduce(terms[:, n + 1:], -1)
 
 
 def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:

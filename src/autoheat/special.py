@@ -260,10 +260,12 @@ class KBesselBank:
         if not 0.0 < self.x_min < math.inf:
             raise ValueError(f"x_min must be positive and finite, got x_min={self.x_min}")
         self.r = np.abs(r)  # K_{ir} is even in r
+        self.cut = self.r + FOURIER_DECAY  # each row's last Fourier argument
         self.fit_hi = np.minimum(self.r + (FOURIER_DECAY + 5.0),
                                  np.pi * self.r / 2.0 + FOURIER_DECAY)
         if np.any(self.x_min >= self.fit_hi):
             raise ValueError(f"x_min={self.x_min} must lie below every row's fit range")
+        self._x_lo = max(self.x_min - 1e-12, math.ulp(0.0))  # x > 0, 1e-12 of slack at x_min
         # interpolate in u = log x: near zero the rescaled Bessel is a clean
         # cosine of u, and the e^{-x} roll-off stays resolvable
         self._u_lo = u_lo = math.log(self.x_min)
@@ -313,16 +315,17 @@ class KBesselBank:
     def __call__(self, rows, x) -> np.ndarray:
         """Rescaled values at (row, argument) entries, rows broadcast against
         x; the rows not fitted yet are fitted first."""
-        rows, x = np.broadcast_arrays(np.asarray(rows, dtype=np.intp),
-                                      np.atleast_1d(np.asarray(x, dtype=float)))
-        lo = max(self.x_min - 1e-12, math.ulp(0.0))  # x > 0, with 1e-12 of slack at x_min
-        if not (x.min(initial=np.inf) >= lo and (x <= self.fit_hi[rows]).all()):  # nan fails
-            k = np.argmin((x >= lo) & (x <= self.fit_hi[rows]), axis=None)  # the first outside
+        rows, x = np.asarray(rows, dtype=np.intp), np.asarray(x, dtype=float)
+        if rows.shape != x.shape or not x.ndim:
+            rows, x = np.broadcast_arrays(rows, np.atleast_1d(x))
+        hi = self.fit_hi[rows]
+        if not (x.min(initial=np.inf) >= self._x_lo and (x <= hi).all()):  # nan fails
+            k = np.argmin((x >= self._x_lo) & (x <= hi), axis=None)  # the first outside
             j = rows.flat[k]
             raise ValueError(f"argument {x.flat[k]} outside [{self.x_min}, {self.fit_hi[j]}] "
                              f"of the row r={self.r[j]}")
-        if not self.fitted.all() and len(new := np.unique(rows[~self.fitted[rows]])):
-            self._fit(new)
+        if not self.fitted.all() and not (fitted := self.fitted[rows]).all():
+            self._fit(np.unique(rows[~fitted]))
         return self._series(rows, x)
 
     def _series(self, rows, x) -> np.ndarray:

@@ -13,6 +13,7 @@ from .sobolev import synthesis_parts, synthesis_rows, synthesize_values
 from .spectral_model import SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -60,26 +61,27 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     live = synthesis_rows(coeffs, y)
     live[-1] |= coeffs.values[-1] != 0.0  # the tail estimate reads the last node
     basis = grid.basis_rows(np.array([p.x]), y, live)
-    cusp, residual, eis = (part[0] for part in synthesis_parts(coeffs, basis))
+    # the heat data and the basis are real: each part's imaginary part is 0
+    cusp, residual, eis = (float(part[0].real) for part in synthesis_parts(coeffs, basis))
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
     edge = max(abs(basis[-1, 0]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them
-    cancel_error = 4.0 * np.finfo(float).eps * max(abs(cusp), abs(residual), abs(eis))
-    drift = np.finfo(float).eps * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
+    cancel_error = 4.0 * _EPS * max(abs(cusp), abs(residual), abs(eis))
+    drift = _EPS * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
 
     value = cusp + residual + eis
     return SynthesisReport(
-        value=float(value.real),
-        cusp_part=float(cusp.real),
-        residual_part=float(residual.real),
-        eisenstein_part=float(eis.real),
+        value=value,
+        cusp_part=cusp,
+        residual_part=residual,
+        eisenstein_part=eis,
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[grid.n_cusp + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
-                          or value.real <= 0.0 or drift > TAIL_TOLERANCE),
+                          or value <= 0.0 or drift > TAIL_TOLERANCE),
     )
 
 

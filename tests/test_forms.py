@@ -215,7 +215,7 @@ def _bessel_table(bank, rows, heights, n_cols=72):
     argument) pairs for the bank's public call and its live mask."""
     rows = np.asarray(rows, dtype=np.intp)
     cut = bank.r[rows] + special.FOURIER_DECAY
-    table = forms._bessel_table(bank, rows, cut, np.full(len(rows), n_cols), n_cols, heights)
+    table = forms._bessel_table(bank, rows, cut, 2.0 * np.pi * np.arange(1, n_cols + 1), heights)
     arg = (2.0 * np.pi * np.arange(1, table.shape[1] + 1))[:, None] * heights
     live = arg <= cut[:, None, None]
     i, k, h = np.nonzero(live)
