@@ -60,13 +60,13 @@ def _divisor_table(r: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _bessel_table(bank: KBesselBank, rows, cut, two_pi_n: np.ndarray, heights):
-    """Ktilde_{r_i}(2 pi n y) at every live (row i, n, height): n <= len(two_pi_n)
-    (two_pi_n[n-1] = 2 pi n) and 2 pi n y <= cut[i] = r_i + FOURIER_DECAY,
-    one bank entry each; the table is zero where not live."""
+    """Ktilde_{r_i}(2 pi n y), shape heights.shape + (n, row i), at every live
+    entry: n <= len(two_pi_n) (two_pi_n[n-1] = 2 pi n) and 2 pi n y <= cut[i]
+    = r_i + FOURIER_DECAY, one bank entry each; the table is zero where not live."""
     w = two_pi_n[:int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1]
-    arg = w[:, None] * heights
-    live = arg <= cut[:, None, None]
-    i, k = np.nonzero(live.reshape(len(rows), arg.size))  # k runs over (n, height) pairs
+    arg = np.multiply.outer(heights, w)
+    live = arg[..., None] <= cut
+    k, i = np.nonzero(live.reshape(arg.size, len(rows)))  # k runs over (height, n) pairs
     table = np.zeros(live.shape)
     table[live] = bank(rows[i], arg.reshape(-1)[k])
     return table
@@ -76,9 +76,9 @@ def _height_blocks(y: np.ndarray, cut: np.ndarray):
     """The points in height order, in blocks of at most _ENTRY_BLOCK Bessel
     entries (a point at height y has at most sum(cut) / (2 pi y)): per block
     the points, their distinct heights in increasing order and each point's
-    index into those."""
-    if len(y) == 1:  # one block of one height
-        yield slice(None), y, slice(None)
+    index into those; a lone point's height comes as a 0-d array."""
+    if y.size == 1:  # one block of one height
+        yield Ellipsis, y.reshape(()), Ellipsis
         return
     order = np.argsort(y, kind="stable")
     per_height = float(np.sum(cut)) / (2.0 * math.pi)
@@ -94,21 +94,22 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[j, n-1] Ktilde_{r_j}(2 pi n y) tr_j(2 pi n x) for each bank
     row j in rows, r_j = bank.r[j], tr_j = sin where odd[j] else cos, over
-    the n with 2 pi n y <= bank.cut[j] = r_j + FOURIER_DECAY; coeffs, n_max
-    and odd are indexed by bank row.  ValueError where a row's n_max[j]
+    the n with 2 pi n y <= bank.cut[j] = r_j + FOURIER_DECAY, shape
+    (len(rows),) + x.shape (a 0-d x and y is one point); coeffs, n_max and
+    odd are indexed by bank row.  ValueError where a row's n_max[j]
     coefficients stop short of that at the lowest height: the dropped terms
     would go unreported.
 
     Points run in height order, in blocks (_height_blocks).  A block
-    evaluates the bank once per live (row, n, height), scales the table by
+    evaluates the bank once per live (height, n, row), scales the table by
     the coefficients and the trigonometric factors of its points into one
-    (row, n, point) array of terms (zero off the live entries), then adds
+    (point, n, row) array of terms (zero off the live entries), then adds
     the terms of n = 1, 2, ...: every (row, point) sums its terms in
     increasing n from 0.0, so no value depends on the other points of its
     batch."""
     rows, x, y = np.asarray(rows, dtype=np.intp), np.asarray(x, float), np.asarray(y, float)
-    out = np.zeros((len(rows), len(x)))
-    if not (len(x) and len(rows)):
+    out = np.zeros((len(rows),) + x.shape)
+    if not (x.size and len(rows)):
         return out
     n_max, odd, cut, y_min = n_max[rows], odd[rows], bank.cut[rows], y.min()
     if (short := 2.0 * math.pi * n_max * y_min < cut).any():
@@ -120,14 +121,16 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     any_odd, two_pi_n = odd.any(), 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
     for idx, heights, at in _height_blocks(y, cut):
         table = _bessel_table(bank, rows, cut, two_pi_n, heights)
-        table *= coeffs[rows, :table.shape[1], None]
-        ang = two_pi_n[:table.shape[1], None] * x[idx]
-        # without odd rows one factor per (n, point) serves every row
-        tr = np.where(odd[:, None, None], np.sin(ang), np.cos(ang)) if any_odd else np.cos(ang)
-        terms, acc = table[:, :, at] * tr, out[:, idx]
-        for k in range(terms.shape[1]):
-            acc += terms[:, k]
-        out[:, idx] = acc
+        n_top = table.shape[-2]
+        table *= coeffs[rows, :n_top].T
+        ang = np.multiply.outer(x[idx], two_pi_n[:n_top])[..., None]
+        # without odd rows one factor per (point, n) serves every row
+        tr = np.where(odd, np.sin(ang), np.cos(ang)) if any_odd else np.cos(ang)
+        terms = table[at] * tr
+        acc = np.zeros(terms.shape[:-2] + (len(rows),))
+        for k in range(n_top):
+            acc += terms[..., k, :]
+        out[:, idx] = acc.T
     return out
 
 
@@ -236,20 +239,20 @@ class BasisTable:
 
     def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values of the rows (increasing) at the points as given (not
-        reduced), shape (len(rows), npoints): a form's row is
+        reduced), shape (len(rows),) + x.shape: a form's row is
         norm (sqrt(y) acc), a node's the constant term
         2 sqrt(y) cos(r log y + arg xi(1+2ir)) plus pref sqrt(y) acc, where
         acc is the row's Fourier sum (_fourier_rows); ValueError at heights
         whose terms need more coefficients or multipliers than are stored."""
         y = np.asarray(y, float)
         out = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
-        k, sy = int(np.searchsorted(rows, self.n_cusp)), np.sqrt(y)
-        scale, node = self._scale[rows][:, None], rows[k:]
-        out[:k] *= sy
-        out[:k] *= scale[:k]
-        out[k:] *= scale[k:] * sy
-        out[k:] += 2.0 * sy * np.cos(self.bank.r[node][:, None] * np.log(y)
-                                     + self._arg_xi[node - self.n_cusp][:, None])
+        k, sy = int(np.searchsorted(rows, self.n_cusp)), np.sqrt(y)[..., None]
+        val, scale, node = out.T, self._scale[rows], rows[k:]  # val: each point's rows, last
+        val[..., :k] *= sy
+        val[..., :k] *= scale[:k]
+        val[..., k:] *= scale[k:] * sy
+        val[..., k:] += 2.0 * sy * np.cos(self.bank.r[node] * np.log(y)[..., None]
+                                          + self._arg_xi[node - self.n_cusp])
         return out
 
 
@@ -275,6 +278,7 @@ def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32)
     # past a form's n_max its Bessel entries meet zero coefficients
     bessel = _bessel_table(bank, rows, bank.cut[rows], 2.0 * math.pi * np.arange(
         1, coeffs.shape[1] + 1), np.exp(log_y.ravel()))
+    bessel = np.ascontiguousarray(bessel.transpose(2, 1, 0))  # (row, n, height)
     rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
     x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)

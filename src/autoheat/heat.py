@@ -30,6 +30,9 @@ from .spectral_model import DELTA_INDEX, SobolevIndex, SpectralGrid
 RESIDUAL_INDEX: SobolevIndex = -4
 
 _UNDERFLOW_EXPONENT = -700.0  # e^{lambda t} below this flushes to zero
+# from this time on every entry but the constant's (lambda <= -1/4) flushes,
+# so a later t damps as this one does, and lambda t stays finite
+_T_FLUSHED = 4.0 * -_UNDERFLOW_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,7 @@ def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
     """e^{lambda t} per entry: the heat data's and the semigroup's time check."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"heat flow needs a finite time t >= 0, got t = {t}")
-    with np.errstate(over="ignore"):  # -inf where t is huge: damped to 0 below
-        expo = grid.lambdas * t
+    expo = grid.lambdas * min(t, _T_FLUSHED)
     return np.exp(expo, out=np.zeros(expo.shape), where=expo > _UNDERFLOW_EXPONENT)
 
 
@@ -63,8 +65,9 @@ def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     damp, n = _damping(grid, t), grid.n_cusp
     lo, hi = grid.table.bounds_at_i
     w = grid.weights[n + 1:] * damp[n + 1:]
-    keep = np.ones(grid.size, dtype=bool)
-    keep[n + 1:] = _not_negligible(w * hi, w * lo)
+    keep = np.empty(grid.size, dtype=bool)
+    keep[:n + 1] = True
+    _not_negligible(w * hi, w * lo, keep[n + 1:])
     keep[-1] = True
     values = np.zeros(grid.size, dtype=complex)  # CoeffFn's dtype: taken without a copy
     values[keep] = grid.basis_at_i(keep) * damp[keep]

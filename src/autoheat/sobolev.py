@@ -10,6 +10,7 @@ the heat flow, and (lambda - C)^{-1} is its resolvent for C > 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -114,9 +115,10 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
-def _not_negligible(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    # the rows whose upper bound is nonzero and >= NEGLIGIBLE x the largest lower bound
-    return (hi > 0.0) & (hi >= NEGLIGIBLE * lo.max(initial=0.0))
+def _not_negligible(hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
+    # the rows whose upper bound (>= 0) is nonzero, at least the least double,
+    # and >= NEGLIGIBLE x the largest lower bound
+    return np.greater_equal(hi, max(NEGLIGIBLE * lo.max(initial=0.0), math.ulp(0.0)), out=out)
 
 
 def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
@@ -129,10 +131,13 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     row is always kept (synthesis.evaluate_heat_kernel adds the last node for
     its tail)."""
     grid, n = f.grid, f.grid.n_cusp
-    size = np.abs(grid.weights * f.values)
-    cusp = size[:n] * grid.table.envelope(y.min() if len(y) else np.inf)
-    nodes = size[n + 1:]
-    return np.concatenate([_not_negligible(cusp, cusp), [True], _not_negligible(nodes, nodes)])
+    size, live = np.abs(grid.weights * f.values), np.empty(grid.size, dtype=bool)
+    cusp, nodes = size[:n], size[n + 1:]
+    cusp *= grid.table.envelope(y.min(initial=np.inf))
+    _not_negligible(cusp, cusp, live[:n])
+    _not_negligible(nodes, nodes, live[n + 1:])
+    live[n] = True
+    return live
 
 
 def analyze(fn, grid: SpectralGrid, quad: QuadSpec | None = None) -> CoeffFn:
@@ -169,7 +174,7 @@ def synthesis_parts(f: CoeffFn, basis: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Eisenstein parts of f's synthesis: each point's terms w c E are one row,
     summed in row order family by family, so no point depends on its batch."""
     n, terms = f.grid.n_cusp, np.ascontiguousarray(basis.T) * (f.grid.weights * f.values)
-    return np.add.reduce(terms[:, :n], -1), terms[:, n], np.add.reduce(terms[:, n + 1:], -1)
+    return np.add.reduce(terms[..., :n], -1), terms[..., n], np.add.reduce(terms[..., n + 1:], -1)
 
 
 def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ DELTA_INDEX = 2
 #: Sobolev scale indices are plain integers throughout.
 SobolevIndex = int
 
+_CONSTANT = np.sqrt(3.0 / np.pi)  # the constant form's value
 NODES_MAX = 2048  # Eisenstein nodes fitted at most: ~5 ms and ~6.5 KB of panels a node
 
 
@@ -58,17 +59,17 @@ class SpectralGrid:
         return col
 
     def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Real unitary-frame basis values at reduced points, shape (size,
-        npoints) in coefficient order; only the rows where `live` holds are
+        """Real unitary-frame basis values at reduced points, shape (size,)
+        + x.shape in coefficient order (a 0-d x and y is one point); only the rows where `live` holds are
         evaluated, the rest stay zero: the live cusp forms and nodes in one
         Fourier sum over the grid's table."""
-        out = np.zeros((self.size, len(x)))
+        out = np.zeros((self.size,) + np.shape(x))
         n = self.n_cusp
         sel = np.flatnonzero(live)
         sel = sel[sel != n]
         out[sel] = self.table(sel - (sel > n), x, y)  # table rows skip the constant
         if live[n]:
-            out[n] = np.sqrt(3.0 / np.pi)  # unit-norm constant on volume pi/3
+            out[n] = _CONSTANT  # unit-norm constant on volume pi/3
         return out
 
 

@@ -57,16 +57,16 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         raise ValueError("pointwise heat-kernel values exist for t > 0 only")
     p = reduce_to_fundamental_domain(z)
     coeffs = heat_coefficients(t, grid).coeffs
-    y = np.array([p.y])
+    y = np.array(p.y)  # one point: 0-d coordinates
     live = synthesis_rows(coeffs, y)
     live[-1] |= coeffs.values[-1] != 0.0  # the tail estimate reads the last node
-    basis = grid.basis_rows(np.array([p.x]), y, live)
+    basis = grid.basis_rows(np.array(p.x), y, live)
     # the heat data and the basis are real: each part's imaginary part is 0
-    cusp, residual, eis = (float(part[0].real) for part in synthesis_parts(coeffs, basis))
+    cusp, residual, eis = (float(part.real) for part in synthesis_parts(coeffs, basis))
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
-    edge = max(abs(basis[-1, 0]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
+    edge = max(abs(basis[-1]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them
     cancel_error = 4.0 * _EPS * max(abs(cusp), abs(residual), abs(eis))

@@ -216,10 +216,10 @@ def _bessel_table(bank, rows, heights, n_cols=72):
     rows = np.asarray(rows, dtype=np.intp)
     cut = bank.r[rows] + special.FOURIER_DECAY
     table = forms._bessel_table(bank, rows, cut, 2.0 * np.pi * np.arange(1, n_cols + 1), heights)
-    arg = (2.0 * np.pi * np.arange(1, table.shape[1] + 1))[:, None] * heights
-    live = arg <= cut[:, None, None]
-    i, k, h = np.nonzero(live)
-    return table, rows[i], arg[k, h], live
+    arg = np.multiply.outer(heights, 2.0 * np.pi * np.arange(1, table.shape[1] + 1))
+    live = arg[:, :, None] <= cut
+    h, k, i = np.nonzero(live)
+    return table, rows[i], arg[h, k], live
 
 
 class TestBesselTable:
