@@ -102,6 +102,9 @@ _PATH_NODES = 48  # Gauss-Legendre nodes on the steepest-descent leg
 _PATH_DECAY = 40.0  # that leg ends where its integrand has fallen by e^-40
 _QUAD_ELEMENTS = 2 ** 14  # (entry, node) pairs per quadrature pass: bounds its arrays
 _X_MIN = 1e-3  # smallest argument bessel_k_imag answers for
+# past x = pi r/2 + this, e^{pi r/2} K_{ir}(x) <= e^{pi r/2} K_0(x) < sqrt(pi/2x)
+# e^{pi r/2 - x} is below 2^-1075, half the least subnormal: its double is 0.0
+_X_UNDERFLOW = 745.0
 _PANELS = 48  # equal panels of each row's normalized log-x range
 _PANEL_DEGREE = 16  # Chebyshev degree of the series on each panel
 _FIT_BLOCK = 24  # bank rows per quadrature call of a fit: bounds its arrays
@@ -173,11 +176,18 @@ def kbessel_quad(r, x) -> np.ndarray:
     positive and decreasing, so nothing cancels beyond the O(1) oscillation.
     Against 40-digit mpmath.besselk the absolute error is ~2e-14 for x >= 0.5
     and ~2e-13 down to x = 1e-3 (r <= 40), where the phase r sigma reaches
-    ~350.  Values below ~1e-308 underflow to 0.
+    ~350.  Values below ~1e-308 underflow to 0; past x = pi r/2 + 745 the
+    value is exactly 0.0, with no quadrature (which, for r <= 50, stops
+    being finite from x ~ 1.48e19), so x = inf gives 0.0 too.
     """
     r, x = np.broadcast_arrays(np.abs(np.asarray(r, dtype=float)), np.asarray(x, dtype=float))
     if not np.all(x > 0.0):
         raise ValueError(f"K_iR(x) is computed for x > 0, got x = {x[~(x > 0.0)][0]}")
+    if (far := x > 0.5 * math.pi * r + _X_UNDERFLOW).any():
+        out = np.zeros(x.shape)
+        if not far.all():
+            out[~far] = kbessel_quad(r[~far], x[~far])
+        return out
     shape, r, x = x.shape, r.ravel(), x.ravel()
     osc = x < r
     s1 = np.zeros(len(x))
@@ -319,12 +329,13 @@ class KBesselBank:
         if rows.shape != x.shape or not x.ndim:
             rows, x = np.broadcast_arrays(rows, np.atleast_1d(x))
         hi = self.fit_hi[rows]
-        if not (x.min(initial=np.inf) >= self._x_lo and (x <= hi).all()):  # nan fails
+        if not (np.minimum.reduce(x, axis=None, initial=np.inf) >= self._x_lo
+                and np.logical_and.reduce(x <= hi, axis=None)):  # nan fails
             k = np.argmin((x >= self._x_lo) & (x <= hi), axis=None)  # the first outside
             j = rows.flat[k]
             raise ValueError(f"argument {x.flat[k]} outside [{self.x_min}, {self.fit_hi[j]}] "
                              f"of the row r={self.r[j]}")
-        if not self.fitted.all() and not (fitted := self.fitted[rows]).all():
+        if not np.logical_and.reduce(self.fitted) and not (fitted := self.fitted[rows]).all():
             self._fit(np.unique(rows[~fitted]))
         return self._series(rows, x)
 

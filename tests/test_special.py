@@ -232,6 +232,22 @@ class TestKBesselQuad:
         with pytest.raises(ValueError):
             kbessel_quad(1.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("x", [math.inf, 1e20, 1e300])
+    def test_underflowed_values_are_exact_zeros(self, x):
+        # past pi r/2 + 745 the value is below half the least subnormal:
+        # 0.0 with no quadrature, which turns nan from x ~ 1.48e19 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kbessel_quad(np.array([5.0, 50.0, 5.0]), np.array([x, x, 3.0]))
+            assert bessel_k_imag(5.0, min(x, 1e300)) == 0.0
+        assert got[0] == got[1] == 0.0 and got[2] == kbessel_quad(5.0, 3.0)
+
+    @pytest.mark.parametrize("r", [0.0, 5.0, 20.0, 50.0])
+    def test_the_quadrature_at_the_underflow_bound_is_zero(self, r):
+        # the bound moves no value: just below it the quadrature answers 0.0
+        bound = 0.5 * math.pi * r + 745.0
+        assert kbessel_quad(r, np.nextafter(bound, 0.0)) == 0.0
+
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, -math.inf])
     def test_arguments_outside_the_domain_refused_by_value(self, x):
         with warnings.catch_warnings():
