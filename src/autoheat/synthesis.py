@@ -30,7 +30,12 @@ class SynthesisReport:
     4 eps times the largest part (not reported), is large: high in the cusp
     the O(1) residual and Eisenstein parts cancel to a tiny value that keeps
     their rounding.  So does a point the reduction's rounding may move by eps
-    |z0| / y > TAIL_TOLERANCE (z0 the translated input: y below ~1e-8)."""
+    |z0| / y > TAIL_TOLERANCE (z0 the translated input: y below ~1e-8), and
+    one where the Eisenstein panels stop resolving the nodes' constant terms
+    2 sqrt(y) cos(r log y + arg xi): their phase turns by (r_max / panels)
+    log y across a panel, and past nodes_per_panel radians, r_max log y >
+    the node count (y > 6.2e5 on the default grid), the parts keep
+    quadrature error that nothing else here counts."""
 
     value: float
     cusp_part: float
@@ -62,7 +67,8 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     live[-1] |= coeffs.values[-1] != 0.0  # the tail estimate reads the last node
     basis = grid.basis_rows(np.array(p.x), y, live)
     # the heat data and the basis are real: each part's imaginary part is 0
-    cusp, residual, eis = (float(part.real) for part in synthesis_parts(coeffs, basis))
+    cusp, residual, eis = synthesis_parts(coeffs, basis)
+    cusp, residual, eis = float(cusp.real), float(residual.real), float(eis.real)
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
@@ -71,6 +77,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     # the rounding a value small against its parts keeps from them
     cancel_error = 4.0 * _EPS * max(abs(cusp), abs(residual), abs(eis))
     drift = _EPS * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
+    unresolved = grid.r_max * math.log(p.y) > grid.size - grid.n_cusp - 1
 
     value = cusp + residual + eis
     return SynthesisReport(
@@ -81,7 +88,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         tail_estimate=tail,
         nodes_used=int(np.count_nonzero(live[grid.n_cusp + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
-                          or value <= 0.0 or drift > TAIL_TOLERANCE),
+                          or value <= 0.0 or drift > TAIL_TOLERANCE or unresolved),
     )
 
 

@@ -284,6 +284,23 @@ class TestEval:
             "1.000000000000e+00,0.000000000000e+00,1.000000000000e+04,2.777671348486e-08,"
             "0.000000000000e+00,9.549296585514e-01,-9.549296307747e-01,8.000631800194e-63\n")
 
+    @pytest.mark.parametrize("t, x, y, value", [
+        ("0.5", "0", "1e12", "3.842123905695e-07"),
+        ("2", "0", "1e15", "1.217071148908e+00"),
+        ("2", "0.25", "1e20", "3.425015108850e+06")])
+    def test_unresolved_eisenstein_phase_warns(self, grid, t, x, y, value, capsys):
+        # the true kernel is below 1e-100 here; the printed value is the
+        # panels' error in the constant terms' phase r log y, which turns by
+        # 66 rad or more a panel: the record prints as before, with exit 2
+        code = cli.main(["eval", "--t", t, "--x", x, "--y", y])
+        assert code == 2 and capsys.readouterr().out.splitlines()[1].split(",")[3] == value
+
+    @pytest.mark.parametrize("y, code", [("6e5", 0), ("6.3e5", 2)])
+    def test_eisenstein_phase_threshold(self, grid, y, code, capsys):
+        # r_max log y against the 160 nodes: 159.6 at 6e5, 160.2 at 6.3e5
+        assert cli.main(["eval", "--t", "8", "--x", "0", "--y", y]) == code
+        capsys.readouterr()
+
     def test_json_mirrors_csv_fields(self, grid, capsys):
         cli.main(["eval", "--t", "1", "--x", "0", "--y", "1"])
         csv_out = capsys.readouterr().out.strip().splitlines()
