@@ -63,10 +63,11 @@ def _bessel_table(bank: KBesselBank, rows, cut, two_pi_n: np.ndarray, heights):
     """Ktilde_{r_i}(2 pi n y), shape heights.shape + (n, row i), at every live
     entry: n <= len(two_pi_n) (two_pi_n[n-1] = 2 pi n) and 2 pi n y <= cut[i]
     = r_i + FOURIER_DECAY, one bank entry each; the table is zero where not live."""
-    w = two_pi_n[:int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1]
+    y_min = np.minimum.reduce(heights, axis=None)
+    w = two_pi_n[:int(np.maximum.reduce(cut, initial=0.0) / (2.0 * math.pi * y_min)) + 1]
     arg = np.multiply.outer(heights, w)
     live = arg[..., None] <= cut
-    k, i = np.nonzero(live.reshape(arg.size, len(rows)))  # k runs over (height, n) pairs
+    k, i = live.reshape(arg.size, len(rows)).nonzero()  # k runs over (height, n) pairs
     table = np.zeros(live.shape)
     table[live] = bank(rows[i], arg.reshape(-1)[k])
     return table
@@ -78,16 +79,16 @@ def _height_blocks(y: np.ndarray, cut: np.ndarray):
     the points, their distinct heights in increasing order and each point's
     index into those; a lone point's height comes as a 0-d array."""
     if y.size == 1:  # one block of one height
-        yield Ellipsis, y.reshape(()), Ellipsis
-        return
+        return [(Ellipsis, y.reshape(()), Ellipsis)]
     order = np.argsort(y, kind="stable")
     per_height = float(np.sum(cut)) / (2.0 * math.pi)
     load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
-    s = 0
+    blocks, s = [], 0
     while s < len(y):
         e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
-        yield (order[s:e], *np.unique(y[order[s:e]], return_inverse=True))
+        blocks.append((order[s:e], *np.unique(y[order[s:e]], return_inverse=True)))
         s = e
+    return blocks
 
 
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
@@ -111,14 +112,16 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     out = np.zeros((len(rows),) + x.shape)
     if not (x.size and len(rows)):
         return out
-    n_max, odd, cut, y_min = n_max[rows], odd[rows], bank.cut[rows], y.min()
-    if (short := 2.0 * math.pi * n_max * y_min < cut).any():
+    n_max, odd, cut = n_max[rows], odd[rows], bank.cut[rows]
+    y_min = np.minimum.reduce(y, axis=None)
+    if np.logical_or.reduce(short := 2.0 * math.pi * n_max * y_min < cut):
         i = int(np.argmax(short))
         raise ValueError(
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
             f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {FOURIER_DECAY:g}): the point "
             f"is outside the evaluator's domain")
-    any_odd, two_pi_n = odd.any(), 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
+    any_odd = np.logical_or.reduce(odd)
+    two_pi_n = 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
     for idx, heights, at in _height_blocks(y, cut):
         table = _bessel_table(bank, rows, cut, two_pi_n, heights)
         n_top = table.shape[-2]
@@ -185,7 +188,10 @@ class BasisTable:
     over the bounds; this fits every cusp row.  `bounds_at_i` holds, per
     node and before any fit, bounds 2 |cos arg xi(1+2ir)| - F <= |E(i)| <=
     2 + F, F = (4/|xi(1+2ir)|) sum_n d(n) K_0(2 pi n): at i the constant
-    term is 2 cos arg xi, |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0."""
+    term is 2 cos arg xi, |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0.
+    `growth` holds e^{pi r/2} per form: past its turning point Ktilde_{ir}
+    behaves like e^{pi r/2} K_0, so it bounds the form's terms up to a
+    factor common to all r."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
@@ -193,14 +199,15 @@ class BasisTable:
         nodes = np.asarray(nodes, dtype=float).reshape(-1)
         self.n_cusp, m = len(forms), self._N_MULTIPLIERS
         xi = [xi_line(float(r)) for r in nodes]
-        self._arg_xi = np.array([float(np.angle(v)) for v in xi])
+        arg_xi = np.array([float(np.angle(v)) for v in xi])
+        self._arg_xi = np.concatenate([np.zeros(self.n_cusp), arg_xi])  # per row; 0 on forms
         # 4/(xi(1+2ir) e^{pi r/2}): the modulus is the unitary frame's prefactor
         self._pref = np.array([4.0 / (abs(v) * math.exp(math.pi * float(r) / 2.0))
                                for v, r in zip(xi, nodes)])
         n = np.arange(1, m + 1)  # d(n), the multipliers at r = 0; K_0(x) <= sqrt(pi/2x) e^{-x}
         k0 = np.sum(_divisor_table(np.zeros(1), m)[0] * np.exp(-2.0 * math.pi * n) / np.sqrt(4 * n))
         fb = 4.0 / np.abs(np.array(xi, dtype=complex)) * k0  # F, the Fourier part's bound at i
-        self.bounds_at_i = (np.maximum(2.0 * np.abs(np.cos(self._arg_xi)) - fb, 0.0), 2.0 + fb)
+        self.bounds_at_i = (np.maximum(2.0 * np.abs(np.cos(arg_xi)) - fb, 0.0), 2.0 + fb)
         self.bank = KBesselBank(np.concatenate(([f.r for f in forms], nodes)), _KBESSEL_X_MIN)
         self.coeffs = np.zeros((len(self.bank.r), max([m] + [f.n_coeffs for f in forms])))
         for j, f in enumerate(forms):
@@ -215,8 +222,7 @@ class BasisTable:
                 raise ValueError(f"degenerate L2 norm for form r={form.r}")
         self.norm = 1.0 / np.sqrt(norm_sq)
         self._scale = np.concatenate([self.norm, self._pref])  # per row: norm, then pref
-        # e^{pi r/2} per form: past its turning point Ktilde_{ir} behaves like e^{pi r/2} K_0
-        self._growth = np.exp(0.5 * math.pi * self.bank.r[:self.n_cusp])
+        self.growth = np.exp(0.5 * math.pi * self.bank.r[:self.n_cusp])
         self.hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
         z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
         vals, k = self(np.arange(self.n_cusp), z.real, z.imag), len(_INVERSION_POINTS)
@@ -231,12 +237,6 @@ class BasisTable:
                                      f"{hecke:.1e} (bound {HECKE_BOUND:g}), inversion defect "
                                      f"{inv:.1e} (bound {INVERSION_BOUND:g})")
 
-    def envelope(self, y_min: float) -> np.ndarray:
-        """Growth of each form's |Ktilde_{ir}| at heights >= y_min, up to a
-        factor common to all r: e^{pi r/2}; 0 where 2 pi y_min > r +
-        FOURIER_DECAY, where the expansion keeps no term."""
-        return np.where(2.0 * math.pi * y_min > self.bank.cut[:self.n_cusp], 0.0, self._growth)
-
     def __call__(self, rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Values of the rows (increasing) at the points as given (not
         reduced), shape (len(rows),) + x.shape: a form's row is
@@ -246,13 +246,13 @@ class BasisTable:
         whose terms need more coefficients or multipliers than are stored."""
         y = np.asarray(y, float)
         out = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
-        k, sy = int(np.searchsorted(rows, self.n_cusp)), np.sqrt(y)[..., None]
+        k, sy = int(rows.searchsorted(self.n_cusp)), np.sqrt(y)[..., None]
         val, scale, node = out.T, self._scale[rows], rows[k:]  # val: each point's rows, last
         val[..., :k] *= sy
         val[..., :k] *= scale[:k]
         val[..., k:] *= scale[k:] * sy
         val[..., k:] += 2.0 * sy * np.cos(self.bank.r[node] * np.log(y)[..., None]
-                                          + self._arg_xi[node - self.n_cusp])
+                                          + self._arg_xi[node])
         return out
 
 

@@ -31,7 +31,7 @@ class CoeffFn:
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (grid.size,):
             raise ValueError(f"expected {grid.size} values, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
+        if not np.logical_and.reduce(np.isfinite(vals)):
             raise ValueError("coefficient values must be finite")
         self.grid = grid
         self.values = vals
@@ -118,7 +118,8 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
 def _not_negligible(hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
     # the rows whose upper bound (>= 0) is nonzero, at least the least double,
     # and >= NEGLIGIBLE x the largest lower bound
-    return np.greater_equal(hi, max(NEGLIGIBLE * lo.max(initial=0.0), math.ulp(0.0)), out=out)
+    floor = max(NEGLIGIBLE * np.maximum.reduce(lo, initial=0.0), math.ulp(0.0))
+    return np.greater_equal(hi, floor, out=out)
 
 
 def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
@@ -126,14 +127,16 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
 
     Per family (cusp forms, Eisenstein nodes) a row is kept when a bound on
     its largest term is at least NEGLIGIBLE times the family's largest bound:
-    |w c| e^{pi r/2} on a cusp row (forms.BasisTable.envelope; 0 where the
-    row is identically zero at these heights), |w c| on a node.  The constant
+    |w c| e^{pi r/2} on a cusp row (forms.BasisTable.growth; 0 where the
+    row keeps no Fourier term at these heights), |w c| on a node.  The constant
     row is always kept (synthesis.evaluate_heat_kernel adds the last node for
     its tail)."""
     grid, n = f.grid, f.grid.n_cusp
     size, live = np.abs(grid.weights * f.values), np.empty(grid.size, dtype=bool)
     cusp, nodes = size[:n], size[n + 1:]
-    cusp *= grid.table.envelope(y.min(initial=np.inf))
+    y_min = np.minimum.reduce(y, axis=None, initial=np.inf)
+    cusp *= grid.table.bank.cut[:n] >= 2.0 * math.pi * y_min
+    cusp *= grid.table.growth
     _not_negligible(cusp, cusp, live[:n])
     _not_negligible(nodes, nodes, live[n + 1:])
     live[n] = True

@@ -47,11 +47,12 @@ class SpectralGrid:
         self.weights = np.concatenate([np.ones(self.n_cusp), [1.0], eisenstein_w])
         self.table.check()
         self._at_i = np.full(self.size, np.nan)  # basis_at_i(); NaN until evaluated
+        self._entries = np.delete(np.arange(self.size), self.n_cusp)  # each table row's entry
 
     def basis_at_i(self, rows=slice(None)) -> np.ndarray:
         """The basis column at i (the odd cusp forms vanish there) on the
         entries `rows` (all by default), each evaluated on first request."""
-        if np.isnan(col := self._at_i[rows]).any():
+        if np.logical_or.reduce(np.isnan(col := self._at_i[rows]), axis=None):
             live = np.zeros(self.size, dtype=bool)
             live[rows] = np.isnan(col)
             self._at_i[live] = self.basis_rows(np.array([0.0]), np.array([1.0]), live)[live, 0]
@@ -60,14 +61,12 @@ class SpectralGrid:
 
     def basis_rows(self, x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Real unitary-frame basis values at reduced points, shape (size,)
-        + x.shape in coefficient order (a 0-d x and y is one point); only the rows where `live` holds are
-        evaluated, the rest stay zero: the live cusp forms and nodes in one
-        Fourier sum over the grid's table."""
-        out = np.zeros((self.size,) + np.shape(x))
-        n = self.n_cusp
-        sel = np.flatnonzero(live)
-        sel = sel[sel != n]
-        out[sel] = self.table(sel - (sel > n), x, y)  # table rows skip the constant
+        + x.shape in coefficient order (a 0-d x and y is one point); only the
+        rows where `live` holds are evaluated, the rest stay zero: the live
+        cusp forms and nodes in one Fourier sum over the grid's table."""
+        out, n = np.zeros((self.size,) + x.shape), self.n_cusp
+        rows = live[self._entries].nonzero()[0]  # the live table rows
+        out[self._entries[rows]] = self.table(rows, x, y)
         if live[n]:
             out[n] = _CONSTANT  # unit-norm constant on volume pi/3
         return out
