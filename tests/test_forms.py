@@ -480,7 +480,7 @@ def test_stage_timer_stages_resolve(monkeypatch):
     # the stage timer wraps each stage where its call looks the function
     # up: a stage renamed or moved away fails here instead of timing nothing
     timer = _load_tool(monkeypatch, "time_stages")
-    assert len(timer.STAGES) == 5
+    assert len(timer.STAGES) == 6
     for title, _, stages, _, _ in timer.STAGES.values():
         for space, name in stages:
             assert callable(getattr(space, name, None)), (title, name)

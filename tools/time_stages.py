@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
 """Time the package's calls by stage.
 
-Five calls, each repeated, as STAGES lists them: a cold evaluation, the
+Six calls, each repeated, as STAGES lists them: a cold evaluation, the
 default grid (RunConfig's r_max, panels and nodes per panel) with its data
-load built afresh and evaluated at the golden
-point t = 1, z = 0.25 + 1.3i (the set-up the benchmark times; the grid
-fits only the bank rows the point uses, inside the norm, the data check
-and the evaluation, so those are not stages; the K-Bessel quadrature is
-also given per row fitted), a seeded sweep of 120 `evaluate_heat_kernel`
-points (six times t, log-uniform in [1, 4], of 20 points each, x uniform in
-[-1/2, 1/2), y in [1, 6]) and a 500-point `synthesize_values` field at its
-first time, both per point and both with `synthesis_parts`, their one sum
-of the synthesis terms, as a stage (the field also with the bank call,
-`KBesselBank.__call__`, its range rule and panel series, which runs inside
-the basis before that sum), a bound-160 `periodized_oracle`, and a
-bound-3000 `periodized_oracle_basepoint` whose count moments are built (the
-first call of each is left out; its plane-kernel stage is the quadrature at
-the fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages
-do not nest).  Each stage is timed inside the real call, by wrapping the
+load built afresh and evaluated at the golden point t = 1, z = 0.25 + 1.3i
+(the set-up the benchmark times; the grid fits only the bank rows the
+point uses, inside the norm, the data check and the evaluation, so those
+are not stages; the K-Bessel quadrature is also given per row fitted), a
+seeded sweep of 120 `evaluate_heat_kernel` points (six times t,
+log-uniform in [1, 4], of 20 points each, x uniform in [-1/2, 1/2), y in
+[1, 6]) and one point high up, t = 3, z = 0.3 + 6i, where almost no Bessel
+entry is live, so that its time is the fixed cost of a point (both with
+the reduction, the heat data, the row choice, the panel series
+`KBesselBank._series` and `synthesis_parts` as stages; the rest is the
+basis around the series and the report), a 500-point `synthesize_values`
+field at the sweep's first time, per point, with `synthesis_parts`, the
+one sum of the synthesis terms, and the bank call `KBesselBank.__call__`,
+its range rule and panel series, which runs inside the basis before that
+sum, a bound-160 `periodized_oracle`, and a bound-3000
+`periodized_oracle_basepoint` whose count moments are built (the first
+call of each is left out; its plane-kernel stage is the quadrature at the
+fit's nodes, and at i `orbit_tail` calls no plane kernel, so the stages do
+not nest).  Each stage is timed inside the real call, by wrapping the
 function that the call looks up; what is left of the call is the rest (in
 the orbit sum that includes the envelope the series is multiplied by).
 Prints in-process medians in microseconds and, beside each call's median,
@@ -43,7 +47,6 @@ sys.path.insert(0, "src")
 from autoheat import (config, forms, heat, oracle, sobolev, special,  # noqa: E402
                       spectral_model, synthesis, verify)
 from autoheat.hyperbolic import HPoint  # noqa: E402
-from autoheat.spectral_model import SpectralGrid  # noqa: E402
 
 REPEATS = 21  # of every call but the cold one
 SEED, TIMES, PER_TIME, FIELD_POINTS = 21, 6, 20, 500
@@ -51,6 +54,14 @@ COLD = "evaluate_heat_kernel(1, 0.25 + 1.3i)"
 CFG = config.RunConfig()
 GRID = (CFG.r_max, CFG.panels, CFG.nodes_per_panel)
 SWEEP = f"{TIMES * PER_TIME} points, t in [1, 4], y in [1, 6] (seed {SEED})"
+FIXED_T, FIXED_Z = 3.0, HPoint(0.3, 6.0)
+# the point path's layers, which do not nest: the Fourier sums, the bank's
+# range rule and the finishing of the rows are the rest
+POINT_STAGES = {
+    **{(synthesis, name): name for name in
+       ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows",
+        "synthesis_parts")},
+    (special.KBesselBank, "_series"): "KBesselBank._series"}
 
 # Per call: its title, its repeats, its stages ((namespace, name), a module
 # or class and the name of a function in it, to a label), what the rest of
@@ -63,12 +74,10 @@ STAGES = {
         (special, "kbessel_quad"): "kbessel_quad",
         (forms, "_hecke_defect"): "_hecke_defect"},
         "re-expansion, checks, Fourier sums", 1),
-    "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, {
-        **{(synthesis, name): name for name in
-           ("reduce_to_fundamental_domain", "heat_coefficients", "synthesis_rows",
-            "synthesis_parts")},
-        (SpectralGrid, "basis_rows"): "SpectralGrid.basis_rows"},
-        "the rest (report)", TIMES * PER_TIME),
+    "sweep": (f"evaluate_heat_kernel per point, {SWEEP}", REPEATS, POINT_STAGES,
+              "basis around the series, report", TIMES * PER_TIME),
+    "fixed": (f"evaluate_heat_kernel({FIXED_T:g}, {FIXED_Z.x} + {FIXED_Z.y:g}i), the fixed cost",
+              REPEATS, POINT_STAGES, "basis around the series, report", 1),
     "field": (f"{FIELD_POINTS}-point synthesize_values field per point", REPEATS, {
         (special.KBesselBank, "__call__"): "KBesselBank.__call__",
         (sobolev, "synthesis_parts"): "synthesis_parts"},
@@ -151,6 +160,7 @@ def main() -> None:
     calls = {
         "cold": cold,
         "sweep": lambda: [synthesis.evaluate_heat_kernel(t, z, grid) for t, z in points],
+        "fixed": lambda: synthesis.evaluate_heat_kernel(FIXED_T, FIXED_Z, grid),
         "field": lambda: sobolev.synthesize_values(
             heat.heat_coefficients(float(ts[0]), grid).coeffs, fx, fy),
         "orbit": lambda: oracle.periodized_oracle(1.0, HPoint(0.25, 1.3), 160.0),
