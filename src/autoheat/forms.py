@@ -63,8 +63,7 @@ def _bessel_table(bank: KBesselBank, rows, cut, two_pi_n: np.ndarray, heights):
     """Ktilde_{r_i}(2 pi n y), shape heights.shape + (n, row i), at every live
     entry: n <= len(two_pi_n) (two_pi_n[n-1] = 2 pi n) and 2 pi n y <= cut[i]
     = r_i + FOURIER_DECAY, one bank entry each; the table is zero where not live."""
-    y_min = np.minimum.reduce(heights, axis=None)
-    w = two_pi_n[:int(np.maximum.reduce(cut, initial=0.0) / (2.0 * math.pi * y_min)) + 1]
+    w = two_pi_n[:int(cut.max(initial=0.0) / (2.0 * math.pi * heights.min())) + 1]
     arg = np.multiply.outer(heights, w)
     live = arg[..., None] <= cut
     k, i = live.reshape(arg.size, len(rows)).nonzero()  # k runs over (height, n) pairs
@@ -79,27 +78,26 @@ def _height_blocks(y: np.ndarray, cut: np.ndarray):
     the points, their distinct heights in increasing order and each point's
     index into those; a lone point's height comes as a 0-d array."""
     if y.size == 1:  # one block of one height
-        return [(Ellipsis, y.reshape(()), Ellipsis)]
+        yield Ellipsis, y.reshape(()), Ellipsis
+        return
     order = np.argsort(y, kind="stable")
     per_height = float(np.sum(cut)) / (2.0 * math.pi)
     load = np.concatenate(([0.0], np.cumsum(per_height / y[order])))  # entries before each
-    blocks, s = [], 0
+    s = 0
     while s < len(y):
         e = max(s + 1, int(np.searchsorted(load, load[s] + _ENTRY_BLOCK, "right")) - 1)
-        blocks.append((order[s:e], *np.unique(y[order[s:e]], return_inverse=True)))
+        yield (order[s:e], *np.unique(y[order[s:e]], return_inverse=True))
         s = e
-    return blocks
 
 
 def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray,
                   odd: np.ndarray, x, y) -> np.ndarray:
     """sum_n coeffs[j, n-1] Ktilde_{r_j}(2 pi n y) tr_j(2 pi n x) for each bank
     row j in rows, r_j = bank.r[j], tr_j = sin where odd[j] else cos, over
-    the n with 2 pi n y <= bank.cut[j] = r_j + FOURIER_DECAY, shape
-    (len(rows),) + x.shape (a 0-d x and y is one point); coeffs, n_max and
-    odd are indexed by bank row.  ValueError where a row's n_max[j]
-    coefficients stop short of that at the lowest height: the dropped terms
-    would go unreported.
+    the n with 2 pi n y <= bank.cut[j] = r_j + FOURIER_DECAY, shape (len(rows),)
+    + x.shape (0-d x and y: one point); coeffs, n_max and odd are indexed by
+    bank row.  ValueError where a row's n_max[j] coefficients stop short of
+    that at the lowest height: the dropped terms would go unreported.
 
     Points run in height order, in blocks (_height_blocks).  A block
     evaluates the bank once per live (height, n, row), scales the table by
@@ -112,16 +110,14 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
     out = np.zeros((len(rows),) + x.shape)
     if not (x.size and len(rows)):
         return out
-    n_max, odd, cut = n_max[rows], odd[rows], bank.cut[rows]
-    y_min = np.minimum.reduce(y, axis=None)
+    n_max, odd, cut, y_min = n_max[rows], odd[rows], bank.cut[rows], np.minimum.reduce(y, None)
     if np.logical_or.reduce(short := 2.0 * math.pi * n_max * y_min < cut):
         i = int(np.argmax(short))
         raise ValueError(
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
             f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {FOURIER_DECAY:g}): the point "
             f"is outside the evaluator's domain")
-    any_odd = np.logical_or.reduce(odd)
-    two_pi_n = 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
+    any_odd, two_pi_n = odd.any(), 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
     for idx, heights, at in _height_blocks(y, cut):
         table = _bessel_table(bank, rows, cut, two_pi_n, heights)
         n_top = table.shape[-2]
@@ -188,10 +184,7 @@ class BasisTable:
     over the bounds; this fits every cusp row.  `bounds_at_i` holds, per
     node and before any fit, bounds 2 |cos arg xi(1+2ir)| - F <= |E(i)| <=
     2 + F, F = (4/|xi(1+2ir)|) sum_n d(n) K_0(2 pi n): at i the constant
-    term is 2 cos arg xi, |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0.
-    `growth` holds e^{pi r/2} per form: past its turning point Ktilde_{ir}
-    behaves like e^{pi r/2} K_0, so it bounds the form's terms up to a
-    factor common to all r."""
+    term is 2 cos arg xi, |n^{ir} sigma_{-2ir}(n)| <= d(n) and |K_{ir}| <= K_0."""
 
     _N_MULTIPLIERS = 72  # covers every truncation the half-plane can request
 
@@ -222,6 +215,7 @@ class BasisTable:
                 raise ValueError(f"degenerate L2 norm for form r={form.r}")
         self.norm = 1.0 / np.sqrt(norm_sq)
         self._scale = np.concatenate([self.norm, self._pref])  # per row: norm, then pref
+        # e^{pi r/2} per form: past its turning point Ktilde_{ir} behaves like e^{pi r/2} K_0
         self.growth = np.exp(0.5 * math.pi * self.bank.r[:self.n_cusp])
         self.hecke = np.array([_hecke_defect(f.coeffs) for f in forms])
         z = np.concatenate([_INVERSION_POINTS, -1.0 / _INVERSION_POINTS])
@@ -244,7 +238,6 @@ class BasisTable:
         2 sqrt(y) cos(r log y + arg xi(1+2ir)) plus pref sqrt(y) acc, where
         acc is the row's Fourier sum (_fourier_rows); ValueError at heights
         whose terms need more coefficients or multipliers than are stored."""
-        y = np.asarray(y, float)
         out = _fourier_rows(self.bank, rows, self.coeffs, self.n_max, self.odd, x, y)
         k, sy = int(rows.searchsorted(self.n_cusp)), np.sqrt(y)[..., None]
         val, scale, node = out.T, self._scale[rows], rows[k:]  # val: each point's rows, last
@@ -275,9 +268,8 @@ def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32)
     coeffs, n_max, odd = table.coeffs[rows], table.n_max[rows], table.odd[rows]
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
     log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
-    # past a form's n_max its Bessel entries meet zero coefficients
-    bessel = _bessel_table(bank, rows, bank.cut[rows], 2.0 * math.pi * np.arange(
-        1, coeffs.shape[1] + 1), np.exp(log_y.ravel()))
+    two_pi_n = 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)  # past n_max: zero coefficients
+    bessel = _bessel_table(bank, rows, bank.cut[rows], two_pi_n, np.exp(log_y.ravel()))
     bessel = np.ascontiguousarray(bessel.transpose(2, 1, 0))  # (row, n, height)
     rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
     phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)

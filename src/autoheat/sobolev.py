@@ -10,7 +10,6 @@ the heat flow, and (lambda - C)^{-1} is its resolvent for C > 0.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -116,10 +115,8 @@ def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def _not_negligible(hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
-    # the rows whose upper bound (>= 0) is nonzero, at least the least double,
-    # and >= NEGLIGIBLE x the largest lower bound
-    floor = max(NEGLIGIBLE * np.maximum.reduce(lo, initial=0.0), math.ulp(0.0))
-    return np.greater_equal(hi, floor, out=out)
+    # rows whose upper bound (>= 0) reaches the least double and NEGLIGIBLE x the top lower bound
+    return np.greater_equal(hi, max(NEGLIGIBLE * lo.max(initial=0.0), 5e-324), out=out)
 
 
 def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
@@ -127,19 +124,14 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
 
     Per family (cusp forms, Eisenstein nodes) a row is kept when a bound on
     its largest term is at least NEGLIGIBLE times the family's largest bound:
-    |w c| e^{pi r/2} on a cusp row (forms.BasisTable.growth; 0 where the
-    row keeps no Fourier term at these heights), |w c| on a node.  The constant
-    row is always kept (synthesis.evaluate_heat_kernel adds the last node for
-    its tail)."""
+    |w c| e^{pi r/2} on a cusp row (forms.BasisTable.growth; 0 where the row
+    keeps no Fourier term at these heights), |w c| on a node.  The constant row
+    is always kept (synthesis.evaluate_heat_kernel adds the last node for its tail)."""
     grid, n = f.grid, f.grid.n_cusp
-    size, live = np.abs(grid.weights * f.values), np.empty(grid.size, dtype=bool)
-    cusp, nodes = size[:n], size[n + 1:]
-    y_min = np.minimum.reduce(y, axis=None, initial=np.inf)
-    cusp *= grid.table.bank.cut[:n] >= 2.0 * math.pi * y_min
-    cusp *= grid.table.growth
-    _not_negligible(cusp, cusp, live[:n])
-    _not_negligible(nodes, nodes, live[n + 1:])
-    live[n] = True
+    size, live = np.abs(grid.weights * f.values), np.ones(grid.size, dtype=bool)
+    reach = grid.table.bank.cut[:n] >= 2.0 * np.pi * np.minimum.reduce(y, None, initial=np.inf)
+    _not_negligible(cusp := size[:n] * grid.table.growth * reach, cusp, live[:n])
+    _not_negligible(size[n + 1:], size[n + 1:], live[n + 1:])
     return live
 
 

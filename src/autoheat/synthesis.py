@@ -13,7 +13,6 @@ from .sobolev import synthesis_parts, synthesis_rows, synthesize_values
 from .spectral_model import SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,15 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     live[-1] |= coeffs.values[-1] != 0.0  # the tail estimate reads the last node
     basis = grid.basis_rows(np.array(p.x), y, live)
     # the heat data and the basis are real: each part's imaginary part is 0
-    cusp, residual, eis = synthesis_parts(coeffs, basis)
-    cusp, residual, eis = float(cusp.real), float(residual.real), float(eis.real)
+    cusp, residual, eis = (float(part.real) for part in synthesis_parts(coeffs, basis))
 
     # |E| at the cutoff from the last node, with margin for growth (a node
     # whose damping underflowed is not evaluated and counts as 1)
     edge = max(abs(basis[-1]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them
-    cancel_error = 4.0 * _EPS * max(abs(cusp), abs(residual), abs(eis))
-    drift = _EPS * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
+    cancel_error = 4.0 * math.ulp(1.0) * max(abs(cusp), abs(residual), abs(eis))
+    drift = math.ulp(1.0) * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
     unresolved = grid.r_max * math.log(p.y) > grid.size - grid.n_cusp - 1
 
     value = cusp + residual + eis
