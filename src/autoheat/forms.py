@@ -117,14 +117,14 @@ def _fourier_rows(bank: KBesselBank, rows, coeffs: np.ndarray, n_max: np.ndarray
             f"{n_max[i]} Fourier coefficients are too few at height y={y_min:.4f} for "
             f"r={bank.r[rows[i]]:.4f} (need 2 pi N y >= r + {FOURIER_DECAY:g}): the point "
             f"is outside the evaluator's domain")
-    any_odd, two_pi_n = odd.any(), 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
+    two_pi_n = 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)
     for idx, heights, at in _height_blocks(y, cut):
         table = _bessel_table(bank, rows, cut, two_pi_n, heights)
         n_top = table.shape[-2]
         table *= coeffs[rows, :n_top].T
         ang = np.multiply.outer(x[idx], two_pi_n[:n_top])[..., None]
         # without odd rows one factor per (point, n) serves every row
-        tr = np.where(odd, np.sin(ang), np.cos(ang)) if any_odd else np.cos(ang)
+        tr = np.where(odd, np.sin(ang), np.cos(ang)) if np.logical_or.reduce(odd) else np.cos(ang)
         terms = table[at] * tr
         acc = np.zeros(terms.shape[:-2] + (len(rows),))
         for k in range(n_top):

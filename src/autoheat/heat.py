@@ -30,8 +30,7 @@ from .spectral_model import DELTA_INDEX, SobolevIndex, SpectralGrid
 RESIDUAL_INDEX: SobolevIndex = -4
 
 _UNDERFLOW_EXPONENT = -700.0  # e^{lambda t} below this flushes to zero
-# from this time on all entries but the constant's (lambda <= -1/4) flush alike
-_T_FLUSHED = 4.0 * -_UNDERFLOW_EXPONENT
+_T_FLUSHED = 4.0 * -_UNDERFLOW_EXPONENT  # all entries but the constant's flush from here on
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,8 @@ def heat_coefficients(t: float, grid: SpectralGrid) -> HeatState:
     damp, n = _damping(grid, t), grid.n_cusp
     lo, hi = grid.table.bounds_at_i
     w = grid.weights[n + 1:] * damp[n + 1:]
-    keep = np.ones(grid.size, dtype=bool)
+    keep = np.empty(grid.size, dtype=bool)
+    keep[:n + 1] = True
     _not_negligible(w * hi, w * lo, keep[n + 1:])
     keep[-1] = True
     values = np.zeros(grid.size, dtype=complex)  # CoeffFn's dtype: taken without a copy

@@ -128,7 +128,8 @@ def synthesis_rows(f: CoeffFn, y: np.ndarray) -> np.ndarray:
     keeps no Fourier term at these heights), |w c| on a node.  The constant row
     is always kept (synthesis.evaluate_heat_kernel adds the last node for its tail)."""
     grid, n = f.grid, f.grid.n_cusp
-    size, live = np.abs(grid.weights * f.values), np.ones(grid.size, dtype=bool)
+    size, live = np.abs(grid.weights * f.values), np.empty(grid.size, dtype=bool)
+    live[n] = True
     reach = grid.table.bank.cut[:n] >= 2.0 * np.pi * np.minimum.reduce(y, None, initial=np.inf)
     _not_negligible(cusp := size[:n] * grid.table.growth * reach, cusp, live[:n])
     _not_negligible(size[n + 1:], size[n + 1:], live[n + 1:])

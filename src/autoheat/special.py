@@ -328,13 +328,12 @@ class KBesselBank:
         rows, x = np.asarray(rows, dtype=np.intp), np.asarray(x, dtype=float)
         if rows.shape != x.shape or not x.ndim:
             rows, x = np.broadcast_arrays(rows, np.atleast_1d(x))
-        hi = self.fit_hi[rows]
-        if not (x.min(initial=np.inf) >= self._x_lo and (x <= hi).all()):  # nan fails
-            k = np.argmin((x >= self._x_lo) & (x <= hi), axis=None)  # the first outside
+        if not np.logical_and.reduce(ok := (x >= self._x_lo) & (x <= self.fit_hi[rows]), None):
+            k = np.argmin(ok, axis=None)  # the first outside
             j = rows.flat[k]
             raise ValueError(f"argument {x.flat[k]} outside [{self.x_min}, {self.fit_hi[j]}] "
                              f"of the row r={self.r[j]}")
-        if not self.fitted.all() and not (fitted := self.fitted[rows]).all():
+        if not np.logical_and.reduce(self.fitted) and not (fitted := self.fitted[rows]).all():
             self._fit(np.unique(rows[~fitted]))
         return self._series(rows, x)
 
