@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -165,6 +166,73 @@ def test_removed_flags_are_usage_errors(argv, monkeypatch, capsys):
         cli.main(argv.split())
     assert exc.value.code == 64
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_EVAL = "eval --t 1 --x 0 --y 1"
+_EMPTY_DATA = ("error: empty maass_data_path (--data): name a Maass data file, or leave the "
+               "setting out for $AUTOHEAT_DATA or the packaged data\n")
+
+# The exit code and the full stderr of every refusal path; stdout stays
+# empty.  MISSING stands for a file that does not exist.  argparse's usage
+# lines are laid out for COLUMNS=80.
+REFUSALS = {
+    "eval --t 0 --x 0 --y 1": (1, "error: pointwise evaluation requires a finite t > 0\n"),
+    "eval --t inf --x 0 --y 1": (1, "error: pointwise evaluation requires a finite t > 0\n"),
+    "eval --t nan --x 0 --y 1": (1, "error: pointwise evaluation requires a finite t > 0\n"),
+    "eval --t -1 --x 0 --y 1": (1, "error: pointwise evaluation requires a finite t > 0\n"),
+    "eval --t 1 --x 0 --y -1": (64, "error: upper half-plane requires y > 0, got y = -1.0\n"),
+    "eval --t 1 --x 0 --y inf": (64, "error: coordinates must be finite, got x = 0.0, y = inf\n"),
+    "eval --t 1 --x nan --y 1": (64, "error: coordinates must be finite, got x = nan, y = 1.0\n"),
+    "eval --t 1 --x 0": (64, (
+        "usage: autoheat eval [-h] --t T --x X --y Y [--config CONFIG]\n"
+        "                     [--data MAASS_DATA_PATH] [--r-max R_MAX]\n"
+        "                     [--panels PANELS] [--nodes-per-panel NODES_PER_PANEL]\n"
+        "                     [--format {csv,json}]\n"
+        "error: the following arguments are required: --y\n")),
+    "profile --t-list ''": (64, "error: empty --t-list\n"),
+    "profile --t-list 1,0.1,0.5": (64, "error: --t-list must be strictly monotone\n"),
+    "profile --t-list nan": (64, "error: profile times must be finite and positive\n"),
+    "profile --t-list 1,a": (64, "error: --t-list must be comma-separated numbers\n"),
+    "profile --t-list 1 --s-list 0,x": (64, "error: --s-list must be comma-separated integers\n"),
+    "profile --t-list 1 --s-list 0,4,0": (
+        64, "error: --s-list must list distinct indices, at least one\n"),
+    "profile --t-list 1 --s-list ,": (
+        64, "error: --s-list must list distinct indices, at least one\n"),
+    "profile --t-list 1 --s-list 0,120": (
+        1, "error: Sobolev weights (1 - lambda)^120 overflow on this grid\n"),
+    "verify oracle --norm-bound 1e5": (1, (
+        "error: norm bound 100000 would list ~1.5e+10 orbit points, over the limit "
+        "ORBIT_MAX = 1000000\n")),
+    "verify nosuch": (64, (
+        "usage: autoheat verify [-h] [--config CONFIG] [--data MAASS_DATA_PATH]\n"
+        "                       [--r-max R_MAX] [--panels PANELS]\n"
+        "                       [--nodes-per-panel NODES_PER_PANEL]\n"
+        "                       [--norm-bound ORACLE_NORM_BOUND]\n"
+        "                       [{sobolev,semigroup,heat,oracle,all}]\n"
+        "error: argument suite: invalid choice: 'nosuch' (choose from 'sobolev', "
+        "'semigroup', 'heat', 'oracle', 'all')\n")),
+    f"{_EVAL} --r-max -1": (1, "error: r_max must be positive\n"),
+    f"{_EVAL} --r-max 0": (1, "error: r_max must be positive\n"),
+    f"{_EVAL} --r-max nan": (1, "error: r_max must be positive\n"),
+    f"{_EVAL} --r-max inf": (1, "error: r_max must be positive and finite, got inf\n"),
+    f"{_EVAL} --panels 0": (1, "error: at least one quadrature panel required\n"),
+    f"{_EVAL} --data ''": (1, _EMPTY_DATA),
+    "ingest-check --data MISSING": (1, (
+        "ingest-check FAILED for MISSING: [Errno 2] No such file or directory: 'MISSING'\n")),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", list(REFUSALS))
+def test_refusal_contract(command, grid, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    missing = str(tmp_path / "missing.dat")
+    try:
+        code = cli.main([missing if a == "MISSING" else a for a in shlex.split(command)])
+    except SystemExit as exc:
+        code = exc.code
+    code_wanted, err = REFUSALS[command]
+    assert (code, capsys.readouterr()) == (code_wanted, ("", err.replace("MISSING", missing)))
 
 
 class TestEval:
