@@ -31,6 +31,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+class UsageError(ValueError):
+    """A refused command-line input: main prints it and exits USAGE_EXIT."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _number_list(text: str, flag: str, kind) -> list:
+    """The comma-separated values of a list flag, each parsed by kind (float or int)."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        noun = "numbers" if kind is float else "integers"
+        raise UsageError(f"{flag} must be comma-separated {noun}") from None
+
+
 def _fmt(x: float) -> str:
     return "%.12e" % float(x)
 
@@ -87,13 +105,11 @@ def make_parser() -> _Parser:
 def cmd_eval(args) -> int:
     cfg = _config_from(args)
     if not 0.0 < args.t < math.inf:
-        print("error: pointwise evaluation requires a finite t > 0", file=sys.stderr)
-        return 1
+        raise ValueError("pointwise evaluation requires a finite t > 0")
     try:
         z = HPoint(args.x, args.y)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(exc) from None
     grid = grid_for_config(cfg)
     rep = evaluate_heat_kernel(args.t, z, grid)
     fields = [
@@ -124,32 +140,14 @@ def cmd_verify(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _config_from(args)
-    try:
-        ts = [float(tok) for tok in args.t_list.split(",") if tok.strip()]
-    except ValueError:
-        print("error: --t-list must be comma-separated numbers", file=sys.stderr)
-        return USAGE_EXIT
-    if not ts:
-        print("error: empty --t-list", file=sys.stderr)
-        return USAGE_EXIT
-    if not all(0.0 < t < math.inf for t in ts):
-        print("error: profile times must be finite and positive", file=sys.stderr)
-        return USAGE_EXIT
-    diffs = [b - a for a, b in zip(ts, ts[1:])]
-    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-        print("error: --t-list must be strictly monotone", file=sys.stderr)
-        return USAGE_EXIT
-    if args.s_list is None:
-        s_list = list(DEFAULT_PROFILE_INDICES)
-    else:
-        try:
-            s_list = [int(tok) for tok in args.s_list.split(",") if tok.strip()]
-        except ValueError:
-            print("error: --s-list must be comma-separated integers", file=sys.stderr)
-            return USAGE_EXIT
-        if not s_list or len(set(s_list)) < len(s_list):
-            print("error: --s-list must list distinct indices, at least one", file=sys.stderr)
-            return USAGE_EXIT
+    ts = _number_list(args.t_list, "--t-list", float)
+    _require(ts, "empty --t-list")
+    _require(all(0.0 < t < math.inf for t in ts), "profile times must be finite and positive")
+    _require(ts in (sorted(set(ts)), sorted(set(ts))[::-1]), "--t-list must be strictly monotone")
+    s_list = (list(DEFAULT_PROFILE_INDICES) if args.s_list is None
+              else _number_list(args.s_list, "--s-list", int))
+    _require(s_list and len(set(s_list)) == len(s_list),
+             "--s-list must list distinct indices, at least one")
     grid = grid_for_config(cfg)
     header = ["t", "gap"] + [f"s{s}" for s in s_list]
     rows = profile(ts, s_list, grid)
@@ -193,7 +191,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return USAGE_EXIT if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -22,8 +22,6 @@ class RunConfig:
         if self.maass_data_path == "":
             raise ValueError("empty maass_data_path (--data): name a Maass data file, or leave "
                              f"the setting out for ${DATA_ENV_VAR} or the packaged data")
-        if not self.r_max > 0.0:
-            raise ValueError("r_max must be positive")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format '{self.output_format}'")
 

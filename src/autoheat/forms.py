@@ -22,6 +22,7 @@ _KBESSEL_X_MIN = 2.0  # smallest Bessel argument the banks cover
 _ENTRY_BLOCK = 2 ** 16  # Bessel entries per pass of a Fourier sum: bounds its flat arrays
 _NORM_Y_MAX = 10.0  # height cutoff of the L2 normalization
 _NORM_PANELS = 12  # panels in log y of its Parseval rule
+_NORM_NODES = 32  # its Gauss-Legendre nodes a log-y panel, in phi and in x
 HECKE_BOUND = 1e-8  # largest Hecke defect of a loadable form
 INVERSION_BOUND = 1e-9  # largest |u(z) - u(-1/z)| of a loadable form
 _INVERSION_POINTS = np.array([0.31 + 0.87j, 0.11 + 1.02j, 0.45 + 0.92j])
@@ -253,30 +254,30 @@ class BasisTable:
 # Cusp-form data check
 # ---------------------------------------------------------------------------
 
-def _norm_squares(table: BasisTable, ny: int = 32, nphi: int = 32, nx: int = 32) -> np.ndarray:
+def _norm_squares(table: BasisTable) -> np.ndarray:
     """int |u|^2 dx dy / y^2 below y = _NORM_Y_MAX in the fundamental domain
     (u decays like e^{-2 pi y}, so the cutoff loses nothing) of the
     unnormalized form u of each of the table's cusp rows.
 
     On the rectangle 1 <= y <= _NORM_Y_MAX, Parseval in x leaves
     (1/2) sum a_n^2 int Ktilde(2 pi n y)^2 dy/y: Gauss-Legendre in log y on
-    _NORM_PANELS panels of ny nodes.  On the cap between the arc and y = 1,
-    y = cos(phi) for phi in [0, pi/6] (nphi nodes) and x in [sin(phi), 1/2]
-    (nx nodes), doubled by the evenness of |u|^2 in x: each phi node is one
-    height for all its x nodes."""
-    bank, rows = table.bank, np.arange(table.n_cusp)
+    _NORM_PANELS panels of _NORM_NODES nodes.  On the cap between the arc and
+    y = 1, y = cos(phi) for phi in [0, pi/6] and x in [sin(phi), 1/2]
+    (_NORM_NODES nodes each), doubled by the evenness of |u|^2 in x: each phi
+    node is one height for all its x nodes."""
+    bank, rows, k = table.bank, np.arange(table.n_cusp), _NORM_NODES
     coeffs, n_max, odd = table.coeffs[rows], table.n_max[rows], table.odd[rows]
     half = 0.5 * math.log(_NORM_Y_MAX) / _NORM_PANELS
-    log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, ny)
+    log_y, w_log = gauss_rule(half * (2.0 * np.arange(_NORM_PANELS) + 1.0), half, k)
     two_pi_n = 2.0 * math.pi * np.arange(1, coeffs.shape[1] + 1)  # past n_max: zero coefficients
     bessel = _bessel_table(bank, rows, bank.cut[rows], two_pi_n, np.exp(log_y.ravel()))
     bessel = np.ascontiguousarray(bessel.transpose(2, 1, 0))  # (row, n, height)
     rect = 0.5 * np.sum(coeffs[:, :bessel.shape[1]] ** 2 * (bessel ** 2 @ w_log.ravel()), axis=1)
-    phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, nphi)
-    x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), nx)
+    phi, w_phi = gauss_rule(math.pi / 12.0, math.pi / 12.0, k)
+    x, w_x = gauss_rule(0.25 + 0.5 * np.sin(phi), 0.25 - 0.5 * np.sin(phi), k)
     # dy = sin(phi) dphi; the doubling by evenness in x
     wts = (2.0 * w_phi * np.sin(phi) / np.cos(phi) ** 2)[:, None] * w_x
-    y = np.repeat(np.cos(phi), nx)
+    y = np.repeat(np.cos(phi), k)
     vals = np.sqrt(y) * _fourier_rows(bank, rows, coeffs, n_max, odd, x.ravel(), y)
     return rect + (vals * vals) @ wts.ravel()
 

@@ -17,6 +17,7 @@ import numpy as np
 from .sobolev import (
     CoeffFn,
     _not_negligible,
+    _same_grid,
     apply_generator,
     apply_resolvent,
     delta_coefficients,
@@ -119,16 +120,15 @@ def uniqueness_gap(f0: CoeffFn, g0: CoeffFn, t: float, s: SobolevIndex) -> float
     Contraction makes it bounded by the initial gap, and zero initial gap
     stays exactly zero: the numerical face of solution uniqueness.
     """
-    if f0.grid is not g0.grid:
-        raise ValueError("initial data live on different grids")
+    _same_grid(f0, g0)
     a = semigroup_apply(t, f0)
     b = semigroup_apply(t, g0)
     return sobolev_norm(a.with_values(a.values - b.values), s)
 
 
-def euler_error(t: float, steps: int, grid: SpectralGrid,
-                s: SobolevIndex = RESIDUAL_INDEX) -> float:
-    """Error of explicit Euler stepping of the evolution from the delta data.
+def euler_error(t: float, steps: int, grid: SpectralGrid) -> float:
+    """Error of explicit Euler stepping of the evolution from the delta data,
+    in the index RESIDUAL_INDEX norm.
 
     Stability needs step < 2/|lambda|_max; callers pick steps accordingly.
     """
@@ -140,11 +140,12 @@ def euler_error(t: float, steps: int, grid: SpectralGrid,
         raise ValueError("Euler step too large for the stiffest grid entry")
     vals = delta_coefficients(grid).values * (1.0 + k * lam) ** steps
     exact = heat_coefficients(t, grid).coeffs
-    return sobolev_norm(exact.with_values(vals - exact.values), s)
+    return sobolev_norm(exact.with_values(vals - exact.values), RESIDUAL_INDEX)
 
 
-def resolvent_laplace_defect(c: float, f: CoeffFn, s: SobolevIndex = 0) -> float:
-    """Relative defect of (generator - c)^{-1} f against -int_0^inf e^{-ct} G(t) f dt.
+def resolvent_laplace_defect(c: float, f: CoeffFn) -> float:
+    """Relative defect of (generator - c)^{-1} f against -int_0^inf e^{-ct} G(t) f dt,
+    in the index-0 norm.
 
     The Laplace integral is done by 12 geometric panels (ratio 1.35) of 24
     Gauss-Legendre nodes on [0, 60]; the identity links the resolvent to the
@@ -158,5 +159,5 @@ def resolvent_laplace_defect(c: float, f: CoeffFn, s: SobolevIndex = 0) -> float
     for ti, wi in zip(ts.ravel(), ws.ravel()):
         acc += wi * np.exp(-c * ti) * semigroup_apply(ti, f).values
     quad = f.with_values(-acc)
-    defect = sobolev_norm(f.with_values(quad.values - direct.values), s)
-    return defect / max(sobolev_norm(direct, s), 1e-300)
+    defect = sobolev_norm(f.with_values(quad.values - direct.values), 0)
+    return defect / max(sobolev_norm(direct, 0), 1e-300)

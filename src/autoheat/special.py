@@ -37,30 +37,27 @@ _BERNOULLI_EVEN = (
 )
 
 ZETA_LINE_T_MAX = 100.0
+_ZETA_TERMS = 100  # terms summed before the Euler-Maclaurin tail
 _STIRLING_RE_MIN = 16.0  # the Stirling series is summed at Re z >= this
 
 
-def zeta_euler_maclaurin(s: complex, n_terms: int = 100, tail_terms: int = 8) -> complex:
-    """Riemann zeta via Euler-Maclaurin summation.
+def zeta_euler_maclaurin(s: complex) -> complex:
+    """Riemann zeta via Euler-Maclaurin summation: _ZETA_TERMS terms, then
+    the tail's 8 Bernoulli terms.
 
-    Accurate to ~1e-13 relative for Re(s) > -1 and |Im(s)| <= 100 with the
-    default truncation.  The pole at s = 1 is rejected.
+    Accurate to ~1e-13 relative for Re(s) > -1 and |Im(s)| <= 100.  The pole
+    at s = 1 is rejected.
     """
-    s = complex(s)
+    s, m = complex(s), _ZETA_TERMS
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
-    if tail_terms > len(_BERNOULLI_EVEN):
-        raise ValueError(f"at most {len(_BERNOULLI_EVEN)} Bernoulli tail terms supported")
-    n = np.arange(1, n_terms)
-    total = np.sum(n ** (-s))
-    total += 0.5 * n_terms ** (-s)
-    total += n_terms ** (1.0 - s) / (s - 1.0)
+    total = np.sum(np.arange(1, m) ** (-s)) + 0.5 * m ** (-s) + m ** (1.0 - s) / (s - 1.0)
     # Tail: sum_k B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
     poch = s
     fact = 1.0
-    for k in range(1, tail_terms + 1):
+    for k, b in enumerate(_BERNOULLI_EVEN, 1):
         fact *= (2 * k - 1) * (2 * k)
-        total += _BERNOULLI_EVEN[k - 1] / fact * poch * n_terms ** (-s - 2 * k + 1)
+        total += b / fact * poch * m ** (-s - 2 * k + 1)
         poch *= (s + 2 * k - 1) * (s + 2 * k)
     return complex(total)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .forms import load_maass_data
 from .heat import (
+    RESIDUAL_INDEX,
     euler_error,
     heat_coefficients,
     heat_equation_residual,
@@ -37,7 +38,7 @@ from .sobolev import (
     pairing_s,
     sobolev_norm,
 )
-from .spectral_model import SpectralGrid, build_grid
+from .spectral_model import DELTA_INDEX, SpectralGrid, build_grid
 from .synthesis import evaluate_heat_kernel
 
 SUITES = ("sobolev", "semigroup", "heat", "oracle", "all")
@@ -179,13 +180,13 @@ def semigroup_suite(grid: SpectralGrid) -> list[CheckResult]:
     gaps = []
     for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         gt = semigroup_apply(t, f)
-        gaps.append(sobolev_norm(gt.with_values(gt.values - f.values), -2))
+        gaps.append(sobolev_norm(gt.with_values(gt.values - f.values), -DELTA_INDEX))
     mono = max(b - a for a, b in zip(gaps, gaps[1:]))
     out.append(_lt("strong continuity: gap strictly decreasing", mono, 0.0))
     out.append(_lt("strong continuity: gap(1e-5)/gap(1e-1)", gaps[-1] / gaps[0], 1e-3))
 
     out.append(_le("laplace transform of G matches resolvent (C=1)",
-                   resolvent_laplace_defect(1.0, f, s=0), 0.02))
+                   resolvent_laplace_defect(1.0, f), 0.02))
     return out
 
 
@@ -197,19 +198,19 @@ def heat_suite(grid: SpectralGrid) -> list[CheckResult]:
     out.append(_le("t=0 heat data equals delta data",
                    float(np.max(np.abs(t0.values - delta.values))), 0.0))
 
-    r1 = heat_equation_residual(1.0, 1e-2, -4, grid)
-    r2 = heat_equation_residual(1.0, 5e-3, -4, grid)
+    r1 = heat_equation_residual(1.0, 1e-2, RESIDUAL_INDEX, grid)
+    r2 = heat_equation_residual(1.0, 5e-3, RESIDUAL_INDEX, grid)
     out.append(_in_range("time-difference residual order ratio", r1 / r2, 3.5, 4.5))
 
-    scale = sobolev_norm(apply_generator(heat_coefficients(1.0, grid).coeffs), -4)
+    scale = sobolev_norm(apply_generator(heat_coefficients(1.0, grid).coeffs), RESIDUAL_INDEX)
     out.append(_le("residual(h=1e-3) vs generator image",
-                   heat_equation_residual(1.0, 1e-3, -4, grid) / scale, 1e-5))
+                   heat_equation_residual(1.0, 1e-3, RESIDUAL_INDEX, grid) / scale, 1e-5))
 
     ts = (1.0, 0.5, 0.1, 0.01, 1e-3, 1e-4)
     gaps = [initial_condition_gap(t, grid) for t in ts]
     out.append(_lt("initial-condition gap strictly decreasing",
                    max(b - a for a, b in zip(gaps, gaps[1:])), 0.0))
-    mdelta = sobolev_norm(apply_generator(delta), -2)
+    mdelta = sobolev_norm(apply_generator(delta), -DELTA_INDEX)
     out.append(_le("gap(t) <= t ||M delta||",
                    max(g / (t * mdelta) for g, t in zip(gaps, ts)), 1.0))
     out.append(_le("gap(1e-4) / gap(1)", gaps[-1] / gaps[0], 1e-2))
@@ -220,8 +221,8 @@ def heat_suite(grid: SpectralGrid) -> list[CheckResult]:
         for _ in range(100):
             f = _random_coeffs(grid, rng)
             g = _random_coeffs(grid, rng)
-            init = sobolev_norm(f.with_values(f.values - g.values), -2)
-            worst = max(worst, uniqueness_gap(f, g, t, -2) - init)
+            init = sobolev_norm(f.with_values(f.values - g.values), -DELTA_INDEX)
+            worst = max(worst, uniqueness_gap(f, g, t, -DELTA_INDEX) - init)
     out.append(_le("uniqueness: evolved gap <= initial gap", worst, 1e-13))
 
     e1 = euler_error(0.5, 1024, grid)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -13,6 +14,7 @@ import pytest
 import autoheat
 from autoheat import cli, verify
 from autoheat.config import RunConfig, build_config, parse_config_file
+from autoheat.spectral_model import build_grid
 
 EVAL_HEADER = "t,x,y,value,cusp_part,residual_part,eisenstein_part,tail_estimate\n"
 
@@ -211,9 +213,9 @@ REFUSALS = {
         "                       [{sobolev,semigroup,heat,oracle,all}]\n"
         "error: argument suite: invalid choice: 'nosuch' (choose from 'sobolev', "
         "'semigroup', 'heat', 'oracle', 'all')\n")),
-    f"{_EVAL} --r-max -1": (1, "error: r_max must be positive\n"),
-    f"{_EVAL} --r-max 0": (1, "error: r_max must be positive\n"),
-    f"{_EVAL} --r-max nan": (1, "error: r_max must be positive\n"),
+    f"{_EVAL} --r-max -1": (1, "error: r_max must be positive and finite, got -1.0\n"),
+    f"{_EVAL} --r-max 0": (1, "error: r_max must be positive and finite, got 0.0\n"),
+    f"{_EVAL} --r-max nan": (1, "error: r_max must be positive and finite, got nan\n"),
     f"{_EVAL} --r-max inf": (1, "error: r_max must be positive and finite, got inf\n"),
     f"{_EVAL} --panels 0": (1, "error: at least one quadrature panel required\n"),
     f"{_EVAL} --data ''": (1, _EMPTY_DATA),
@@ -589,6 +591,9 @@ class TestConfig:
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig(r_max=-1.0)
-        with pytest.raises(ValueError):
             RunConfig(output_format="xml")
+        # r_max has one rule, build_grid's, which --r-max reaches through the grid
+        for r_max in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as exc:
+                build_grid([], r_max, 5, 32)
+            assert str(exc.value) == f"r_max must be positive and finite, got {r_max}"

@@ -169,7 +169,7 @@ class TestMaass:
             _one_sum(form, [0.0], [math.sqrt(3.0) / 2.0])
         assert np.isfinite(_one_sum(form, [0.0], [1.3])[0])
 
-    def test_norms_against_refined_rules(self, grid, forms_of):
+    def test_norms_against_refined_rules(self, grid, forms_of, monkeypatch):
         # the Parseval-plus-cap rule against itself at doubled node counts
         # (measured 8.9e-16; the former 2-D rule is 1.6e-13 off) and, on
         # three forms (both parities, lowest and highest r), against a fine
@@ -177,7 +177,8 @@ class TestMaass:
         # over all forms)
         dataset = forms_of(grid)
         norm_sq = grid.table.norm ** -2.0
-        doubled = _norm_squares(grid.table, ny=64, nphi=64, nx=64)
+        monkeypatch.setattr(forms, "_NORM_NODES", 64)
+        doubled = _norm_squares(grid.table)
         assert np.max(np.abs(norm_sq / doubled - 1.0)) < 5e-15
         rows = [0, 2, len(dataset) - 1]
         x, y, w = QuadSpec(nx=192, y_panels=12, ny_per_panel=24, y_max=10.0).nodes()

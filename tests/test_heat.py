@@ -133,7 +133,7 @@ class TestSemigroup:
 
     def test_laplace_transform_matches_resolvent(self, tiny_grid):
         f = rand_fn(tiny_grid)
-        assert resolvent_laplace_defect(1.0, f, s=0) < 0.02
+        assert resolvent_laplace_defect(1.0, f) < 0.02
 
 
 class TestHeatEquationResidual:
@@ -202,7 +202,7 @@ class TestUniqueness:
     def test_data_on_two_grids_refused(self, tiny_grid, residual_only_grid):
         with pytest.raises(ValueError) as exc:
             uniqueness_gap(rand_fn(tiny_grid), rand_fn(residual_only_grid), 1.0, -2)
-        assert str(exc.value) == "initial data live on different grids"
+        assert str(exc.value) == "coefficient functions live on different grids"
 
     def test_euler_needs_a_step(self, tiny_grid):
         with pytest.raises(ValueError) as exc:
