@@ -12,12 +12,14 @@ from .special import gauss_rule
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point z = x + iy of the upper half-plane."""
+    """A point z = x + iy of the upper half-plane, its coordinates stored as floats."""
 
     x: float
     y: float
 
     def __post_init__(self):
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got x = {self.x}, y = {self.y}")
         if not self.y > 0.0:

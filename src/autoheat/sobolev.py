@@ -98,19 +98,22 @@ def delta_coefficients(grid: SpectralGrid) -> CoeffFn:
     return CoeffFn(grid, grid.basis_at_i())
 
 
-def _check_points(x: np.ndarray, y: np.ndarray) -> None:
-    """HPoint's refusals for a field, by name: 1-d x and y of one length, finite, y > 0."""
+def _check_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, with HPoint's refusals for a field, by name:
+    1-d x and y of one length, finite, y > 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
         raise ValueError(f"x and y must be 1-d of one length, got {np.shape(x)}, {np.shape(y)}")
     if not (ok := np.isfinite(x) & (y > 0.0) & (y < np.inf)).all():
         k = np.argmin(ok)  # the first point refused
         raise ValueError(f"points need finite x, 0 < y < inf, got x = {x[k]}, y = {y[k]} at {k}")
+    return x, y
 
 
 def basis_values(grid: SpectralGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix of basis evaluations, shape (grid.size, npoints), unitary frame: rows
     in coefficient order (cusp forms, constant, Eisenstein nodes) at reduced points."""
-    _check_points(x, y)
+    x, y = _check_points(x, y)
     return grid.basis_rows(x, y, np.ones(grid.size, dtype=bool))
 
 
@@ -178,6 +181,6 @@ def synthesize_values(f: CoeffFn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     synthesis_parts' sum, as evaluate_heat_kernel's value for heat data.
     The rows outside synthesis_rows are left at zero, unevaluated: for heat
     data, the odd cusp forms (they vanish at i) and the negligible entries."""
-    _check_points(x, y)
+    x, y = _check_points(x, y)
     cusp, residual, eis = synthesis_parts(f, f.grid.basis_rows(x, y, synthesis_rows(f, y)))
     return cusp + residual + eis

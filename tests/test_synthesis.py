@@ -370,6 +370,38 @@ class TestFieldRefusals:
             assert str(exc.value) == message
 
 
+def _report_hex(rep):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rep))
+
+
+class TestCoordinateTypes:
+    """Integer and sequence coordinates answer with the float inputs' bits."""
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_integer_points(self, grid, kind):
+        for t, x, y in [(1, 0, 2), (2, -1, 1), (1, 3, 5)]:
+            want = evaluate_heat_kernel(float(t), HPoint(float(x), float(y)), grid)
+            got = evaluate_heat_kernel(kind(t), HPoint(kind(x), kind(y)), grid)
+            assert _report_hex(got) == _report_hex(want)
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_integer_and_sequence_fields(self, grid, kind):
+        coeffs = heat_coefficients(1.0, grid).coeffs
+        x, y = [0, 1, -2, 0], [1, 2, 6, 3]
+        xf, yf = np.array(x, dtype=float), np.array(y, dtype=float)
+        assert synthesize_values(coeffs, kind(x), kind(y)).tobytes() == \
+            synthesize_values(coeffs, xf, yf).tobytes()
+        assert basis_values(grid, kind(x), kind(y)).tobytes() == \
+            basis_values(grid, xf, yf).tobytes()
+
+    def test_integer_patch(self, grid, half_grid):
+        patch = [(0, 1), (1, 2), (0, 3)]
+        want = partial_synthesis_sup_difference(
+            1.0, grid, half_grid, [HPoint(float(x), float(y)) for x, y in patch])
+        got = partial_synthesis_sup_difference(1, grid, half_grid, [HPoint(x, y) for x, y in patch])
+        assert got.hex() == want.hex()
+
+
 class TestRowsOnFirstUse:
     """A fresh grid fits its Eisenstein rows on first use.  The heat data
     choose their rows before any fit, and the rows they choose must hold
