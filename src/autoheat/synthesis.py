@@ -25,10 +25,12 @@ class SynthesisReport:
     and the last, from which tail_estimate bounds the continuum dropped
     beyond the grid's r_max.  tail_warning flags a value <= 0 (the heat
     kernel is strictly positive, so such a value is wrong by at least its
-    own size) or one against which the tail plus the cancellation error,
-    4 eps times the largest part (not reported), is large: high in the cusp
-    the O(1) residual and Eisenstein parts cancel to a tiny value that keeps
-    their rounding.  So does a point the reduction's rounding may move by eps
+    own size) or one against which the tail plus the cancellation error
+    (not reported) is large: 16 eps times the largest of |cusp_part|,
+    |residual_part| and the Eisenstein node terms' sum sum_j |w_j c_j E_j(z)|,
+    whose terms of size ~2 sqrt(y) cancel in the sum high in the cusp, where
+    the O(1) residual and Eisenstein parts cancel in turn to a tiny value that
+    keeps their rounding.  So does a point the reduction's rounding may move by eps
     |z0| / y > TAIL_TOLERANCE (z0 the translated input: y below ~1e-8), and
     one where the Eisenstein panels stop resolving the nodes' constant terms
     2 sqrt(y) cos(r log y + arg xi): their phase turns by (r_max / panels)
@@ -72,10 +74,13 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     # whose damping underflowed is not evaluated and counts as 1)
     edge = max(abs(basis[-1]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
-    # the rounding a value small against its parts keeps from them
-    cancel_error = 4.0 * math.ulp(1.0) * max(abs(cusp), abs(residual), abs(eis))
+    # the rounding a value small against its parts keeps from them and from the
+    # node terms (a grid of 4x the panels differs by <= 10.5 eps times this, t >= 0.5)
+    n = grid.n_cusp
+    terms = np.abs(basis[n + 1:]) @ np.abs(grid.weights[n + 1:] * coeffs.values[n + 1:])
+    cancel_error = 16.0 * math.ulp(1.0) * max(abs(cusp), abs(residual), float(terms))
     drift = math.ulp(1.0) * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
-    unresolved = grid.r_max * math.log(p.y) > grid.size - grid.n_cusp - 1
+    unresolved = grid.r_max * math.log(p.y) > grid.size - n - 1
 
     value = cusp + residual + eis
     return SynthesisReport(
@@ -84,7 +89,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         residual_part=residual,
         eisenstein_part=eis,
         tail_estimate=tail,
-        nodes_used=int(np.count_nonzero(live[grid.n_cusp + 1:])),
+        nodes_used=int(np.count_nonzero(live[n + 1:])),
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
                           or value <= 0.0 or drift > TAIL_TOLERANCE or unresolved),
     )

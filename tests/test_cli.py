@@ -371,6 +371,18 @@ class TestEval:
         assert cli.main(["eval", "--t", "8", "--x", "0", "--y", y]) == code
         capsys.readouterr()
 
+    @pytest.mark.parametrize("t, y, value", [
+        ("1", "5.2e3", "3.680926611294e-07"),
+        ("2", "1.23e5", "3.243124432339e-06"),
+        ("2", "2.72e5", "4.305632591572e-07"),
+        ("2", "3.16e5", "2.889102850290e-07")])
+    def test_eisenstein_sum_rounding_warns(self, grid, t, y, value, capsys):
+        # the node terms, ~2 sqrt(y) each, cancel in the Eisenstein sum: a grid
+        # of 4x the panels moves these values by 1.1e-8 to 1.1e-7 relative,
+        # over the tolerance, while the largest part's rounding stays below it
+        code = cli.main(["eval", "--t", t, "--x", "0", "--y", y])
+        assert code == 2 and capsys.readouterr().out.splitlines()[1].split(",")[3] == value
+
     def test_json_mirrors_csv_fields(self, grid, capsys):
         cli.main(["eval", "--t", "1", "--x", "0", "--y", "1"])
         csv_out = capsys.readouterr().out.strip().splitlines()
