@@ -21,7 +21,6 @@ from .synthesis import evaluate_heat_kernel
 from .verify import SUITES, grid_for_config, run_suite
 
 USAGE_EXIT = 64
-DEFAULT_PROFILE_INDICES = (0, 4, 8)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,8 +92,8 @@ def make_parser() -> _Parser:
                                help="initial-condition gap and norms along a time list")
     p_profile.add_argument("--t-list", required=True, dest="t_list",
                            help="comma-separated strictly monotone times, e.g. 1,0.5,0.1")
-    p_profile.add_argument("--s-list", default=None, dest="s_list",
-                           help="comma-separated Sobolev indices (default 0,4,8)")
+    p_profile.add_argument("--s-list", default="0,4,8", dest="s_list",
+                           help="comma-separated Sobolev indices (default %(default)s)")
     _config_flags(p_profile, grid=True, fmt=True)
 
     p_ingest = sub.add_parser("ingest-check", help="parse and validate a Maass data file")
@@ -112,14 +111,8 @@ def cmd_eval(args) -> int:
         raise UsageError(exc) from None
     grid = grid_for_config(cfg)
     rep = evaluate_heat_kernel(args.t, z, grid)
-    fields = [
-        ("t", args.t), ("x", args.x), ("y", args.y),
-        ("value", rep.value),
-        ("cusp_part", rep.cusp_part),
-        ("residual_part", rep.residual_part),
-        ("eisenstein_part", rep.eisenstein_part),
-        ("tail_estimate", rep.tail_estimate),
-    ]
+    fields = [("t", args.t), ("x", args.x), ("y", args.y)] + [(k, getattr(rep, k)) for k in (
+        "value", "cusp_part", "residual_part", "eisenstein_part", "tail_estimate")]
     if cfg.output_format == "json":
         print(json.dumps({k: float(_fmt(v)) for k, v in fields}, sort_keys=False))
     else:
@@ -144,8 +137,7 @@ def cmd_profile(args) -> int:
     _require(ts, "empty --t-list")
     _require(all(0.0 < t < math.inf for t in ts), "profile times must be finite and positive")
     _require(ts in (sorted(set(ts)), sorted(set(ts))[::-1]), "--t-list must be strictly monotone")
-    s_list = (list(DEFAULT_PROFILE_INDICES) if args.s_list is None
-              else _number_list(args.s_list, "--s-list", int))
+    s_list = _number_list(args.s_list, "--s-list", int)
     _require(s_list and len(set(s_list)) == len(s_list),
              "--s-list must list distinct indices, at least one")
     grid = grid_for_config(cfg)

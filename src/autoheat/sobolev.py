@@ -99,8 +99,7 @@ def delta_coefficients(grid: SpectralGrid) -> CoeffFn:
 
 
 def _check_points(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float arrays, with HPoint's refusals for a field, by name:
-    1-d x and y of one length, finite, y > 0."""
+    """x and y as float arrays, with HPoint's refusals by name: 1-d, one length, finite, y > 0."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
         raise ValueError(f"x and y must be 1-d of one length, got {np.shape(x)}, {np.shape(y)}")

@@ -61,7 +61,7 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     only as coefficients."""
     if not t > 0.0:
         raise ValueError("pointwise heat-kernel values exist for t > 0 only")
-    p = reduce_to_fundamental_domain(z)
+    p, n = reduce_to_fundamental_domain(z), grid.n_cusp
     coeffs = heat_coefficients(t, grid).coeffs
     y = np.array(p.y)  # one point: 0-d coordinates
     live = synthesis_rows(coeffs, y)
@@ -76,7 +76,6 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
     # the rounding a value small against its parts keeps from them and from the
     # node terms (a grid of 4x the panels differs by <= 10.5 eps times this, t >= 0.5)
-    n = grid.n_cusp
     terms = np.abs(basis[n + 1:]) @ np.abs(grid.weights[n + 1:] * coeffs.values[n + 1:])
     cancel_error = 16.0 * math.ulp(1.0) * max(abs(cusp), abs(residual), float(terms))
     drift = math.ulp(1.0) * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
