@@ -27,16 +27,17 @@ class SynthesisReport:
     kernel is strictly positive, so such a value is wrong by at least its
     own size) or one against which the tail plus the cancellation error
     (not reported) is large: 16 eps times the largest of |cusp_part|,
-    |residual_part| and the Eisenstein node terms' sum sum_j |w_j c_j E_j(z)|,
-    whose terms of size ~2 sqrt(y) cancel in the sum high in the cusp, where
-    the O(1) residual and Eisenstein parts cancel in turn to a tiny value that
-    keeps their rounding.  So does a point the reduction's rounding may move by eps
-    |z0| / y > TAIL_TOLERANCE (z0 the translated input: y below ~1e-8), and
-    one where the Eisenstein panels stop resolving the nodes' constant terms
-    2 sqrt(y) cos(r log y + arg xi): their phase turns by (r_max / panels)
-    log y across a panel, and past nodes_per_panel radians, r_max log y >
-    the node count (y > 6.2e5 on the default grid), the parts keep
-    quadrature error that nothing else here counts."""
+    |residual_part| and sum_j |w_j c_j E_j(z)| over the Eisenstein nodes.
+    High in the cusp the node terms, ~2 sqrt(y) each, cancel to an O(1)
+    Eisenstein part, which cancels in turn against the O(1) residual part to
+    a tiny value that keeps their rounding.  It flags too a point the
+    reduction's rounding may move by eps |z0| / y > TAIL_TOLERANCE (z0 the
+    translated input: y below ~1e-8), and one where the Eisenstein panels
+    stop resolving the nodes' constant terms 2 sqrt(y) cos(r log y + arg xi):
+    their phase turns by (r_max / panels) log y across a panel, and past
+    nodes_per_panel radians, r_max log y > the node count (y > 6.2e5 on the
+    default grid), the parts keep quadrature error that nothing else here
+    counts."""
 
     value: float
     cusp_part: float
@@ -74,8 +75,9 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
     # whose damping underflowed is not evaluated and counts as 1)
     edge = max(abs(basis[-1]), 1.0) * max(abs(grid.basis_at_i(-1)), 1.0) * 2.0
     tail = edge / (2.0 * math.pi) * _gaussian_tail(grid.r_max, t)
-    # the rounding a value small against its parts keeps from them and from the
-    # node terms (a grid of 4x the panels differs by <= 10.5 eps times this, t >= 0.5)
+    # the rounding a value small against its parts keeps from them and the node
+    # terms: a grid of 4x the panels moves the value by <= 10.7 eps times this at
+    # t >= 0.4 (the panels' phase error passes it below t = 0.3, on warned values)
     terms = np.abs(basis[n + 1:]) @ np.abs(grid.weights[n + 1:] * coeffs.values[n + 1:])
     cancel_error = 16.0 * math.ulp(1.0) * max(abs(cusp), abs(residual), float(terms))
     drift = math.ulp(1.0) * abs(complex(z.x - math.floor(z.x + 0.5), z.y)) / z.y
