@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import warnings
@@ -16,12 +17,13 @@ from autoheat.oracle import (
     _NEAR_DIAGONAL,
     _PLANE_BLOCK,
     _chebyshev_coef,
+    _class_counts,
     _clenshaw,
     _envelope,
     _mass_beyond,
     _plane_kernel_series,
+    _two_squares_counts,
     heat_kernel_plane,
-    matrix_counts_by_norm,
     orbit_of_i,
     orbit_tail,
     periodized_oracle,
@@ -54,9 +56,25 @@ def _plane_kernel_mpmath(t: float, rho: float) -> float:
         return float(mpmath.sqrt(2) * mpmath.exp(-t / 4) / (4 * mpmath.pi * t) ** 1.5 * val)
 
 
+def _matrix_counts_by_norm(n_max: int) -> np.ndarray:
+    """count[n] = #{(a, b, c, d): ad - bc = 1, a^2 + b^2 + c^2 + d^2 = n} for
+    n <= n_max, both signs: _class_counts' formula over every n = 4m + 2 and
+    4m + 3, and 0 elsewhere (the parity obstruction)."""
+    counts = np.zeros(n_max + 1)
+    r2 = _two_squares_counts(n_max)
+    for cls in (2, 3):
+        counts[cls::4] = _class_counts(cls, 0, len(counts[cls::4]), r2)
+    return counts
+
+
+# SHA-256 of the counts up to norm 100 000 as float64 bytes, recorded from
+# oracle.matrix_counts_by_norm, whose body _matrix_counts_by_norm is
+COUNTS_100000_SHA256 = "bba47d762a6c9a6babe5a777b72fa11e1f322da14bceb6a7bfab38752e24ff9c"
+
+
 def _count_quadrature(t: float, bound: int) -> float:
     """The basepoint sum with heat_kernel_plane at every distance of the counts."""
-    counts = matrix_counts_by_norm(bound * bound)
+    counts = _matrix_counts_by_norm(bound * bound)
     n = np.flatnonzero(counts)
     direct = 0.5 * float(counts[n] @ heat_kernel_plane(t, np.arccosh(n / 2.0)))
     return direct + orbit_tail(t, HPoint(0.0, 1.0), bound)
@@ -454,14 +472,18 @@ class TestEnumeration:
 
     def test_size_matches_arithmetic_counts(self):
         # a point stands for four matrices: +-gamma and +-gamma S
-        assert 4 * len(orbit_of_i(160.0)[1]) == int(matrix_counts_by_norm(160 * 160)[2:].sum())
+        assert 4 * len(orbit_of_i(160.0)[1]) == int(_matrix_counts_by_norm(160 * 160)[2:].sum())
 
     def test_counts_identity_against_enumeration(self):
         bound = 12
         norms = Counter(_orbit_norms(float(bound)).tolist())
-        fast = matrix_counts_by_norm(bound * bound)
+        fast = _matrix_counts_by_norm(bound * bound)
         for n in range(2, bound * bound + 1):
             assert 4 * norms.get(n, 0) == int(fast[n])
+
+    def test_counts_frozen(self):
+        counts = _matrix_counts_by_norm(100_000)
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == COUNTS_100000_SHA256
 
 
 class TestPeriodizedOracle:
@@ -735,7 +757,7 @@ class TestOrbitTail:
     @pytest.mark.filterwarnings("ignore:boundary shell")
     def test_tail_difference_matches_arithmetic_counts_long_time(self):
         t, inner, outer = 8.0, 160, 1000
-        counts = matrix_counts_by_norm(outer * outer)
+        counts = _matrix_counts_by_norm(outer * outer)
         n = np.arange(len(counts))
         live = (n > inner * inner) & (counts > 0.0)
         shell = 0.5 * float(counts[live] @ heat_kernel_plane(t, np.arccosh(n[live] / 2.0)))
