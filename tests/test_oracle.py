@@ -721,6 +721,26 @@ class TestOrbitTail:
     def test_window_tail_frozen(self, t, x, y):
         assert orbit_tail(t, HPoint(x, y), 160.0).hex() == self.TAIL_160_FROZEN[t, x, y]
 
+    # float.hex of orbit_tail and of periodized_oracle(..., shell_warning=False)
+    # at (t, x, y, bound) inside the ball d(z, i) <= rho_B: the first three
+    # within 0.05 of its sphere (d = 6.397 against rho_B = 6.438 at 0.1 + 600i),
+    # then small bounds, and i at the one-point ball of bound sqrt(2)
+    NEAR_EDGE_FROZEN = {
+        (1.0, 0.1, 600.0, 25.0): ("0x1.6f46ce9503981p-1", "0x1.6f4b1428164cdp-1"),
+        (2.0, 0.0, 620.0, 25.0): ("0x1.9ae1629783502p-1", "0x1.9bffce7888c78p-1"),
+        (1.0, 0.1, 25000.0, 160.0): ("0x1.712452d19fe21p-1", "0x1.712452d1b1e7fp-1"),
+        (0.5, 0.3, 1.9, 2.0): ("0x1.12ac447620767p-1", "0x1.3b9633725c1ebp+0"),
+        (4.0, -0.4, 3.0, 3.0): ("0x1.c2b0db12a2ab3p-1", "0x1.f1fa466426564p-1"),
+        (1.0, 0.0, 1.0, math.sqrt(2.0)): ("0x1.e8ec8a4aeaca4p-1", "0x1.11eb98bb60864p+0"),
+    }
+
+    @pytest.mark.parametrize("t, x, y, bound", list(NEAR_EDGE_FROZEN))
+    def test_tail_and_sum_frozen_near_the_sphere(self, t, x, y, bound):
+        z = HPoint(x, y)
+        tail = orbit_tail(t, z, bound).hex()
+        total = periodized_oracle(t, z, bound, shell_warning=False).hex()
+        assert (tail, total) == self.NEAR_EDGE_FROZEN[t, x, y, bound]
+
     @pytest.mark.parametrize("bound", [25.0, 160.0])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("z, n_theta", [
