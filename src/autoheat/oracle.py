@@ -398,29 +398,18 @@ def _two_squares_counts(n_max: int) -> list[np.ndarray]:
     return tables
 
 
-def matrix_counts_by_norm(n_max: int) -> np.ndarray:
-    """count[n] = #{(a,b,c,d): ad - bc = 1, a^2+b^2+c^2+d^2 = n}, both signs.
+def _class_counts(cls: int, lo: int, hi: int, r2: list[np.ndarray]) -> np.ndarray:
+    """count(n) = #{(a,b,c,d): ad - bc = 1, a^2+b^2+c^2+d^2 = n}, both signs,
+    at n = 4m + cls, lo <= m < hi, from the tables of _two_squares_counts.
 
     Splitting along a+d, a-d, b+c, b-c turns the determinant and norm
     conditions into a pair of circles alpha^2 + delta^2 = n + 2 and
     beta^2 + gamma^2 = n - 2 with parity couplings, so the count factors
     through sums-of-two-squares counts:
-      n = 4m + 2:  r2(m + 1) r2(m)
-      n = 4m + 3:  r2(4m + 5) r2(4m + 1) / 2
+      n = 4m + 2:  r2(m + 1) r2(m), from the first table
+      n = 4m + 3:  r2(4m + 5) r2(4m + 1) / 2, from the second
       otherwise:   0 (parity obstruction).
-    Verified against direct enumeration in the tests.
-    """
-    counts = np.zeros(n_max + 1, dtype=np.float64)
-    r2 = _two_squares_counts(n_max)
-    for cls in (2, 3):
-        counts[cls::4] = _class_counts(cls, 0, len(counts[cls::4]), r2)
-    return counts
-
-
-def _class_counts(cls: int, lo: int, hi: int, r2: list[np.ndarray]) -> np.ndarray:
-    """matrix_counts_by_norm's formula at n = 4m + cls, lo <= m < hi, from the
-    tables of _two_squares_counts: r2(m + 1) r2(m) for cls 2, from the first
-    table, and r2(4(m + 1) + 1) r2(4m + 1) / 2 for cls 3, from the second."""
+    The tests check it against direct enumeration."""
     table = r2[cls - 2]
     cnt = table[lo + 1:hi + 1].astype(np.float64) * table[lo:hi]
     return cnt if cls == 2 else 0.5 * cnt
