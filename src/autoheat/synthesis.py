@@ -1,4 +1,4 @@
-"""Pointwise synthesis of the heat kernel and its smoothness diagnostics."""
+"""Pointwise synthesis of the heat kernel, split into its spectral parts."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from .heat import heat_coefficients
 from .hyperbolic import HPoint, reduce_to_fundamental_domain
-from .sobolev import synthesis_parts, synthesis_rows, synthesize_values
+from .sobolev import synthesis_parts, synthesis_rows
 from .spectral_model import SpectralGrid
 
 TAIL_TOLERANCE = 1e-8
@@ -94,20 +94,3 @@ def evaluate_heat_kernel(t: float, z: HPoint, grid: SpectralGrid) -> SynthesisRe
         tail_warning=bool(tail + cancel_error > TAIL_TOLERANCE * max(abs(value), 1e-300)
                           or value <= 0.0 or drift > TAIL_TOLERANCE or unresolved),
     )
-
-
-def partial_synthesis_sup_difference(t: float, grid_full: SpectralGrid,
-                                     grid_half: SpectralGrid,
-                                     patch: list[HPoint]) -> float:
-    """Sup over a compact patch of the synthesis change between two cutoffs.
-
-    Together with the tail of the index-3 norm this quantifies the embedding
-    of the Sobolev scale into continuous functions (one derivative needs
-    index > 1 + dim/2 = 2).
-    """
-    reduced = [reduce_to_fundamental_domain(p) for p in patch]
-    x = np.array([p.x for p in reduced])
-    y = np.array([p.y for p in reduced])
-    a, b = (synthesize_values(heat_coefficients(t, g).coeffs, x, y).real
-            for g in (grid_full, grid_half))
-    return float(np.max(np.abs(a - b)))

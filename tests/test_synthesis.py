@@ -23,7 +23,7 @@ from autoheat.sobolev import (
     synthesize_values,
 )
 from autoheat.spectral_model import build_grid
-from autoheat.synthesis import evaluate_heat_kernel, partial_synthesis_sup_difference
+from autoheat.synthesis import evaluate_heat_kernel
 
 POINTS = (HPoint(0.0, 1.0), HPoint(0.0, 2.0), HPoint(0.3, 1.1))
 
@@ -394,13 +394,6 @@ class TestCoordinateTypes:
         assert basis_values(grid, kind(x), kind(y)).tobytes() == \
             basis_values(grid, xf, yf).tobytes()
 
-    def test_integer_patch(self, grid, half_grid):
-        patch = [(0, 1), (1, 2), (0, 3)]
-        want = partial_synthesis_sup_difference(
-            1.0, grid, half_grid, [HPoint(float(x), float(y)) for x, y in patch])
-        got = partial_synthesis_sup_difference(1, grid, half_grid, [HPoint(x, y) for x, y in patch])
-        assert got.hex() == want.hex()
-
 
 class TestRowsOnFirstUse:
     """A fresh grid fits its Eisenstein rows on first use.  The heat data
@@ -496,8 +489,12 @@ class TestSmoothness:
         # partial synthesis is controlled by the index-3 tail (empirical
         # constant 0.0088 recorded on the default grids, asserted with margin)
         t = 0.05
-        patch = [HPoint(x, y) for x in (0.0, 0.1, 0.31) for y in (1.0, 1.37, 2.0)]
-        sup = partial_synthesis_sup_difference(t, grid, half_grid, patch)
+        patch = [reduce_to_fundamental_domain(HPoint(x, y))
+                 for x in (0.0, 0.1, 0.31) for y in (1.0, 1.37, 2.0)]
+        x, y = np.array([p.x for p in patch]), np.array([p.y for p in patch])
+        full, half = (synthesize_values(heat_coefficients(t, g).coeffs, x, y).real
+                      for g in (grid, half_grid))
+        sup = float(np.max(np.abs(full - half)))
         tail = _eisenstein_tail_norm(t, grid, half_grid.r_max, 3)
         assert sup <= 0.02 * tail
 
