@@ -56,13 +56,9 @@ def reduce_to_fundamental_domain(p: HPoint) -> HPoint:
     raise RuntimeError("fundamental-domain reduction did not terminate")
 
 
-def cosh_distance(z: complex, w: complex) -> float:
-    """cosh of the hyperbolic distance: 1 + |z-w|^2 / (2 Im z Im w)."""
-    return 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-
-
 def hyperbolic_distance(z: complex, w: complex) -> float:
-    return float(np.arccosh(max(cosh_distance(z, w), 1.0)))
+    """d(z, w), from its cosh 1 + |z-w|^2 / (2 Im z Im w)."""
+    return float(np.arccosh(max(1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag), 1.0)))
 
 
 @dataclass(frozen=True)

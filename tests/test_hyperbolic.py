@@ -7,7 +7,7 @@ import pytest
 from autoheat.hyperbolic import (
     HPoint,
     QuadSpec,
-    cosh_distance,
+    hyperbolic_distance,
     reduce_to_fundamental_domain,
 )
 
@@ -80,13 +80,14 @@ class TestHPoint:
 class TestDistance:
     def test_translation_distance(self):
         # cosh d(i, i+1) = 1 + 1/2
-        assert abs(cosh_distance(1j, 1j + 1.0) - 1.5) < 1e-15
+        assert abs(hyperbolic_distance(1j, 1j + 1.0) - math.acosh(1.5)) < 1e-15
 
     def test_matrix_norm_identity(self):
         # cosh d(i, gamma i) = ||gamma||_F^2 / 2
         a, b, c, d = 2.0, 1.0, 1.0, 1.0
         w = (a * 1j + b) / (c * 1j + d)
-        assert abs(cosh_distance(1j, w) - (a * a + b * b + c * c + d * d) / 2.0) < 1e-14
+        norm_sq = a * a + b * b + c * c + d * d
+        assert abs(hyperbolic_distance(1j, w) - math.acosh(norm_sq / 2.0)) < 1e-14
 
 
 class TestQuadrature:
