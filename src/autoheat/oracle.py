@@ -300,34 +300,36 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     3/pi = 1/vol(PSL2(Z)\\H) is the density of PSL2(Z) elements; each orbit
     point stands for two of them, which periodized_oracle counts by its
     weight 2.  In geodesic polar coordinates (rho, phi) about z, with
-    a = d(z, i), the law of cosines puts the point outside the ball where
+    a = d(z, i) <= rho_B, the law of cosines puts the point outside the ball where
     cos phi < kappa = (cosh rho cosh a - cosh rho_B) / (sinh rho sinh a),
     on the share f(rho) = 1/2 + arcsin(kappa)/pi of the circle.  Circles of
-    radius above rho_B + a lie wholly outside, those below |rho_B - a| wholly
-    inside (a < rho_B) or outside (a > rho_B), so
+    radius above rho_B + a lie wholly outside, those below rho_B - a wholly
+    inside, so
 
-      T_B = (3/pi) [M(rho_B + a) + 2 pi int_{|rho_B - a|}^{rho_B + a} sinh rho p_t f drho
-                    + (1 - M(a - rho_B) if a > rho_B)]
+      T_B = (3/pi) [M(rho_B + a) + 2 pi int_{rho_B - a}^{rho_B + a} sinh rho p_t f drho]
 
     with M = _mass_beyond.  The window is integrated in theta,
-    rho = max(rho_B, a) - min(rho_B, a) cos theta, by 64-node Gauss-Legendre with
-    heat_kernel_plane at the nodes: f's square-root kinks at the window's ends become
-    smooth in theta.  At z = i the window is empty.  t must lie in PLANE_T.
+    rho = rho_B - a cos theta, by 64-node Gauss-Legendre with heat_kernel_plane
+    at the nodes: f's square-root kinks at the window's ends become smooth in
+    theta.  At z = i the window is empty.  t must lie in PLANE_T, and z in the
+    ball: the orbit points nearest a z beyond it, which carry the kernel's
+    mass, lie beyond the bound too, and the mean density does not stand for
+    them (at t = 1, B = 25, 0.1 + 1000i the sum read 0.8124, the kernel 9.7e-5).
     """
     _check_time(t, PLANE_T)
     _check_bound(norm_bound)
     rho_b = math.acosh(0.5 * norm_bound * norm_bound)
     a = hyperbolic_distance(z.z, 1j)
-    mass = _mass_beyond(t, rho_b + a)
     if a > rho_b:
-        mass += 1.0 - _mass_beyond(t, a - rho_b)
-    half = min(rho_b, a)
-    if half > 0.0:
+        raise ValueError(f"z = {z.x} + {z.y}i lies at distance {a} from i, outside the "
+                         f"ball of radius {rho_b} that norm bound {norm_bound:g} enumerates")
+    mass = _mass_beyond(t, rho_b + a)
+    if a > 0.0:
         theta, w = gauss_rule(0.5 * math.pi, 0.5 * math.pi, 64)
-        rho = max(rho_b, a) - half * np.cos(theta)
+        rho = rho_b - a * np.cos(theta)
         kappa = (np.cosh(rho) * math.cosh(a) - math.cosh(rho_b)) / (np.sinh(rho) * math.sinh(a))
         share = 0.5 + np.arcsin(np.clip(kappa, -1.0, 1.0)) / math.pi
-        weight = 2.0 * math.pi * half * w * np.sin(theta) * np.sinh(rho) * share
+        weight = 2.0 * math.pi * a * w * np.sin(theta) * np.sinh(rho) * share
         mass += float(weight @ heat_kernel_plane(t, rho))
     return 3.0 / math.pi * mass
 
@@ -352,9 +354,11 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
 
     Warns when the outermost shell [norm_bound - 1, norm_bound] still
     contributes noticeably to the enumerated sum: the ball is then small for
-    this t and the answer leans on the tail term.
+    this t and the answer leans on the tail term.  The tail comes first, so
+    a z outside the ball is refused before any orbit point is listed.
     """
     _check_time(t)
+    tail = orbit_tail(t, z, norm_bound)
     x_num, q = orbit_of_i(norm_bound)
     rho = np.square(np.subtract(z.x, np.divide(x_num, q)))
     rho += np.square(np.subtract(z.y, np.divide(1.0, q)))
@@ -367,7 +371,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     if shell_warning:
         shell = q * q + x_num * x_num + 1 >= math.ceil((norm_bound - 1.0) ** 2) * q
         _warn_shell(t, norm_bound, 2.0 * float(np.sum(vals[shell])), total)
-    return total + orbit_tail(t, z, norm_bound)
+    return total + tail
 
 
 def _two_squares_counts(n_max: int) -> list[np.ndarray]:

@@ -580,7 +580,8 @@ class TestPeriodizedOracle:
                     call()
             assert str(exc.value) == ("finite norm bound of at least the identity's norm sqrt(2) "
                                       f"required, got {bound}")
-        assert orbit_tail(1.0, HPoint(0.25, 1.3), math.sqrt(2.0)) == 3.0 / math.pi
+        with pytest.raises(ValueError, match="outside the ball"):  # the one-point ball
+            orbit_tail(1.0, HPoint(0.25, 1.3), math.sqrt(2.0))
 
     @pytest.mark.parametrize("bound", [1e5, 1e200])
     def test_uncountable_bounds_refused(self, bound):
@@ -753,13 +754,24 @@ class TestOrbitTail:
         ref = _tail_by_polar_grid(t, z, bound, n_theta)
         assert abs(orbit_tail(t, z, bound) - ref) < 1e-12 * ref
 
-    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
-    def test_basepoint_outside_the_ball(self, t):
-        # a = log 6 > rho_B = acosh 2: the circles about z smaller than
-        # a - rho_B lie wholly outside the ball; measured within 1.4e-14
-        z = HPoint(0.0, 6.0)
-        ref = _tail_by_polar_grid(t, z, 2.0, 128)
-        assert abs(orbit_tail(t, z, 2.0) - ref) < 1e-12 * ref
+    @pytest.mark.parametrize("t, x, y, bound", [
+        (1.0, 0.1, 1000.0, 25.0), (4.0, 0.0, 700.0, 25.0),
+        (1.0, 0.25, 1.3, math.sqrt(2.0)), (1.0, 0.1, 30000.0, 160.0)])
+    def test_points_outside_the_ball_refused(self, t, x, y, bound, monkeypatch):
+        # the orbit sum read 0.8124, 0.8941, 1.0657 and 0.7579 there, where the
+        # spectral values are 9.705e-5, 0.3494, 1.1329 and ~2e-10; both calls
+        # refuse by value before any orbit point is listed or quadrature runs
+        z = HPoint(x, y)
+        a, rho_b = hyperbolic_distance(z.z, 1j), math.acosh(0.5 * bound * bound)
+        assert a > rho_b
+        monkeypatch.setattr(oracle, "orbit_of_i", None)
+        monkeypatch.setattr(oracle, "gauss_rule", None)
+        for call in (lambda: orbit_tail(t, z, bound),
+                     lambda: periodized_oracle(t, z, bound, shell_warning=False)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == (f"z = {x} + {y}i lies at distance {a} from i, outside the "
+                                      f"ball of radius {rho_b} that norm bound {bound:g} enumerates")
 
     def test_tail_difference_matches_enumerated_shell(self):
         t, inner, outer = 2.0, 25.0, 160.0
