@@ -312,9 +312,8 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     rho = rho_B - a cos theta, by 64-node Gauss-Legendre with heat_kernel_plane
     at the nodes: f's square-root kinks at the window's ends become smooth in
     theta.  At z = i the window is empty.  t must lie in PLANE_T, and z in the
-    ball: the orbit points nearest a z beyond it, which carry the kernel's
-    mass, lie beyond the bound too, and the mean density does not stand for
-    them (at t = 1, B = 25, 0.1 + 1000i the sum read 0.8124, the kernel 9.7e-5).
+    ball: beyond it the nearest orbit points, which carry the kernel's mass,
+    go unlisted, and the mean density does not stand for them.
     """
     _check_time(t, PLANE_T)
     _check_bound(norm_bound)
