@@ -84,10 +84,12 @@ class TestHeatCoefficients:
         fresh_grid.weights[j] = 0.0
         assert heat_coefficients(1.0, fresh_grid).coeffs.values[j] == 0.0
 
-    def test_negative_time_state_refused(self, tiny_grid):
+    @pytest.mark.parametrize("t", [-1.0, np.inf, np.nan])
+    def test_negative_time_state_refused(self, tiny_grid, t):
+        # the state and the damping share one rule: nan and inf constructed before
         with pytest.raises(ValueError) as exc:
-            HeatState(-1.0, CoeffFn(tiny_grid, np.zeros(tiny_grid.size)))
-        assert str(exc.value) == "heat flow is one-sided: t >= 0"
+            HeatState(t, CoeffFn(tiny_grid, np.zeros(tiny_grid.size)))
+        assert str(exc.value) == f"heat flow needs a finite time t >= 0, got t = {t}"
 
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, tiny_grid, t):
