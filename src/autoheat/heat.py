@@ -42,10 +42,10 @@ class HeatState:
     coeffs: CoeffFn
 
     def __post_init__(self):
-        _check_time(self.t)
+        _check_flow_time(self.t)
 
 
-def _check_time(t: float) -> None:
+def _check_flow_time(t: float) -> None:
     """The flow time's one rule, HeatState's and _damping's: finite, t >= 0."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"heat flow needs a finite time t >= 0, got t = {t}")
@@ -53,7 +53,7 @@ def _check_time(t: float) -> None:
 
 def _damping(grid: SpectralGrid, t: float) -> np.ndarray:
     """e^{lambda t} per entry, for the heat data and the semigroup alike."""
-    _check_time(t)
+    _check_flow_time(t)
     expo = grid.lambdas * min(t, _T_FLUSHED)
     return np.exp(expo, out=np.zeros(expo.shape), where=expo > _UNDERFLOW_EXPONENT)
 
