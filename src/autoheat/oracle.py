@@ -292,6 +292,18 @@ def _mass_beyond(t: float, rho: float) -> float:
     return 4.0 * math.pi * math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5 * val
 
 
+def _ball_radius(z: HPoint, norm_bound: float) -> tuple[float, float]:
+    """(rho_B, a = d(z, i)), cosh rho_B = B^2/2, for z in the ball that the bound
+    enumerates.  A z beyond it is refused: its nearest orbit points, which carry
+    the kernel's mass, go unlisted, and the tail's mean density does not stand for them."""
+    _check_bound(norm_bound)
+    rho_b, a = math.acosh(0.5 * norm_bound * norm_bound), hyperbolic_distance(z.z, 1j)
+    if a > rho_b:
+        raise ValueError(f"z = {z.x} + {z.y}i lies at distance {a} from i, outside the "
+                         f"ball of radius {rho_b} that norm bound {norm_bound:g} enumerates")
+    return rho_b, a
+
+
 def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     """Gamma-average of the plane kernel over the orbit beyond the norm bound.
 
@@ -311,17 +323,10 @@ def orbit_tail(t: float, z: HPoint, norm_bound: float) -> float:
     with M = _mass_beyond.  The window is integrated in theta,
     rho = rho_B - a cos theta, by 64-node Gauss-Legendre with heat_kernel_plane
     at the nodes: f's square-root kinks at the window's ends become smooth in
-    theta.  At z = i the window is empty.  t must lie in PLANE_T, and z in the
-    ball: beyond it the nearest orbit points, which carry the kernel's mass,
-    go unlisted, and the mean density does not stand for them.
+    theta.  At z = i the window is empty.  t must lie in PLANE_T, z in the ball.
     """
     _check_time(t, PLANE_T)
-    _check_bound(norm_bound)
-    rho_b = math.acosh(0.5 * norm_bound * norm_bound)
-    a = hyperbolic_distance(z.z, 1j)
-    if a > rho_b:
-        raise ValueError(f"z = {z.x} + {z.y}i lies at distance {a} from i, outside the "
-                         f"ball of radius {rho_b} that norm bound {norm_bound:g} enumerates")
+    rho_b, a = _ball_radius(z, norm_bound)
     mass = _mass_beyond(t, rho_b + a)
     if a > 0.0:
         theta, w = gauss_rule(0.5 * math.pi, 0.5 * math.pi, 64)
@@ -353,11 +358,11 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
 
     Warns when the outermost shell [norm_bound - 1, norm_bound] still
     contributes noticeably to the enumerated sum: the ball is then small for
-    this t and the answer leans on the tail term.  The tail comes first, so
-    a z outside the ball is refused before any orbit point is listed.
+    this t and the answer leans on the tail term.  A z outside the ball is
+    refused before any orbit point is listed.
     """
     _check_time(t)
-    tail = orbit_tail(t, z, norm_bound)
+    _ball_radius(z, norm_bound)
     x_num, q = orbit_of_i(norm_bound)
     rho = np.square(np.subtract(z.x, np.divide(x_num, q)))
     rho += np.square(np.subtract(z.y, np.divide(1.0, q)))
@@ -370,7 +375,7 @@ def periodized_oracle(t: float, z: HPoint, norm_bound: float,
     if shell_warning:
         shell = q * q + x_num * x_num + 1 >= math.ceil((norm_bound - 1.0) ** 2) * q
         _warn_shell(t, norm_bound, 2.0 * float(np.sum(vals[shell])), total)
-    return total + tail
+    return total + orbit_tail(t, z, norm_bound)
 
 
 def _two_squares_counts(n_max: int) -> list[np.ndarray]:
