@@ -67,8 +67,7 @@ def _matrix_counts_by_norm(n_max: int) -> np.ndarray:
     return counts
 
 
-# SHA-256 of the counts up to norm 100 000 as float64 bytes, recorded from
-# oracle.matrix_counts_by_norm, whose body _matrix_counts_by_norm is
+# SHA-256 of the float64 counts up to norm 100 000
 COUNTS_100000_SHA256 = "bba47d762a6c9a6babe5a777b72fa11e1f322da14bceb6a7bfab38752e24ff9c"
 
 
